@@ -74,18 +74,19 @@ def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Bisimilarity classes of g by partition refinement, sorted.
 
     Classes start from label sets and are split by the multiset-free
-    signature (own class, set of (action, successor class)) until stable.
+    signature (own class, set of (action, successor class)).  A round
+    only ever splits classes, so the partition is stable, and the loop
+    ends, as soon as a round leaves the class count unchanged.
     """
-    order = {v: i for i, v in enumerate(sorted(g.nodes))}
     keys = {v: (tuple(sorted(g.label(v))),) for v in g.nodes}
-    cls = _classes_from_keys(g, keys, order)
+    cls = _classes_from_keys(g, keys)
     while True:
         keys = {}
         for v in g.nodes:
             moves = {(a, cls[w]) for a in g.signature.actions for w in g.succ(v, a)}
             keys[v] = (cls[v], tuple(sorted(moves)))
-        nxt = _classes_from_keys(g, keys, order)
-        if nxt == cls:
+        nxt = _classes_from_keys(g, keys)
+        if len(set(nxt.values())) == len(set(cls.values())):
             break
         cls = nxt
     groups: dict[int, list[str]] = {}
@@ -94,7 +95,7 @@ def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(members)) for members in groups.values())
 
 
-def _classes_from_keys(g, keys, order) -> dict[str, int]:
+def _classes_from_keys(g, keys) -> dict[str, int]:
     distinct = sorted(set(keys.values()), key=repr)
     index = {k: i for i, k in enumerate(distinct)}
     return {v: index[keys[v]] for v in g.nodes}

@@ -1,19 +1,29 @@
 """Evaluation of arity-d formulas on finite graphs.
 
 The denotation of an arity-d formula is a set of d-tuples of nodes.
+Inside the evaluator a tuple set is a bitset held in a Python int: with
+n = |V| and nodes numbered in g.nodes order, bit sum(t[k] * n**(d-1-k))
+stands for the tuple t, the order of itertools.product.  Connectives
+are single int operations, colors are digit masks, and the bitsets are
+decoded into node-name tuples only on the way out.  A bitset is n**d
+bits wide, so evaluation refuses to start when that exceeds tuple_cap.
+
 Fixpoints are computed by iteration: least fixpoints climb from the
 empty set, greatest fixpoints descend from the full tuple space.
 Positivity of bound variables (checked up front) makes both monotone,
 so each loop stabilizes after at most |V|^d + 1 rounds; exceeding the
 bound is reported as an error instead of looping forever.
 
-The full tuple space is materialized, so evaluation refuses to start
-when |V|^arity exceeds the configured cap.
+Each modality keeps its last argument and pre-image.  The pre-image
+distributes over union, so when the new argument contains the last one
+only the added tuples are mapped, as in semi-naive evaluation; any
+other change is recomputed in full.  Under mu the arguments of <a@i>
+only grow, and under nu so do the complements taken by [a@i].
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
@@ -77,6 +87,187 @@ def _free_map(root: Node) -> dict[int, frozenset[str]]:
     return out
 
 
+def _set_bits(x: int):
+    """Indices of the set bits of x >= 0, ascending."""
+    s = bin(x)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
+def _to_bits(indices, size: int) -> int:
+    """Bitset of width size with the given bits set."""
+    out = bytearray((size + 7) >> 3)
+    for j in indices:
+        out[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(out, "little")
+
+
+def _evaluate_bits(
+    g: LabeledGraph,
+    phi: Formula,
+    d: int | None,
+    env: Mapping[str, TupleSet] | None,
+    tuple_cap: int,
+) -> int:
+    """Denotation of phi over g as a bitset; see the module docstring."""
+    validate_formula(phi, g.signature)
+    if d is not None and d != phi.arity:
+        raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
+    arity = phi.arity
+    env = dict(env or {})
+    missing = free_vars(phi) - set(env)
+    if missing:
+        raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
+
+    n = len(g.nodes)
+    size = n**arity
+    if size > tuple_cap:
+        raise ResourceLimitError(
+            f"tuple space {n}^{arity} exceeds the cap of {tuple_cap}"
+        )
+    idx = {v: k for k, v in enumerate(g.nodes)}
+    full = (1 << size) - 1
+    max_rounds = size + 1
+    # stride[k] is the bit distance between tuples differing by one in component k
+    stride = [n ** (arity - 1 - k) for k in range(arity)]
+    # unit[k]: the tuples whose component k is 0, a run of stride[k] ones
+    # repeated every n * stride[k] bits by multiplying with a repunit
+    unit = [((1 << sk) - 1) * (full // ((1 << (n * sk)) - 1)) for sk in stride]
+
+    base_env: dict[str, int] = {}
+    for name, ts in env.items():
+        if ts.arity != arity:
+            raise FormulaError(f"environment entry {name!r} has arity {ts.arity}, expected {arity}")
+        members = []
+        for t in ts.tuples:
+            if len(t) != arity or any(v not in idx for v in t):
+                raise FormulaError(f"environment entry {name!r} contains a bad tuple {t!r}")
+            members.append(sum(idx[v] * s for v, s in zip(t, stride)))
+        base_env[name] = _to_bits(members, size)
+
+    def digit_mask(k: int, values) -> int:
+        """All tuples whose component k is one of values."""
+        res = 0
+        for v in values:
+            res |= unit[k] << (v * stride[k])
+        return res
+
+    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups)
+    pre_tables: dict[tuple[str, int], tuple[list, list]] = {}
+
+    def pre_table(a: str, k: int) -> tuple[list, list]:
+        sk = stride[k]
+        offs: list[list[int]] = [[] for _ in range(n)]
+        by_shift: dict[int, list[int]] = {}
+        for src, b, dst in g.edges:
+            if b != a:
+                continue
+            u, w = idx[src], idx[dst]
+            offs[w].append((u - w) * sk)
+            by_shift.setdefault((w - u) * sk, []).append(w)
+        groups = [(digit_mask(k, ws), sh) for sh, ws in by_shift.items()]
+        pre_tables[(a, k)] = tab = (offs, groups)
+        return tab
+
+    def pre(a: str, k: int, s: int) -> int:
+        """Tuples with an a-successor in component k that lands in s."""
+        if not s:
+            return 0
+        offs, groups = pre_tables.get((a, k)) or pre_table(a, k)
+        if s.bit_count() <= len(groups):
+            # sparse: map each member to its predecessors
+            sk = stride[k]
+            return _to_bits((i + off for i in _set_bits(s) for off in offs[i // sk % n]), size)
+        # dense: move every target digit w to the source digit u at once;
+        # edges with equal w - u share one mask and one shift
+        res = 0
+        for mask, sh in groups:
+            part = s & mask
+            res |= part >> sh if sh >= 0 else part << -sh
+        return res
+
+    last_pre: dict[int, tuple[int, int]] = {}
+
+    def pre_inc(node: Diamond | Box, s: int) -> int:
+        """pre() of s, reusing the node's last call when s contains its argument."""
+        # a node seen for the first time starts from pre(0) == 0
+        old, old_res = last_pre.get(id(node), (0, 0))
+        if s & old == old:
+            res = old_res | pre(node.action, node.comp, s & ~old)
+        else:
+            res = pre(node.action, node.comp, s)
+        last_pre[id(node)] = (s, res)
+        return res
+
+    index_maps: dict[int, itemgetter] = {}
+
+    def index_map(node: Replace) -> itemgetter:
+        """Picks the replaced tuple's bits out of the argument's bit string."""
+        # source index of tuple t is sum_j t[j] * weight[j]
+        weight = [0] * arity
+        for k, j in enumerate(node.mapping):
+            weight[j] += stride[k]
+        src = [0]
+        for j in range(arity):
+            src = [x + v * weight[j] for x in src for v in range(n)]
+        # bin strings are most significant bit first
+        getter = itemgetter(*[size - 1 - x for x in reversed(src)])
+        index_maps[id(node)] = getter
+        return getter
+
+    fmap = _free_map(phi.root)
+    closed_cache: dict[int, int] = {}
+
+    def go(node: Node, scope: dict[str, int]) -> int:
+        closed = not fmap[id(node)]
+        if closed and id(node) in closed_cache:
+            return closed_cache[id(node)]
+        if isinstance(node, TT):
+            res = full
+        elif isinstance(node, Color):
+            good = [idx[v] for v in g.nodes if g.has_color(v, node.color)]
+            res = digit_mask(node.comp, good)
+        elif isinstance(node, Var):
+            res = scope[node.name]
+        elif isinstance(node, Neg):
+            res = full ^ go(node.sub, scope)
+        elif isinstance(node, And):
+            res = go(node.left, scope) & go(node.right, scope)
+        elif isinstance(node, Or):
+            res = go(node.left, scope) | go(node.right, scope)
+        elif isinstance(node, Diamond):
+            res = pre_inc(node, go(node.sub, scope))
+        elif isinstance(node, Box):
+            res = full ^ pre_inc(node, full ^ go(node.sub, scope))
+        elif isinstance(node, Replace):
+            getter = index_maps.get(id(node)) or index_map(node)
+            res = int("".join(getter(format(go(node.sub, scope), f"0{size}b"))), 2)
+        elif isinstance(node, (Mu, Nu)):
+            cur = 0 if isinstance(node, Mu) else full
+            inner_scope = dict(scope)
+            for _ in range(max_rounds):
+                inner_scope[node.var] = cur
+                nxt = go(node.body, inner_scope)
+                if nxt == cur:
+                    break
+                cur = nxt
+            else:
+                raise PolymuError(
+                    f"fixpoint for {node.var!r} did not stabilize in {max_rounds} rounds"
+                )
+            res = cur
+        else:
+            # FF and anything unexpected; validate_formula already vetted types
+            res = 0
+        if closed:
+            closed_cache[id(node)] = res
+        return res
+
+    return go(phi.root, base_env)
+
+
 def evaluate(
     g: LabeledGraph,
     phi: Formula,
@@ -89,107 +280,14 @@ def evaluate(
     env supplies denotations for free variables.  d, when given, must
     match the formula arity.
     """
-    validate_formula(phi, g.signature)
-    if d is not None and d != phi.arity:
-        raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
-    arity = phi.arity
-    env = dict(env or {})
-    missing = free_vars(phi) - set(env)
-    if missing:
-        raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
-
-    n = len(g.nodes)
-    if n**arity > tuple_cap:
-        raise ResourceLimitError(
-            f"tuple space {n}^{arity} exceeds the cap of {tuple_cap}"
-        )
-    idx = {v: k for k, v in enumerate(g.nodes)}
+    bits = _evaluate_bits(g, phi, d, env, tuple_cap)
     names = g.nodes
-    full = frozenset(itertools.product(range(n), repeat=arity))
-    max_rounds = n**arity + 1
-
-    pred: dict[tuple[int, str], tuple[int, ...]] = {}
-    for v in g.nodes:
-        for a in g.signature.actions:
-            ps = g.pred(v, a)
-            if ps:
-                pred[(idx[v], a)] = tuple(idx[p] for p in ps)
-    color_nodes = {
-        c: frozenset(idx[v] for v in g.nodes if g.has_color(v, c))
-        for c in g.signature.colors
-    }
-
-    base_env: dict[str, frozenset] = {}
-    for name, ts in env.items():
-        if ts.arity != arity:
-            raise FormulaError(f"environment entry {name!r} has arity {ts.arity}, expected {arity}")
-        conv = set()
-        for t in ts.tuples:
-            if len(t) != arity or any(v not in idx for v in t):
-                raise FormulaError(f"environment entry {name!r} contains a bad tuple {t!r}")
-            conv.add(tuple(idx[v] for v in t))
-        base_env[name] = frozenset(conv)
-
-    fmap = _free_map(phi.root)
-    closed_cache: dict[int, frozenset] = {}
-
-    def diamond_pre(a: str, i: int, s: frozenset) -> frozenset:
-        out = set()
-        for t in s:
-            for p in pred.get((t[i], a), ()):
-                out.add(t[:i] + (p,) + t[i + 1 :])
-        return frozenset(out)
-
-    def go(node: Node, scope: dict[str, frozenset]) -> frozenset:
-        closed = not fmap[id(node)]
-        if closed and id(node) in closed_cache:
-            return closed_cache[id(node)]
-        if isinstance(node, TT):
-            res = full
-        elif isinstance(node, Color):
-            good = color_nodes[node.color]
-            i = node.comp
-            res = frozenset(t for t in full if t[i] in good)
-        elif isinstance(node, Var):
-            res = scope[node.name]
-        elif isinstance(node, Neg):
-            res = full - go(node.sub, scope)
-        elif isinstance(node, And):
-            res = go(node.left, scope) & go(node.right, scope)
-        elif isinstance(node, Or):
-            res = go(node.left, scope) | go(node.right, scope)
-        elif isinstance(node, Diamond):
-            res = diamond_pre(node.action, node.comp, go(node.sub, scope))
-        elif isinstance(node, Box):
-            inner = go(node.sub, scope)
-            res = full - diamond_pre(node.action, node.comp, full - inner)
-        elif isinstance(node, Replace):
-            inner = go(node.sub, scope)
-            m = node.mapping
-            res = frozenset(t for t in full if tuple(t[k] for k in m) in inner)
-        elif isinstance(node, (Mu, Nu)):
-            cur = frozenset() if isinstance(node, Mu) else full
-            for _ in range(max_rounds):
-                scope2 = dict(scope)
-                scope2[node.var] = cur
-                nxt = go(node.body, scope2)
-                if nxt == cur:
-                    break
-                cur = nxt
-            else:
-                raise PolymuError(
-                    f"fixpoint for {node.var!r} did not stabilize in {max_rounds} rounds"
-                )
-            res = cur
-        else:
-            # FF and anything unexpected; validate_formula already vetted types
-            res = frozenset()
-        if closed:
-            closed_cache[id(node)] = res
-        return res
-
-    result = go(phi.root, base_env)
-    return TupleSet(arity, frozenset(tuple(names[k] for k in t) for t in result))
+    n = len(names)
+    strides = [n ** (phi.arity - 1 - k) for k in range(phi.arity)]
+    return TupleSet(
+        phi.arity,
+        frozenset(tuple(names[i // s % n] for s in strides) for i in _set_bits(bits)),
+    )
 
 
 def models(g: LabeledGraph, phi: Formula, d: int | None = None,
@@ -197,5 +295,8 @@ def models(g: LabeledGraph, phi: Formula, d: int | None = None,
     """Does the arity-fold root tuple of g satisfy phi?  phi must be closed."""
     if free_vars(phi):
         raise FormulaError("models needs a closed formula")
-    res = evaluate(g, phi, d, None, tuple_cap)
-    return (g.root,) * phi.arity in res
+    bits = _evaluate_bits(g, phi, d, None, tuple_cap)
+    n = len(g.nodes)
+    r = g.nodes.index(g.root)
+    root_bit = sum(r * n**k for k in range(phi.arity))
+    return bool(bits >> root_bit & 1)

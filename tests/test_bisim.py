@@ -21,6 +21,7 @@ from polymu.bisim import (
 )
 from polymu.errors import GraphFormatError, PolymuError
 from polymu.graphs import LabeledGraph, Signature, power, product, unfold
+from polymu.randgen import Xorshift, rand_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
 
@@ -68,6 +69,28 @@ def test_pair_deletion_matches_partition_refinement(loop3):
     )
     for g in (loop3, branchy, power(loop3, 2), unfold(loop3, 4)):
         assert largest_bisimulation(g, g) == _partition_pairs(g)
+
+
+def _bisim_classes(g):
+    """Bisimilarity classes read off the pair-deletion relation."""
+    rel = largest_bisimulation(g, g)
+    return sorted({tuple(sorted(w for w in g.nodes if (v, w) in rel)) for v in g.nodes})
+
+
+def test_partition_refinement_terminates_on_renumbering_graph():
+    # refinement here reaches a stable partition whose class ids keep
+    # changing from round to round
+    g = rand_graph(Xorshift.substream(1, 40), Signature(("a", "b"), ("f", "g")), 40)
+    assert len(g.nodes) == 27
+    assert bisimulation_partition(g) == _bisim_classes(g)
+
+
+def test_partition_refinement_on_random_graphs():
+    sig = Signature(("a", "b"), ("f", "g"))
+    for k in range(20):
+        g = rand_graph(Xorshift.substream(1, k), sig, 20, min_nodes=12)
+        assert bisimulation_partition(g) == _bisim_classes(g), k
+        assert len(quotient(g).nodes) == len(_bisim_classes(g))
 
 
 def test_quotient(loop3):

@@ -1,8 +1,11 @@
 """Evaluator: denotations, fixpoints, environments, caps."""
+import itertools
+
 import pytest
 
+from polymu.automata import accepts, formula_to_apt
 from polymu.errors import FormulaError, ResourceLimitError
-from polymu.graphs import Signature, power
+from polymu.graphs import LabeledGraph, Signature, power
 from polymu.logic import parse_formula
 from polymu.semantics import TupleSet, evaluate, models
 
@@ -108,3 +111,68 @@ def test_on_power_graph(loop3):
 def test_nested_fixpoint_rounds(loop3):
     # alternation with an inner fixpoint depending on the outer variable
     assert tset(loop3, "nu X. mu Y. (f & X) | <a>Y", 1) == {("0",), ("1",), ("2",)}
+
+
+SIG_AFG = Signature(["a"], ["f", "g"])
+
+
+def make_mixed4():
+    """Four nodes: a branch, a self-loop, a dead end and a 2-cycle."""
+    return LabeledGraph(
+        SIG_AFG,
+        ["0", "1", "2", "3"],
+        "0",
+        [("0", "a", "1"), ("0", "a", "2"), ("1", "a", "1"), ("2", "a", "3"), ("3", "a", "2")],
+        {"1": ["f"], "2": ["f", "g"], "3": ["g"]},
+    )
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_atoms_modalities_replace_brute_force(arity):
+    g = make_mixed4()
+    space = list(itertools.product(g.nodes, repeat=arity))
+    for c in g.signature.colors:
+        for k in range(arity):
+            want = {t for t in space if g.has_color(t[k], c)}
+            assert tset(g, f"{c}@{k}", arity) == want
+    inner_text = "f@0 & ~g@1" + ("" if arity == 2 else " & <a@2>g@2")
+    inner = tset(g, inner_text, arity)
+    assert inner and inner != set(space)
+    for k in range(arity):
+        want_dia = {t for t in space
+                    if any(t[:k] + (w,) + t[k + 1:] in inner for w in g.succ(t[k], "a"))}
+        want_box = {t for t in space
+                    if all(t[:k] + (w,) + t[k + 1:] in inner for w in g.succ(t[k], "a"))}
+        assert tset(g, f"<a@{k}>({inner_text})", arity) == want_dia
+        assert tset(g, f"[a@{k}]({inner_text})", arity) == want_box
+    for m in itertools.product(range(arity), repeat=arity):
+        want = {t for t in space if tuple(t[j] for j in m) in inner}
+        text = "%{" + ",".join(map(str, m)) + "}(" + inner_text + ")"
+        assert tset(g, text, arity) == want, m
+
+
+def test_buchi_with_shrinking_diamond_argument():
+    # X shrinks in every outer round (all, 6, 4, 3 nodes), so <a>X sees an
+    # argument that does not contain its last one and is recomputed in full
+    edges = [("0", "a", "1"), ("1", "a", "2"), ("2", "a", "3"), ("3", "a", "4"),
+             ("0", "a", "5"), ("5", "a", "6"), ("6", "a", "5")]
+    labels = {"1": ["f"], "3": ["f"], "5": ["f"]}
+    nodes = [str(i) for i in range(7)]
+    g = LabeledGraph(SIG_AF, nodes, "0", edges, labels)
+    text = "nu X. mu Y. (f & <a>X) | <a>Y"
+    got = tset(g, text, 1)
+    assert got == {("0",), ("5",), ("6",)}
+    apt = formula_to_apt(parse_formula(text, SIG_AF, 1), SIG_AF)
+    for v in nodes:
+        rooted = LabeledGraph(SIG_AF, nodes, v, edges, labels)
+        assert accepts(apt, rooted) == ((v,) in got), v
+
+
+def test_long_chain_fixpoints():
+    n = 3000
+    nodes = [str(i) for i in range(n)]
+    edges = [(str(i), "a", str(i + 1)) for i in range(n - 1)]
+    g = LabeledGraph(SIG_AF, nodes, "0", edges, {str(n - 1): ["f"]})
+    # one more complement tuple per round: the incremental Box path
+    assert tset(g, "nu X. ~f & [a]X", 1) == set()
+    assert tset(g, "mu X. f | <a>X", 1) == {(v,) for v in nodes}
