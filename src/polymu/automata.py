@@ -32,6 +32,7 @@ from .logic import (
     Var,
     _children,
     free_vars,
+    map_children,
     print_formula,
     validate_formula,
 )
@@ -87,21 +88,7 @@ def _strip_replace(n: Node) -> Node:
     """Drop arity-1 replacements; the only mapping there is the identity."""
     if isinstance(n, Replace):
         return _strip_replace(n.sub)
-    if isinstance(n, Neg):
-        return Neg(_strip_replace(n.sub))
-    if isinstance(n, And):
-        return And(_strip_replace(n.left), _strip_replace(n.right))
-    if isinstance(n, Or):
-        return Or(_strip_replace(n.left), _strip_replace(n.right))
-    if isinstance(n, Diamond):
-        return Diamond(n.action, n.comp, _strip_replace(n.sub))
-    if isinstance(n, Box):
-        return Box(n.action, n.comp, _strip_replace(n.sub))
-    if isinstance(n, Mu):
-        return Mu(n.var, _strip_replace(n.body))
-    if isinstance(n, Nu):
-        return Nu(n.var, _strip_replace(n.body))
-    return n
+    return map_children(n, _strip_replace)
 
 
 def _pnf(n: Node, pos: bool, flipped: set) -> Node:
@@ -281,7 +268,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     if g.signature != apt.signature:
         raise PolymuError("acceptance_game: graph and automaton signatures differ")
     nq = len(apt.states)
-    index = {v: i for i, v in enumerate(g.nodes)}
+    index = g.index
 
     def pid(v: str, q: int) -> int:
         return index[v] * nq + q
@@ -495,10 +482,9 @@ def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[froz
     nq = len(apt.states)
     game = acceptance_game(apt, tree)
     res = solve_parity(game)
-    index = {v: i for i, v in enumerate(tree.nodes)}
     out = []
     for v in path:
-        base = index[v] * nq
+        base = tree.index[v] * nq
         out.append(frozenset(q for q in range(nq) if res.winner[base + q] == EXISTS))
     return out
 
@@ -522,16 +508,10 @@ def find_pumping_pair(apt: Apt, tree: FiniteTree, path: list[str]) -> tuple[int,
         raise PolymuError(
             f"path has {len(path)} nodes, need at least {n + 1} for {len(apt.states)} states"
         )
-    game = acceptance_game(apt, tree)
-    res = solve_parity(game)
-    if res.winner[game.initial] != EXISTS:
+    # path[0] is the root, so sets[0] holds the initial state iff the tree is accepted
+    sets = winning_state_sets(apt, tree, path[: n + 1])
+    if apt.initial not in sets[0]:
         raise PolymuError("the automaton does not accept the tree")
-    nq = len(apt.states)
-    index = {v: i for i, v in enumerate(tree.nodes)}
-    sets = []
-    for v in path[: n + 1]:
-        base = index[v] * nq
-        sets.append(frozenset(q for q in range(nq) if res.winner[base + q] == EXISTS))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if sets[i] == sets[j]:

@@ -11,11 +11,12 @@ through the persistence and reset conditions checked on top of it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, Signature, split_lifted, tuple_id
+from .graphs import LabeledGraph, RESET, split_lifted, tuple_id
 
 Relation = frozenset  # of (node, node) pairs
 
@@ -33,21 +34,29 @@ def _pair_ok(g1: LabeledGraph, g2: LabeledGraph, u: str, v: str, rel, acts) -> b
     return True
 
 
+def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set:
+    """Label-consistent pairs left after at most rounds deletion rounds
+    (None: until stable).  A round deletes, all at once, every pair whose
+    matching obligations fail against the relation at its start."""
+    if g1.signature != g2.signature:
+        raise GraphFormatError("signature: graphs must share a signature")
+    acts = g1.signature.actions
+    rel = {(u, v) for u in g1.nodes for v in g2.nodes if g1.label(u) == g2.label(v)}
+    for _ in itertools.count() if rounds is None else range(rounds):
+        dead = [p for p in rel if not _pair_ok(g1, g2, p[0], p[1], rel, acts)]
+        if not dead:
+            break
+        rel.difference_update(dead)
+    return rel
+
+
 def largest_bisimulation(g1: LabeledGraph, g2: LabeledGraph) -> Relation:
     """All pairs (u, v) related by some bisimulation between g1 and g2.
 
     Greatest fixpoint by pair deletion: start from the label-consistent
     pairs and delete pairs whose matching obligations fail, until stable.
     """
-    if g1.signature != g2.signature:
-        raise GraphFormatError("signature: graphs must share a signature")
-    acts = g1.signature.actions
-    rel = {(u, v) for u in g1.nodes for v in g2.nodes if g1.label(u) == g2.label(v)}
-    while True:
-        dead = [p for p in rel if not _pair_ok(g1, g2, p[0], p[1], rel, acts)]
-        if not dead:
-            return frozenset(rel)
-        rel.difference_update(dead)
+    return frozenset(_delete_pairs(g1, g2, None))
 
 
 def bisimilar(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -58,16 +67,7 @@ def bounded_bisimilar(g1: LabeledGraph, g2: LabeledGraph, k: int) -> bool:
     """Roots indistinguishable for k rounds of the bisimulation game."""
     if k < 0:
         raise GraphFormatError(f"k: must be >= 0, got {k}")
-    if g1.signature != g2.signature:
-        raise GraphFormatError("signature: graphs must share a signature")
-    acts = g1.signature.actions
-    rel = {(u, v) for u in g1.nodes for v in g2.nodes if g1.label(u) == g2.label(v)}
-    for _ in range(k):
-        nxt = {p for p in rel if _pair_ok(g1, g2, p[0], p[1], rel, acts)}
-        if nxt == rel:
-            break
-        rel = nxt
-    return (g1.root, g2.root) in rel
+    return (g1.root, g2.root) in _delete_pairs(g1, g2, k)
 
 
 def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
@@ -250,9 +250,7 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.
     """
-    base, d = split_lifted(g.signature)
-    if not 0 <= i < d:
-        raise GraphFormatError(f"i: component {i} out of range for dimension {d}")
+    view = component_view(g, i)  # also rejects an out-of-range i
     if fam is None:
         fam = largest_d_bisimulation(g)
     if not is_persistent(g, fam):
@@ -261,15 +259,9 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
         raise PolymuError("factor: graph lacks the reset property")
     rep = _factor_classes(g, i, fam)
     nodes = sorted(set(rep.values()))
-    edges = set()
-    for u, a, w in g.edges:
-        name, idx = a.rsplit("@", 1)
-        if name != RESET and int(idx) == i:
-            edges.add((rep[u], name, rep[w]))
-    labels = {}
-    for r in nodes:
-        labels[r] = [c.rsplit("@", 1)[0] for c in g.label(r) if int(c.rsplit("@", 1)[1]) == i]
-    return LabeledGraph(base, nodes, rep[g.root], sorted(edges), labels)
+    edges = sorted({(rep[u], a, rep[w]) for u, a, w in view.edges})
+    labels = {r: view.label(r) for r in nodes}
+    return LabeledGraph(view.signature, nodes, rep[g.root], edges, labels)
 
 
 def factors(g: LabeledGraph) -> list[LabeledGraph]:

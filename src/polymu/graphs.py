@@ -120,6 +120,7 @@ class LabeledGraph:
     """Finite rooted graph over a signature.
 
     nodes: unique non-empty string ids, order preserved.
+    index: node id to its position in nodes, so nodes[index[v]] == v.
     edges: (src, action, dst) triples, no duplicates.
     labels: node id to set of colors.
     """
@@ -135,14 +136,15 @@ class LabeledGraph:
         self.signature = signature
         self.nodes = tuple(nodes)
         self.root = root
-        node_set = set()
+        index: dict[str, int] = {}
         for i, v in enumerate(self.nodes):
             if not isinstance(v, str) or not v:
                 raise GraphFormatError(f"nodes[{i}]: id must be a non-empty string")
-            if v in node_set:
+            if v in index:
                 raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
-            node_set.add(v)
-        if root not in node_set:
+            index[v] = i
+        self.index = index
+        if root not in index:
             raise GraphFormatError(f"root: {root!r} is not a node")
         action_set = set(signature.actions)
         color_set = set(signature.colors)
@@ -153,9 +155,9 @@ class LabeledGraph:
             if len(e) != 3:
                 raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]")
             src, a, dst = e
-            if src not in node_set:
+            if src not in index:
                 raise GraphFormatError(f"edges[{i}]: unknown source {src!r}")
-            if dst not in node_set:
+            if dst not in index:
                 raise GraphFormatError(f"edges[{i}]: unknown target {dst!r}")
             if a not in action_set:
                 raise GraphFormatError(f"edges[{i}]: unknown action {a!r}")
@@ -166,7 +168,7 @@ class LabeledGraph:
         self.edges = tuple(edge_list)
         lab: dict[str, frozenset[str]] = {v: frozenset() for v in self.nodes}
         for v, cs in labels.items():
-            if v not in node_set:
+            if v not in index:
                 raise GraphFormatError(f"labels: unknown node {v!r}")
             cs = tuple(cs)
             for c in cs:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import FormulaError, ParseError
 from .graphs import RESET, Signature, lift_signature
@@ -120,6 +120,22 @@ def _children(n: Node) -> tuple[Node, ...]:
     return ()
 
 
+def map_children(n: Node, f: Callable[[Node], Node]) -> Node:
+    """n rebuilt with f applied to each direct child, left to right;
+    leaves come back unchanged."""
+    if isinstance(n, Neg):
+        return Neg(f(n.sub))
+    if isinstance(n, (And, Or)):
+        return type(n)(f(n.left), f(n.right))
+    if isinstance(n, (Diamond, Box)):
+        return type(n)(n.action, n.comp, f(n.sub))
+    if isinstance(n, Replace):
+        return Replace(n.mapping, f(n.sub))
+    if isinstance(n, (Mu, Nu)):
+        return type(n)(n.var, f(n.body))
+    return n
+
+
 def _walk(n: Node) -> Iterator[Node]:
     yield n
     for c in _children(n):
@@ -131,21 +147,28 @@ def formula_size(phi: Formula) -> int:
     return sum(1 for _ in _walk(phi.root))
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
-    out: set[str] = set()
+def _free_map(root: Node) -> dict[int, frozenset[str]]:
+    """Free variables per AST node, keyed by object identity."""
+    out: dict[int, frozenset[str]] = {}
 
-    def go(n: Node, scope: frozenset[str]):
+    def go(n: Node) -> frozenset[str]:
+        if id(n) in out:
+            return out[id(n)]
         if isinstance(n, Var):
-            if n.name not in scope:
-                out.add(n.name)
+            fv = frozenset({n.name})
         elif isinstance(n, (Mu, Nu)):
-            go(n.body, scope | {n.var})
+            fv = go(n.body) - {n.var}
         else:
-            for c in _children(n):
-                go(c, scope)
+            fv = frozenset().union(*map(go, _children(n)))
+        out[id(n)] = fv
+        return fv
 
-    go(phi.root, frozenset())
-    return frozenset(out)
+    go(root)
+    return out
+
+
+def free_vars(phi: Formula) -> frozenset[str]:
+    return _free_map(phi.root)[id(phi.root)]
 
 
 def bound_vars(phi: Formula) -> frozenset[str]:
@@ -487,17 +510,7 @@ def monofy(phi: Formula, d: int) -> Formula:
         if isinstance(n, Replace):
             j = next(k for k in range(d + 1) if n.mapping[k] != k)
             return Diamond(f"{RESET}@{j}", 0, go(n.sub))
-        if isinstance(n, Neg):
-            return Neg(go(n.sub))
-        if isinstance(n, And):
-            return And(go(n.left), go(n.right))
-        if isinstance(n, Or):
-            return Or(go(n.left), go(n.right))
-        if isinstance(n, Mu):
-            return Mu(n.var, go(n.body))
-        if isinstance(n, Nu):
-            return Nu(n.var, go(n.body))
-        return n
+        return map_children(n, go)
 
     return Formula(1, go(phi.root))
 
@@ -532,17 +545,7 @@ def polyfy(psi: Formula, d: int) -> Formula:
             return Box(a, i, go(n.sub))
         if isinstance(n, Replace):
             raise FormulaError("replacement nodes have no lifted counterpart")
-        if isinstance(n, Neg):
-            return Neg(go(n.sub))
-        if isinstance(n, And):
-            return And(go(n.left), go(n.right))
-        if isinstance(n, Or):
-            return Or(go(n.left), go(n.right))
-        if isinstance(n, Mu):
-            return Mu(n.var, go(n.body))
-        if isinstance(n, Nu):
-            return Nu(n.var, go(n.body))
-        return n
+        return map_children(n, go)
 
     return Formula(d + 1, go(psi.root))
 
@@ -572,7 +575,7 @@ class _Fresh:
         return f"X{next(self.counter)}"
 
 
-def _bis_node(i: int, j: int, sig: Signature, d: int, fresh: _Fresh) -> Node:
+def _bis_node(i: int, j: int, sig: Signature, fresh: _Fresh) -> Node:
     """Greatest fixpoint relating component-i behavior of the 0th tuple
     slot with component-j behavior of the 1st."""
     x = fresh()
@@ -597,7 +600,7 @@ def gen_bisim_formula(i: int, j: int, sig: Signature, d: int) -> Formula:
     _check_component(i, d)
     _check_component(j, d)
     lift_signature(sig, d)  # validates sig is base and d >= 1
-    return Formula(2, _bis_node(i, j, sig, d, _Fresh()))
+    return Formula(2, _bis_node(i, j, sig, _Fresh()))
 
 
 def gen_allbox(i: int, phi: Formula, sig: Signature, d: int) -> Formula:
@@ -630,11 +633,11 @@ def gen_per_formula(sig: Signature, d: int) -> Formula:
         for j in range(d):
             if j == i:
                 continue
-            ante = _bis_node(j, j, sig, d, fresh)
+            ante = _bis_node(j, j, sig, fresh)
             steps: list[Node] = []
             for a in sig.actions:
-                steps.append(Box(f"{a}@{i}", 0, _bis_node(j, j, sig, d, fresh)))
-            steps.append(Box(f"{RESET}@{i}", 0, _bis_node(j, j, sig, d, fresh)))
+                steps.append(Box(f"{a}@{i}", 0, _bis_node(j, j, sig, fresh)))
+            steps.append(Box(f"{RESET}@{i}", 0, _bis_node(j, j, sig, fresh)))
             clauses.append(Or(Neg(ante), _conj(steps)))
     inner = _allbox_node(1, _conj(clauses), sig, d, fresh)
     return Formula(2, _allbox_node(0, inner, sig, d, fresh))
@@ -647,7 +650,7 @@ def gen_rst_formula(sig: Signature, d: int) -> Formula:
     lift_signature(sig, d)
     fresh = _Fresh()
     parts = [
-        Box(f"{RESET}@{i}", 0, _bis_node(i, i, sig, d, fresh)) for i in range(d)
+        Box(f"{RESET}@{i}", 0, _bis_node(i, i, sig, fresh)) for i in range(d)
     ]
     return Formula(2, _allbox_node(0, _conj(parts), sig, d, fresh))
 
@@ -656,5 +659,5 @@ def gen_pow_formula(sig: Signature, d: int) -> Formula:
     """All components of the root pair mutually equivalent."""
     lift_signature(sig, d)
     fresh = _Fresh()
-    parts = [_bis_node(i, j, sig, d, fresh) for i in range(d) for j in range(d)]
+    parts = [_bis_node(i, j, sig, fresh) for i in range(d) for j in range(d)]
     return Formula(2, _conj(parts))

@@ -87,7 +87,7 @@ def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
         raise PolymuError("n must be >= 0")
     _require_plain(g, 1, "reach_by_squaring")
     a = g.signature.actions[0]
-    index = {v: i for i, v in enumerate(g.nodes)}
+    index = g.index
     size = len(g.nodes)
     mat = [0] * size
     for v in g.nodes:

@@ -42,7 +42,7 @@ from .logic import (
     Replace,
     TT,
     Var,
-    _children,
+    _free_map,
     free_vars,
     validate_formula,
 )
@@ -65,26 +65,6 @@ class TupleSet:
 
     def sorted(self) -> list[tuple[str, ...]]:
         return sorted(self.tuples)
-
-
-def _free_map(root: Node) -> dict[int, frozenset[str]]:
-    """Free variables per AST node, keyed by object identity."""
-    out: dict[int, frozenset[str]] = {}
-
-    def go(n: Node) -> frozenset[str]:
-        if id(n) in out:
-            return out[id(n)]
-        if isinstance(n, Var):
-            fv = frozenset({n.name})
-        elif isinstance(n, (Mu, Nu)):
-            fv = go(n.body) - {n.var}
-        else:
-            fv = frozenset().union(*(go(c) for c in _children(n))) if _children(n) else frozenset()
-        out[id(n)] = fv
-        return fv
-
-    go(root)
-    return out
 
 
 def _set_bits(x: int):
@@ -117,7 +97,8 @@ def _evaluate_bits(
         raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
     arity = phi.arity
     env = dict(env or {})
-    missing = free_vars(phi) - set(env)
+    fmap = _free_map(phi.root)
+    missing = fmap[id(phi.root)] - set(env)
     if missing:
         raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
 
@@ -127,7 +108,7 @@ def _evaluate_bits(
         raise ResourceLimitError(
             f"tuple space {n}^{arity} exceeds the cap of {tuple_cap}"
         )
-    idx = {v: k for k, v in enumerate(g.nodes)}
+    idx = g.index
     full = (1 << size) - 1
     max_rounds = size + 1
     # stride[k] is the bit distance between tuples differing by one in component k
@@ -217,7 +198,6 @@ def _evaluate_bits(
         index_maps[id(node)] = getter
         return getter
 
-    fmap = _free_map(phi.root)
     closed_cache: dict[int, int] = {}
 
     def go(node: Node, scope: dict[str, int]) -> int:
@@ -297,6 +277,6 @@ def models(g: LabeledGraph, phi: Formula, d: int | None = None,
         raise FormulaError("models needs a closed formula")
     bits = _evaluate_bits(g, phi, d, None, tuple_cap)
     n = len(g.nodes)
-    r = g.nodes.index(g.root)
+    r = g.index[g.root]
     root_bit = sum(r * n**k for k in range(phi.arity))
     return bool(bits >> root_bit & 1)

@@ -113,6 +113,20 @@ def test_bounded_bisimilar(loop3):
     assert bounded_bisimilar(loop3, unfold(loop3, 2), 2)
 
 
+def test_bounded_bisimilar_limits_on_random_pairs():
+    # enough rounds reach the greatest fixpoint; zero rounds compare root labels only
+    sig = Signature(("a",), ("f",))
+    verdicts = []
+    for k in range(20):
+        g1 = rand_graph(Xorshift.substream(2, 2 * k), sig, 6)
+        g2 = rand_graph(Xorshift.substream(2, 2 * k + 1), sig, 6)
+        full = bisimilar(g1, g2)
+        verdicts.append(full)
+        assert bounded_bisimilar(g1, g2, len(g1.nodes) * len(g2.nodes)) == full, k
+        assert bounded_bisimilar(g1, g2, 0) == (g1.label(g1.root) == g2.label(g2.root)), k
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_component_view(loop3):
     p = power(loop3, 2)
     v0 = component_view(p, 0)

@@ -21,6 +21,10 @@ from polymu.graphs import (
 from conftest import SIG_AF, SIG_ABF, make_loop3
 
 
+def _index_ok(g):
+    return len(g.index) == len(g.nodes) and all(g.nodes[g.index[v]] == v for v in g.nodes)
+
+
 def test_signature_validation():
     with pytest.raises(GraphFormatError, match="actions"):
         Signature([], ["f"])
@@ -102,6 +106,7 @@ def test_power_counts(loop3):
     assert p.succ("(0,0)", "a@0") == ("(1,0)",)
     assert p.succ("(2,1)", "rst@0") == ("(0,1)",)
     assert p.succ("(2,1)", "rst@1") == ("(2,0)",)
+    assert _index_ok(p)
 
 
 def _edge_count_formula(g, d):
@@ -149,6 +154,7 @@ def test_product_mixed_factors():
     assert p.root == "(0,x)"
     assert p.label("(1,x)") == frozenset({"f@0", "f@1"})
     assert p.succ("(0,x)", "a@1") == ("(0,x)",)
+    assert _index_ok(p)
     with pytest.raises(GraphFormatError, match="signature"):
         product([g1, LabeledGraph(SIG_ABF, ["0"], "0", [], {})])
     with pytest.raises(GraphFormatError, match="at least one"):
@@ -165,6 +171,7 @@ def test_unfold_shape(loop3):
     assert len(leaves) == 1
     assert t.depth_of(leaves[0]) == 3
     assert t.label(leaves[0]) == frozenset({"f"})
+    assert _index_ok(t)
     with pytest.raises(GraphFormatError, match="depth"):
         unfold(loop3, -1)
 
@@ -204,6 +211,7 @@ def test_tree_paths():
     assert t.parent("y") == ("x", "b")
     assert t.parent("r") is None
     assert t.levels() == [["r"], ["x", "z"], ["y"]]
+    assert _index_ok(t)
 
 
 CANON_LOOP3 = (
@@ -221,6 +229,7 @@ def test_write_canonical(loop3):
 def test_read_write_round_trip(loop3):
     for g in (loop3, power(loop3, 2), unfold(loop3, 3)):
         assert read_graph(write_graph(g)) == g
+        assert _index_ok(read_graph(write_graph(g)))
         assert write_graph(read_graph(write_graph(g))) == write_graph(g)
 
 

@@ -4,6 +4,7 @@ import pytest
 from polymu.errors import FormulaError, ParseError
 from polymu.graphs import Signature, lift_signature
 from polymu.logic import (
+    _children,
     And,
     Box,
     Color,
@@ -12,6 +13,7 @@ from polymu.logic import (
     Formula,
     Mu,
     Neg,
+    Node,
     Nu,
     Or,
     Replace,
@@ -26,6 +28,7 @@ from polymu.logic import (
     gen_per_formula,
     gen_pow_formula,
     gen_rst_formula,
+    map_children,
     monofy,
     parse_formula,
     polyfy,
@@ -260,3 +263,19 @@ def test_generated_formulas_are_wellformed():
         gen_bisim_formula(0, 2, SIG, 2)
     with pytest.raises(FormulaError, match="out of range"):
         gen_allbox(2, inner, SIG, 2)
+
+
+def test_map_children_on_every_node_class():
+    leaf = Color("f", 0)
+    nodes = [
+        TT(), FF(), leaf, Var("X"), Neg(leaf), And(leaf, TT()), Or(FF(), leaf),
+        Diamond("a", 0, leaf), Box("b", 0, leaf), Mu("X", leaf), Nu("Y", leaf),
+        Replace((0,), leaf),
+    ]
+    assert {type(n) for n in nodes} == set(Node.__subclasses__())
+    for n in nodes:
+        assert map_children(n, lambda c: c) == n
+        seen = []
+        map_children(n, lambda c: seen.append(c) or c)
+        assert seen == list(_children(n))
+        assert _children(map_children(n, lambda c: FF())) == (FF(),) * len(seen)
