@@ -4,15 +4,25 @@ Two independent routes are kept deliberately: largest_bisimulation
 prunes a pair relation to its greatest fixpoint, while quotient uses
 partition refinement.  Tests cross-check one against the other.
 
+Pair deletion works on int pairs u * |V2| + v over the nodes' positions
+in g.index.  It runs in rounds, and every round deletes at once the pairs
+whose matching obligations fail against the relation at its start.  The
+first round checks every label-consistent pair; a later round checks
+only the live pairs with an a-successor pair deleted in the round before,
+since no other pair can have lost a witness.  So after k rounds the
+relation is exactly k-step bisimilarity, as bounded_bisimilar needs.
+
 Over a lifted signature, the family rel(i, j) relates nodes whose
 component-i behavior (actions x@i, colors c@i) matches the component-j
-behavior.  Reset actions play no role in the family itself; they enter
-through the persistence and reset conditions checked on top of it.
+behavior.  The family computes each relation on first use, and rel(j, i)
+as the converse of rel(i, j).  Reset actions play no role in the family
+itself; they enter through the persistence and reset conditions checked
+on top of it.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
@@ -21,32 +31,85 @@ from .graphs import LabeledGraph, RESET, split_lifted, tuple_id
 Relation = frozenset  # of (node, node) pairs
 
 
-def _pair_ok(g1: LabeledGraph, g2: LabeledGraph, u: str, v: str, rel, acts) -> bool:
-    for a in acts:
-        su = g1.succ(u, a)
-        sv = g2.succ(v, a)
-        for u2 in su:
-            if not any((u2, v2) in rel for v2 in sv):
-                return False
-        for v2 in sv:
-            if not any((u2, v2) in rel for u2 in su):
-                return False
-    return True
+def _int_adjacency(g: LabeledGraph) -> tuple[list[tuple], list[tuple], list[dict]]:
+    """Per node position: its enabled actions in sorted order, a tuple of
+    successor positions for each of them, and action -> predecessor
+    positions."""
+    idx = g.index
+    succ: list[dict[str, list[int]]] = [{} for _ in g.nodes]
+    pred: list[dict[str, list[int]]] = [{} for _ in g.nodes]
+    for src, a, dst in g.edges:
+        s, t = idx[src], idx[dst]
+        succ[s].setdefault(a, []).append(t)
+        pred[t].setdefault(a, []).append(s)
+    enabled = [tuple(sorted(by_a)) for by_a in succ]
+    succs = [tuple(by_a[a] for a in acts) for by_a, acts in zip(succ, enabled)]
+    return enabled, succs, pred
 
 
-def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set:
-    """Label-consistent pairs left after at most rounds deletion rounds
-    (None: until stable).  A round deletes, all at once, every pair whose
-    matching obligations fail against the relation at its start."""
+def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set[int]:
+    """Pairs u * |V2| + v left after at most rounds deletion rounds (None:
+    until stable), starting from the label-consistent pairs.
+
+    A round deletes, all at once, every checked pair whose matching
+    obligations fail against the relation at the round's start.  Round 1
+    checks every pair.  A pair that passed round r can fail round r + 1
+    only if a witness (u', v') of it died in round r, and then
+    u in pred1(u', a) and v in pred2(v', a); so round r + 1 checks just
+    the live pairs found that way from the pairs round r deleted, and the
+    relation after k rounds is the same as when every round checks all.
+    """
     if g1.signature != g2.signature:
         raise GraphFormatError("signature: graphs must share a signature")
-    acts = g1.signature.actions
-    rel = {(u, v) for u in g1.nodes for v in g2.nodes if g1.label(u) == g2.label(v)}
+    n2 = len(g2.nodes)
+    enabled1, succ1, pred1 = _int_adjacency(g1)
+    enabled2, succ2, pred2 = _int_adjacency(g2)
+    by_label: dict[frozenset, list[int]] = {}
+    for v, name in enumerate(g2.nodes):
+        by_label.setdefault(g2.label(name), []).append(v)
+    check = [
+        u * n2 + v
+        for u, name in enumerate(g1.nodes)
+        for v in by_label.get(g1.label(name), ())
+    ]
+    rel = set(check)
+
+    def pair_ok(p: int) -> bool:
+        """Every a-successor on each side has a related a-successor on the other."""
+        u, v = divmod(p, n2)
+        if enabled1[u] != enabled2[v]:
+            return False
+        for us, vs in zip(succ1[u], succ2[v]):
+            for u2 in us:
+                base = u2 * n2
+                for v2 in vs:
+                    if base + v2 in rel:
+                        break
+                else:
+                    return False
+            for v2 in vs:
+                for u2 in us:
+                    if u2 * n2 + v2 in rel:
+                        break
+                else:
+                    return False
+        return True
+
     for _ in itertools.count() if rounds is None else range(rounds):
-        dead = [p for p in rel if not _pair_ok(g1, g2, p[0], p[1], rel, acts)]
+        dead = [p for p in check if not pair_ok(p)]
         if not dead:
             break
         rel.difference_update(dead)
+        check = set()
+        for p in dead:
+            u2, v2 = divmod(p, n2)
+            pv = pred2[v2]
+            for a, us in pred1[u2].items():
+                for u in us:
+                    base = u * n2
+                    for v in pv.get(a, ()):
+                        if base + v in rel:
+                            check.add(base + v)
     return rel
 
 
@@ -56,7 +119,10 @@ def largest_bisimulation(g1: LabeledGraph, g2: LabeledGraph) -> Relation:
     Greatest fixpoint by pair deletion: start from the label-consistent
     pairs and delete pairs whose matching obligations fail, until stable.
     """
-    return frozenset(_delete_pairs(g1, g2, None))
+    n2 = len(g2.nodes)
+    return frozenset(
+        (g1.nodes[p // n2], g2.nodes[p % n2]) for p in _delete_pairs(g1, g2, None)
+    )
 
 
 def bisimilar(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -67,7 +133,8 @@ def bounded_bisimilar(g1: LabeledGraph, g2: LabeledGraph, k: int) -> bool:
     """Roots indistinguishable for k rounds of the bisimulation game."""
     if k < 0:
         raise GraphFormatError(f"k: must be >= 0, got {k}")
-    return (g1.root, g2.root) in _delete_pairs(g1, g2, k)
+    root = g1.index[g1.root] * len(g2.nodes) + g2.index[g2.root]
+    return root in _delete_pairs(g1, g2, k)
 
 
 def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
@@ -115,11 +182,15 @@ def quotient(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.signature, nodes, rep[g.root], edges, labels)
 
 
+def _check_component(i: int, d: int) -> None:
+    if not 0 <= i < d:
+        raise GraphFormatError(f"i: component {i} out of range for dimension {d}")
+
+
 def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
     """Base-signature view of component i: keep x@i edges and c@i colors."""
     base, d = split_lifted(g.signature)
-    if not 0 <= i < d:
-        raise GraphFormatError(f"i: component {i} out of range for dimension {d}")
+    _check_component(i, d)
     edges = []
     for u, a, w in g.edges:
         name, idx = a.rsplit("@", 1)
@@ -131,27 +202,49 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
     return LabeledGraph(base, g.nodes, g.root, edges, labels)
 
 
-@dataclass(frozen=True)
 class DBisimFamily:
-    """Family of component relations over one lifted graph."""
+    """Largest family of component relations over one lifted graph.
 
-    d: int
-    relations: Mapping[tuple[int, int], Relation]
+    Holds the d component views.  rel(i, j) is computed on first use
+    and cached; rel(j, i) of a cached rel(i, j) is its converse, which
+    is exact because the converse of a bisimulation is a bisimulation.
+    So a caller that reads only the diagonal builds d relations, and
+    one that reads every pair builds d(d+1)/2.
+    """
+
+    def __init__(self, views: list[LabeledGraph]):
+        self.views = tuple(views)
+        self.d = len(self.views)
+        self._rels: dict[tuple[int, int], Relation] = {}
+
+    def view(self, i: int) -> LabeledGraph:
+        _check_component(i, self.d)
+        return self.views[i]
 
     def rel(self, i: int, j: int) -> Relation:
-        return self.relations[(i, j)]
+        r = self._rels.get((i, j))
+        if r is None:
+            other = self._rels.get((j, i))
+            if other is not None:
+                r = frozenset((v, u) for u, v in other)
+            else:
+                r = largest_bisimulation(self.view(i), self.view(j))
+            self._rels[(i, j)] = r
+        return r
+
+    @property
+    def relations(self) -> Mapping[tuple[int, int], Relation]:
+        """Every rel(i, j), computing those not yet asked for."""
+        return MappingProxyType(
+            {(i, j): self.rel(i, j) for i in range(self.d) for j in range(self.d)}
+        )
 
 
 def largest_d_bisimulation(g: LabeledGraph) -> DBisimFamily:
     """Largest family: rel(i, j) is the largest bisimulation between the
     component-i view and the component-j view of g."""
     _, d = split_lifted(g.signature)
-    views = [component_view(g, i) for i in range(d)]
-    relations = {}
-    for i in range(d):
-        for j in range(d):
-            relations[(i, j)] = largest_bisimulation(views[i], views[j])
-    return DBisimFamily(d, relations)
+    return DBisimFamily([component_view(g, i) for i in range(d)])
 
 
 def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
@@ -180,11 +273,13 @@ def has_reset_property(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool
 
 
 def is_power_rooted(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
-    """root rel(i, j) root for all components i, j."""
+    """root rel(i, j) root for all components i, j.  The diagonal always
+    holds (rel(i, i) is reflexive) and rel(j, i) is the converse of
+    rel(i, j), so only i < j is checked, up to the first failure."""
     if fam is None:
         fam = largest_d_bisimulation(g)
     return all(
-        (g.root, g.root) in fam.rel(i, j) for i in range(fam.d) for j in range(fam.d)
+        (g.root, g.root) in fam.rel(i, j) for i, j in itertools.combinations(range(fam.d), 2)
     )
 
 
@@ -250,9 +345,9 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.
     """
-    view = component_view(g, i)  # also rejects an out-of-range i
     if fam is None:
         fam = largest_d_bisimulation(g)
+    view = fam.view(i)  # rejects an out-of-range i before any relation is built
     if not is_persistent(g, fam):
         raise PolymuError("factor: graph is not persistent")
     if not has_reset_property(g, fam):
@@ -266,9 +361,8 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
 
 def factors(g: LabeledGraph) -> list[LabeledGraph]:
     """All d component factors, sharing one family computation."""
-    _, d = split_lifted(g.signature)
     fam = largest_d_bisimulation(g)
-    return [factor(g, i, fam) for i in range(d)]
+    return [factor(g, i, fam) for i in range(fam.d)]
 
 
 def relation_lines(rel: Relation) -> list[str]:

@@ -43,7 +43,6 @@ from .logic import (
     TT,
     Var,
     _free_map,
-    free_vars,
     validate_formula,
 )
 
@@ -90,14 +89,19 @@ def _evaluate_bits(
     d: int | None,
     env: Mapping[str, TupleSet] | None,
     tuple_cap: int,
+    fmap: dict[int, frozenset[str]] | None = None,
 ) -> int:
-    """Denotation of phi over g as a bitset; see the module docstring."""
+    """Denotation of phi over g as a bitset; see the module docstring.
+
+    fmap, when given, is _free_map(phi.root), already built by the caller.
+    """
     validate_formula(phi, g.signature)
     if d is not None and d != phi.arity:
         raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
     arity = phi.arity
     env = dict(env or {})
-    fmap = _free_map(phi.root)
+    if fmap is None:
+        fmap = _free_map(phi.root)
     missing = fmap[id(phi.root)] - set(env)
     if missing:
         raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
@@ -273,9 +277,10 @@ def evaluate(
 def models(g: LabeledGraph, phi: Formula, d: int | None = None,
            tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """Does the arity-fold root tuple of g satisfy phi?  phi must be closed."""
-    if free_vars(phi):
+    fmap = _free_map(phi.root)
+    if fmap[id(phi.root)]:
         raise FormulaError("models needs a closed formula")
-    bits = _evaluate_bits(g, phi, d, None, tuple_cap)
+    bits = _evaluate_bits(g, phi, d, None, tuple_cap, fmap)
     n = len(g.nodes)
     r = g.index[g.root]
     root_bit = sum(r * n**k for k in range(phi.arity))

@@ -1,6 +1,9 @@
 """Bisimulations, quotients, component families, power detection, factors."""
+import itertools
+
 import pytest
 
+from polymu import bisim
 from polymu.bisim import (
     bisimilar,
     bisimulation_partition,
@@ -21,7 +24,7 @@ from polymu.bisim import (
 )
 from polymu.errors import GraphFormatError, PolymuError
 from polymu.graphs import LabeledGraph, Signature, power, product, unfold
-from polymu.randgen import Xorshift, rand_graph
+from polymu.randgen import Xorshift, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
 
@@ -127,6 +130,90 @@ def test_bounded_bisimilar_limits_on_random_pairs():
     assert any(verdicts) and not all(verdicts)
 
 
+def _reference_pair_ok(g1, g2, u, v, rel, acts):
+    for a in acts:
+        su = g1.succ(u, a)
+        sv = g2.succ(v, a)
+        for u2 in su:
+            if not any((u2, v2) in rel for v2 in sv):
+                return False
+        for v2 in sv:
+            if not any((u2, v2) in rel for u2 in su):
+                return False
+    return True
+
+
+def _reference_delete_pairs(g1, g2, rounds):
+    """Plain Jacobi pair deletion on string pairs: every round re-checks
+    every live pair against the relation at the round's start."""
+    acts = g1.signature.actions
+    rel = {(u, v) for u in g1.nodes for v in g2.nodes if g1.label(u) == g2.label(v)}
+    for _ in itertools.count() if rounds is None else range(rounds):
+        dead = [p for p in rel if not _reference_pair_ok(g1, g2, p[0], p[1], rel, acts)]
+        if not dead:
+            break
+        rel.difference_update(dead)
+    return rel
+
+
+def _reference_stable_round(g1, g2):
+    """First round count after which the reference deletes nothing more."""
+    k = 0
+    while _reference_delete_pairs(g1, g2, k) != _reference_delete_pairs(g1, g2, k + 1):
+        k += 1
+    return k
+
+
+def _grown_copy(g, rng, extra):
+    """g under new ids, with extra nodes pointing into it and one edge
+    flipped, so most pairs stay related for a while and some never die."""
+    ids = {v: f"x{v}" for v in g.nodes}
+    nodes = list(ids.values()) + [f"y{k}" for k in range(extra)]
+    edges = {(ids[u], a, ids[w]) for u, a, w in g.edges}
+    flip = (rng.choice(nodes), rng.choice(g.signature.actions), rng.choice(nodes))
+    edges ^= {flip}
+    for k in range(extra):
+        edges.add((f"y{k}", rng.choice(g.signature.actions), rng.choice(nodes)))
+    labels = {ids[v]: g.label(v) for v in g.nodes}
+    labels.update({f"y{k}": ["f"] for k in range(extra) if rng.chance(1, 2)})
+    return LabeledGraph(g.signature, nodes, ids[g.root], sorted(edges), labels)
+
+
+def test_worklist_matches_jacobi_rounds():
+    # g2 (a grown copy or an unfolding of g1) never has g1's size, so an
+    # index or divmod mix-up between the two sides cannot go unnoticed
+    sig = Signature(("a", "b"), ("f",))
+    depths, verdicts = [], []
+    for t in range(30):
+        rng = Xorshift.substream(3, t)
+        g1 = rand_graph(rng, sig, 8, min_nodes=4, edge_den=6, color_den=4)
+        g2 = unfold(g1, 3) if t % 3 == 0 else _grown_copy(g1, rng, rng.randint(2, 4))
+        assert len(g1.nodes) != len(g2.nodes), t
+        stable = _reference_stable_round(g1, g2)
+        depths.append(stable)
+        for k in range(stable + 2):
+            want = _reference_delete_pairs(g1, g2, k)
+            assert bounded_bisimilar(g1, g2, k) == ((g1.root, g2.root) in want), (t, k)
+        ref = frozenset(_reference_delete_pairs(g1, g2, None))
+        assert largest_bisimulation(g1, g2) == ref, t
+        verdicts.append((g1.root, g2.root) in ref)
+    assert max(depths) >= 4
+    assert any(verdicts) and not all(verdicts)
+
+
+def _chain(n):
+    ids = [str(i) for i in range(n)]
+    edges = [(ids[i], "a", ids[i + 1]) for i in range(n - 1)]
+    return LabeledGraph(SIG_AF, ids, "0", edges, {ids[-1]: ["f"]})
+
+
+def test_largest_bisimulation_on_long_chain():
+    # node i sees f after exactly n - 1 - i steps, so only (i, i) survives;
+    # it takes n - 1 rounds, each deleting pairs one step further from f
+    g = _chain(400)
+    assert largest_bisimulation(g, g) == frozenset((v, v) for v in g.nodes)
+
+
 def test_component_view(loop3):
     p = power(loop3, 2)
     v0 = component_view(p, 0)
@@ -172,6 +259,65 @@ def test_family_pseudo_properties(loop3):
                     for (v2, w) in rjh:
                         if v2 == v:
                             assert (u, w) in rih
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of bisim.<name>, including those made inside bisim."""
+    calls = []
+    real = getattr(bisim, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bisim, name, counted)
+    return calls
+
+
+def test_family_converse_matches_direct_computation(monkeypatch):
+    calls = _count_calls(monkeypatch, "largest_bisimulation")
+    base = Signature(("a", "b"), ("f", "g"))
+    asymmetric = 0
+    for t in range(12):
+        d = 2 + t % 2
+        g = rand_lifted_graph(Xorshift.substream(4, t), base, d, 9, min_nodes=5)
+        fam = largest_d_bisimulation(g)
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            fam.rel(i, j)
+        assert len(calls) == d * (d + 1) // 2, t
+        for i, j in itertools.combinations(range(d), 2):
+            calls.clear()
+            got = fam.rel(j, i)
+            assert calls == [], (t, i, j)  # the converse of the cached rel(i, j)
+            assert got == largest_bisimulation(component_view(g, j), component_view(g, i)), (t, i, j)
+            asymmetric += got != fam.rel(i, j)
+        calls.clear()
+    # a converse that returned rel(i, j) itself would fail these graphs
+    assert asymmetric >= 6
+
+
+def test_family_builds_only_the_relations_asked_for(monkeypatch, loop3):
+    p3 = power(loop3, 3)
+    calls = _count_calls(monkeypatch, "largest_bisimulation")
+    for i in range(3):
+        calls.clear()
+        factor(p3, i)
+        assert len(calls) == 3, i  # the diagonal only
+    calls.clear()
+    assert power_conditions(p3) == {"persistent": True, "reset": True, "power_rooted": True}
+    assert len(calls) <= 6
+    views = _count_calls(monkeypatch, "component_view")
+    factors(p3)
+    assert len(views) == 3
+    calls.clear()
+    with pytest.raises(GraphFormatError, match="component 3 out of range for dimension 3"):
+        factor(p3, 3)
+    with pytest.raises(GraphFormatError, match="component -1 out of range"):
+        factor(p3, -1, largest_d_bisimulation(p3))
+    assert calls == []
+    fam = largest_d_bisimulation(p3)
+    assert len(fam.relations) == 9
+    assert len(calls) == 6
 
 
 def test_power_detection_true(loop3):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from polymu.cli import _split_path, main
-from polymu.graphs import FiniteTree, Signature, power, read_graph, write_graph
+from polymu.graphs import FiniteTree, LabeledGraph, Signature, power, read_graph, write_graph
+
+DATA = Path(__file__).parent / "data"
 
 EX1_JSON = (
     '{"actions":["a"],"colors":["f"],'
@@ -156,6 +162,19 @@ def test_dbisim_output(capsys, pow2):
     assert code == 2 and "0..1" in err
 
 
+def test_dbisim_output_is_stable(capsys, pow2, tmp_path):
+    # every rel(i, j) of a 2-fold and a 3-fold power, as committed
+    two = LabeledGraph(
+        Signature(["a"], ["f"]), ["p", "q"], "p", [("p", "a", "q"), ("q", "a", "q")], {"q": ["f"]}
+    )
+    pow3 = tmp_path / "pow3.json"
+    pow3.write_text(write_graph(power(two, 3)))
+    for path, golden in ((pow2, "dbisim_pow2_ex1.txt"), (str(pow3), "dbisim_pow3_two.txt")):
+        code, out, _ = run(capsys, "dbisim", "--graph", path)
+        assert code == 0
+        assert out == (DATA / golden).read_text(), golden
+
+
 def test_detect_power_and_factor(capsys, ex1, pow2, tmp_path):
     code, out, _ = run(capsys, "detect-power", "--graph", pow2, "-d", "2",
                        "--method", "both")
@@ -305,3 +324,14 @@ def test_input_error_exit_codes(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--graph", "x.json"])  # missing --formula
     assert exc.value.code == 2
+
+
+def test_python_m_polymu_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "polymu", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: polymu")

@@ -6,7 +6,7 @@ import pytest
 from polymu.automata import accepts, formula_to_apt
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power
-from polymu.logic import parse_formula
+from polymu.logic import Color, Formula, Or, Var, parse_formula
 from polymu.semantics import TupleSet, evaluate, models
 
 from conftest import SIG_AF, make_loop3
@@ -176,3 +176,13 @@ def test_long_chain_fixpoints():
     # one more complement tuple per round: the incremental Box path
     assert tset(g, "nu X. ~f & [a]X", 1) == set()
     assert tset(g, "mu X. f | <a>X", 1) == {(v,) for v in nodes}
+
+
+def test_models_error_order(loop3):
+    open_and_invalid = Formula(1, Or(Var("X"), Color("q", 0)))
+    with pytest.raises(FormulaError, match="models needs a closed formula"):
+        models(loop3, open_and_invalid)
+    with pytest.raises(FormulaError, match="unknown color"):
+        models(loop3, Formula(1, Color("q", 0)))
+    with pytest.raises(FormulaError, match="unbound variables: X"):
+        evaluate(loop3, Formula(1, Or(Var("X"), Color("f", 0))))
