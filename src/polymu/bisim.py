@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, split_lifted, tuple_id
+from .graphs import LabeledGraph, RESET, split_lifted, tuple_id, unlift
 
 Relation = frozenset  # of (node, node) pairs
 
@@ -140,46 +140,43 @@ def bounded_bisimilar(g1: LabeledGraph, g2: LabeledGraph, k: int) -> bool:
 def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Bisimilarity classes of g by partition refinement, sorted.
 
-    Classes start from label sets and are split by the multiset-free
-    signature (own class, set of (action, successor class)).  A round
-    only ever splits classes, so the partition is stable, and the loop
-    ends, as soon as a round leaves the class count unchanged.
+    Classes over node positions start from label sets and are split by
+    the signature (own class, per enabled action the set of successor
+    classes); each round numbers its classes in order of first
+    appearance.  A round only ever splits classes, so the partition is
+    stable, and the loop ends, as soon as a round leaves the class count
+    unchanged.
     """
-    keys = {v: (tuple(sorted(g.label(v))),) for v in g.nodes}
-    cls = _classes_from_keys(g, keys)
+    enabled, succs, _ = _int_adjacency(g)
+    keys: list = [g.label(v) for v in g.nodes]
+    count = 0
     while True:
-        keys = {}
-        for v in g.nodes:
-            moves = {(a, cls[w]) for a in g.signature.actions for w in g.succ(v, a)}
-            keys[v] = (cls[v], tuple(sorted(moves)))
-        nxt = _classes_from_keys(g, keys)
-        if len(set(nxt.values())) == len(set(cls.values())):
+        ids: dict = {}
+        cls = [ids.setdefault(k, len(ids)) for k in keys]
+        if len(ids) == count:
             break
-        cls = nxt
+        count = len(ids)
+        keys = [
+            (cls[u], acts, tuple(frozenset(cls[w] for w in ws) for ws in succs[u]))
+            for u, acts in enumerate(enabled)
+        ]
     groups: dict[int, list[str]] = {}
-    for v in g.nodes:
-        groups.setdefault(cls[v], []).append(v)
+    for v, c in zip(g.nodes, cls):
+        groups.setdefault(c, []).append(v)
     return sorted(tuple(sorted(members)) for members in groups.values())
 
 
-def _classes_from_keys(g, keys) -> dict[str, int]:
-    distinct = sorted(set(keys.values()), key=repr)
-    index = {k: i for i, k in enumerate(distinct)}
-    return {v: index[keys[v]] for v in g.nodes}
+def _collapse(g: LabeledGraph, rep: Mapping[str, str]) -> LabeledGraph:
+    """g with every node merged into its representative rep[v]."""
+    nodes = sorted(set(rep.values()))
+    edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
+    labels = {r: g.label(r) for r in nodes}
+    return LabeledGraph(g.signature, nodes, rep[g.root], edges, labels)
 
 
 def quotient(g: LabeledGraph) -> LabeledGraph:
     """Quotient by bisimilarity; class ids are lex-least representatives."""
-    parts = bisimulation_partition(g)
-    rep = {}
-    for members in parts:
-        r = min(members)
-        for v in members:
-            rep[v] = r
-    nodes = sorted({rep[v] for v in g.nodes})
-    edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
-    labels = {r: g.label(r) for r in nodes}
-    return LabeledGraph(g.signature, nodes, rep[g.root], edges, labels)
+    return _collapse(g, {v: members[0] for members in bisimulation_partition(g) for v in members})
 
 
 def _check_component(i: int, d: int) -> None:
@@ -193,12 +190,10 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
     _check_component(i, d)
     edges = []
     for u, a, w in g.edges:
-        name, idx = a.rsplit("@", 1)
-        if name != RESET and int(idx) == i:
+        name, k = unlift(a)
+        if name != RESET and k == i:
             edges.append((u, name, w))
-    labels = {}
-    for v in g.nodes:
-        labels[v] = [c.rsplit("@", 1)[0] for c in g.label(v) if int(c.rsplit("@", 1)[1]) == i]
+    labels = {v: [c for c, k in map(unlift, g.label(v)) if k == i] for v in g.nodes}
     return LabeledGraph(base, g.nodes, g.root, edges, labels)
 
 
@@ -253,7 +248,7 @@ def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
     if fam is None:
         fam = largest_d_bisimulation(g)
     for u, a, w in g.edges:
-        i = int(a.rsplit("@", 1)[1])
+        _, i = unlift(a)
         for j in range(fam.d):
             if j != i and (u, w) not in fam.rel(j, j):
                 return False
@@ -266,8 +261,8 @@ def has_reset_property(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool
     if fam is None:
         fam = largest_d_bisimulation(g)
     for u, a, w in g.edges:
-        name, idx = a.rsplit("@", 1)
-        if name == RESET and (w, g.root) not in fam.rel(int(idx), int(idx)):
+        name, i = unlift(a)
+        if name == RESET and (w, g.root) not in fam.rel(i, i):
             return False
     return True
 
@@ -329,16 +324,6 @@ def power_formula_verdicts(g: LabeledGraph) -> dict[str, bool]:
     }
 
 
-def _factor_classes(g: LabeledGraph, i: int, fam: DBisimFamily) -> dict[str, str]:
-    """Map each node to the lex-least member of its rel(i, i) class."""
-    rel = fam.rel(i, i)
-    rep: dict[str, str] = {}
-    for v in g.nodes:
-        members = [w for w in g.nodes if (v, w) in rel]
-        rep[v] = min(members)
-    return rep
-
-
 def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledGraph:
     """Component-i factor: quotient of the component-i view by rel(i, i).
 
@@ -352,11 +337,12 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
         raise PolymuError("factor: graph is not persistent")
     if not has_reset_property(g, fam):
         raise PolymuError("factor: graph lacks the reset property")
-    rep = _factor_classes(g, i, fam)
-    nodes = sorted(set(rep.values()))
-    edges = sorted({(rep[u], a, rep[w]) for u, a, w in view.edges})
-    labels = {r: view.label(r) for r in nodes}
-    return LabeledGraph(view.signature, nodes, rep[g.root], edges, labels)
+    # rel(i, i) is an equivalence; map each node to its lex-least partner
+    rep: dict[str, str] = {}
+    for v, w in fam.rel(i, i):
+        if v not in rep or w < rep[v]:
+            rep[v] = w
+    return _collapse(view, rep)
 
 
 def factors(g: LabeledGraph) -> list[LabeledGraph]:

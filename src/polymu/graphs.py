@@ -12,6 +12,7 @@ factor i, and color c@i holds where component i carries c.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -114,6 +115,15 @@ def split_lifted(sig: Signature) -> tuple[Signature, int]:
     if not act_order:
         raise GraphFormatError("actions: only reset actions present")
     return Signature(act_order, col_order), d
+
+
+@functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
+def unlift(name: str) -> tuple[str, int]:
+    """(x, i) for a lifted action or color name x@i."""
+    m = _LIFTED_RE.match(name)
+    if m is None:
+        raise GraphFormatError(f"name: {name!r} is not of the form x@i")
+    return m.group(1), int(m.group(2))
 
 
 class LabeledGraph:

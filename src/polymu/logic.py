@@ -568,11 +568,17 @@ def _iff(p: Node, q: Node) -> Node:
 
 
 class _Fresh:
-    def __init__(self):
+    """Variable names X0, X1, ... in order, passing over those in skip."""
+
+    def __init__(self, skip: frozenset[str] = frozenset()):
         self.counter = itertools.count()
+        self.skip = skip
 
     def __call__(self) -> str:
-        return f"X{next(self.counter)}"
+        while True:
+            x = f"X{next(self.counter)}"
+            if x not in self.skip:
+                return x
 
 
 def _bis_node(i: int, j: int, sig: Signature, fresh: _Fresh) -> Node:
@@ -607,14 +613,8 @@ def gen_allbox(i: int, phi: Formula, sig: Signature, d: int) -> Formula:
     if not 0 <= i < phi.arity:
         raise FormulaError(f"component {i} out of range for arity {phi.arity}")
     lift_signature(sig, d)
-    fresh = _Fresh()
-    used = bound_vars(phi)
-    while True:  # dodge collisions with variables already used in phi
-        x = fresh()
-        if x not in used:
-            break
-    boxes = [Box(f"{a}@{j}", i, Var(x)) for a in sig.actions for j in range(d)]
-    return Formula(phi.arity, Nu(x, _conj([phi.root] + boxes)))
+    # the fresh binder must not capture a variable already used in phi
+    return Formula(phi.arity, _allbox_node(i, phi.root, sig, d, _Fresh(bound_vars(phi))))
 
 
 def _check_component(i: int, d: int):

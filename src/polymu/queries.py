@@ -7,19 +7,21 @@ actions.  The lifted variants pose the same questions per component on
 a graph over a lifted signature, counting only that component's actions
 since its last reset; one shared witness must work for all components.
 
-Every positive verdict is replayed against an independent check built
-directly on paths (a product construction with per-component progress
-counters) before it is returned.
+All four queries are one breadth-first subset search, _least_word.
+Every positive verdict is replayed by an independent check before it is
+returned: matrix squaring (plain one-letter), a subset replay of the
+word (plain two-letter), or a product of paths with per-component
+progress counters (lifted).
 """
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, split_lifted
+from .graphs import LabeledGraph, RESET, Signature, split_lifted, unlift
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,106 @@ def _require_plain(g: LabeledGraph, n_actions: int, what: str) -> None:
         )
 
 
-def _accept_free(g: LabeledGraph, f: str, sub: frozenset) -> bool:
-    return not any(g.has_color(v, f) for v in sub)
+def _lifted_base(g: LabeledGraph, d: int, n_actions: int, what: str) -> Signature:
+    base, d2 = split_lifted(g.signature)
+    if d2 != d:
+        raise GraphFormatError(f"{what}: graph has dimension {d2}, not {d}")
+    if len(base.actions) != n_actions or len(base.colors) != 1:
+        raise GraphFormatError(
+            f"{what} needs a lifted signature over {n_actions} action(s) and one color"
+        )
+    return base
 
 
-def _image(g: LabeledGraph, sub: frozenset, a: str) -> frozenset:
-    return frozenset(w for v in sub for w in g.succ(v, a))
+def _image(sub: int, targets: list[int]) -> int:
+    """Union of targets[k] over the bits k of sub."""
+    out = 0
+    while sub:
+        low = sub & -sub
+        sub ^= low
+        out |= targets[low.bit_length() - 1]
+    return out
+
+
+def _closure(sub: int, targets: list[int]) -> int:
+    """Least superset of sub that contains targets[k] for each of its bits k."""
+    todo = sub
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = targets[low.bit_length() - 1] & ~sub
+        sub |= new
+        todo |= new
+    return sub
+
+
+def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
+    """Shortest word, lexicographically least among those, after which
+    every component's subset avoids its accepting nodes: breadth-first
+    over tuples of node bitmasks, letters in sorted order, words of
+    length at most cap (None: no cap).
+
+    A plain graph (base is its own signature) is one component counting
+    every action.  Component i < d of a lifted graph counts x@i, is
+    closed under the other components' edges, and starts from the root
+    and each rst@i target of a node reachable from the root.
+
+    Returns (word, subsets, exhausted); word is None when there is no
+    such word, and exhausted says whether the cap cut the search short.
+    """
+    lifted = base != g.signature
+    idx, size = g.index, len(g.nodes)
+    kind = {a: unlift(a) if lifted else (a, 0) for a in g.signature.actions}
+    out = [0] * size
+    step = [{x: [0] * size for x in base.actions} for _ in range(d)]
+    silent = [[0] * size for _ in range(d)]
+    start = [1 << idx[g.root]] * d
+    resets = []
+    for u, act, w in g.edges:
+        x, i = kind[act]
+        k, t = idx[u], 1 << idx[w]
+        out[k] |= t
+        if x in step[i]:
+            step[i][x][k] |= t
+        else:
+            resets.append((i, k, t))
+        for j in range(d):
+            if j != i:
+                silent[j][k] |= t
+    reach = _closure(1 << idx[g.root], out)
+    for i, k, t in resets:
+        if reach >> k & 1:
+            start[i] |= t
+    f = base.colors[0]
+    colors = [f"{f}@{i}" for i in range(d)] if lifted else [f]
+    accept = [sum(1 << k for k, v in enumerate(g.nodes) if g.has_color(v, c)) for c in colors]
+    first = tuple(map(_closure, start, silent))
+    seen = {first}
+    queue = deque([(first, ())])
+    exhausted = False
+    while queue:
+        cur, word = queue.popleft()
+        if not any(sub & acc for sub, acc in zip(cur, accept)):
+            return word, cur, False
+        if cap is not None and len(word) >= cap:
+            exhausted = True
+            continue
+        for x in sorted(base.actions):
+            nxt = tuple(
+                _closure(_image(sub, st[x]), sil) for sub, st, sil in zip(cur, step, silent)
+            )
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (x,)))
+    return None, None, exhausted
+
+
+def _replayed(g: LabeledGraph, level: frozenset, sub: int) -> bool:
+    """A plain graph's replayed level is the searched subset sub, and it
+    avoids the accepting color."""
+    f = g.signature.colors[0]
+    same = level == frozenset(v for k, v in enumerate(g.nodes) if sub >> k & 1)
+    return same and not any(g.has_color(v, f) for v in level)
 
 
 # ------------------------------------------------------------- base queries
@@ -63,21 +159,13 @@ def one_letter_non_universal(g: LabeledGraph) -> NonUnivVerdict:
     """Least n with no accepting state at level n of the subset iteration,
     complete by cycle detection on the level sets."""
     _require_plain(g, 1, "one_letter_non_universal")
-    a = g.signature.actions[0]
-    f = g.signature.colors[0]
-    cur = frozenset({g.root})
-    seen = set()
-    n = 0
-    while True:
-        if _accept_free(g, f, cur):
-            if reach_by_squaring(g, n) != cur or not _accept_free(g, f, cur):
-                raise CrossCheckError(f"level {n} fails the squaring replay")
-            return NonUnivVerdict(True, n)
-        if cur in seen:
-            return NonUnivVerdict(False, None)
-        seen.add(cur)
-        cur = _image(g, cur, a)
-        n += 1
+    word, last, _ = _least_word(g, g.signature, 1, None)
+    if word is None:
+        return NonUnivVerdict(False, None)
+    n = len(word)
+    if not _replayed(g, reach_by_squaring(g, n), last[0]):
+        raise CrossCheckError(f"level {n} fails the squaring replay")
+    return NonUnivVerdict(True, n)
 
 
 def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
@@ -122,91 +210,18 @@ def two_letter_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> 
     accepting states; breadth-first over the subset automaton, complete
     when len_cap is unset."""
     _require_plain(g, 2, "two_letter_non_universal")
-    acts = sorted(g.signature.actions)
-    f = g.signature.colors[0]
-    start = frozenset({g.root})
-    seen = {start}
-    queue = deque([(start, ())])
-    exhausted = False
-    while queue:
-        cur, word = queue.popleft()
-        if _accept_free(g, f, cur):
-            replay = frozenset({g.root})
-            for x in word:
-                replay = _image(g, replay, x)
-            if replay != cur or not _accept_free(g, f, replay):
-                raise CrossCheckError(f"witness {''.join(word)} fails the replay")
-            return NonUnivVerdict(True, "".join(word))
-        if len_cap is not None and len(word) >= len_cap:
-            exhausted = True
-            continue
-        for x in acts:
-            nxt = _image(g, cur, x)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (x,)))
-    return NonUnivVerdict(False, None, exhausted)
+    word, last, exhausted = _least_word(g, g.signature, 1, len_cap)
+    if word is None:
+        return NonUnivVerdict(False, None, exhausted)
+    replay = frozenset({g.root})
+    for x in word:
+        replay = frozenset(w for v in replay for w in g.succ(v, x))
+    if not _replayed(g, replay, last[0]):
+        raise CrossCheckError(f"witness {''.join(word)} fails the replay")
+    return NonUnivVerdict(True, "".join(word))
 
 
 # ------------------------------------------------------------ lifted queries
-
-
-def _lifted_base(g: LabeledGraph, d: int, n_actions: int, what: str):
-    base, d2 = split_lifted(g.signature)
-    if d2 != d:
-        raise GraphFormatError(f"{what}: graph has dimension {d2}, not {d}")
-    if len(base.actions) != n_actions or len(base.colors) != 1:
-        raise GraphFormatError(
-            f"{what} needs a lifted signature over {n_actions} action(s) and one color"
-        )
-    return base
-
-
-def _reachable(g: LabeledGraph) -> set:
-    out = {g.root}
-    todo = [g.root]
-    while todo:
-        v = todo.pop()
-        for a in g.signature.actions:
-            for w in g.succ(v, a):
-                if w not in out:
-                    out.add(w)
-                    todo.append(w)
-    return out
-
-
-class _ComponentView:
-    """Component i of a lifted graph as a subset transition system: edges
-    of other components are silent, rst@i edges refresh the start set."""
-
-    def __init__(self, g: LabeledGraph, i: int, counted: list[str]):
-        self.g = g
-        skip = {f"{x}@{i}" for x in counted}
-        reset = f"{RESET}@{i}"
-        self.eps: dict[str, list[str]] = {v: [] for v in g.nodes}
-        for (u, act, w) in g.edges:
-            if act not in skip and act != reset:
-                self.eps[u].append(w)
-        reach = _reachable(g)
-        starts = {g.root}
-        starts.update(w for (u, act, w) in g.edges if act == reset and u in reach)
-        self.start = self.closure(frozenset(starts))
-
-    def closure(self, sub: frozenset) -> frozenset:
-        out = set(sub)
-        todo = list(sub)
-        while todo:
-            v = todo.pop()
-            for w in self.eps[v]:
-                if w not in out:
-                    out.add(w)
-                    todo.append(w)
-        return frozenset(out)
-
-    def step_action(self, sub: frozenset, lifted_action: str) -> frozenset:
-        return self.closure(frozenset(
-            w for v in sub for w in self.g.succ(v, lifted_action)
-        ))
 
 
 def one_lifted_non_universal(g: LabeledGraph, d: int,
@@ -215,26 +230,13 @@ def one_lifted_non_universal(g: LabeledGraph, d: int,
     accepting color; synchronized iteration over the subset tuple with
     cycle detection."""
     base = _lifted_base(g, d, 1, "one_lifted_non_universal")
-    a = base.actions[0]
-    f = base.colors[0]
-    views = [_ComponentView(g, i, [a]) for i in range(d)]
-    cur = tuple(view.start for view in views)
-    seen = set()
-    n = 0
-    while True:
-        if all(_accept_free(g, f"{f}@{i}", cur[i]) for i in range(d)):
-            if not verify_one_lifted_witness(g, d, n):
-                raise CrossCheckError(f"lifted level {n} fails the path replay")
-            return NonUnivVerdict(True, n)
-        if cur in seen:
-            return NonUnivVerdict(False, None)
-        if step_budget is not None and n >= step_budget:
-            return NonUnivVerdict(False, None, True)
-        seen.add(cur)
-        cur = tuple(
-            view.step_action(cur[i], f"{a}@{i}") for i, view in enumerate(views)
-        )
-        n += 1
+    word, _, exhausted = _least_word(g, base, d, step_budget)
+    if word is None:
+        return NonUnivVerdict(False, None, exhausted)
+    n = len(word)
+    if not verify_one_lifted_witness(g, d, n):
+        raise CrossCheckError(f"lifted level {n} fails the path replay")
+    return NonUnivVerdict(True, n)
 
 
 def two_lifted_non_universal(g: LabeledGraph, d: int,
@@ -242,109 +244,66 @@ def two_lifted_non_universal(g: LabeledGraph, d: int,
     """Shortest word (lexicographically least among those) under which
     every component's subset avoids its accepting color."""
     base = _lifted_base(g, d, 2, "two_lifted_non_universal")
-    acts = sorted(base.actions)
-    f = base.colors[0]
-    views = [_ComponentView(g, i, acts) for i in range(d)]
-    start = tuple(view.start for view in views)
-    seen = {start}
-    queue = deque([(start, ())])
-    exhausted = False
-    while queue:
-        cur, word = queue.popleft()
-        if all(_accept_free(g, f"{f}@{i}", cur[i]) for i in range(d)):
-            if not verify_two_lifted_witness(g, d, word):
-                raise CrossCheckError(f"witness {''.join(word)} fails the path replay")
-            return NonUnivVerdict(True, "".join(word))
-        if len_cap is not None and len(word) >= len_cap:
-            exhausted = True
-            continue
-        for x in acts:
-            nxt = tuple(
-                view.step_action(cur[i], f"{x}@{i}") for i, view in enumerate(views)
-            )
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (x,)))
-    return NonUnivVerdict(False, None, exhausted)
+    word, _, exhausted = _least_word(g, base, d, len_cap)
+    if word is None:
+        return NonUnivVerdict(False, None, exhausted)
+    if not verify_two_lifted_witness(g, d, word):
+        raise CrossCheckError(f"witness {''.join(word)} fails the path replay")
+    return NonUnivVerdict(True, "".join(word))
 
 
 # -------------------------------------------------------- witness replaying
 
 
-def _edge_kind(act: str) -> tuple[str, int]:
-    name, _, comp = act.rpartition("@")
-    return name, int(comp)
-
-
-def _out_edges(g: LabeledGraph) -> dict[str, list[tuple[str, str]]]:
-    out: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
-    for (u, act, w) in g.edges:
-        out[u].append((act, w))
-    return out
-
-
-def verify_one_lifted_witness(g: LabeledGraph, d: int, n: int) -> bool:
-    """Path-product check of a level witness: walk the graph tracking each
-    component's action count since its last reset (saturating above n);
-    wherever a count equals n the component's accepting color must be
-    absent."""
-    base = _lifted_base(g, d, 1, "verify_one_lifted_witness")
-    f = base.colors[0]
-    a = base.actions[0]
-    out = _out_edges(g)
-    start = (g.root, (0,) * d)
-    seen = {start}
-    todo = [start]
-    while todo:
-        v, counts = todo.pop()
-        for i in range(d):
-            if counts[i] == n and g.has_color(v, f"{f}@{i}"):
-                return False
-        for (act, w) in out[v]:
-            name, i = _edge_kind(act)
-            cs = list(counts)
-            if name == RESET:
-                cs[i] = 0
-            elif name == a:
-                cs[i] = min(cs[i] + 1, n + 1)
-            state = (w, tuple(cs))
-            if state not in seen:
-                seen.add(state)
-                todo.append(state)
-    return True
-
-
-def verify_two_lifted_witness(g: LabeledGraph, d: int, word) -> bool:
-    """Path-product check of a word witness: track how far each
-    component's counted subsequence since its last reset has progressed
-    through the word, with a dead marker once it deviates; full progress
-    forbids the component's accepting color."""
-    base = _lifted_base(g, d, 2, "verify_two_lifted_witness")
-    f = base.colors[0]
-    letters = tuple(word)
+def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
+    """Path-product check of a word witness: walk the graph tracking how
+    far each component's counted actions since its last reset have
+    progressed through letters, with the dead marker len(letters) + 1
+    once they deviate; full progress forbids the component's accepting
+    color f@i."""
     full = len(letters)
-    dead = -1
-    out = _out_edges(g)
+    dead = full + 1
+    out: dict[str, list[tuple[str, int, str]]] = {v: [] for v in g.nodes}
+    for u, act, w in g.edges:
+        out[u].append((*unlift(act), w))
+    accepting = [f"{f}@{i}" for i in range(d)]
     start = (g.root, (0,) * d)
     seen = {start}
     todo = [start]
     while todo:
         v, prog = todo.pop()
-        for i in range(d):
-            if prog[i] == full and g.has_color(v, f"{f}@{i}"):
-                return False
-        for (act, w) in out[v]:
-            name, i = _edge_kind(act)
+        if any(p == full and g.has_color(v, c) for p, c in zip(prog, accepting)):
+            return False
+        for x, i, w in out[v]:
             ps = list(prog)
-            if name == RESET:
+            if x == RESET:
                 ps[i] = 0
-            elif name in base.actions:
-                if ps[i] != dead and ps[i] < full and letters[ps[i]] == name:
-                    ps[i] += 1
-                else:
-                    ps[i] = dead
+            elif ps[i] < full and letters[ps[i]] == x:
+                ps[i] += 1
+            else:
+                ps[i] = dead
             state = (w, tuple(ps))
             if state not in seen:
                 seen.add(state)
                 todo.append(state)
     return True
+
+
+def verify_one_lifted_witness(g: LabeledGraph, d: int, n: int) -> bool:
+    """Path-product check of a level witness: the word witness a^n, where
+    a count of n + 1 marks a component whose count ran past n."""
+    base = _lifted_base(g, d, 1, "verify_one_lifted_witness")
+    if n < 0:
+        raise PolymuError("n must be >= 0")
+    return _replay(g, d, base.colors[0], base.actions * n)
+
+
+def verify_two_lifted_witness(g: LabeledGraph, d: int, word: Sequence[str]) -> bool:
+    """Path-product check of a word witness, given as a sequence of base
+    action names (a string reads as its single-character names)."""
+    base = _lifted_base(g, d, 2, "verify_two_lifted_witness")
+    letters = tuple(word)
+    for x in letters:
+        if x not in base.actions:
+            raise PolymuError(f"word: {x!r} is not an action of the base signature")
+    return _replay(g, d, base.colors[0], letters)

@@ -32,8 +32,6 @@ from .queries import (
     reach_by_squaring,
     two_letter_non_universal,
     two_lifted_non_universal,
-    verify_one_lifted_witness,
-    verify_two_lifted_witness,
 )
 from .randgen import (
     Xorshift,
@@ -226,6 +224,8 @@ def _enum_one_letter_nfas() -> Iterator[LabeledGraph]:
 
 
 def check_one_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
+    # the lifted queries replay their own witnesses on paths and raise
+    # CrossCheckError, a failed check, when a replay disagrees
     total = member = bad = 0
     for g in _enum_one_letter_nfas():
         base = one_letter_non_universal(g)
@@ -235,8 +235,6 @@ def check_one_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
             pg = power(g, d)
             lifted = one_lifted_non_universal(pg, d, step_budget=cfg.step_budget)
             if lifted.member != base.member or lifted.witness != base.witness:
-                bad += 1
-            elif base.member and not verify_one_lifted_witness(pg, d, base.witness):
                 bad += 1
     balanced = min(member, total - member) * 10 >= total
     ok = bad == 0 and balanced
@@ -260,8 +258,6 @@ def check_two_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
             pg = power(g, d)
             lifted = two_lifted_non_universal(pg, d)
             if lifted.member != base.member or lifted.witness != base.witness:
-                bad += 1
-            elif base.member and not verify_two_lifted_witness(pg, d, base.witness):
                 bad += 1
     return bad == 0, f"{n} automata ({member} non-universal), {bad} lift mismatches"
 

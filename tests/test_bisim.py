@@ -380,6 +380,9 @@ def test_factor_power(loop3):
         f = factor(p, i)
         assert f.signature == loop3.signature
         assert bisimilar(f, loop3)
+    # loop3's nodes 0 and 2 are bisimilar; classes keep lex-least members
+    assert set(factor(p, 0).nodes) == {"(0,0)", "(1,0)"}
+    assert set(factor(p, 1).nodes) == {"(0,0)", "(0,1)"}
 
 
 def test_factors_recombine(loop3):

@@ -15,6 +15,7 @@ from polymu.graphs import (
     read_tree,
     split_lifted,
     unfold,
+    unlift,
     write_graph,
 )
 
@@ -64,6 +65,14 @@ def test_split_lifted_rejects_partial():
         split_lifted(Signature(["a"], ["f"]))
     with pytest.raises(GraphFormatError, match="reset"):
         split_lifted(Signature(["rst@0"], ["f@0"]))
+
+
+def test_unlift():
+    assert unlift("a@0") == ("a", 0)
+    assert unlift("rst@12") == ("rst", 12)
+    for bad in ("a", "a@", "@1", "a@b@1", "A@1"):
+        with pytest.raises(GraphFormatError, match="not of the form x@i"):
+            unlift(bad)
 
 
 def test_graph_validation_errors():

@@ -259,6 +259,7 @@ def test_generated_formulas_are_wellformed():
     inner = gen_bisim_formula(0, 1, SIG, 2)
     outer = gen_allbox(0, inner, SIG, 2)
     validate_formula(outer, lsig)
+    assert outer.root.var == "X1"  # inner binds X0
     with pytest.raises(FormulaError, match="out of range"):
         gen_bisim_formula(0, 2, SIG, 2)
     with pytest.raises(FormulaError, match="out of range"):

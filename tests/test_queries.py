@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter, deque
 
 import pytest
 
 from polymu import Signature
 from polymu.bisim import quotient
 from polymu.errors import GraphFormatError, PolymuError
-from polymu.graphs import LabeledGraph, power
+from polymu.graphs import LabeledGraph, power, split_lifted
 from polymu.queries import (
     NonUnivVerdict,
     one_letter_non_universal,
@@ -16,7 +17,7 @@ from polymu.queries import (
     verify_one_lifted_witness,
     verify_two_lifted_witness,
 )
-from polymu.randgen import Xorshift, rand_graph
+from polymu.randgen import Xorshift, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, make_graph, make_loop3
 
@@ -242,3 +243,209 @@ def test_member_is_bisimulation_invariant():
         base = two_letter_non_universal(g)
         assert two_letter_non_universal(quotient(g)) == base, k
         assert two_letter_non_universal(duplicate_node(g, g.nodes[1])) == base, k
+
+
+# ------------------------------------------- the searches and replays they replaced
+#
+# Frozenset-based copies of the four hand-written searches and the two
+# path replays that the shared subset search and progress replay took
+# over.  They are the reference the tests below compare against.
+
+
+def _ref_image(g, sub, a):
+    return frozenset(w for v in sub for w in g.succ(v, a))
+
+
+def _ref_free(g, f, sub):
+    return not any(g.has_color(v, f) for v in sub)
+
+
+def ref_one_letter(g):
+    a, f = g.signature.actions[0], g.signature.colors[0]
+    cur, seen, n = frozenset({g.root}), set(), 0
+    while True:
+        if _ref_free(g, f, cur):
+            return NonUnivVerdict(True, n)
+        if cur in seen:
+            return NonUnivVerdict(False, None)
+        seen.add(cur)
+        cur = _ref_image(g, cur, a)
+        n += 1
+
+
+def ref_two_letter(g, cap):
+    acts, f = sorted(g.signature.actions), g.signature.colors[0]
+    start = frozenset({g.root})
+    seen, queue, exhausted = {start}, deque([(start, "")]), False
+    while queue:
+        cur, word = queue.popleft()
+        if _ref_free(g, f, cur):
+            return NonUnivVerdict(True, word)
+        if cap is not None and len(word) >= cap:
+            exhausted = True
+            continue
+        for x in acts:
+            nxt = _ref_image(g, cur, x)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + x))
+    return NonUnivVerdict(False, None, exhausted)
+
+
+class RefView:
+    """Component i: other components' edges silent, rst@i refreshes the start."""
+
+    def __init__(self, g, i, counted):
+        self.g = g
+        skip = {f"{x}@{i}" for x in counted}
+        reset = f"rst@{i}"
+        self.eps = {v: [] for v in g.nodes}
+        for (u, act, w) in g.edges:
+            if act not in skip and act != reset:
+                self.eps[u].append(w)
+        reach, todo = {g.root}, [g.root]
+        while todo:
+            v = todo.pop()
+            for (u, _, w) in g.edges:
+                if u == v and w not in reach:
+                    reach.add(w)
+                    todo.append(w)
+        starts = {g.root} | {w for (u, act, w) in g.edges if act == reset and u in reach}
+        self.start = self.closure(starts)
+
+    def closure(self, sub):
+        out, todo = set(sub), list(sub)
+        while todo:
+            for w in self.eps[todo.pop()]:
+                if w not in out:
+                    out.add(w)
+                    todo.append(w)
+        return frozenset(out)
+
+    def step(self, sub, lifted_action):
+        return self.closure(_ref_image(self.g, sub, lifted_action))
+
+
+def ref_lifted(g, d, cap, one_letter):
+    base, _ = split_lifted(g.signature)
+    acts, f = sorted(base.actions), base.colors[0]
+    views = [RefView(g, i, acts) for i in range(d)]
+    start = tuple(view.start for view in views)
+    seen, queue, exhausted = {start}, deque([(start, ())]), False
+    while queue:
+        cur, word = queue.popleft()
+        if all(_ref_free(g, f"{f}@{i}", cur[i]) for i in range(d)):
+            return NonUnivVerdict(True, len(word) if one_letter else "".join(word))
+        if cap is not None and len(word) >= cap:
+            exhausted = True
+            continue
+        for x in acts:
+            nxt = tuple(view.step(cur[i], f"{x}@{i}") for i, view in enumerate(views))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (x,)))
+    return NonUnivVerdict(False, None, exhausted)
+
+
+def ref_verify(g, d, letters, one_letter):
+    """Saturating counts (one letter) or progress with a dead marker -1."""
+    base, _ = split_lifted(g.signature)
+    f, full = base.colors[0], len(letters)
+    start = (g.root, (0,) * d)
+    seen, todo = {start}, [start]
+    while todo:
+        v, prog = todo.pop()
+        if any(prog[i] == full and g.has_color(v, f"{f}@{i}") for i in range(d)):
+            return False
+        for (u, act, w) in g.edges:
+            if u != v:
+                continue
+            name, i = act.split("@")[0], int(act.split("@")[1])
+            ps = list(prog)
+            if name == "rst":
+                ps[i] = 0
+            elif one_letter:
+                ps[i] = min(ps[i] + 1, full + 1)
+            elif ps[i] != -1 and ps[i] < full and letters[ps[i]] == name:
+                ps[i] += 1
+            else:
+                ps[i] = -1
+            state = (w, tuple(ps))
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return True
+
+
+def lifted_corpus(base, seed, count):
+    """Random lifted graphs that are not powers, so components differ;
+    every other draw may leave nodes (and their resets) unreachable."""
+    for k in range(count):
+        rng = Xorshift.substream(seed, k)
+        d = 1 + k % 3
+        yield k, d, rand_lifted_graph(rng, base, d, 6, base_reachable=k % 2 == 0)
+
+
+def test_lifted_queries_match_the_replaced_searches():
+    kinds = Counter()
+    for base, one in ((SIG_AF, True), (SIG_ABF, False)):
+        for k, d, g in lifted_corpus(base, 51700 + one, 120):
+            for cap in (None, 0, 1, 2, 3):
+                if one:
+                    got = one_lifted_non_universal(g, d, step_budget=cap)
+                else:
+                    got = two_lifted_non_universal(g, d, len_cap=cap)
+                assert got == ref_lifted(g, d, cap, one), (base, k, cap)
+                kinds[one, got.member, got.exhausted_bound, got.witness in (0, "")] += 1
+    for one in (True, False):
+        assert kinds[one, True, False, False] > 0  # a non-empty witness
+        assert kinds[one, False, False, False] > 0  # universal
+        assert kinds[one, False, True, False] > 0  # cut off by the cap
+
+
+def test_plain_queries_match_the_replaced_searches():
+    members = Counter()
+    for k in range(150):
+        rng = Xorshift.substream(52800, k)
+        g = rand_graph(rng, SIG_AF, 6, color_num=1, color_den=2)
+        got = one_letter_non_universal(g)
+        assert got == ref_one_letter(g), k
+        members["one", got.member] += 1
+        g = rand_graph(rng, SIG_ABF, 4, color_num=1 + k % 2, color_den=2)
+        for cap in (None, 0, 1, 2, 3):
+            got = two_letter_non_universal(g, cap)
+            assert got == ref_two_letter(g, cap), (k, cap)
+            members["two", got.member] += 1
+    assert all(members[q, m] > 0 for q in ("one", "two") for m in (True, False))
+
+
+def test_witness_replays_match_the_replaced_replays():
+    verdicts = Counter()
+    for base, one in ((SIG_AF, True), (SIG_ABF, False)):
+        for k, d, g in lifted_corpus(base, 53900 + one, 60):
+            if one:
+                for n in range(6):
+                    got = verify_one_lifted_witness(g, d, n)
+                    assert got == ref_verify(g, d, ("a",) * n, True), (k, n)
+                    verdicts[one, got] += 1
+            else:
+                for ln in range(4):
+                    for word in itertools.product(("a", "b"), repeat=ln):
+                        got = verify_two_lifted_witness(g, d, word)
+                        assert got == ref_verify(g, d, word, False), (k, word)
+                        verdicts[one, got] += 1
+    assert all(verdicts[one, ok] > 0 for one in (True, False) for ok in (True, False))
+
+
+def test_replays_reject_malformed_witnesses():
+    accept = nfa1(["0"], "0", [], ["0"])
+    with pytest.raises(PolymuError, match="n must be >= 0"):
+        verify_one_lifted_witness(power(accept, 2), 2, -1)
+    go_stop = make_graph(Signature(("go", "stop"), ("f",)), ["0"], "0",
+                         [("0", "go", "0"), ("0", "stop", "0")], {"0": ["f"]})
+    p = power(go_stop, 2)
+    with pytest.raises(PolymuError, match="'s' is not an action"):
+        verify_two_lifted_witness(p, 2, "stop")
+    # a sequence of action names is the witness form; f holds everywhere
+    assert not verify_two_lifted_witness(p, 2, ("go", "stop"))
+    assert not verify_two_lifted_witness(p, 2, ["stop"])
