@@ -1,8 +1,9 @@
 """Bisimulations, quotients, component bisimulation families, factorization.
 
 Two independent routes are kept deliberately: largest_bisimulation
-prunes a pair relation to its greatest fixpoint, while quotient uses
-partition refinement.  Tests cross-check one against the other.
+prunes a pair relation to its greatest fixpoint, while quotient and the
+d-bisimulation family use partition refinement.  Tests cross-check one
+against the other.
 
 Pair deletion works on int pairs u * |V2| + v over the nodes' positions
 in g.index.  It runs in rounds, and every round deletes at once the pairs
@@ -14,10 +15,11 @@ relation is exactly k-step bisimilarity, as bounded_bisimilar needs.
 
 Over a lifted signature, the family rel(i, j) relates nodes whose
 component-i behavior (actions x@i, colors c@i) matches the component-j
-behavior.  The family computes each relation on first use, and rel(j, i)
-as the converse of rel(i, j).  Reset actions play no role in the family
-itself; they enter through the persistence and reset conditions checked
-on top of it.
+behavior.  The largest bisimulation between two graphs is the
+same-class relation of their disjoint union, so one refinement over the
+union of the d component views gives every rel(i, j) as class ids.
+Reset actions play no role in the family itself; they enter through
+the persistence and reset conditions checked on top of it.
 """
 from __future__ import annotations
 
@@ -137,46 +139,46 @@ def bounded_bisimilar(g1: LabeledGraph, g2: LabeledGraph, k: int) -> bool:
     return root in _delete_pairs(g1, g2, k)
 
 
-def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
-    """Bisimilarity classes of g by partition refinement, sorted.
+def _refine(labels: list, enabled: list, succs: list) -> list[int]:
+    """Class id per position of the coarsest stable partition.
 
-    Classes over node positions start from label sets and are split by
-    the signature (own class, per enabled action the set of successor
-    classes); each round numbers its classes in order of first
-    appearance.  A round only ever splits classes, so the partition is
-    stable, and the loop ends, as soon as a round leaves the class count
-    unchanged.
+    Classes start from labels and are split by the signature (own class,
+    per enabled action the set of successor classes); each round numbers
+    its classes in order of first appearance.  A round only ever splits
+    classes, so the partition is stable, and the loop ends, as soon as a
+    round leaves the class count unchanged.
     """
-    enabled, succs, _ = _int_adjacency(g)
-    keys: list = [g.label(v) for v in g.nodes]
+    keys = labels
     count = 0
     while True:
         ids: dict = {}
         cls = [ids.setdefault(k, len(ids)) for k in keys]
         if len(ids) == count:
-            break
+            return cls
         count = len(ids)
         keys = [
             (cls[u], acts, tuple(frozenset(cls[w] for w in ws) for ws in succs[u]))
             for u, acts in enumerate(enabled)
         ]
+
+
+def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
+    """Bisimilarity classes of g by partition refinement, sorted."""
+    enabled, succs, _ = _int_adjacency(g)
+    cls = _refine([g.label(v) for v in g.nodes], enabled, succs)
     groups: dict[int, list[str]] = {}
     for v, c in zip(g.nodes, cls):
         groups.setdefault(c, []).append(v)
     return sorted(tuple(sorted(members)) for members in groups.values())
 
 
-def _collapse(g: LabeledGraph, rep: Mapping[str, str]) -> LabeledGraph:
-    """g with every node merged into its representative rep[v]."""
-    nodes = sorted(set(rep.values()))
-    edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
-    labels = {r: g.label(r) for r in nodes}
-    return LabeledGraph(g.signature, nodes, rep[g.root], edges, labels)
-
-
 def quotient(g: LabeledGraph) -> LabeledGraph:
     """Quotient by bisimilarity; class ids are lex-least representatives."""
-    return _collapse(g, {v: members[0] for members in bisimulation_partition(g) for v in members})
+    classes = bisimulation_partition(g)
+    rep = {v: members[0] for members in classes for v in members}
+    nodes = [members[0] for members in classes]  # sorted, as the classes are
+    edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
+    return LabeledGraph(g.signature, nodes, rep[g.root], edges, {r: g.label(r) for r in nodes})
 
 
 def _check_component(i: int, d: int) -> None:
@@ -200,36 +202,41 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
 class DBisimFamily:
     """Largest family of component relations over one lifted graph.
 
-    Holds the d component views.  rel(i, j) is computed on first use
-    and cached; rel(j, i) of a cached rel(i, j) is its converse, which
-    is exact because the converse of a bisimulation is a bisimulation.
-    So a caller that reads only the diagonal builds d relations, and
-    one that reads every pair builds d(d+1)/2.
+    Holds the d component views and, from one refinement over their
+    disjoint union, a class id per view and node: u rel(i, j) v exactly
+    when u in view i and v in view j share a class.
     """
 
     def __init__(self, views: list[LabeledGraph]):
         self.views = tuple(views)
         self.d = len(self.views)
-        self._rels: dict[tuple[int, int], Relation] = {}
+        if any(v.signature != self.views[0].signature for v in self.views):
+            raise GraphFormatError("signature: graphs must share a signature")
+        labels, enabled, succs = [], [], []
+        for view in self.views:  # view k's positions follow those of views 0..k-1
+            off = len(labels)
+            acts, ws, _ = _int_adjacency(view)
+            labels += map(view.label, view.nodes)
+            enabled += acts
+            succs += [[[w + off for w in by_a] for by_a in s] for s in ws]
+        cls = iter(_refine(labels, enabled, succs))
+        self._cls = tuple({v: next(cls) for v in view.nodes} for view in self.views)
 
     def view(self, i: int) -> LabeledGraph:
         _check_component(i, self.d)
         return self.views[i]
 
     def rel(self, i: int, j: int) -> Relation:
-        r = self._rels.get((i, j))
-        if r is None:
-            other = self._rels.get((j, i))
-            if other is not None:
-                r = frozenset((v, u) for u, v in other)
-            else:
-                r = largest_bisimulation(self.view(i), self.view(j))
-            self._rels[(i, j)] = r
-        return r
+        for k in (i, j):
+            _check_component(k, self.d)
+        members: dict[int, list[str]] = {}
+        for v, c in self._cls[j].items():
+            members.setdefault(c, []).append(v)
+        return frozenset((u, v) for u, c in self._cls[i].items() for v in members.get(c, ()))
 
     @property
     def relations(self) -> Mapping[tuple[int, int], Relation]:
-        """Every rel(i, j), computing those not yet asked for."""
+        """Every rel(i, j)."""
         return MappingProxyType(
             {(i, j): self.rel(i, j) for i in range(self.d) for j in range(self.d)}
         )
@@ -249,8 +256,8 @@ def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
         fam = largest_d_bisimulation(g)
     for u, a, w in g.edges:
         _, i = unlift(a)
-        for j in range(fam.d):
-            if j != i and (u, w) not in fam.rel(j, j):
+        for j, cls in enumerate(fam._cls):
+            if j != i and cls[u] != cls[w]:
                 return False
     return True
 
@@ -262,20 +269,16 @@ def has_reset_property(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool
         fam = largest_d_bisimulation(g)
     for u, a, w in g.edges:
         name, i = unlift(a)
-        if name == RESET and (w, g.root) not in fam.rel(i, i):
+        if name == RESET and fam._cls[i][w] != fam._cls[i][g.root]:
             return False
     return True
 
 
 def is_power_rooted(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
-    """root rel(i, j) root for all components i, j.  The diagonal always
-    holds (rel(i, i) is reflexive) and rel(j, i) is the converse of
-    rel(i, j), so only i < j is checked, up to the first failure."""
+    """root rel(i, j) root for all components i, j: the d roots share one class."""
     if fam is None:
         fam = largest_d_bisimulation(g)
-    return all(
-        (g.root, g.root) in fam.rel(i, j) for i, j in itertools.combinations(range(fam.d), 2)
-    )
+    return len({cls[g.root] for cls in fam._cls}) <= 1
 
 
 def power_conditions(g: LabeledGraph) -> dict[str, bool]:
@@ -325,24 +328,20 @@ def power_formula_verdicts(g: LabeledGraph) -> dict[str, bool]:
 
 
 def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledGraph:
-    """Component-i factor: quotient of the component-i view by rel(i, i).
+    """Component-i factor: quotient of the component-i view by rel(i, i),
+    which is the view's own bisimilarity.
 
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.
     """
     if fam is None:
         fam = largest_d_bisimulation(g)
-    view = fam.view(i)  # rejects an out-of-range i before any relation is built
+    view = fam.view(i)  # rejects an out-of-range i before the conditions
     if not is_persistent(g, fam):
         raise PolymuError("factor: graph is not persistent")
     if not has_reset_property(g, fam):
         raise PolymuError("factor: graph lacks the reset property")
-    # rel(i, i) is an equivalence; map each node to its lex-least partner
-    rep: dict[str, str] = {}
-    for v, w in fam.rel(i, i):
-        if v not in rep or w < rep[v]:
-            rep[v] = w
-    return _collapse(view, rep)
+    return quotient(view)
 
 
 def factors(g: LabeledGraph) -> list[LabeledGraph]:

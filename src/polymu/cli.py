@@ -166,12 +166,12 @@ def _cmd_quotient(args) -> int:
 def _cmd_dbisim(args) -> int:
     g = _load_graph(args.graph)
     d = _lifted_dim(g, None, "dbisim")
-    fam = largest_d_bisimulation(g)
     if (args.i is None) != (args.j is None):
         raise PolymuError("dbisim: --i and --j go together")
+    if args.i is not None and not (0 <= args.i < d and 0 <= args.j < d):
+        raise PolymuError(f"dbisim: components must lie in 0..{d - 1}")
+    fam = largest_d_bisimulation(g)
     if args.i is not None:
-        if not (0 <= args.i < d and 0 <= args.j < d):
-            raise PolymuError(f"dbisim: components must lie in 0..{d - 1}")
         for line in relation_lines(fam.rel(args.i, args.j)):
             print(line)
         return 0

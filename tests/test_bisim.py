@@ -24,7 +24,7 @@ from polymu.bisim import (
 )
 from polymu.errors import GraphFormatError, PolymuError
 from polymu.graphs import LabeledGraph, Signature, power, product, unfold
-from polymu.randgen import Xorshift, rand_graph, rand_lifted_graph
+from polymu.randgen import Xorshift, rand_base_signature, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
 
@@ -274,50 +274,82 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_family_converse_matches_direct_computation(monkeypatch):
-    calls = _count_calls(monkeypatch, "largest_bisimulation")
+def test_family_converse_matches_direct_computation():
     base = Signature(("a", "b"), ("f", "g"))
     asymmetric = 0
     for t in range(12):
         d = 2 + t % 2
         g = rand_lifted_graph(Xorshift.substream(4, t), base, d, 9, min_nodes=5)
         fam = largest_d_bisimulation(g)
-        for i, j in itertools.combinations_with_replacement(range(d), 2):
-            fam.rel(i, j)
-        assert len(calls) == d * (d + 1) // 2, t
-        for i, j in itertools.combinations(range(d), 2):
-            calls.clear()
-            got = fam.rel(j, i)
-            assert calls == [], (t, i, j)  # the converse of the cached rel(i, j)
-            assert got == largest_bisimulation(component_view(g, j), component_view(g, i)), (t, i, j)
-            asymmetric += got != fam.rel(i, j)
-        calls.clear()
-    # a converse that returned rel(i, j) itself would fail these graphs
+        for i, j in itertools.product(range(d), repeat=2):
+            got = fam.rel(i, j)
+            assert got == largest_bisimulation(component_view(g, i), component_view(g, j)), (t, i, j)
+            asymmetric += i > j and got != fam.rel(j, i)
+    # a family that returned rel(i, j) for rel(j, i) would fail these graphs
     assert asymmetric >= 6
 
 
 def test_family_builds_only_the_relations_asked_for(monkeypatch, loop3):
+    # factors and power conditions read class ids; no pair deletion runs
     p3 = power(loop3, 3)
     calls = _count_calls(monkeypatch, "largest_bisimulation")
     for i in range(3):
-        calls.clear()
         factor(p3, i)
-        assert len(calls) == 3, i  # the diagonal only
-    calls.clear()
     assert power_conditions(p3) == {"persistent": True, "reset": True, "power_rooted": True}
-    assert len(calls) <= 6
+    assert detect_power(p3, method="dbisim")
+    assert calls == []
     views = _count_calls(monkeypatch, "component_view")
     factors(p3)
     assert len(views) == 3
-    calls.clear()
     with pytest.raises(GraphFormatError, match="component 3 out of range for dimension 3"):
         factor(p3, 3)
     with pytest.raises(GraphFormatError, match="component -1 out of range"):
         factor(p3, -1, largest_d_bisimulation(p3))
-    assert calls == []
     fam = largest_d_bisimulation(p3)
+    with pytest.raises(GraphFormatError, match="component -1 out of range"):
+        fam.rel(0, -1)
     assert len(fam.relations) == 9
-    assert len(calls) == 6
+    assert calls == []
+
+
+def _factor_is_view_quotient(g):
+    """Check every factor of g against the quotient of its view; count
+    the factors that merge nodes."""
+    fam = largest_d_bisimulation(g)
+    merged = 0
+    for i in range(fam.d):
+        want = quotient(component_view(g, i))
+        got = factor(g, i, fam)
+        assert got == want and got.nodes == want.nodes, i
+        merged += len(got.nodes) < len(g.nodes)
+    return merged
+
+
+def test_factor_is_quotient_of_view():
+    draws = merged = 0
+    for t in range(400):
+        rng = Xorshift.substream(9, t)
+        g = rand_lifted_graph(rng, rand_base_signature(rng), 1 + t % 3, 6, min_nodes=2)
+        if is_persistent(g) and has_reset_property(g):
+            draws += 1
+            merged += _factor_is_view_quotient(g)
+    assert draws >= 30 and merged >= 10, (draws, merged)
+    for t in range(30):
+        rng = Xorshift.substream(8, t)
+        sig = rand_base_signature(rng)
+        bases = [rand_graph(rng, sig, 4) for _ in range(1 + t % 3)]
+        merged += _factor_is_view_quotient(power(bases[0], len(bases)))
+        merged += _factor_is_view_quotient(product(bases))
+    assert merged >= 60, merged
+
+
+def test_factors_of_a_729_node_power():
+    base = rand_graph(Xorshift.substream(5, 1), Signature(("a", "b"), ("f", "g")), 9, min_nodes=9)
+    p = power(base, 3)
+    assert len(p.nodes) == 729
+    fs = factors(p)
+    assert len(fs) == 3
+    assert all(bisimilar(f, base) for f in fs)
 
 
 def test_power_detection_true(loop3):
