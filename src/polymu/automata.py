@@ -3,7 +3,8 @@
 A closed arity-1 formula becomes an automaton whose states are the
 subformulas of its positive normal form.  Running the automaton on a
 graph is a parity game between Exists (claims acceptance) and Forall;
-the game is solved exactly with Zielonka's recursive algorithm, which
+the game is solved exactly with Zielonka's algorithm, looping over
+opponent attractors; nesting bounded by the distinct priorities.  It
 also yields positional strategies for both players.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import FormulaError, PolymuError
+from .errors import FormulaError, PolymuError, ResourceLimitError
 from .graphs import FiniteTree, LabeledGraph, Signature
 from .logic import (
     And,
@@ -299,9 +300,10 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
 def solve_parity(game: ParityGame) -> GameResult:
     """Exact solution with winner and positional strategy per position.
 
-    Dead ends are routed to a fresh losing sink for their owner, which
-    makes the game total for the recursive attractor decomposition; the
-    sinks are stripped from the answer."""
+    Zielonka's algorithm, looping over opponent attractors; nesting
+    bounded by the distinct priorities.  Dead ends are routed to a fresh
+    losing sink for their owner, which makes the game total for the
+    attractor decomposition; the sinks are stripped from the answer."""
     n = len(game.labels)
     sink = {EXISTS: n, FORALL: n + 1}
     prio = list(game.priority) + [1, 0]
@@ -314,9 +316,11 @@ def solve_parity(game: ParityGame) -> GameResult:
     for v, ms in enumerate(moves):
         for w in ms:
             preds[w].append(v)
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * n + 200))
+    distinct = len(set(prio))
+    if 2 * distinct > sys.getrecursionlimit():
+        raise ResourceLimitError(
+            f"{distinct} distinct priorities nest deeper than the recursion limit allows"
+        )
 
     def attractor(target: set, region: set, player: int, strat: dict) -> set:
         attr = set(target)
@@ -342,46 +346,36 @@ def solve_parity(game: ParityGame) -> GameResult:
                         queue.append(u)
         return attr
 
-    def zielonka(region: set) -> tuple[set, set, dict, dict]:
-        if not region:
-            return set(), set(), {}, {}
-        p = max(prio[v] for v in region)
-        sigma = p % 2
-        top = {v for v in region if prio[v] == p}
-        s_attr: dict = {}
-        a = attractor(top, region, sigma, s_attr)
-        w0, w1, s0, s1 = zielonka(region - a)
-        w_sig, w_opp = (w0, w1) if sigma == EXISTS else (w1, w0)
-        s_sig, s_opp = (s0, s1) if sigma == EXISTS else (s1, s0)
-        if not w_opp:
-            for v in sorted(top):
-                if owner[v] == sigma:
-                    s_sig[v] = min(w for w in moves[v] if w in region)
-            s_sig.update(s_attr)
-            win_sig, win_opp, strat_opp = set(region), set(), {}
-        else:
-            s_back: dict = {}
-            b = attractor(w_opp, region, 1 - sigma, s_back)
-            w0b, w1b, s0b, s1b = zielonka(region - b)
-            wsb, wob = (w0b, w1b) if sigma == EXISTS else (w1b, w0b)
-            ssb, sob = (s0b, s1b) if sigma == EXISTS else (s1b, s0b)
-            win_sig, s_sig = wsb, ssb
-            win_opp = b | wob
-            strat_opp = dict(s_opp)
-            strat_opp.update(s_back)
-            strat_opp.update(sob)
-        if sigma == EXISTS:
-            return win_sig, win_opp, s_sig, strat_opp
-        return win_opp, win_sig, strat_opp, s_sig
+    def zielonka(region: set) -> tuple[list[set], list[dict]]:
+        """Winning regions and strategies, indexed by player."""
+        win: list[set] = [set(), set()]
+        strat: list[dict] = [{}, {}]
+        while region:
+            p = max(prio[v] for v in region)
+            sigma = p % 2
+            opp = 1 - sigma
+            top = {v for v in region if prio[v] == p}
+            s_attr: dict = {}
+            a = attractor(top, region, sigma, s_attr)
+            sub_win, sub_strat = zielonka(region - a)
+            if not sub_win[opp]:
+                strat[sigma].update(sub_strat[sigma])
+                for v in sorted(top):
+                    if owner[v] == sigma:
+                        strat[sigma][v] = min(w for w in moves[v] if w in region)
+                strat[sigma].update(s_attr)
+                win[sigma] |= region
+                break
+            strat[opp].update(sub_strat[opp])
+            b = attractor(sub_win[opp], region, opp, strat[opp])
+            win[opp] |= b
+            region = region - b
+        return win, strat
 
-    try:
-        w0, w1, s0, s1 = zielonka(set(range(n + 2)))
-    finally:
-        sys.setrecursionlimit(limit)
-
+    (w0, _), strats = zielonka(set(range(n + 2)))
     winner = tuple(EXISTS if v in w0 else FORALL for v in range(n))
     strategies: tuple[dict, dict] = ({}, {})
-    for player, s in ((EXISTS, s0), (FORALL, s1)):
+    for player, s in enumerate(strats):
         for v, w in s.items():
             if v < n and w < n:
                 strategies[player][v] = w

@@ -187,18 +187,12 @@ class LabeledGraph:
             lab[v] = frozenset(cs)
         self._labels = lab
         succ: dict[tuple[str, str], list[str]] = {}
-        pred: dict[tuple[str, str], list[str]] = {}
         for src, a, dst in self.edges:
             succ.setdefault((src, a), []).append(dst)
-            pred.setdefault((dst, a), []).append(src)
         self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
-        self._pred = {k: tuple(sorted(v)) for k, v in pred.items()}
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:
         return self._succ.get((v, a), ())
-
-    def pred(self, v: str, a: str) -> tuple[str, ...]:
-        return self._pred.get((v, a), ())
 
     def label(self, v: str) -> frozenset[str]:
         return self._labels[v]
@@ -228,7 +222,8 @@ class FiniteTree(LabeledGraph):
     """LabeledGraph whose edge relation is a tree rooted at root.
 
     Every non-root node has exactly one incoming edge and is reachable
-    from the root; the root has none.
+    from the root; the root has none.  Only each node's parent and depth
+    are kept; root paths are walked up on demand.
     """
 
     def __init__(self, signature, nodes, root, edges, labels):
@@ -244,28 +239,17 @@ class FiniteTree(LabeledGraph):
             if v != self.root and v not in parent:
                 raise GraphFormatError(f"nodes: {v!r} is unreachable from the root")
         self._parent = parent
-        paths: dict[str, tuple[str, ...]] = {self.root: (self.root,)}
-
-        def path_of(v: str) -> tuple[str, ...]:
-            if v in paths:
-                return paths[v]
-            chain = []
-            w = v
-            while w not in paths:
-                chain.append(w)
-                p = self._parent.get(w)
-                if p is None:
-                    raise GraphFormatError(f"nodes: {v!r} is not connected to the root")
-                w = p[0]
-                if len(chain) > len(self.nodes):
-                    raise GraphFormatError("edges: cycle in tree")
-            for w2 in reversed(chain):
-                paths[w2] = paths[self._parent[w2][0]] + (w2,)
-            return paths[v]
-
-        for v in self.nodes:
-            path_of(v)
-        self._paths = paths
+        depth = {self.root: 0}
+        todo = [self.root]
+        while todo:
+            v = todo.pop()
+            for _, w in self.children(v):
+                depth[w] = depth[v] + 1
+                todo.append(w)
+        # every node has a parent, so one the walk missed lies on a cycle
+        if len(depth) != len(self.nodes):
+            raise GraphFormatError("edges: cycle in tree")
+        self._depth = depth
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "FiniteTree":
@@ -277,10 +261,14 @@ class FiniteTree(LabeledGraph):
 
     def root_path(self, v: str) -> tuple[str, ...]:
         """Node sequence from the root to v, inclusive."""
-        return self._paths[v]
+        path = [v]
+        for _ in range(self._depth[v]):
+            v = self._parent[v][0]
+            path.append(v)
+        return tuple(reversed(path))
 
     def depth_of(self, v: str) -> int:
-        return len(self._paths[v]) - 1
+        return self._depth[v]
 
     def levels(self) -> list[list[str]]:
         """Nodes grouped by depth, each level sorted."""

@@ -40,23 +40,25 @@ def _validated_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:
     return path
 
 
+def _subtree(tree: FiniteTree, v: str) -> set:
+    """v and all its descendants."""
+    out, todo = {v}, [v]
+    while todo:
+        for _, w in tree.children(todo.pop()):
+            out.add(w)
+            todo.append(w)
+    return out
+
+
 def partition_nodes(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> PumpPartition:
-    """Split the nodes by root-path prefixes: before misses the prefix up
-    to v_i, after extends the prefix up to v_j, the segment is the rest."""
+    """Split the nodes by subtrees: after is v_j's subtree, the segment is
+    the rest of v_i's subtree, before is everything else."""
     path = _validated_path(tree, path)
     if not 0 < i < j <= len(path) - 1:
         raise PolymuError(f"need 0 < i < j <= {len(path) - 1}, got i={i} j={j}")
-    pre_i = tuple(path[: i + 1])
-    pre_j = tuple(path[: j + 1])
-    before, segment, after = set(), set(), set()
-    for v in tree.nodes:
-        rp = tree.root_path(v)
-        if rp[: j + 1] == pre_j:
-            after.add(v)
-        elif rp[: i + 1] == pre_i:
-            segment.add(v)
-        else:
-            before.add(v)
+    after = _subtree(tree, path[j])
+    segment = _subtree(tree, path[i]) - after
+    before = set(tree.nodes) - segment - after
     return PumpPartition(frozenset(before), frozenset(segment), frozenset(after))
 
 

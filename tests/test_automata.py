@@ -1,4 +1,6 @@
 import itertools
+import sys
+from collections import deque
 
 import pytest
 
@@ -22,7 +24,7 @@ from polymu.automata import (
     winning_state_sets,
     _sccs,
 )
-from polymu.errors import FormulaError
+from polymu.errors import FormulaError, ResourceLimitError
 from polymu.logic import Formula, Var, parse_formula, print_formula
 from polymu.randgen import Xorshift, rand_base_signature, rand_formula, rand_graph
 from polymu.semantics import models
@@ -240,6 +242,150 @@ def test_solver_against_brute_force():
         assert strategy_is_winning(g, FORALL, set(range(n)) - got, res.strategy[FORALL])
         checked += 1
     assert checked >= 60
+
+
+# ---------------------------------------------- the recursive solver it replaced
+#
+# Frozen copy of the recursive Zielonka solver that the loop form took
+# over, without its recursion-limit patch: the games below are small
+# enough for the default limit.  It is the reference the tests compare
+# winners and strategies against.
+
+
+def ref_solve_parity(game):
+    n = len(game.labels)
+    sink = {EXISTS: n, FORALL: n + 1}
+    prio = list(game.priority) + [1, 0]
+    owner = list(game.owner) + [EXISTS, FORALL]
+    moves = [m if m else (sink[game.owner[v]],) for v, m in enumerate(game.moves)]
+    moves += [(n,), (n + 1,)]
+    preds = [[] for _ in range(n + 2)]
+    for v, ms in enumerate(moves):
+        for w in ms:
+            preds[w].append(v)
+
+    def attractor(target, region, player, strat):
+        attr = set(target)
+        count = {}
+        queue = deque(sorted(target))
+        while queue:
+            v = queue.popleft()
+            for u in preds[v]:
+                if u not in region or u in attr:
+                    continue
+                if owner[u] == player:
+                    attr.add(u)
+                    strat[u] = v
+                    queue.append(u)
+                else:
+                    c = count.get(u)
+                    if c is None:
+                        c = sum(1 for w in moves[u] if w in region)
+                    c -= 1
+                    count[u] = c
+                    if c == 0:
+                        attr.add(u)
+                        queue.append(u)
+        return attr
+
+    def zielonka(region):
+        if not region:
+            return set(), set(), {}, {}
+        p = max(prio[v] for v in region)
+        sigma = p % 2
+        top = {v for v in region if prio[v] == p}
+        s_attr = {}
+        a = attractor(top, region, sigma, s_attr)
+        w0, w1, s0, s1 = zielonka(region - a)
+        w_sig, w_opp = (w0, w1) if sigma == EXISTS else (w1, w0)
+        s_sig, s_opp = (s0, s1) if sigma == EXISTS else (s1, s0)
+        if not w_opp:
+            for v in sorted(top):
+                if owner[v] == sigma:
+                    s_sig[v] = min(w for w in moves[v] if w in region)
+            s_sig.update(s_attr)
+            win_sig, win_opp, strat_opp = set(region), set(), {}
+        else:
+            s_back = {}
+            b = attractor(w_opp, region, 1 - sigma, s_back)
+            w0b, w1b, s0b, s1b = zielonka(region - b)
+            wsb, wob = (w0b, w1b) if sigma == EXISTS else (w1b, w0b)
+            ssb, sob = (s0b, s1b) if sigma == EXISTS else (s1b, s0b)
+            win_sig, s_sig = wsb, ssb
+            win_opp = b | wob
+            strat_opp = dict(s_opp)
+            strat_opp.update(s_back)
+            strat_opp.update(sob)
+        if sigma == EXISTS:
+            return win_sig, win_opp, s_sig, strat_opp
+        return win_opp, win_sig, strat_opp, s_sig
+
+    w0, _, s0, s1 = zielonka(set(range(n + 2)))
+    winner = tuple(EXISTS if v in w0 else FORALL for v in range(n))
+    strategies = ({}, {})
+    for player, s in ((EXISTS, s0), (FORALL, s1)):
+        for v, w in s.items():
+            if v < n and w < n:
+                strategies[player][v] = w
+    return winner, strategies
+
+
+def rand_game(rng):
+    n = rng.randint(1, 40)
+    n_prio = rng.randint(1, 8)
+    owner = [rng.below(2) for _ in range(n)]
+    prio = [rng.below(n_prio) for _ in range(n)]
+    moves = []
+    for _ in range(n):
+        if rng.chance(1, 6):
+            moves.append(())
+        else:
+            moves.append(sorted({rng.below(n) for _ in range(rng.randint(1, 3))}))
+    return game(owner, prio, moves)
+
+
+def test_solver_matches_recursive_reference():
+    for k in range(600):
+        g = rand_game(Xorshift.substream(4471, k))
+        res = solve_parity(g)
+        assert (res.winner, res.strategy) == ref_solve_parity(g), k
+    for k in range(150):
+        rng = Xorshift.substream(4472, k)
+        sig = rand_base_signature(rng)
+        g = acceptance_game(formula_to_apt(rand_formula(rng, sig, 1, 12), sig),
+                            rand_graph(rng, sig, 6))
+        res = solve_parity(g)
+        assert (res.winner, res.strategy) == ref_solve_parity(g), k
+
+
+def ladder(n):
+    """v_k -> v_k and v_k -> v_{k-1}, owner (k+1) mod 2, priority k mod 2:
+    every attractor peel removes one position, so peels are as many as
+    positions."""
+    owner = [(k + 1) % 2 for k in range(n)]
+    prio = [k % 2 for k in range(n)]
+    moves = [(k - 1, k) if k else (0,) for k in range(n)]
+    return game(owner, prio, moves)
+
+
+def test_solver_ladder_needs_no_recursion_limit_patch(monkeypatch):
+    def forbidden(limit):
+        raise AssertionError("setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    n = 4000
+    g = ladder(n)
+    res = solve_parity(g)
+    assert res.winner == (EXISTS,) * n
+    assert strategy_is_winning(g, EXISTS, set(range(n)), res.strategy[EXISTS])
+    assert strategy_is_winning(g, FORALL, set(), res.strategy[FORALL])
+
+
+def test_solver_rejects_priorities_nesting_past_the_recursion_limit():
+    n = sys.getrecursionlimit()
+    g = game([EXISTS] * n, list(range(n)), [(v,) for v in range(n)])
+    with pytest.raises(ResourceLimitError, match="distinct priorities"):
+        solve_parity(g)
 
 
 # ------------------------------------------------------------- runs on trees

@@ -95,7 +95,6 @@ def test_graph_validation_errors():
 def test_adjacency(loop3):
     assert loop3.succ("0", "a") == ("1",)
     assert loop3.succ("2", "a") == ("1",)
-    assert loop3.pred("1", "a") == ("0", "2")
     assert loop3.label("1") == frozenset({"f"})
     assert loop3.label("0") == frozenset()
 
@@ -206,6 +205,9 @@ def test_tree_validation():
         FiniteTree(SIG_AF, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {})
     with pytest.raises(GraphFormatError, match="unreachable"):
         FiniteTree(SIG_AF, ["0", "1"], "0", [], {})
+    # 1 and 2 are each other's parent, so neither hangs below the root
+    with pytest.raises(GraphFormatError, match="cycle in tree"):
+        FiniteTree(SIG_AF, ["0", "1", "2"], "0", [("1", "a", "2"), ("2", "a", "1")], {})
 
 
 def test_tree_paths():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from polymu import FiniteTree, PolymuError, Signature
@@ -14,9 +16,12 @@ from polymu.pumping import (
     partition_nodes,
     pump,
 )
+from polymu.graphs import unfold
+from polymu.randgen import Xorshift, rand_graph
 from polymu.semantics import models
+from polymu.xcheck import _rand_decorated_chain
 
-from conftest import SIG_AF
+from conftest import SIG_AF, SIG_ABF
 
 
 def a_chain(n):
@@ -70,6 +75,60 @@ def test_partition_errors():
         partition_nodes(t, ["v1", "v2"], 1, 1)
     with pytest.raises(PolymuError, match="not in the tree"):
         partition_nodes(t, ["v0", "x9"], 1, 1)
+
+
+def ref_partition_nodes(tree, path, i, j):
+    """The root-path-prefix partition that subtree walks replaced."""
+    pre_i = tuple(path[: i + 1])
+    pre_j = tuple(path[: j + 1])
+    before, segment, after = set(), set(), set()
+    for v in tree.nodes:
+        rp = tree.root_path(v)
+        if rp[: j + 1] == pre_j:
+            after.add(v)
+        elif rp[: i + 1] == pre_i:
+            segment.add(v)
+        else:
+            before.add(v)
+    return before, segment, after
+
+
+def test_partition_matches_root_path_prefixes():
+    cases = []
+    for k in range(40):
+        rng = Xorshift.substream(60713, k)
+        t = unfold(rand_graph(rng, SIG_ABF, 4, min_nodes=2), rng.randint(2, 4))
+        deepest = max(t.depth_of(v) for v in t.nodes)
+        cases += [(t, t.root_path(v)) for v in t.nodes if t.depth_of(v) == deepest][:3]
+        cases.append((_rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 8),
+                      [f"s{m}" for m in range(8)]))
+    pairs = 0
+    for t, path in cases:
+        for j in range(2, len(path)):
+            for i in range(1, j):
+                part = partition_nodes(t, path, i, j)
+                assert (part.before, part.segment, part.after) == ref_partition_nodes(t, path, i, j)
+                pairs += 1
+    assert pairs > 500
+
+
+def test_deep_chain_keeps_linear_state():
+    n = 8000
+    nodes = [f"v{i}" for i in range(n)]
+    edges = [(f"v{i}", "a", f"v{i+1}") for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        t = FiniteTree(SIG_AF, nodes, "v0", edges, {nodes[-1]: ["f"]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert t.depth_of(nodes[-1]) == n - 1
+    assert t.root_path(nodes[-1]) == tuple(nodes)
+    part = partition_nodes(t, nodes, 1000, 3000)
+    assert (len(part.before), len(part.segment), len(part.after)) == (1000, 2000, 5000)
+    assert len(pump(t, nodes, 1000, 3000, 0).nodes) == n - 2000
+    assert len(pump(t, nodes, 1000, 3000, 2).nodes) == n + 2000
 
 
 def test_pump_chain_counts():

@@ -1,9 +1,11 @@
-"""The benchmark tracer's targets exist in the library."""
+"""The benchmark tracer's targets exist in the library, and the library
+never patches the recursion limit."""
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_tracing_targets_resolve():
@@ -17,3 +19,9 @@ def test_tracing_targets_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_library_never_raises_the_recursion_limit():
+    sources = sorted((ROOT / "src" / "polymu").glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "setrecursionlimit" in p.read_text()] == []
