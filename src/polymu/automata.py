@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import FiniteTree, LabeledGraph, Signature
+from .graphs import FiniteTree, LabeledGraph, Signature, _check_root_path
 from .logic import (
     And,
     Box,
@@ -472,7 +472,7 @@ def accepts(apt: Apt, g: LabeledGraph) -> bool:
 def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[frozenset[int]]:
     """For each node v on the path, the states q with (v, q) won by Exists
     in the acceptance game on the tree."""
-    _check_root_path(tree, path)
+    path = _check_root_path(tree, path)
     nq = len(apt.states)
     game = acceptance_game(apt, tree)
     res = solve_parity(game)
@@ -483,20 +483,11 @@ def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[froz
     return out
 
 
-def _check_root_path(tree: FiniteTree, path: list[str]) -> None:
-    if not path or path[0] != tree.root:
-        raise PolymuError("path must start at the root")
-    for t in range(1, len(path)):
-        par = tree.parent(path[t])
-        if par is None or par[0] != path[t - 1]:
-            raise PolymuError(f"path breaks between {path[t - 1]} and {path[t]}")
-
-
 def find_pumping_pair(apt: Apt, tree: FiniteTree, path: list[str]) -> tuple[int, int]:
     """Least (i, j) with 1 <= i < j and equal Exists-winning state sets at
     path nodes i and j.  The path needs at least 2^|Q| + 2 nodes so the
     pair exists by pigeonhole; the tree must be accepted."""
-    _check_root_path(tree, path)
+    path = _check_root_path(tree, path)
     n = 2 ** len(apt.states) + 1
     if len(path) < n + 1:
         raise PolymuError(

@@ -19,12 +19,15 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, PolymuError, ResourceLimitError
 
 _NAME_RE = re.compile(r"[a-z0-9_]+(@\d+)?\Z")
 _LIFTED_RE = re.compile(r"([a-z0-9_]+)@(\d+)\Z")
 
 RESET = "rst"
+
+# product and unfold refuse to build graphs with more nodes than this
+_MAX_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,16 @@ class Signature:
         return all("@" not in n for n in self.actions + self.colors)
 
 
+@functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
+def unlift(name: str) -> tuple[str, int]:
+    """(x, i) for a lifted action or color name x@i."""
+    m = _LIFTED_RE.match(name)
+    if m is None:
+        raise GraphFormatError(f"name: {name!r} is not of the form x@i")
+    return m.group(1), int(m.group(2))
+
+
+@functools.lru_cache(maxsize=256)
 def lift_signature(sig: Signature, d: int) -> Signature:
     """Signature of d-fold products: x@i and rst@i actions, c@i colors."""
     if d < 1:
@@ -74,56 +87,29 @@ def lift_signature(sig: Signature, d: int) -> Signature:
     return Signature(actions, colors)
 
 
+@functools.lru_cache(maxsize=256)
 def split_lifted(sig: Signature) -> tuple[Signature, int]:
     """Recover (base signature, d) from a lifted signature.
 
-    Raises GraphFormatError when the signature does not have the exact
-    shape produced by lift_signature (up to reordering).
+    sig must list exactly the names of lift_signature(base, d) in any
+    order; base keeps its names in order of first appearance in sig.
+    Raises GraphFormatError otherwise.
     """
-    act_idx: dict[str, set[int]] = {}
-    col_idx: dict[str, set[int]] = {}
-    act_order: list[str] = []
-    col_order: list[str] = []
-    for name in sig.actions:
-        m = _LIFTED_RE.match(name)
-        if not m:
-            raise GraphFormatError(f"actions: {name!r} is not of the form x@i")
-        base, i = m.group(1), int(m.group(2))
-        if base not in act_idx:
-            act_idx[base] = set()
-            act_order.append(base)
-        act_idx[base].add(i)
-    for name in sig.colors:
-        m = _LIFTED_RE.match(name)
-        if not m:
-            raise GraphFormatError(f"colors: {name!r} is not of the form c@i")
-        base, i = m.group(1), int(m.group(2))
-        if base not in col_idx:
-            col_idx[base] = set()
-            col_order.append(base)
-        col_idx[base].add(i)
-    if RESET not in act_idx:
+    actions = [unlift(a) for a in sig.actions]
+    resets = [i for x, i in actions if x == RESET]
+    if not resets:
         raise GraphFormatError(f"actions: no {RESET}@i actions, not a lifted signature")
-    d = max(act_idx[RESET]) + 1
-    full = set(range(d))
-    for base, idx in itertools.chain(act_idx.items(), col_idx.items()):
-        if idx != full:
-            raise GraphFormatError(
-                f"signature: component indices for {base!r} are {sorted(idx)}, expected 0..{d - 1}"
-            )
-    act_order.remove(RESET)
-    if not act_order:
+    d = max(resets) + 1
+    base_actions = [x for x in dict.fromkeys(x for x, _ in actions) if x != RESET]
+    if not base_actions:
         raise GraphFormatError("actions: only reset actions present")
-    return Signature(act_order, col_order), d
-
-
-@functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
-def unlift(name: str) -> tuple[str, int]:
-    """(x, i) for a lifted action or color name x@i."""
-    m = _LIFTED_RE.match(name)
-    if m is None:
-        raise GraphFormatError(f"name: {name!r} is not of the form x@i")
-    return m.group(1), int(m.group(2))
+    base = Signature(base_actions, dict.fromkeys(unlift(c)[0] for c in sig.colors))
+    # sig holds d distinct rst@i only if d <= len(sig.actions); checking that
+    # first keeps a stray large index from making lift_signature build d names
+    lifted = lift_signature(base, d) if d <= len(sig.actions) else None
+    if lifted is None or set(lifted.actions + lifted.colors) != set(sig.actions + sig.colors):
+        raise GraphFormatError(f"signature: not the {d}-fold lift of its base names")
+    return base, d
 
 
 class LabeledGraph:
@@ -286,6 +272,23 @@ class FiniteTree(LabeledGraph):
         return sorted(out)
 
 
+def _check_root_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:
+    """path as a list, after checking that it runs from the root down tree edges."""
+    path = list(path)
+    if not path:
+        raise PolymuError("path is empty")
+    for v in path:
+        if v not in tree.index:
+            raise PolymuError(f"path node {v} is not in the tree")
+    if path[0] != tree.root:
+        raise PolymuError("not a root path: path must start at the root")
+    for u, v in zip(path, path[1:]):
+        parent = tree.parent(v)
+        if parent is None or parent[0] != u:
+            raise PolymuError(f"not a root path: path breaks between {u} and {v}")
+    return path
+
+
 def tuple_id(parts: Sequence[str]) -> str:
     return "(" + ",".join(parts) + ")"
 
@@ -298,6 +301,11 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
     for i, g in enumerate(graphs[1:], start=1):
         if g.signature != sig:
             raise GraphFormatError(f"graphs[{i}]: signature differs from graphs[0]")
+    size = 1
+    for g in graphs:
+        size *= len(g.nodes)
+        if size > _MAX_NODES:
+            raise ResourceLimitError(f"product: more than {_MAX_NODES} nodes")
     d = len(graphs)
     lifted = lift_signature(sig, d)
     tuples = list(itertools.product(*[g.nodes for g in graphs]))
@@ -323,6 +331,8 @@ def power(g: LabeledGraph, d: int) -> LabeledGraph:
     """d-fold product of g with itself."""
     if d < 1:
         raise GraphFormatError(f"d: must be >= 1, got {d}")
+    if d > _MAX_NODES:  # the factor list alone would be huge
+        raise ResourceLimitError(f"power: d = {d} exceeds {_MAX_NODES}")
     return product([g] * d)
 
 
@@ -341,6 +351,9 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
     nodes.append(g.root)
     labels[g.root] = g.label(g.root)
     for _ in range(depth):
+        width = sum(len(g.succ(v, a)) for _, v in frontier for a in g.signature.actions)
+        if len(nodes) + width > _MAX_NODES:
+            raise ResourceLimitError(f"unfold: more than {_MAX_NODES} nodes")
         nxt = []
         for pid, v in frontier:
             for a in g.signature.actions:

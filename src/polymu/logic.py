@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import FormulaError, ParseError
-from .graphs import RESET, Signature, lift_signature
+from .errors import FormulaError, GraphFormatError, ParseError
+from .graphs import RESET, Signature, lift_signature, unlift
 
 # ---------------------------------------------------------------- AST
 
@@ -416,9 +416,7 @@ def parse_formula(text: str, sig: Signature, arity: int) -> Formula:
     kind, val, off = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", off)
-    phi = Formula(arity, node)
-    validate_formula(phi, sig)
-    return phi
+    return Formula(arity, node)
 
 
 # ---------------------------------------------------------------- printer
@@ -469,10 +467,10 @@ def print_formula(phi: Formula) -> str:
 
 
 def _split_lifted_name(name: str) -> tuple[str, int]:
-    prefix, _, suffix = name.rpartition("@")
-    if not prefix or not suffix.isdigit():
-        raise FormulaError(f"{name!r} is not a lifted name of the form x@i")
-    return prefix, int(suffix)
+    try:
+        return unlift(name)
+    except GraphFormatError:
+        raise FormulaError(f"{name!r} is not a lifted name of the form x@i") from None
 
 
 def check_d_rooted(phi: Formula, d: int) -> bool:

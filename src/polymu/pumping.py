@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import PolymuError
-from .graphs import FiniteTree, Signature
+from .graphs import FiniteTree, Signature, _check_root_path
 from .logic import Formula
 from .semantics import models
 
@@ -25,19 +25,6 @@ class PumpPartition:
     before: frozenset
     segment: frozenset
     after: frozenset
-
-
-def _validated_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:
-    path = list(path)
-    if not path:
-        raise PolymuError("path is empty")
-    known = set(tree.nodes)
-    for v in path:
-        if v not in known:
-            raise PolymuError(f"path node {v} is not in the tree")
-    if list(tree.root_path(path[-1])) != path:
-        raise PolymuError("path is not a root path of the tree")
-    return path
 
 
 def _subtree(tree: FiniteTree, v: str) -> set:
@@ -53,7 +40,7 @@ def _subtree(tree: FiniteTree, v: str) -> set:
 def partition_nodes(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> PumpPartition:
     """Split the nodes by subtrees: after is v_j's subtree, the segment is
     the rest of v_i's subtree, before is everything else."""
-    path = _validated_path(tree, path)
+    path = _check_root_path(tree, path)
     if not 0 < i < j <= len(path) - 1:
         raise PolymuError(f"need 0 < i < j <= {len(path) - 1}, got i={i} j={j}")
     after = _subtree(tree, path[j])
@@ -68,7 +55,6 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     action, and k = 0 bridges v_{i-1} straight to v_j."""
     if k < 0:
         raise PolymuError("k must be >= 0")
-    path = _validated_path(tree, path)
     part = partition_nodes(tree, path, i, j)
     seg = part.segment
 

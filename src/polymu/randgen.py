@@ -93,12 +93,11 @@ def rand_graph(
     sig: Signature,
     max_nodes: int,
     min_nodes: int = 1,
-    edge_num: int = 1,
     edge_den: int = 3,
     color_num: int = 1,
     color_den: int = 3,
 ) -> LabeledGraph:
-    """Random graph: each possible edge with probability edge_num/edge_den,
+    """Random graph: each possible edge with probability 1/edge_den,
     each color on each node with probability color_num/color_den."""
     n = rng.randint(min_nodes, max_nodes)
     nodes = [str(i) for i in range(n)]
@@ -106,7 +105,7 @@ def rand_graph(
     for u in nodes:
         for a in sig.actions:
             for v in nodes:
-                if rng.chance(edge_num, edge_den):
+                if rng.chance(1, edge_den):
                     edges.append((u, a, v))
     labels = {
         v: [c for c in sig.colors if rng.chance(color_num, color_den)] for v in nodes
@@ -155,7 +154,6 @@ class FormulaGenOptions:
     dia: list[tuple[str, int]]
     box: list[tuple[str, int]]
     replaces: list[tuple[int, ...]] = field(default_factory=list)
-    allow_neg: bool = True
 
 
 def _rand_node(rng: Xorshift, opt: FormulaGenOptions, budget: int, scope: list[str],
@@ -178,8 +176,7 @@ def _rand_node(rng: Xorshift, opt: FormulaGenOptions, budget: int, scope: list[s
         picks += ["and", "or"]
     if opt.box:
         picks.append("box")
-    if opt.allow_neg:
-        picks.append("neg")
+    picks.append("neg")
     if opt.replaces:
         picks.append("repl")
     kind = rng.choice(picks)
@@ -208,21 +205,16 @@ def _rand_node(rng: Xorshift, opt: FormulaGenOptions, budget: int, scope: list[s
     return cls(name, _rand_node(rng, opt, budget - 1, scope + [name], fresh))
 
 
-def rand_formula(rng: Xorshift, sig: Signature, arity: int, size: int,
-                 allow_replace: bool = True, allow_neg: bool = True) -> Formula:
+def rand_formula(rng: Xorshift, sig: Signature, arity: int, size: int) -> Formula:
     """Random well-formed formula of the given arity, at most size nodes."""
     comps = range(arity)
-    replaces = []
-    if allow_replace and arity >= 1:
-        for _ in range(arity):
-            replaces.append(tuple(rng.below(arity) for _ in range(arity)))
+    replaces = [tuple(rng.below(arity) for _ in range(arity)) for _ in range(arity)]
     opt = FormulaGenOptions(
         arity=arity,
         colors=[(c, i) for c in sig.colors for i in comps],
         dia=[(a, i) for a in sig.actions for i in comps],
         box=[(a, i) for a in sig.actions for i in comps],
         replaces=replaces,
-        allow_neg=allow_neg,
     )
     return Formula(arity, _rand_node(rng, opt, size, [], [0]))
 

@@ -2,13 +2,22 @@
 sample count.  One test per suite, so the verbose report reads as one
 pass/fail line per criterion."""
 
-from polymu.xcheck import RunConfig, run_check
+from pathlib import Path
+
+from polymu.xcheck import CHECKS, RunConfig, format_report, run_check
 
 CFG = RunConfig()
+RESULTS = {}  # suite index -> CheckResult, shared with the report gate below
+
+
+def _run(index: int):
+    if index not in RESULTS:
+        RESULTS[index] = run_check(index, CFG)
+    return RESULTS[index]
 
 
 def _require(index: int):
-    r = run_check(index, CFG)
+    r = _run(index)
     assert r.ok, f"[{r.index}] {r.name}: {r.detail}"
     return r
 
@@ -81,3 +90,10 @@ def test_c11_word_tree_regularity():
 def test_c12_bisim_invariance():
     # same corpus as the round-trip suite, evaluated on quotients
     _require(12)
+
+
+def test_report_matches_seed7_golden():
+    # the full report, byte for byte, as `polymu xcheck --seed 7` prints it;
+    # suites already run above are not run again
+    report = format_report(CFG, [_run(idx) for idx, _, _ in CHECKS]) + "\n"
+    assert report == (Path(__file__).parent / "data" / "xcheck_seed7.txt").read_text()

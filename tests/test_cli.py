@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,29 @@ def test_input_error_exit_codes(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--graph", "x.json"])  # missing --formula
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["power", "-d", "30"], "product: more than 1048576 nodes"),  # 3^30 nodes
+    (["power", "-d", "10000000000"], "power: d = 10000000000 exceeds 1048576"),
+    (["unfold", "--depth", "30"], "unfold: more than 1048576 nodes"),  # 32^4 at depth 4
+])
+def test_exploding_builders_exit_2_before_allocating(capsys, tmp_path, ex1, argv, message):
+    graph = ex1
+    if argv[0] == "unfold":
+        nodes = [str(k) for k in range(32)]
+        g = LabeledGraph(Signature(("a",), ("f",)), nodes, "0",
+                         [(u, "a", v) for u in nodes for v in nodes], {})
+        graph = tmp_path / "complete32.json"
+        graph.write_text(write_graph(g))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--graph", str(graph))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert peak < 32 << 20
 
 
 def test_python_m_polymu_runs_the_cli():

@@ -1,5 +1,7 @@
 """Core graph type, products, unfolding, serialization."""
 import itertools
+import random
+import re
 
 import pytest
 
@@ -7,6 +9,7 @@ from polymu.errors import GraphFormatError
 from polymu.graphs import (
     FiniteTree,
     LabeledGraph,
+    RESET,
     Signature,
     lift_signature,
     power,
@@ -18,6 +21,7 @@ from polymu.graphs import (
     unlift,
     write_graph,
 )
+from polymu.randgen import Xorshift, rand_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
 
@@ -65,6 +69,114 @@ def test_split_lifted_rejects_partial():
         split_lifted(Signature(["a"], ["f"]))
     with pytest.raises(GraphFormatError, match="reset"):
         split_lifted(Signature(["rst@0"], ["f@0"]))
+
+
+_LIFTED_RE = re.compile(r"([a-z0-9_]+)@(\d+)\Z")
+
+
+def ref_split_lifted(sig: Signature) -> tuple[Signature, int]:
+    """split_lifted as it stood with its own name loop, frozen as the reference."""
+    act_idx: dict[str, set[int]] = {}
+    col_idx: dict[str, set[int]] = {}
+    act_order: list[str] = []
+    col_order: list[str] = []
+    for name in sig.actions:
+        m = _LIFTED_RE.match(name)
+        if not m:
+            raise GraphFormatError(f"actions: {name!r} is not of the form x@i")
+        base, i = m.group(1), int(m.group(2))
+        if base not in act_idx:
+            act_idx[base] = set()
+            act_order.append(base)
+        act_idx[base].add(i)
+    for name in sig.colors:
+        m = _LIFTED_RE.match(name)
+        if not m:
+            raise GraphFormatError(f"colors: {name!r} is not of the form c@i")
+        base, i = m.group(1), int(m.group(2))
+        if base not in col_idx:
+            col_idx[base] = set()
+            col_order.append(base)
+        col_idx[base].add(i)
+    if RESET not in act_idx:
+        raise GraphFormatError(f"actions: no {RESET}@i actions, not a lifted signature")
+    d = max(act_idx[RESET]) + 1
+    full = set(range(d))
+    for base, idx in itertools.chain(act_idx.items(), col_idx.items()):
+        if idx != full:
+            raise GraphFormatError(
+                f"signature: component indices for {base!r} are {sorted(idx)}, expected 0..{d - 1}"
+            )
+    act_order.remove(RESET)
+    if not act_order:
+        raise GraphFormatError("actions: only reset actions present")
+    return Signature(act_order, col_order), d
+
+
+def _split_or_error(split, sig):
+    try:
+        return split(sig)
+    except GraphFormatError:
+        return "error"
+
+
+def _signature_corpus(rng, count):
+    """Shuffled lifts at d = 1..3, lifts with one name dropped or added, and
+    random name sets.  No index has a leading zero: "a@01" decodes like
+    "a@1" but is no lifted name, and only the reference accepts it."""
+    pool = [f"{x}@{i}" for x in ("a", "b", "f", "g", RESET) for i in range(4)] + ["a", "f"]
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 2:
+            names = rng.sample(pool, rng.randint(2, 9))
+            cut = rng.randint(1, len(names) - 1)
+            actions, colors = names[:cut], names[cut:]
+        else:
+            d = rng.randint(1, 3)
+            base = Signature(rng.sample("abc", rng.randint(1, 3)), rng.sample("fgh", rng.randint(1, 3)))
+            lifted = lift_signature(base, d)
+            actions, colors = list(lifted.actions), list(lifted.colors)
+            if kind == 1:
+                side = rng.choice([actions, colors])
+                if rng.randint(0, 1) and len(side) > 1:
+                    side.pop(rng.randrange(len(side)))
+                else:
+                    side.append(f"{rng.choice('abcfgh') if rng.randint(0, 3) else RESET}@{rng.randint(0, d)}")
+            rng.shuffle(actions)
+            rng.shuffle(colors)
+        try:
+            out.append(Signature(actions, colors))
+        except GraphFormatError:  # duplicate names
+            pass
+    return out
+
+
+def test_split_lifted_matches_reference():
+    sigs = _signature_corpus(random.Random(8), 5400)
+    results = [_split_or_error(split_lifted, s) for s in sigs]
+    assert results == [_split_or_error(ref_split_lifted, s) for s in sigs]
+    assert 1000 < sum(r != "error" for r in results) < 4400
+    # only the exact names of a lift pass, so a zero-padded index fails
+    with pytest.raises(GraphFormatError):
+        split_lifted(Signature(["a@0", "a@01", "rst@0", "rst@1"], ["f@0", "f@1"]))
+    # a stray large index is refused without building the lift it names
+    with pytest.raises(GraphFormatError):
+        split_lifted(Signature(["a@0", "rst@0", f"rst@{10 ** 12}"], ["f@0"]))
+
+
+def test_power_builds_each_signature_once(monkeypatch):
+    pool = [Signature(a, c) for a, c in (("a", "f"), ("ab", "f"), ("a", "fg"), ("ab", "fg"))]
+    rng = Xorshift(21)
+    graphs = [rand_graph(rng, pool[k % 4], 3) for k in range(100)]
+    lift_signature.cache_clear()
+    split_lifted.cache_clear()
+    built = []
+    init = Signature.__init__
+    monkeypatch.setattr(Signature, "__init__", lambda self, *a: built.append(init(self, *a)))
+    for g in graphs:
+        assert split_lifted(power(g, 2).signature) == (g.signature, 2)
+    assert len(built) == 8  # one lift and one split per base signature
 
 
 def test_unlift():

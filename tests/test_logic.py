@@ -1,4 +1,6 @@
 """Formula syntax: parser, printer, arity transforms, generated formulas."""
+import random
+
 import pytest
 
 from polymu.errors import FormulaError, ParseError
@@ -35,6 +37,7 @@ from polymu.logic import (
     print_formula,
     validate_formula,
 )
+from polymu.randgen import Xorshift, rand_formula
 
 SIG = Signature(["a", "b"], ["f"])
 SIG3 = Signature(["a"], ["f", "g", "h"])
@@ -172,6 +175,52 @@ def test_validate_formula_rejects():
         validate_formula(Formula(2, Replace((0,), TT())), SIG)
     with pytest.raises(FormulaError, match="arity"):
         validate_formula(Formula(0, TT()), SIG)
+
+
+_SNIPPETS = ["~", "X0", "X1", "mu X0. ", "nu X1. ", "%{0,1}", "%{1}", "%{2,0,1}", "@2", "@0",
+             "<a@1>", "[b@0]", "<q>", "f@2", "g", "&", "|", "(", ")", ".", "tt", "mu"]
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:k] + rng.choice(_SNIPPETS) + text[k:]
+        elif op == 1:
+            text = text[:k] + text[k + rng.randint(1, 3):]
+        elif op == 2:
+            text = text[:k] + rng.choice("abfgqX01~<>[]") + text[k + 1:]
+        elif op == 3:
+            old, new = rng.sample(rng.choice([["X0", "X1", "X2"], ["@0", "@1", "@2"]]), 2)
+            text = text.replace(old, new, rng.randint(1, 2))
+        else:
+            k = text.rfind("X", 0, k)
+            text = text[:k] + "~" + text[k:] if k > 0 else text
+    return text
+
+
+def test_parser_alone_enforces_every_rule():
+    # parse_formula runs no second validation pass, so whatever it accepts
+    # from mutated texts must already pass validate_formula
+    rng = random.Random(9)
+    sigs = [SIG, SIG3, lift_signature(SIG, 2)]
+    accepted, rejected = 0, ""
+    for k in range(3600):
+        sig = sigs[k % 3]
+        phi = rand_formula(Xorshift.substream(9, k), sig, 1 + k % 3, 2 + k % 11)
+        arity = phi.arity if rng.randint(0, 3) else rng.randint(1, 3)
+        try:
+            psi = parse_formula(_mutate(rng, print_formula(phi)), sig, arity)
+        except FormulaError as e:
+            rejected += str(e) + "\n"
+            continue
+        validate_formula(psi, sig)
+        accepted += 1
+    assert 600 < accepted < 3000
+    for rule in ("unknown color", "unknown action", "out of range", "replacement lists",
+                 "bound twice", "negative occurrence"):
+        assert rejected.count(rule) >= 10, rule
 
 
 def test_size_and_vars():

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from polymu import FiniteTree, PolymuError, Signature
-from polymu.automata import find_pumping_pair, formula_to_apt, accepts
+from polymu.automata import find_pumping_pair, formula_to_apt, accepts, winning_state_sets
 from polymu.logic import parse_formula
 from polymu.pumping import (
     DEFAULT_WORD_SIG,
@@ -75,6 +75,30 @@ def test_partition_errors():
         partition_nodes(t, ["v1", "v2"], 1, 1)
     with pytest.raises(PolymuError, match="not in the tree"):
         partition_nodes(t, ["v0", "x9"], 1, 1)
+
+
+_APT_F = formula_to_apt(parse_formula("f", SIG_AF, 1), SIG_AF)
+
+PATH_USERS = {
+    "winning_state_sets": lambda t, path: winning_state_sets(_APT_F, t, path),
+    "find_pumping_pair": lambda t, path: find_pumping_pair(_APT_F, t, path),
+    "partition_nodes": lambda t, path: partition_nodes(t, path, 1, 2),
+    "pump": lambda t, path: pump(t, path, 1, 2, 2),
+}
+
+
+@pytest.mark.parametrize("user", sorted(PATH_USERS))
+@pytest.mark.parametrize("path, message", [
+    ([], "path is empty"),
+    (["v0", "x9", "v2"], "path node x9 is not in the tree"),
+    (["v1", "v2", "v3"], "not a root path: path must start at the root"),
+    (["v0", "v2", "v3"], "not a root path: path breaks between v0 and v2"),
+    (["v0", "v0", "v1"], "not a root path: path breaks between v0 and v0"),
+])
+def test_every_path_user_rejects_alike(user, path, message):
+    with pytest.raises(PolymuError) as err:
+        PATH_USERS[user](a_chain(4), path)
+    assert str(err.value) == message
 
 
 def ref_partition_nodes(tree, path, i, j):
