@@ -176,9 +176,11 @@ def quotient(g: LabeledGraph) -> LabeledGraph:
     """Quotient by bisimilarity; class ids are lex-least representatives."""
     classes = bisimulation_partition(g)
     rep = {v: members[0] for members in classes for v in members}
-    nodes = [members[0] for members in classes]  # sorted, as the classes are
+    nodes = tuple(members[0] for members in classes)  # sorted, as the classes are
     edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
-    return LabeledGraph(g.signature, nodes, rep[g.root], edges, {r: g.label(r) for r in nodes})
+    return LabeledGraph._trusted(
+        g.signature, nodes, rep[g.root], edges, {r: g.label(r) for r in nodes}
+    )
 
 
 def _check_component(i: int, d: int) -> None:
@@ -195,8 +197,8 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
         name, k = unlift(a)
         if name != RESET and k == i:
             edges.append((u, name, w))
-    labels = {v: [c for c, k in map(unlift, g.label(v)) if k == i] for v in g.nodes}
-    return LabeledGraph(base, g.nodes, g.root, edges, labels)
+    labels = {v: frozenset(c for c, k in map(unlift, g.label(v)) if k == i) for v in g.nodes}
+    return LabeledGraph._trusted(base, g.nodes, g.root, edges, labels)
 
 
 class DBisimFamily:

@@ -9,6 +9,12 @@ The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
 x-edge of factor i, action rst@i resets component i to the root of
 factor i, and color c@i holds where component i carries c.
+
+LabeledGraph(...), and read_graph with it, is the validating boundary:
+it checks every node id, edge, action and color it is given.  Graphs
+the library derives from graphs it already holds (product, unfold,
+bisim.quotient, bisim.component_view, pumping.pump) are built through
+LabeledGraph._trusted, which checks only that the ids are distinct.
 """
 from __future__ import annotations
 
@@ -26,8 +32,10 @@ _LIFTED_RE = re.compile(r"([a-z0-9_]+)@(\d+)\Z")
 
 RESET = "rst"
 
-# product and unfold refuse to build graphs with more nodes than this
+# product, unfold and pumping.pump refuse to build graphs with more nodes than this
 _MAX_NODES = 1 << 20
+# unfold ids are whole paths, so their total length has a budget of its own
+_MAX_ID_CHARS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,36 @@ class LabeledGraph:
                     raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
             lab[v] = frozenset(cs)
         self._labels = lab
+        self._link()
+
+    @classmethod
+    def _trusted(cls, signature, nodes, root, edges, labels):
+        """Graph from parts the library derived from graphs it already holds.
+
+        nodes: a tuple of ids; edges: distinct (src, action, dst) triples
+        over them; labels: every node id to a frozenset of colors.  Only
+        distinct ids are checked, as building index finds a duplicate for
+        free; derived ids such as "(u,v)" can collide when the ids they
+        are made of contain the separator.
+        """
+        g = cls.__new__(cls)
+        g.signature = signature
+        g.nodes = nodes
+        g.root = root
+        g.index = dict(zip(nodes, range(len(nodes))))
+        if len(g.index) != len(nodes):
+            seen: set[str] = set()
+            for i, v in enumerate(nodes):
+                if v in seen:
+                    raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
+                seen.add(v)
+        g.edges = tuple(edges)
+        g._labels = labels
+        g._link()
+        return g
+
+    def _link(self) -> None:
+        """Adjacency from self.edges: successor tuples sorted by id."""
         succ: dict[tuple[str, str], list[str]] = {}
         for src, a, dst in self.edges:
             succ.setdefault((src, a), []).append(dst)
@@ -212,8 +250,9 @@ class FiniteTree(LabeledGraph):
     are kept; root paths are walked up on demand.
     """
 
-    def __init__(self, signature, nodes, root, edges, labels):
-        super().__init__(signature, nodes, root, edges, labels)
+    def _link(self) -> None:
+        """Adjacency, then the tree shape check that fills parents and depths."""
+        super()._link()
         parent: dict[str, tuple[str, str]] = {}
         for src, a, dst in self.edges:
             if dst == self.root:
@@ -239,7 +278,8 @@ class FiniteTree(LabeledGraph):
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "FiniteTree":
-        return cls(g.signature, g.nodes, g.root, g.edges, {v: g.label(v) for v in g.nodes})
+        # g's parts were checked when g was built; only the tree shape is new
+        return cls._trusted(g.signature, g.nodes, g.root, g.edges, g._labels)
 
     def parent(self, v: str) -> tuple[str, str] | None:
         """(parent node, action of the incoming edge), None for the root."""
@@ -306,25 +346,38 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
         size *= len(g.nodes)
         if size > _MAX_NODES:
             raise ResourceLimitError(f"product: more than {_MAX_NODES} nodes")
-    d = len(graphs)
-    lifted = lift_signature(sig, d)
-    tuples = list(itertools.product(*[g.nodes for g in graphs]))
-    ids = {t: tuple_id(t) for t in tuples}
-    labels = {
-        ids[t]: [f"{c}@{i}" for i in range(d) for c in graphs[i].label(t[i])]
-        for t in tuples
-    }
+    lifted = lift_signature(sig, len(graphs))
+    # per component i and base position k: the lifted colors, and the moves
+    # as (x@i, offset to the target's position) with rst@i last; component
+    # i steps a product position by the node counts of the factors after i
+    parts = []
+    stride = size
+    root = 0
+    for i, g in enumerate(graphs):
+        stride //= len(g.nodes)
+        idx = g.index
+        r = idx[g.root]
+        root += r * stride
+        names = [(a, f"{a}@{i}") for a in sig.actions]
+        reset = f"{RESET}@{i}"
+        parts.append([
+            (
+                frozenset(f"{c}@{i}" for c in g.label(v)),
+                [(name, (idx[u] - k) * stride) for a, name in names for u in g.succ(v, a)]
+                + [(reset, (r - k) * stride)],
+            )
+            for k, v in enumerate(g.nodes)
+        ])
+    ids = tuple(map(tuple_id, itertools.product(*[g.nodes for g in graphs])))
+    labels: dict[str, frozenset[str]] = {}
     edges: list[tuple[str, str, str]] = []
-    for t in tuples:
-        for i in range(d):
-            for a in sig.actions:
-                for u in graphs[i].succ(t[i], a):
-                    t2 = t[:i] + (u,) + t[i + 1 :]
-                    edges.append((ids[t], f"{a}@{i}", ids[t2]))
-            t_rst = t[:i] + (graphs[i].root,) + t[i + 1 :]
-            edges.append((ids[t], f"{RESET}@{i}", ids[t_rst]))
-    root = ids[tuple(g.root for g in graphs)]
-    return LabeledGraph(lifted, [ids[t] for t in tuples], root, edges, labels)
+    for p, combo in enumerate(itertools.product(*parts)):
+        src = ids[p]
+        labels[src] = frozenset().union(*[colors for colors, _ in combo])
+        for _, moves in combo:
+            for name, off in moves:
+                edges.append((src, name, ids[p + off]))
+    return LabeledGraph._trusted(lifted, ids, ids[root], edges, labels)
 
 
 def power(g: LabeledGraph, d: int) -> LabeledGraph:
@@ -350,10 +403,18 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
     frontier = [(g.root, g.root)]
     nodes.append(g.root)
     labels[g.root] = g.label(g.root)
+    chars = len(g.root)
     for _ in range(depth):
-        width = sum(len(g.succ(v, a)) for _, v in frontier for a in g.signature.actions)
+        width = 0
+        for pid, v in frontier:
+            for a in g.signature.actions:
+                ws = g.succ(v, a)
+                width += len(ws)
+                chars += len(ws) * (len(pid) + len(a) + 2) + sum(map(len, ws))
         if len(nodes) + width > _MAX_NODES:
             raise ResourceLimitError(f"unfold: more than {_MAX_NODES} nodes")
+        if chars > _MAX_ID_CHARS:
+            raise ResourceLimitError(f"unfold: more than {_MAX_ID_CHARS} id characters")
         nxt = []
         for pid, v in frontier:
             for a in g.signature.actions:
@@ -364,7 +425,7 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
                     edges.append((pid, a, cid))
                     nxt.append((cid, w))
         frontier = nxt
-    return FiniteTree(g.signature, nodes, g.root, edges, labels)
+    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, edges, labels)
 
 
 def read_graph(data) -> LabeledGraph:

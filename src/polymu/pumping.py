@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import PolymuError
-from .graphs import FiniteTree, Signature, _check_root_path
+from .errors import PolymuError, ResourceLimitError
+from .graphs import _MAX_NODES, FiniteTree, Signature, _check_root_path
 from .logic import Formula
 from .semantics import models
 
@@ -57,6 +57,8 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
         raise PolymuError("k must be >= 0")
     part = partition_nodes(tree, path, i, j)
     seg = part.segment
+    if len(part.before) + len(part.after) + k * len(seg) > _MAX_NODES:
+        raise ResourceLimitError(f"pump: more than {_MAX_NODES} nodes")
 
     def cid(v: str, c: int) -> str:
         return f"({v},{c})"
@@ -91,7 +93,7 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     for c in range(k - 1):
         edges.append((cid(path[j - 1], c), exit_action, cid(path[i], c + 1)))
 
-    return FiniteTree(tree.signature, nodes, tree.root, edges, labels)
+    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, edges, labels)
 
 
 def canonical_tree_form(tree: FiniteTree):

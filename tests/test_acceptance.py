@@ -97,3 +97,10 @@ def test_report_matches_seed7_golden():
     # suites already run above are not run again
     report = format_report(CFG, [_run(idx) for idx, _, _ in CHECKS]) + "\n"
     assert report == (Path(__file__).parent / "data" / "xcheck_seed7.txt").read_text()
+
+
+def test_report_matches_seed11_golden():
+    # the same comparison at the second committed seed, as `polymu xcheck --seed 11`
+    cfg = RunConfig(seed=11)
+    report = format_report(cfg, [run_check(idx, cfg) for idx, _, _ in CHECKS]) + "\n"
+    assert report == (Path(__file__).parent / "data" / "xcheck_seed11.txt").read_text()

@@ -331,14 +331,25 @@ def test_input_error_exit_codes(capsys, tmp_path):
     (["power", "-d", "30"], "product: more than 1048576 nodes"),  # 3^30 nodes
     (["power", "-d", "10000000000"], "power: d = 10000000000 exceeds 1048576"),
     (["unfold", "--depth", "30"], "unfold: more than 1048576 nodes"),  # 32^4 at depth 4
+    # a self-loop: ids of 1 + 4k characters at depth k, 2k^2 in all
+    (["unfold", "--depth", "10000"], "unfold: more than 16777216 id characters"),
+    (["pump", "--path", "0,1,2,3", "--i", "1", "--j", "2", "--k", "10000000"],
+     "pump: more than 1048576 nodes"),  # a 4-node chain, 3 + k nodes
 ])
 def test_exploding_builders_exit_2_before_allocating(capsys, tmp_path, ex1, argv, message):
     graph = ex1
     if argv[0] == "unfold":
-        nodes = [str(k) for k in range(32)]
+        # the complete graph on 32 nodes, or on 1 node (a self-loop) for the id budget
+        nodes = [str(k) for k in range(32 if argv[2] == "30" else 1)]
         g = LabeledGraph(Signature(("a",), ("f",)), nodes, "0",
                          [(u, "a", v) for u in nodes for v in nodes], {})
-        graph = tmp_path / "complete32.json"
+        graph = tmp_path / "complete.json"
+        graph.write_text(write_graph(g))
+    if argv[0] == "pump":
+        nodes = ["0", "1", "2", "3"]
+        g = LabeledGraph(Signature(("a",), ("f",)), nodes, "0",
+                         [(u, "a", v) for u, v in zip(nodes, nodes[1:])], {})
+        graph = tmp_path / "chain4.json"
         graph.write_text(write_graph(g))
     tracemalloc.start()
     try:

@@ -1,11 +1,12 @@
 """Core graph type, products, unfolding, serialization."""
 import itertools
+import json
 import random
 import re
 
 import pytest
 
-from polymu.errors import GraphFormatError
+from polymu.errors import GraphFormatError, ResourceLimitError
 from polymu.graphs import (
     FiniteTree,
     LabeledGraph,
@@ -407,3 +408,170 @@ def test_product_label_and_edge_semantics_brute():
             v = "(" + ",".join(t) + ")"
             want = {f"{c}@{i}" for i in range(d) for c in g.label(t[i])}
             assert p.label(v) == frozenset(want)
+
+
+# ---------------------------------------------- the trusted construction path
+
+
+def ref_product(graphs):
+    """product as it stood before the trusted path: tuple-keyed, and built
+    through the validating constructor.  Kept frozen as the oracle."""
+    if not graphs:
+        raise GraphFormatError("graphs: need at least one factor")
+    sig = graphs[0].signature
+    for i, g in enumerate(graphs[1:], start=1):
+        if g.signature != sig:
+            raise GraphFormatError(f"graphs[{i}]: signature differs from graphs[0]")
+    d = len(graphs)
+    lifted = lift_signature(sig, d)
+    tuples = list(itertools.product(*[g.nodes for g in graphs]))
+    ids = {t: "(" + ",".join(t) + ")" for t in tuples}
+    labels = {
+        ids[t]: [f"{c}@{i}" for i in range(d) for c in graphs[i].label(t[i])]
+        for t in tuples
+    }
+    edges = []
+    for t in tuples:
+        for i in range(d):
+            for a in sig.actions:
+                for u in graphs[i].succ(t[i], a):
+                    t2 = t[:i] + (u,) + t[i + 1 :]
+                    edges.append((ids[t], f"{a}@{i}", ids[t2]))
+            t_rst = t[:i] + (graphs[i].root,) + t[i + 1 :]
+            edges.append((ids[t], f"{RESET}@{i}", ids[t_rst]))
+    root = ids[tuple(g.root for g in graphs)]
+    return LabeledGraph(lifted, [ids[t] for t in tuples], root, edges, labels)
+
+
+# ids that sort apart from the tuple ids built from them: "(a!,…" < "(a,…"
+ODD_IDS = ["a", "a!", "a+", "a,b", "(", ")", "b)", "a,", "1", "10"]
+
+
+def _renamed(g, names, root):
+    """g with its ids renamed in order to names, rooted at old node id root."""
+    to = dict(zip(g.nodes, names))
+    return LabeledGraph(
+        g.signature, [to[v] for v in g.nodes], to[root],
+        [(to[u], a, to[w]) for u, a, w in g.edges], {to[v]: g.label(v) for v in g.nodes},
+    )
+
+
+def _assert_same_graph(got, want):
+    assert type(got) is type(want)
+    assert got.signature == want.signature
+    assert (got.nodes, got.root, got.edges) == (want.nodes, want.root, want.edges)
+    assert got.index == want.index
+    assert got._succ == want._succ
+    assert all(list(ws) == sorted(ws) for ws in got._succ.values())
+    assert [got.label(v) for v in got.nodes] == [want.label(v) for v in want.nodes]
+    assert write_graph(got) == write_graph(want)
+
+
+def _rebuilt(g):
+    """g rebuilt from its own parts through the validating constructor."""
+    return type(g)(g.signature, g.nodes, g.root, g.edges, {v: g.label(v) for v in g.nodes})
+
+
+def test_product_matches_validating_reference():
+    sig = Signature(("a", "b"), ("f", "g"))
+    odd = 0
+    for k in range(600):
+        rng = Xorshift.substream(40960, k)
+        d = 1 + k % 3
+        factors = [rand_graph(rng, sig, (6, 5, 4)[d - 1]) for _ in range(d)]
+        pick = random.Random(k)
+        odd += k % 5 >= 3  # two in five with the odd ids
+        factors = [
+            _renamed(f, pick.sample(ODD_IDS, len(f.nodes)) if k % 5 >= 3 else f.nodes,
+                     pick.choice(f.nodes))
+            for f in factors
+        ]
+        got = product(factors)
+        _assert_same_graph(got, ref_product(factors))
+        _assert_same_graph(got, _rebuilt(got))
+    assert odd == 240
+
+
+def test_product_keeps_the_duplicate_id_check():
+    # ("a,b", "c") and ("a", "b,c") both give the id "(a,b,c)"
+    factors = [
+        LabeledGraph(SIG_AF, ["a,b", "a"], "a", [], {}),
+        LabeledGraph(SIG_AF, ["c", "b,c"], "c", [], {}),
+    ]
+    with pytest.raises(GraphFormatError) as want:
+        ref_product(factors)
+    with pytest.raises(GraphFormatError) as got:
+        product(factors)
+    assert str(got.value) == str(want.value) == "nodes[3]: duplicate id '(a,b,c)'"
+
+
+def test_unfold_keeps_the_duplicate_id_check():
+    # r -a-> b -a-> c and r -a-> "b|a|c" both give the path id "r|a|b|a|c"
+    g = LabeledGraph(SIG_AF, ["r", "b", "c", "b|a|c"], "r",
+                     [("r", "a", "b"), ("b", "a", "c"), ("r", "a", "b|a|c")], {})
+    with pytest.raises(GraphFormatError, match=r"nodes\[3\]: duplicate id 'r\|a\|b\|a\|c'"):
+        unfold(g, 2)
+
+
+def test_unfold_id_length_budget():
+    # a self-loop on a 100-character id v: the depth-k id "v|a|v|…" has
+    # 100 + 103k characters, so the ids to depth K have (K + 1)(200 + 103K) / 2
+    v = "v" * 100
+    g = LabeledGraph(SIG_AF, [v], v, [(v, "a", v)], {})
+    t = unfold(g, 569)
+    assert sum(map(len, t.nodes)) == 570 * 58807 // 2 <= 1 << 24 < 571 * 58910 // 2
+    with pytest.raises(ResourceLimitError, match="^unfold: more than 16777216 id characters$"):
+        unfold(g, 570)
+
+
+def test_derived_graphs_equal_their_validated_rebuild():
+    from polymu.bisim import component_view, quotient
+    from polymu.pumping import pump
+
+    built = 0
+    for k in range(80):
+        rng = Xorshift.substream(40961, k)
+        g = rand_graph(rng, SIG_ABF, 5, min_nodes=2)
+        p = power(g, 2)
+        view = component_view(p, k % 2)
+        t = unfold(g, 3)
+        derived = [view, quotient(view), quotient(g), t]
+        deepest = max(t.nodes, key=t.depth_of)
+        if t.depth_of(deepest) >= 2:
+            path = t.root_path(deepest)
+            derived.append(pump(t, path, 1, len(path) - 1, k % 4))
+        for h in derived:
+            _assert_same_graph(h, _rebuilt(h))
+            built += 1
+    assert built > 350
+
+
+def test_derived_graphs_skip_the_validating_constructor(monkeypatch, loop3):
+    from polymu.bisim import component_view, quotient
+    from polymu.pumping import pump
+
+    calls = []
+    init = LabeledGraph.__init__
+
+    def counting_init(self, *args):
+        calls.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", counting_init)
+    p = power(loop3, 2)
+    quotient(component_view(p, 1))
+    t = unfold(loop3, 4)
+    pump(t, t.root_path(max(t.nodes, key=t.depth_of)), 1, 3, 2)
+    read_tree(write_graph(t))  # the JSON boundary validates once, as a LabeledGraph
+    assert calls == ["LabeledGraph"]
+
+    good = {"actions": ["a"], "colors": ["f"], "root": "0",
+            "nodes": [{"id": "0", "colors": []}, {"id": "1", "colors": ["f"]}]}
+    for edges, message in [
+        ([["0", "a", "2"]], "edges[0]: unknown target '2'"),
+        ([["0", "b", "1"]], "edges[0]: unknown action 'b'"),
+        ([["0", "a", "1"], ["0", "a", "1"]], "edges[1]: duplicate edge ('0', 'a', '1')"),
+    ]:
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(json.dumps(dict(good, edges=edges)))
+        assert str(err.value) == message

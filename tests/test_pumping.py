@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from polymu import FiniteTree, PolymuError, Signature
+from polymu import FiniteTree, GraphFormatError, PolymuError, ResourceLimitError, Signature
 from polymu.automata import find_pumping_pair, formula_to_apt, accepts, winning_state_sets
 from polymu.logic import parse_formula
 from polymu.pumping import (
@@ -199,6 +199,30 @@ def test_pump_rejects_bad_k():
     t = a_chain(4)
     with pytest.raises(PolymuError, match="k must be"):
         pump(t, ["v0", "v1", "v2", "v3"], 1, 2, -1)
+
+
+def test_pump_refuses_more_nodes_than_the_budget_before_copying():
+    t = a_chain(4)  # v0 before, v1 the segment, v2 and v3 after: 3 + k nodes
+    path = ["v0", "v1", "v2", "v3"]
+    limit = 1 << 20
+    for k in (limit - 2, 10**7, 10**18):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"^pump: more than {limit} nodes$"):
+                pump(t, path, 1, 2, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert len(pump(t, path, 1, 2, 1000).nodes) == 1003
+
+
+def test_pump_keeps_the_duplicate_id_check():
+    # the copy (v1,0) of v1 collides with a node of that id outside the segment
+    t = FiniteTree(SIG_AF, ["v0", "v1", "v2", "(v1,0)"], "v0",
+                   [("v0", "a", "v1"), ("v1", "a", "v2"), ("v0", "a", "(v1,0)")], {})
+    with pytest.raises(GraphFormatError, match=r"^nodes\[3\]: duplicate id '\(v1,0\)'$"):
+        pump(t, ["v0", "v1", "v2"], 1, 2, 1)
 
 
 def test_pump_preserves_acceptance_end_to_end():

@@ -1,5 +1,5 @@
-"""The benchmark tracer's targets exist in the library, and the library
-never patches the recursion limit."""
+"""The benchmark tracer's targets exist in the library, the library never
+patches the recursion limit, and the trusted constructor is not exported."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -25,3 +25,10 @@ def test_library_never_raises_the_recursion_limit():
     sources = sorted((ROOT / "src" / "polymu").glob("*.py"))
     assert sources
     assert [p.name for p in sources if "setrecursionlimit" in p.read_text()] == []
+
+
+def test_trusted_constructor_is_not_exported():
+    import polymu
+
+    assert "_trusted" not in polymu.__all__
+    assert all(not name.startswith("_") for name in polymu.__all__)
