@@ -10,12 +10,12 @@ also yields positional strategies for both players.
 from __future__ import annotations
 
 import sys
-from collections import deque
+from itertools import groupby
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import FiniteTree, LabeledGraph, Signature, _check_root_path
+from .graphs import _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
 from .logic import (
     And,
     Box,
@@ -213,7 +213,10 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
             p = inner if inner % 2 == (1 if want_odd else 0) else inner + 1
             prio[key2id[text(n)]] = p
             return p
-        return max((assign(c) for c in _children(n)), default=0)
+        top = 0
+        for c in _children(n):
+            top = max(top, assign(c))
+        return top
 
     assign(root)
     return Apt(sig, tuple(names), initial, tuple(delta), tuple(prio))
@@ -263,37 +266,47 @@ class GameResult:
 
 
 def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
-    """Positions are (node, state) pairs.  Literal positions are terminal
-    and owned by whoever loses there; modal and boolean positions are
-    owned by Exists on disjunctive transitions, Forall on conjunctive."""
+    """Positions are (node, state) pairs, (v, q) at index[v] * |Q| + q.
+    Literal positions are terminal and owned by whoever loses there;
+    modal and boolean positions are owned by Exists on disjunctive
+    transitions, Forall on conjunctive.  The game is filled one state at
+    a time over all nodes."""
     if g.signature != apt.signature:
         raise PolymuError("acceptance_game: graph and automaton signatures differ")
+    nodes = g.nodes
     nq = len(apt.states)
+    size = len(nodes) * nq
+    if size > _MAX_NODES:
+        raise ResourceLimitError(f"acceptance_game: more than {_MAX_NODES} positions")
     index = g.index
-
-    def pid(v: str, q: int) -> int:
-        return index[v] * nq + q
-
-    labels, owner, priority, moves = [], [], [], []
-    for v in g.nodes:
-        for q in range(nq):
-            t = apt.delta[q]
-            labels.append(f"({v},q{q})")
-            priority.append(apt.priority[q])
-            if isinstance(t, TransLit):
-                sat = g.has_color(v, t.color) == t.positive
-                owner.append(FORALL if sat else EXISTS)
-                moves.append(())
-            elif isinstance(t, TransMod):
-                owner.append(EXISTS if t.existential else FORALL)
-                moves.append(tuple(pid(w, t.target) for w in g.succ(v, t.action)))
-            else:
-                owner.append(FORALL if t.conj else EXISTS)
-                dests = sorted({pid(v, t.left), pid(v, t.right)})
-                moves.append(tuple(dests))
+    heads = ["(" + v + ",q" for v in nodes]
+    colors = list(map(g.label, nodes))
+    labels: list = [None] * size
+    owner: list = [EXISTS] * size
+    moves: list = [()] * size
+    # per action, each node's successors as position bases, in succ order
+    succ_bases: dict[str, list[list[int]]] = {}
+    for q, t in enumerate(apt.delta):
+        tail = f"{q})"
+        labels[q::nq] = [h + tail for h in heads]
+        if isinstance(t, TransLit):
+            color, positive = t.color, t.positive
+            owner[q::nq] = [FORALL if (color in cs) == positive else EXISTS for cs in colors]
+        elif isinstance(t, TransMod):
+            outs = succ_bases.get(t.action)
+            if outs is None:
+                a = t.action
+                outs = succ_bases[a] = [[index[w] * nq for w in g.succ(v, a)] for v in nodes]
+            target = t.target
+            owner[q::nq] = [EXISTS if t.existential else FORALL] * len(nodes)
+            moves[q::nq] = [tuple([b + target for b in out]) for out in outs]
+        else:
+            # (v, left) and (v, right) in position order, once if they coincide
+            owner[q::nq] = [FORALL if t.conj else EXISTS] * len(nodes)
+            moves[q::nq] = zip(*(range(o, size, nq) for o in sorted({t.left, t.right})))
     return ParityGame(
-        tuple(labels), tuple(owner), tuple(priority), tuple(moves),
-        pid(g.root, apt.initial),
+        tuple(labels), tuple(owner), apt.priority * len(nodes), tuple(moves),
+        index[g.root] * nq + apt.initial,
     )
 
 
@@ -303,82 +316,87 @@ def solve_parity(game: ParityGame) -> GameResult:
     Zielonka's algorithm, looping over opponent attractors; nesting
     bounded by the distinct priorities.  Dead ends are routed to a fresh
     losing sink for their owner, which makes the game total for the
-    attractor decomposition; the sinks are stripped from the answer."""
+    attractor decomposition; the sinks are stripped from the answer.
+    Positions are bucketed by priority once, so each loop turn finds
+    the top priority of its region by set intersection."""
     n = len(game.labels)
-    sink = {EXISTS: n, FORALL: n + 1}
-    prio = list(game.priority) + [1, 0]
-    owner = list(game.owner) + [EXISTS, FORALL]
-    moves: list[tuple[int, ...]] = [
-        m if m else (sink[game.owner[v]],) for v, m in enumerate(game.moves)
-    ]
-    moves += [(n,), (n + 1,)]
+    prio = tuple(game.priority) + (1, 0)
+    owner = tuple(game.owner) + (EXISTS, FORALL)
+    sink = ((n,), (n + 1,))  # indexed by the owner who loses there
+    moves = [m or sink[o] for m, o in zip(game.moves, game.owner)]
+    moves += sink
     preds: list[list[int]] = [[] for _ in range(n + 2)]
     for v, ms in enumerate(moves):
         for w in ms:
             preds[w].append(v)
-    distinct = len(set(prio))
-    if 2 * distinct > sys.getrecursionlimit():
+    by_prio = groupby(sorted(range(n + 2), key=prio.__getitem__), key=prio.__getitem__)
+    buckets = {p: set(vs) for p, vs in by_prio}
+    order = sorted(buckets, reverse=True)
+    if 2 * len(order) > sys.getrecursionlimit():
         raise ResourceLimitError(
-            f"{distinct} distinct priorities nest deeper than the recursion limit allows"
+            f"{len(order)} distinct priorities nest deeper than the recursion limit allows"
         )
 
     def attractor(target: set, region: set, player: int, strat: dict) -> set:
-        attr = set(target)
-        count = {}
-        queue = deque(sorted(target))
-        while queue:
-            v = queue.popleft()
+        """region minus player's attractor of target within it; strategy
+        moves of player's attracted positions go into strat."""
+        rest = region - target
+        count = {}  # opponent positions: moves into region not yet attracted
+        queue = sorted(target)
+        for v in queue:  # grows while iterated, so positions leave in FIFO order
             for u in preds[v]:
-                if u not in region or u in attr:
+                if u not in rest:
                     continue
                 if owner[u] == player:
-                    attr.add(u)
                     strat[u] = v
-                    queue.append(u)
                 else:
-                    c = count.get(u)
-                    if c is None:
-                        c = sum(1 for w in moves[u] if w in region)
-                    c -= 1
-                    count[u] = c
-                    if c == 0:
-                        attr.add(u)
-                        queue.append(u)
-        return attr
+                    ms = moves[u]
+                    if len(ms) > 1:  # with one move, its count drops from 1 to 0
+                        c = (count.get(u) or len([w for w in ms if w in region])) - 1
+                        if c:
+                            count[u] = c
+                            continue
+                rest.remove(u)
+                queue.append(u)
+        return rest
 
-    def zielonka(region: set) -> tuple[list[set], list[dict]]:
-        """Winning regions and strategies, indexed by player."""
+    def zielonka(region: set, k: int) -> tuple[list[set], list[dict]]:
+        """Winning regions and strategies, indexed by player; no position
+        in region has a priority above order[k]."""
         win: list[set] = [set(), set()]
         strat: list[dict] = [{}, {}]
         while region:
-            p = max(prio[v] for v in region)
-            sigma = p % 2
+            top = buckets[order[k]] & region
+            while not top:
+                k += 1
+                top = buckets[order[k]] & region
+            sigma = order[k] % 2
             opp = 1 - sigma
-            top = {v for v in region if prio[v] == p}
             s_attr: dict = {}
-            a = attractor(top, region, sigma, s_attr)
-            sub_win, sub_strat = zielonka(region - a)
-            if not sub_win[opp]:
+            # a region all of top priority is its own attractor, with no strategy
+            if len(top) < len(region):
+                sub_win, sub_strat = zielonka(attractor(top, region, sigma, s_attr), k + 1)
+                if sub_win[opp]:
+                    strat[opp].update(sub_strat[opp])
+                    rest = attractor(sub_win[opp], region, opp, strat[opp])
+                    win[opp] |= region - rest
+                    region = rest
+                    continue
                 strat[sigma].update(sub_strat[sigma])
-                for v in sorted(top):
-                    if owner[v] == sigma:
-                        strat[sigma][v] = min(w for w in moves[v] if w in region)
-                strat[sigma].update(s_attr)
-                win[sigma] |= region
-                break
-            strat[opp].update(sub_strat[opp])
-            b = attractor(sub_win[opp], region, opp, strat[opp])
-            win[opp] |= b
-            region = region - b
+            mine = strat[sigma]
+            # every position keeps a move inside its region, so a lone move is in it
+            for v in sorted(top):
+                if owner[v] == sigma:
+                    ms = moves[v]
+                    mine[v] = ms[0] if len(ms) == 1 else min([w for w in ms if w in region])
+            mine.update(s_attr)
+            win[sigma] |= region
+            break
         return win, strat
 
-    (w0, _), strats = zielonka(set(range(n + 2)))
-    winner = tuple(EXISTS if v in w0 else FORALL for v in range(n))
-    strategies: tuple[dict, dict] = ({}, {})
-    for player, s in enumerate(strats):
-        for v, w in s.items():
-            if v < n and w < n:
-                strategies[player][v] = w
+    (w0, _), strats = zielonka(set(range(n + 2)), 0)
+    winner = tuple([EXISTS if v in w0 else FORALL for v in range(n)])
+    strategies = tuple({v: w for v, w in s.items() if v < n and w < n} for s in strats)
     return GameResult(winner, strategies)
 
 

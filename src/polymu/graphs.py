@@ -3,7 +3,7 @@
 A graph doubles as an NFA by reading one designated color as the
 accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
-construction; adjacency maps are precomputed.
+construction; adjacency maps are built on first use.
 
 The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
@@ -180,7 +180,7 @@ class LabeledGraph:
                     raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
             lab[v] = frozenset(cs)
         self._labels = lab
-        self._link()
+        self._check_shape()
 
     @classmethod
     def _trusted(cls, signature, nodes, root, edges, labels):
@@ -205,15 +205,20 @@ class LabeledGraph:
                 seen.add(v)
         g.edges = tuple(edges)
         g._labels = labels
-        g._link()
+        g._check_shape()
         return g
 
-    def _link(self) -> None:
-        """Adjacency from self.edges: successor tuples sorted by id."""
+    def _check_shape(self) -> None:
+        """Shape checks of subclasses, run once the parts are in place."""
+
+    @functools.cached_property
+    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """Adjacency from self.edges, grouped on the first succ() call:
+        successor tuples sorted by id."""
         succ: dict[tuple[str, str], list[str]] = {}
         for src, a, dst in self.edges:
             succ.setdefault((src, a), []).append(dst)
-        self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
+        return {k: tuple(sorted(v)) for k, v in succ.items()}
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:
         return self._succ.get((v, a), ())
@@ -250,9 +255,8 @@ class FiniteTree(LabeledGraph):
     are kept; root paths are walked up on demand.
     """
 
-    def _link(self) -> None:
-        """Adjacency, then the tree shape check that fills parents and depths."""
-        super()._link()
+    def _check_shape(self) -> None:
+        """The tree shape check that fills parents and depths."""
         parent: dict[str, tuple[str, str]] = {}
         for src, a, dst in self.edges:
             if dst == self.root:

@@ -1,10 +1,12 @@
 import itertools
 import sys
+import tracemalloc
 from collections import deque
 
 import pytest
 
-from polymu import FiniteTree, PolymuError, Signature
+from polymu import automata
+from polymu import FiniteTree, LabeledGraph, PolymuError, Signature
 from polymu.automata import (
     Apt,
     EXISTS,
@@ -386,6 +388,153 @@ def test_solver_rejects_priorities_nesting_past_the_recursion_limit():
     g = game([EXISTS] * n, list(range(n)), [(v,) for v in range(n)])
     with pytest.raises(ResourceLimitError, match="distinct priorities"):
         solve_parity(g)
+
+
+
+# ------------------------------------------ the per-position game construction
+#
+# Frozen copy of the acceptance game construction that filled one position at
+# a time, before the game was built one automaton state at a time.  The
+# tests require every field of the two games to be equal.
+
+
+def ref_acceptance_game(apt, g):
+    nq = len(apt.states)
+    index = g.index
+
+    def pid(v, q):
+        return index[v] * nq + q
+
+    labels, owner, priority, moves = [], [], [], []
+    for v in g.nodes:
+        for q in range(nq):
+            t = apt.delta[q]
+            labels.append(f"({v},q{q})")
+            priority.append(apt.priority[q])
+            if isinstance(t, TransLit):
+                sat = g.has_color(v, t.color) == t.positive
+                owner.append(FORALL if sat else EXISTS)
+                moves.append(())
+            elif isinstance(t, TransMod):
+                owner.append(EXISTS if t.existential else FORALL)
+                moves.append(tuple(pid(w, t.target) for w in g.succ(v, t.action)))
+            else:
+                owner.append(FORALL if t.conj else EXISTS)
+                dests = sorted({pid(v, t.left), pid(v, t.right)})
+                moves.append(tuple(dests))
+    return ParityGame(
+        tuple(labels), tuple(owner), tuple(priority), tuple(moves),
+        pid(g.root, apt.initial),
+    )
+
+
+ODD_IDS = ["a,b", "(", ")", "q0", "x|y", "(1,q2)", "10", "9", " ", "2", "zz", "-"]
+
+
+def with_odd_ids(g, rng):
+    """g with its node ids replaced by a shuffled draw of awkward ids, so
+    that successor order (sorted by id) differs from node order."""
+    ids = list(ODD_IDS)
+    for k in range(len(ids) - 1, 0, -1):
+        j = rng.below(k + 1)
+        ids[k], ids[j] = ids[j], ids[k]
+    ids += [f"n{k}" for k in range(len(g.nodes) - len(ids))]
+    rename = dict(zip(g.nodes, ids))
+    return LabeledGraph(
+        g.signature, [rename[v] for v in g.nodes], rename[g.root],
+        [(rename[u], a, rename[v]) for u, a, v in g.edges],
+        {rename[v]: g.label(v) for v in g.nodes},
+    )
+
+
+def test_acceptance_game_matches_per_position_reference():
+    constants = two_actions = odd = 0
+    for k in range(320):
+        rng = Xorshift.substream(4473, k)
+        sig = rand_base_signature(rng)
+        g = rand_graph(rng, sig, 14)
+        if k % 2:
+            g = with_odd_ids(g, rng)
+            odd += 1
+        text = print_formula(rand_formula(rng, sig, 1, 12))
+        if k % 5 == 0:
+            text = f"({text}) & (tt | <{sig.actions[-1]}>ff)"
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        got, want = acceptance_game(apt, g), ref_acceptance_game(apt, g)
+        assert got.labels == want.labels, k
+        assert got.owner == want.owner, k
+        assert got.priority == want.priority, k
+        assert got.moves == want.moves, k
+        assert got.initial == want.initial, k
+        constants += "tt" in apt.states or "ff" in apt.states
+        two_actions += len(sig.actions) == 2
+    assert constants >= 64 and two_actions >= 100 and odd == 160
+
+
+def test_solver_matches_recursive_reference_on_larger_acceptance_games():
+    for k in range(40):
+        rng = Xorshift.substream(4474, k)
+        sig = rand_base_signature(rng)
+        g = rand_graph(rng, sig, 40, min_nodes=20, edge_den=12)
+        if k % 2:
+            g = with_odd_ids(g, rng)
+        gm = acceptance_game(formula_to_apt(rand_formula(rng, sig, 1, 14), sig), g)
+        res = solve_parity(gm)
+        assert (res.winner, res.strategy) == ref_solve_parity(gm), k
+
+
+def test_solver_matches_recursive_reference_with_duplicate_moves():
+    # p0 may only move to p3, twice; p1 (Forall) keeps one escape after
+    # the first copy of its doubled move is attracted
+    g = game(
+        [FORALL, FORALL, EXISTS, EXISTS, FORALL],
+        [0, 1, 2, 1, 0],
+        [(3, 3), (3, 3, 4), (2, 2), (4,), (1, 4, 4)],
+    )
+    res = solve_parity(g)
+    assert (res.winner, res.strategy) == ref_solve_parity(g)
+    for k in range(300):
+        rng = Xorshift.substream(4475, k)
+        n = rng.randint(1, 30)
+        owner = [rng.below(2) for _ in range(n)]
+        prio = [rng.below(6) for _ in range(n)]
+        moves = []
+        for _ in range(n):
+            ms = [rng.below(n) for _ in range(rng.randint(0, 4))]
+            moves.append(sorted(ms + ms[:rng.below(len(ms) + 1)]))
+        g = game(owner, prio, moves)
+        res = solve_parity(g)
+        assert (res.winner, res.strategy) == ref_solve_parity(g), k
+        won = {v for v in range(n) if res.winner[v] == EXISTS}
+        assert strategy_is_winning(g, EXISTS, won, res.strategy[EXISTS]), k
+        assert strategy_is_winning(g, FORALL, set(range(n)) - won, res.strategy[FORALL]), k
+
+
+def edgeless(n):
+    return LabeledGraph(SIG_AF, [str(k) for k in range(n)], "0", [], {})
+
+
+def test_acceptance_game_refuses_too_many_positions_before_allocating():
+    g = edgeless(70_000)
+    apt = formula_to_apt(parse_formula("<a>" * 15 + "f", SIG_AF, 1), SIG_AF)
+    assert len(apt.states) == 16  # 1,120,000 positions
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            acceptance_game(apt, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "acceptance_game: more than 1048576 positions"
+    assert peak < 1 << 20
+
+
+def test_acceptance_game_budget_admits_exactly_the_limit(monkeypatch):
+    monkeypatch.setattr(automata, "_MAX_NODES", 48)
+    apt = formula_to_apt(parse_formula("<a>" * 15 + "f", SIG_AF, 1), SIG_AF)
+    assert len(acceptance_game(apt, edgeless(3)).labels) == 48
+    with pytest.raises(ResourceLimitError, match="more than 48 positions"):
+        acceptance_game(apt, edgeless(4))
 
 
 # ------------------------------------------------------------- runs on trees

@@ -361,6 +361,25 @@ def test_exploding_builders_exit_2_before_allocating(capsys, tmp_path, ex1, argv
     assert peak < 32 << 20
 
 
+def test_apt_refuses_a_game_over_the_position_budget(capsys, tmp_path):
+    # 70,000 nodes and 16 automaton states: 1,120,000 positions
+    nodes = [str(k) for k in range(70_000)]
+    graph = tmp_path / "edgeless.json"
+    graph.write_text(write_graph(LabeledGraph(Signature(("a",), ("f",)), nodes, "0", [], {})))
+    code, out, err = run(capsys, "apt", "--formula", "<a>" * 15 + "f", "--graph", str(graph))
+    assert (code, out, err) == (2, "", "error: acceptance_game: more than 1048576 positions\n")
+
+
+def test_apt_and_mc_agree_on_deep_modal_nesting(capsys, tmp_path):
+    graph = tmp_path / "loop.json"
+    graph.write_text(write_graph(LabeledGraph(
+        Signature(("a",), ("f",)), ["0"], "0", [("0", "a", "0")], {"0": ["f"]})))
+    for text, want in [("<a>" * 400 + "f", "true"), ("<a>" * 400 + "~f", "false")]:
+        for cmd in ("apt", "mc"):
+            code, out, _ = run(capsys, cmd, "--formula", text, "--graph", str(graph))
+            assert (code, out.strip()) == (0, want), cmd
+
+
 def test_python_m_polymu_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -546,6 +546,39 @@ def test_derived_graphs_equal_their_validated_rebuild():
     assert built > 350
 
 
+def _eager_succ(g):
+    """Successors grouped per (node, action) and sorted, straight from the edges."""
+    succ = {}
+    for src, a, dst in g.edges:
+        succ.setdefault((src, a), []).append(dst)
+    return {k: tuple(sorted(v)) for k, v in succ.items()}
+
+
+def test_adjacency_is_grouped_on_first_use(loop3):
+    from polymu.queries import one_letter_non_universal, one_lifted_non_universal
+
+    p = power(loop3, 2)
+    assert one_lifted_non_universal(p, 2).witness == one_letter_non_universal(loop3).witness
+    assert "_succ" not in p.__dict__
+    assert p.succ("(0,0)", "a@0") == ("(1,0)",)
+    assert p._succ == _eager_succ(p)
+    # a tree groups its adjacency when its constructor walks the shape
+    assert "_succ" in unfold(loop3, 3).__dict__
+
+    checked = 0
+    for k in range(60):
+        rng = Xorshift.substream(40962, k)
+        g = rand_graph(rng, SIG_ABF, 6)
+        for h in (g, read_graph(write_graph(g)), power(g, 1 + k % 2), unfold(g, 2)):
+            want = _eager_succ(h)
+            assert h._succ == want
+            for v in h.nodes:
+                for a in h.signature.actions:
+                    assert h.succ(v, a) == want.get((v, a), ())
+            checked += 1
+    assert checked == 240
+
+
 def test_derived_graphs_skip_the_validating_constructor(monkeypatch, loop3):
     from polymu.bisim import component_view, quotient
     from polymu.pumping import pump

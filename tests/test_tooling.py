@@ -1,5 +1,6 @@
-"""The benchmark tracer's targets exist in the library, the library never
-patches the recursion limit, and the trusted constructor is not exported."""
+"""The benchmark tracer's targets exist in the library, its sizers read
+what the library returns, the library never patches the recursion limit,
+and the trusted constructor is not exported."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -8,10 +9,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_tracing_targets_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve():
+    tracing = _load_tracing()
     assert tracing.TARGETS
     missing = [
         (module, attr)
@@ -19,6 +25,37 @@ def test_tracing_targets_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_tracing_sizers_read_real_results():
+    from polymu.automata import formula_to_apt
+    from polymu.graphs import LabeledGraph, Signature
+    from polymu.logic import parse_formula
+
+    tracing = _load_tracing()
+    sig = Signature(("a",), ("f",))
+    g = LabeledGraph(sig, ["0", "1", "2"], "0",
+                     [("0", "a", "1"), ("1", "a", "2"), ("2", "a", "1")], {"1": ["f"]})
+    phi = parse_formula("mu X. f | <a>X", sig, 1)
+    apt = formula_to_apt(phi, sig)
+    # span name -> the arguments of one real call of a function it wraps
+    calls = {
+        "graphs.product": ([g, g],),
+        "semantics.evaluate": (g, parse_formula("f@0 & <a@1>f@1", sig, 2)),
+        "automata.formula_to_apt": (phi, sig),
+        "automata.acceptance_game": (apt, g),
+        "bisim.largest_bisimulation": (g, g),
+    }
+    assert set(tracing.SIZERS) <= set(calls)
+    for span, (keys, sizer) in tracing.SIZERS.items():
+        fns = [getattr(importlib.import_module(module), attr)
+               for name, module, attr in tracing.TARGETS if name == span]
+        assert fns, span
+        for fn in fns:
+            args = calls[span]
+            sizes = sizer(args, fn(*args))
+            assert len(sizes) == len(keys), span
+            assert all(type(x) is int for x in sizes), (span, sizes)
 
 
 def test_library_never_raises_the_recursion_limit():
