@@ -2,10 +2,13 @@
 
 A closed arity-1 formula becomes an automaton whose states are the
 subformulas of its positive normal form.  Running the automaton on a
-graph is a parity game between Exists (claims acceptance) and Forall;
-the game is solved exactly with Zielonka's algorithm, looping over
-opponent attractors; nesting bounded by the distinct priorities.  It
-also yields positional strategies for both players.
+graph is a parity game between Exists (claims acceptance) and Forall.
+Acceptance reads winners only: ``parity_winners`` settles the dead-end
+attractors first and runs Zielonka's loop over opponent attractors on
+the rest, nested on an explicit stack, with no strategies.
+``solve_parity`` is Zielonka's algorithm with positional strategies for
+both players; it stays for strategies and as the oracle that xcheck
+suite 9 checks ``parity_winners`` against.
 """
 from __future__ import annotations
 
@@ -400,6 +403,102 @@ def solve_parity(game: ParityGame) -> GameResult:
     return GameResult(winner, strategies)
 
 
+def parity_winners(game: ParityGame) -> tuple[int, ...]:
+    """The winner of every position, without strategies.
+
+    A player with no move loses, so Exists first takes its attractor of
+    Forall's dead ends, and Forall then its attractor of Exists' dead
+    ends in what is left.  Every remaining position keeps a move inside
+    the remainder, so Zielonka's loop over opponent attractors solves it
+    with no sink positions.  Its nesting over priorities runs on an
+    explicit stack of frames, so any number of priorities is solved."""
+    n = len(game.labels)
+    owner, prio, moves = game.owner, game.priority, game.moves
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v, ms in enumerate(moves):
+        for w in ms:
+            preds[w].append(v)
+
+    winner = [None] * n
+    ends = [v for v, ms in enumerate(moves) if not ms]
+    count = list(map(len, moves))  # each position's moves into the undecided ones
+    for player in (EXISTS, FORALL):
+        # the opponent's dead ends; the first round takes none of Exists',
+        # as Exists attracts only positions with a move
+        queue = [v for v in ends if owner[v] != player]
+        for v in queue:
+            winner[v] = player
+        for v in queue:  # grows while iterated
+            for u in preds[v]:
+                if winner[u] is None:
+                    if owner[u] != player:
+                        count[u] -= 1
+                        if count[u]:
+                            continue
+                    winner[u] = player
+                    queue.append(u)
+
+    def attractor(target: set, region: set, player: int) -> set:
+        """region minus player's attractor of target within it."""
+        rest = region - target
+        left = {}  # opponent positions: moves into region not yet attracted
+        queue = list(target)
+        for v in queue:
+            for u in preds[v]:
+                if u not in rest:
+                    continue
+                if owner[u] != player:
+                    ms = moves[u]
+                    if len(ms) > 1:  # with one move, its count drops from 1 to 0
+                        c = (left.get(u) or len([w for w in ms if w in region])) - 1
+                        if c:
+                            left[u] = c
+                            continue
+                rest.remove(u)
+                queue.append(u)
+        return rest
+
+    region = {v for v in range(n) if winner[v] is None}
+    by_prio = groupby(sorted(region, key=prio.__getitem__), key=prio.__getitem__)
+    buckets = {p: set(vs) for p, vs in by_prio}
+    order = sorted(buckets, reverse=True)
+    # a frame solves region, whose priorities are at most order[k]; won[p]
+    # gathers what p wins of it
+    k, won = 0, [set(), set()]
+    frames: list = []
+    while True:
+        if region:
+            top = buckets[order[k]] & region
+            while not top:
+                k += 1
+                top = buckets[order[k]] & region
+            sigma = order[k] % 2
+            # a region all of top priority is its own attractor
+            inner = attractor(top, region, sigma) if len(top) < len(region) else None
+            if inner:
+                frames.append((region, k, won))
+                region, k, won = inner, k + 1, [set(), set()]
+                continue
+            won[sigma] |= region
+        if not frames:
+            break
+        sub = won
+        region, k, won = frames.pop()
+        opp = 1 - order[k] % 2
+        if sub[opp]:
+            rest = attractor(sub[opp], region, opp)
+            won[opp] |= region - rest
+            region = rest
+        else:
+            won[1 - opp] |= region
+            region = set()
+    for v in won[EXISTS]:
+        winner[v] = EXISTS
+    for v in won[FORALL]:
+        winner[v] = FORALL
+    return tuple(winner)
+
+
 def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) -> bool:
     """Check a positional strategy on a claimed winning set: the set must
     be closed under opponent moves and the strategy, the player never
@@ -483,8 +582,7 @@ def _sccs(nodes: set, succ: dict) -> list[set]:
 
 def accepts(apt: Apt, g: LabeledGraph) -> bool:
     game = acceptance_game(apt, g)
-    res = solve_parity(game)
-    return res.winner[game.initial] == EXISTS
+    return parity_winners(game)[game.initial] == EXISTS
 
 
 def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[frozenset[int]]:
@@ -493,11 +591,11 @@ def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[froz
     path = _check_root_path(tree, path)
     nq = len(apt.states)
     game = acceptance_game(apt, tree)
-    res = solve_parity(game)
+    winner = parity_winners(game)
     out = []
     for v in path:
         base = tree.index[v] * nq
-        out.append(frozenset(q for q in range(nq) if res.winner[base + q] == EXISTS))
+        out.append(frozenset(q for q in range(nq) if winner[base + q] == EXISTS))
     return out
 
 

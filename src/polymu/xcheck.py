@@ -11,7 +11,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .automata import accepts, find_pumping_pair, formula_to_apt
+from .automata import (
+    EXISTS,
+    acceptance_game,
+    accepts,
+    find_pumping_pair,
+    formula_to_apt,
+    parity_winners,
+    solve_parity,
+)
 from .bisim import (
     bisimilar,
     detect_power,
@@ -287,7 +295,10 @@ def check_apt_vs_evaluator(cfg: RunConfig) -> tuple[bool, str]:
         psi = rand_formula(rng, sig, 1, 10)
         b = models(g, psi, 1)
         sat += b
-        bad += accepts(formula_to_apt(psi, sig), g) != b
+        # Zielonka with strategies is the oracle for the winners-only solver
+        game = acceptance_game(formula_to_apt(psi, sig), g)
+        winner = parity_winners(game)
+        bad += winner != solve_parity(game).winner or (winner[game.initial] == EXISTS) != b
     return bad == 0, f"{n - bad}/{n} agree, {sat} satisfied"
 
 

@@ -20,6 +20,7 @@ from polymu.automata import (
     find_pumping_pair,
     format_apt,
     formula_to_apt,
+    parity_winners,
     positive_normal_form,
     solve_parity,
     strategy_is_winning,
@@ -347,10 +348,15 @@ def rand_game(rng):
 
 
 def test_solver_matches_recursive_reference():
+    dead_ends = [0, 0]
     for k in range(600):
         g = rand_game(Xorshift.substream(4471, k))
         res = solve_parity(g)
         assert (res.winner, res.strategy) == ref_solve_parity(g), k
+        assert parity_winners(g) == res.winner, k
+        for o, ms in zip(g.owner, g.moves):
+            dead_ends[o] += not ms
+    assert min(dead_ends) >= 100
     for k in range(150):
         rng = Xorshift.substream(4472, k)
         sig = rand_base_signature(rng)
@@ -379,6 +385,7 @@ def test_solver_ladder_needs_no_recursion_limit_patch(monkeypatch):
     g = ladder(n)
     res = solve_parity(g)
     assert res.winner == (EXISTS,) * n
+    assert parity_winners(g) == res.winner
     assert strategy_is_winning(g, EXISTS, set(range(n)), res.strategy[EXISTS])
     assert strategy_is_winning(g, FORALL, set(), res.strategy[FORALL])
 
@@ -386,6 +393,56 @@ def test_solver_ladder_needs_no_recursion_limit_patch(monkeypatch):
 def test_solver_rejects_priorities_nesting_past_the_recursion_limit():
     n = sys.getrecursionlimit()
     g = game([EXISTS] * n, list(range(n)), [(v,) for v in range(n)])
+    with pytest.raises(ResourceLimitError, match="distinct priorities"):
+        solve_parity(g)
+
+
+# ------------------------------------------------ the winners-only solver
+#
+# solve_parity is the oracle: parity_winners must give the same winner at
+# every position, here and in the reference tests above and below.
+
+
+# the formula shapes of the benchmark's modelcheck workload
+PATTERNS = (
+    "mu X. f | <a>X | <b>X",  # reach
+    "nu X. ~f & [a]X & [b]X",  # safety
+    "nu X. mu Y. (f & (<a>X | <b>X)) | <a>Y | <b>Y",  # Büchi
+    "mu X. nu Y. (g & (<a>Y | <b>Y)) | <a>X | <b>X",  # co-Büchi
+    "nu X. (mu Y. f | <a>Y | <b>Y) & [a]X & [b]X",  # nested
+    "mu X. f | g & (<a>X | <b>X)",  # until
+)
+
+
+def test_winners_match_zielonka_on_pattern_acceptance_games():
+    sig = Signature(("a", "b"), ("f", "g"))
+    apts = [formula_to_apt(parse_formula(text, sig, 1), sig) for text in PATTERNS]
+    verdicts = set()
+    for k in range(24):
+        rng = Xorshift.substream(4476, k)
+        g = rand_graph(rng, sig, 40, min_nodes=20, edge_den=24)
+        for text, apt in zip(PATTERNS, apts):
+            gm = acceptance_game(apt, g)
+            winner = parity_winners(gm)
+            assert winner == solve_parity(gm).winner, (k, text)
+            want = models(g, parse_formula(text, sig, 1))
+            assert (winner[gm.initial] == EXISTS) == want, (k, text)
+            verdicts.add((text, want))
+    assert len(verdicts) == 2 * len(PATTERNS)
+
+
+def test_winners_need_no_recursion_for_thousands_of_priorities(monkeypatch):
+    # v -> v-1 down to a self-loop on 0, priority v: every play ends on
+    # priority 0, and each priority opens one nested frame
+    n = 3000
+    g = game([v % 2 for v in range(n)], list(range(n)), [(v - 1,) if v else (0,) for v in range(n)])
+    with monkeypatch.context() as m:
+        def forbidden(*args):
+            raise AssertionError("the recursion limit was touched")
+
+        m.setattr(sys, "setrecursionlimit", forbidden)
+        m.setattr(sys, "getrecursionlimit", forbidden)
+        assert parity_winners(g) == (EXISTS,) * n
     with pytest.raises(ResourceLimitError, match="distinct priorities"):
         solve_parity(g)
 
@@ -481,6 +538,7 @@ def test_solver_matches_recursive_reference_on_larger_acceptance_games():
         gm = acceptance_game(formula_to_apt(rand_formula(rng, sig, 1, 14), sig), g)
         res = solve_parity(gm)
         assert (res.winner, res.strategy) == ref_solve_parity(gm), k
+        assert parity_winners(gm) == res.winner, k
 
 
 def test_solver_matches_recursive_reference_with_duplicate_moves():
@@ -493,6 +551,7 @@ def test_solver_matches_recursive_reference_with_duplicate_moves():
     )
     res = solve_parity(g)
     assert (res.winner, res.strategy) == ref_solve_parity(g)
+    assert parity_winners(g) == res.winner
     for k in range(300):
         rng = Xorshift.substream(4475, k)
         n = rng.randint(1, 30)
@@ -505,6 +564,7 @@ def test_solver_matches_recursive_reference_with_duplicate_moves():
         g = game(owner, prio, moves)
         res = solve_parity(g)
         assert (res.winner, res.strategy) == ref_solve_parity(g), k
+        assert parity_winners(g) == res.winner, k
         won = {v for v in range(n) if res.winner[v] == EXISTS}
         assert strategy_is_winning(g, EXISTS, won, res.strategy[EXISTS]), k
         assert strategy_is_winning(g, FORALL, set(range(n)) - won, res.strategy[FORALL]), k

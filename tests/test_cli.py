@@ -380,12 +380,28 @@ def test_apt_and_mc_agree_on_deep_modal_nesting(capsys, tmp_path):
             assert (code, out.strip()) == (0, want), cmd
 
 
-def test_python_m_polymu_runs_the_cli():
+def run_python_m_polymu(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-m", "polymu", "--help"], env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-m", "polymu", *argv], env=env, capture_output=True, text=True
     )
+
+
+def test_python_m_polymu_runs_the_cli():
+    done = run_python_m_polymu("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: polymu")
+
+
+@pytest.mark.parametrize("cmd, depth", [("mc", 1000), ("apt", 500)])
+def test_too_deep_nesting_exits_2_without_a_traceback(tmp_path, cmd, depth):
+    graph = tmp_path / "loop.json"
+    graph.write_text(write_graph(LabeledGraph(
+        Signature(("a",), ("f",)), ["0"], "0", [("0", "a", "0")], {"0": ["f"]})))
+    done = run_python_m_polymu(cmd, "--formula", "<a>" * depth + "f", "--graph", str(graph))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: input nested too deeply")
+    assert done.stderr.count("\n") == 1

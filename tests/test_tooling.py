@@ -1,6 +1,7 @@
 """The benchmark tracer's targets exist in the library, its sizers read
 what the library returns, the library never patches the recursion limit,
-and the trusted constructor is not exported."""
+the trusted constructor is not exported, and acceptance keeps off the
+Zielonka solver that checks it."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -69,3 +70,37 @@ def test_trusted_constructor_is_not_exported():
 
     assert "_trusted" not in polymu.__all__
     assert all(not name.startswith("_") for name in polymu.__all__)
+
+
+def test_acceptance_runs_without_its_oracle(monkeypatch):
+    """accepts, winning_state_sets and find_pumping_pair use the
+    winners-only solver; xcheck suite 9 keeps solve_parity as its oracle."""
+    from polymu import automata, xcheck
+    from polymu.graphs import FiniteTree, Signature
+    from polymu.logic import parse_formula
+
+    def oracle_called(game):
+        raise AssertionError("solve_parity called on the acceptance path")
+
+    for module in (automata, xcheck):
+        monkeypatch.setattr(module, "solve_parity", oracle_called)
+    sig = Signature(("a",), ("f",))
+    apt = automata.formula_to_apt(parse_formula("mu X. f | <a>X", sig, 1), sig)
+    n = 2 ** len(apt.states) + 2
+    nodes = [f"n{k}" for k in range(n)]
+    tree = FiniteTree(sig, nodes, "n0", [(u, "a", v) for u, v in zip(nodes, nodes[1:])],
+                      {nodes[-1]: ["f"]})
+    assert automata.accepts(apt, tree)
+    assert apt.initial in automata.winning_state_sets(apt, tree, nodes)[0]
+    assert automata.find_pumping_pair(apt, tree, nodes) == (1, 2)
+    assert xcheck.run_check(10, xcheck.RunConfig(iterations=2)).ok
+
+    calls = []
+
+    def counted(game):
+        calls.append(game)
+        return automata.GameResult(automata.parity_winners(game), ({}, {}))
+
+    monkeypatch.setattr(xcheck, "solve_parity", counted)
+    assert xcheck.run_check(9, xcheck.RunConfig(iterations=5)).ok
+    assert len(calls) == 5

@@ -77,3 +77,23 @@ def test_enum_covers_declared_space():
     # 2^(n^2) edge sets times 2^n accepting sets for n <= 3,
     # 4^4 successor maps times 2^4 accepting sets for n = 4
     assert sizes == {1: 4, 2: 64, 3: 4096, 4: 4096}
+
+
+def test_apt_suite_catches_one_flipped_winner(monkeypatch):
+    from polymu import xcheck
+
+    real = xcheck.parity_winners
+
+    def flip_one(game):
+        # away from the initial position, where the evaluator cannot see it
+        winner = list(real(game))
+        v = (game.initial + 1) % len(winner)
+        winner[v] = 1 - winner[v]
+        return tuple(winner)
+
+    cfg = RunConfig(seed=7, iterations=20)
+    assert run_check(9, cfg).ok
+    monkeypatch.setattr(xcheck, "parity_winners", flip_one)
+    r = run_check(9, cfg)
+    assert not r.ok
+    assert r.detail.startswith("0/20 agree")
