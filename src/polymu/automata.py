@@ -1,24 +1,23 @@
 """Alternating parity automata from formulas, and their acceptance games.
 
 A closed arity-1 formula becomes an automaton whose states are the
-subformulas of its positive normal form.  Running the automaton on a
+table entries of its positive normal form.  Running the automaton on a
 graph is a parity game between Exists (claims acceptance) and Forall.
 Acceptance reads winners only: ``parity_winners`` settles the dead-end
 attractors first and runs Zielonka's loop over opponent attractors on
 the rest, nested on an explicit stack, with no strategies.
-``solve_parity`` is Zielonka's algorithm with positional strategies for
-both players; it stays for strategies and as the oracle that xcheck
-suite 9 checks ``parity_winners`` against.
+``solve_parity``, Zielonka's algorithm with positional strategies for
+both players on the same kind of stack, stays for strategies and as the
+oracle that xcheck suite 9 checks ``parity_winners`` against.
 """
 from __future__ import annotations
 
-import sys
 from itertools import groupby
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
+from .graphs import _MAX_ID_CHARS, _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
 from .logic import (
     And,
     Box,
@@ -34,11 +33,10 @@ from .logic import (
     Replace,
     TT,
     Var,
-    _children,
-    free_vars,
-    map_children,
+    _KIDS,
+    _Table,
+    _rebuild,
     print_formula,
-    validate_formula,
 )
 
 EXISTS = 0
@@ -88,141 +86,127 @@ class Apt:
 # ------------------------------------------------------------ normal form
 
 
-def _strip_replace(n: Node) -> Node:
-    """Drop arity-1 replacements; the only mapping there is the identity."""
-    if isinstance(n, Replace):
-        return _strip_replace(n.sub)
-    return map_children(n, _strip_replace)
+_DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, Mu: Nu, Nu: Mu, Replace: Replace}
 
 
-def _pnf(n: Node, pos: bool, flipped: set) -> Node:
-    if isinstance(n, TT):
-        return TT() if pos else FF()
-    if isinstance(n, FF):
-        return FF() if pos else TT()
-    if isinstance(n, Color):
-        return n if pos else Neg(n)
-    if isinstance(n, Var):
-        # positivity of the input guarantees the occurrence comes out positive
-        if pos == (n.name in flipped):
-            raise FormulaError(f"variable {n.name} survives negatively")
-        return n
-    if isinstance(n, Neg):
-        return _pnf(n.sub, not pos, flipped)
-    if isinstance(n, And):
-        l, r = _pnf(n.left, pos, flipped), _pnf(n.right, pos, flipped)
-        return And(l, r) if pos else Or(l, r)
-    if isinstance(n, Or):
-        l, r = _pnf(n.left, pos, flipped), _pnf(n.right, pos, flipped)
-        return Or(l, r) if pos else And(l, r)
-    if isinstance(n, Diamond):
-        sub = _pnf(n.sub, pos, flipped)
-        return Diamond(n.action, n.comp, sub) if pos else Box(n.action, n.comp, sub)
-    if isinstance(n, Box):
-        sub = _pnf(n.sub, pos, flipped)
-        return Box(n.action, n.comp, sub) if pos else Diamond(n.action, n.comp, sub)
-    if isinstance(n, Replace):
-        return Replace(n.mapping, _pnf(n.sub, pos, flipped))
-    if isinstance(n, Mu):
-        if pos:
-            return Mu(n.var, _pnf(n.body, True, flipped))
-        flipped.add(n.var)
-        return Nu(n.var, _pnf(n.body, False, flipped))
-    if isinstance(n, Nu):
-        if pos:
-            return Nu(n.var, _pnf(n.body, True, flipped))
-        flipped.add(n.var)
-        return Mu(n.var, _pnf(n.body, False, flipped))
-    raise FormulaError(f"unknown node {type(n).__name__}")
+def _pnf(root: Node, strip: bool = False) -> Node:
+    """Negations pushed onto colors in one pre-order pass; with strip,
+    replacements go (at arity 1 the only mapping is the identity)."""
+    flipped: set[str] = set()
+    done: list[Node] = []  # results of finished subtrees awaiting their parent
+    # (node, polarity, False) enters a node, (node, polarity, True) builds it
+    todo: list[tuple] = [(root, True, False)]
+    while todo:
+        n, pos, leaving = todo.pop()
+        cls = type(n)
+        if leaving:
+            k = len(_KIDS[cls])
+            kids = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(_rebuild(n, kids, cls if pos else _DUAL[cls]))
+        elif cls is TT or cls is FF:
+            done.append(TT() if (cls is TT) == pos else FF())
+        elif cls is Color:
+            done.append(n if pos else Neg(n))
+        elif cls is Var:
+            # positivity of the input guarantees the occurrence comes out positive
+            if pos == (n.name in flipped):
+                raise FormulaError(f"variable {n.name} survives negatively")
+            done.append(n)
+        elif cls is Neg or (strip and cls is Replace):
+            todo.append((n.sub, pos != (cls is Neg), False))
+        elif cls in _DUAL:
+            if not pos and (cls is Mu or cls is Nu):
+                flipped.add(n.var)
+            todo.append((n, pos, True))
+            todo += [(getattr(n, f), pos, False) for f in reversed(_KIDS[cls])]
+        else:
+            raise FormulaError(f"unknown node {cls.__name__}")
+    return done[0]
 
 
 def positive_normal_form(phi: Formula) -> Formula:
     """Negations pushed onto colors; negated fixpoints dualize and their
     variables flip polarity."""
-    return Formula(phi.arity, _pnf(phi.root, True, set()))
+    return Formula(phi.arity, _pnf(phi.root))
 
 
 # ------------------------------------------------------------ translation
 
 
 def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
-    """States are the distinct subformulas of the positive normal form;
-    a variable is identified with its binder's state.  Least fixpoints
-    get the smallest odd priority at least the maximum inside their
-    body, greatest fixpoints the smallest such even one; every other
-    state has priority 0."""
-    validate_formula(phi, sig)
+    """States are the distinct subformulas of the positive normal form,
+    in pre-order of first appearance; a variable is identified with its
+    binder's state.  Least fixpoints get the smallest odd priority at
+    least the maximum inside their body, greatest fixpoints the smallest
+    such even one; every other state has priority 0.  State names grow
+    with the square of the formula, so past _MAX_ID_CHARS it is refused."""
+    t = _Table(phi, sig)
+    if t.error is not None:
+        raise FormulaError(t.error)
     if phi.arity != 1:
         raise FormulaError("automaton translation needs an arity-1 formula")
-    if free_vars(phi):
+    if t.free[t.root]:
         raise FormulaError("automaton translation needs a closed formula")
-    root = _pnf(_strip_replace(phi.root), True, set())
-
-    names: list[str] = []
-    delta: list[Trans | None] = []
-    prio: list[int] = []
-    key2id: dict[str, int] = {}
-    binder: dict[str, int] = {}
+    t = _Table(Formula(1, _pnf(phi.root, strip=True)))
+    node, kids = t.node, t.kids
     c0 = sig.colors[0]
 
-    def text(n: Node) -> str:
-        return print_formula(Formula(1, n))
+    def key(e: int):
+        """A literal's state is keyed (color, positive), a variable's by its binder."""
+        n = node[e]
+        if isinstance(n, Color):
+            return n.color, True
+        if isinstance(n, Neg):
+            return n.sub.color, False
+        return t.bind.get(e, e)
 
-    def build(n: Node) -> int:
-        if isinstance(n, Var):
-            return binder[n.name]
-        t = text(n)
-        q = key2id.get(t)
-        if q is not None and delta[q] is not None:
-            return q
-        if q is None:
-            q = len(names)
-            key2id[t] = q
-            names.append(t)
-            delta.append(None)
-            prio.append(0)
-        if isinstance(n, (Mu, Nu)):
-            binder[n.var] = q
-            b = build(n.body)
-            delta[q] = TransBool(False, b, b)
-        elif isinstance(n, TT):
-            delta[q] = TransBool(False, build(Color(c0, 0)), build(Neg(Color(c0, 0))))
-        elif isinstance(n, FF):
-            delta[q] = TransBool(True, build(Color(c0, 0)), build(Neg(Color(c0, 0))))
-        elif isinstance(n, Color):
-            delta[q] = TransLit(n.color, True)
-        elif isinstance(n, Neg):
-            delta[q] = TransLit(n.sub.color, False)
-        elif isinstance(n, And):
-            delta[q] = TransBool(True, build(n.left), build(n.right))
-        elif isinstance(n, Or):
-            delta[q] = TransBool(False, build(n.left), build(n.right))
-        elif isinstance(n, Diamond):
-            delta[q] = TransMod(n.action, True, build(n.sub))
-        elif isinstance(n, Box):
-            delta[q] = TransMod(n.action, False, build(n.sub))
+    def succ(q) -> list:
+        # tt and ff run on the literals of the first color, a binder on its body twice
+        if type(q) is tuple:
+            return []
+        if isinstance(node[q], (TT, FF)):
+            return [(c0, True), (c0, False)]
+        return [key(k) for k in kids[q]] * (1 + isinstance(node[q], (Mu, Nu)))
+
+    # states in pre-order of first appearance; a binder comes before its variables
+    state: dict = {}
+    todo = [key(t.root)]
+    while todo:
+        q = todo.pop()
+        if q not in state:
+            state[q] = len(state)
+            todo += reversed(succ(q))
+
+    names: list[str] = []
+    delta: list[Trans] = []
+    chars = 0
+    for q in state:
+        to = [state[r] for r in succ(q)]
+        if type(q) is tuple:
+            n = Color(q[0], 0) if q[1] else Neg(Color(q[0], 0))
+            delta.append(TransLit(*q))
+        elif isinstance(node[q], (Diamond, Box)):
+            n = node[q]
+            delta.append(TransMod(n.action, isinstance(n, Diamond), to[0]))
         else:
-            raise FormulaError(f"untranslatable node {type(n).__name__}")
-        return q
+            n = node[q]
+            delta.append(TransBool(isinstance(n, (FF, And)), *to))
+        names.append(print_formula(Formula(1, n)))
+        chars += len(names[-1])
+        if chars > _MAX_ID_CHARS:
+            raise ResourceLimitError(f"formula_to_apt: more than {_MAX_ID_CHARS} state-name characters")
 
-    initial = build(root)
-
-    def assign(n: Node) -> int:
-        if isinstance(n, Var):
-            return 0
-        if isinstance(n, (Mu, Nu)):
-            inner = assign(n.body)
-            want_odd = isinstance(n, Mu)
-            p = inner if inner % 2 == (1 if want_odd else 0) else inner + 1
-            prio[key2id[text(n)]] = p
-            return p
-        top = 0
-        for c in _children(n):
-            top = max(top, assign(c))
-        return top
-
-    assign(root)
-    return Apt(sig, tuple(names), initial, tuple(delta), tuple(prio))
+    prio = [0] * len(state)
+    top = [0] * len(node)  # the largest binder priority inside each entry
+    for e, ks in enumerate(kids):
+        p = max([top[k] for k in ks], default=0)
+        if isinstance(node[e], (Mu, Nu)):
+            if p % 2 != isinstance(node[e], Mu):  # mu wants odd, nu even
+                p += 1
+            prio[state[e]] = p
+        top[e] = p
+    return Apt(sig, tuple(names), state[key(t.root)], tuple(delta), tuple(prio))
 
 
 def render_transition(t: Trans) -> str:
@@ -316,12 +300,12 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
 def solve_parity(game: ParityGame) -> GameResult:
     """Exact solution with winner and positional strategy per position.
 
-    Zielonka's algorithm, looping over opponent attractors; nesting
-    bounded by the distinct priorities.  Dead ends are routed to a fresh
-    losing sink for their owner, which makes the game total for the
-    attractor decomposition; the sinks are stripped from the answer.
-    Positions are bucketed by priority once, so each loop turn finds
-    the top priority of its region by set intersection."""
+    Zielonka's algorithm, looping over opponent attractors and nesting
+    over distinct priorities on an explicit stack.  Dead ends are routed
+    to a fresh losing sink for their owner, which makes the game total
+    for the attractor decomposition; the sinks are stripped from the
+    answer.  Positions are bucketed by priority once, so each loop turn
+    finds the top priority of its region by set intersection."""
     n = len(game.labels)
     prio = tuple(game.priority) + (1, 0)
     owner = tuple(game.owner) + (EXISTS, FORALL)
@@ -335,10 +319,6 @@ def solve_parity(game: ParityGame) -> GameResult:
     by_prio = groupby(sorted(range(n + 2), key=prio.__getitem__), key=prio.__getitem__)
     buckets = {p: set(vs) for p, vs in by_prio}
     order = sorted(buckets, reverse=True)
-    if 2 * len(order) > sys.getrecursionlimit():
-        raise ResourceLimitError(
-            f"{len(order)} distinct priorities nest deeper than the recursion limit allows"
-        )
 
     def attractor(target: set, region: set, player: int, strat: dict) -> set:
         """region minus player's attractor of target within it; strategy
@@ -363,43 +343,49 @@ def solve_parity(game: ParityGame) -> GameResult:
                 queue.append(u)
         return rest
 
-    def zielonka(region: set, k: int) -> tuple[list[set], list[dict]]:
-        """Winning regions and strategies, indexed by player; no position
-        in region has a priority above order[k]."""
-        win: list[set] = [set(), set()]
-        strat: list[dict] = [{}, {}]
-        while region:
+    # a frame solves region, whose priorities are at most order[k], into win and
+    # strat per player; its parent waits on the stack with the top's attractor
+    region, k, win, strat = set(range(n + 2)), 0, [set(), set()], [{}, {}]
+    frames: list = []
+    while True:
+        if region:
             top = buckets[order[k]] & region
             while not top:
                 k += 1
                 top = buckets[order[k]] & region
-            sigma = order[k] % 2
-            opp = 1 - sigma
             s_attr: dict = {}
             # a region all of top priority is its own attractor, with no strategy
             if len(top) < len(region):
-                sub_win, sub_strat = zielonka(attractor(top, region, sigma, s_attr), k + 1)
-                if sub_win[opp]:
-                    strat[opp].update(sub_strat[opp])
-                    rest = attractor(sub_win[opp], region, opp, strat[opp])
-                    win[opp] |= region - rest
-                    region = rest
-                    continue
-                strat[sigma].update(sub_strat[sigma])
-            mine = strat[sigma]
-            # every position keeps a move inside its region, so a lone move is in it
-            for v in sorted(top):
-                if owner[v] == sigma:
-                    ms = moves[v]
-                    mine[v] = ms[0] if len(ms) == 1 else min([w for w in ms if w in region])
-            mine.update(s_attr)
-            win[sigma] |= region
+                frames.append((region, k, win, strat, top, s_attr))
+                region = attractor(top, region, order[k] % 2, s_attr)
+                k, win, strat = k + 1, [set(), set()], [{}, {}]
+                continue
+        elif not frames:
             break
-        return win, strat
+        else:
+            sub_win, sub_strat = win, strat
+            region, k, win, strat, top, s_attr = frames.pop()
+            opp = 1 - order[k] % 2
+            if sub_win[opp]:
+                strat[opp].update(sub_strat[opp])
+                rest = attractor(sub_win[opp], region, opp, strat[opp])
+                win[opp] |= region - rest
+                region = rest
+                continue
+            strat[1 - opp].update(sub_strat[1 - opp])
+        sigma = order[k] % 2
+        mine = strat[sigma]
+        # every position keeps a move inside its region, so a lone move is in it
+        for v in sorted(top):
+            if owner[v] == sigma:
+                ms = moves[v]
+                mine[v] = ms[0] if len(ms) == 1 else min([w for w in ms if w in region])
+        mine.update(s_attr)
+        win[sigma] |= region
+        region = set()
 
-    (w0, _), strats = zielonka(set(range(n + 2)), 0)
-    winner = tuple([EXISTS if v in w0 else FORALL for v in range(n)])
-    strategies = tuple({v: w for v, w in s.items() if v < n and w < n} for s in strats)
+    winner = tuple([EXISTS if v in win[EXISTS] else FORALL for v in range(n)])
+    strategies = tuple({v: w for v, w in s.items() if v < n and w < n} for s in strat)
     return GameResult(winner, strategies)
 
 

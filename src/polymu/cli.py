@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Thin wrappers only: parse arguments, load inputs, call the library,
-print the result.  Exit codes: 0 done, 2 input error (including input
-nested too deeply for the recursion limit), 3 cross-check disagreement
-(including xcheck failures).  Results go to stdout, diagnostics to
-stderr.
+print the result.  Exit codes: 0 done, 2 input error, 3 cross-check
+disagreement (including xcheck failures).  Results go to stdout,
+diagnostics to stderr.
 """
 from __future__ import annotations
 
@@ -448,9 +447,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (PolymuError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError as e:  # the passes over a formula recurse on its AST
-        print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return 2
 
 

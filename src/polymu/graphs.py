@@ -438,7 +438,7 @@ def read_graph(data) -> LabeledGraph:
         data = data.decode("utf-8")
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses on nesting
         raise GraphFormatError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level: expected an object")

@@ -16,12 +16,17 @@ its component index.  At arity 1 the index may be omitted.
 Every fixpoint variable must be bound exactly once per formula, and
 bound variables may occur only under an even number of negations
 inside their binder.
+
+No pass recurses on the AST.  The parser and printer keep pending work
+on explicit stacks; the other passes loop over _Table, the formula
+compiled once into one entry per distinct subformula.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 from .errors import FormulaError, GraphFormatError, ParseError
 from .graphs import RESET, Signature, lift_signature, unlift
@@ -110,121 +115,149 @@ class Formula:
     root: Node
 
 
-def _children(n: Node) -> tuple[Node, ...]:
-    if isinstance(n, (Neg, Diamond, Box, Replace)):
-        return (n.sub,)
-    if isinstance(n, (And, Or)):
-        return (n.left, n.right)
-    if isinstance(n, (Mu, Nu)):
-        return (n.body,)
-    return ()
+# per node class: the payload fields, then the child fields; constructors take both in turn
+_DATA = {c: tuple(f.name for f in fields(c) if f.type != "Node") for c in Node.__subclasses__()}
+_KIDS = {c: tuple(f.name for f in fields(c) if f.type == "Node") for c in Node.__subclasses__()}
+_PAYLOAD = {c: attrgetter(*names or ["__class__"]) for c, names in _DATA.items()}
 
 
-def map_children(n: Node, f: Callable[[Node], Node]) -> Node:
-    """n rebuilt with f applied to each direct child, left to right;
-    leaves come back unchanged."""
-    if isinstance(n, Neg):
-        return Neg(f(n.sub))
-    if isinstance(n, (And, Or)):
-        return type(n)(f(n.left), f(n.right))
-    if isinstance(n, (Diamond, Box)):
-        return type(n)(n.action, n.comp, f(n.sub))
-    if isinstance(n, Replace):
-        return Replace(n.mapping, f(n.sub))
-    if isinstance(n, (Mu, Nu)):
-        return type(n)(n.var, f(n.body))
-    return n
+class _Table:
+    """phi compiled by one iterative walk into one entry per distinct
+    subformula, children first, keyed on class, payload, child entries
+    and, for a variable, its binder: a free X and a bound X differ.
+    Per entry: node, its first AST node; kids; free variables; pre, that
+    node's pre-order position.  Binder b's new body entries are
+    start[b]..b-1; bind maps bound variable entries to binders.  size
+    counts AST nodes; error is validate_formula's first failed check in
+    pre-order (names only with sig), or None."""
+
+    __slots__ = ("node", "kids", "free", "pre", "bind", "start", "root", "size", "error")
+
+    def __init__(self, phi: Formula, sig: Signature | None = None):
+        arity = phi.arity
+        self.node, self.kids, self.free, self.pre = node, kids, free, pre = [], [], [], []
+        self.start: dict[int, int] = {}
+        errors = [f"arity must be >= 1, got {arity}"] if arity < 1 else []
+        index: dict[tuple, int] = {}
+        # binder variable -> (parity, position) while its binder is open, else None
+        scope: dict[str, tuple[int, int] | None] = {}
+        binder_at: dict[int, int] = {}  # binder position -> binder entry
+        done: list[int] = []  # entries of finished subtrees awaiting their parent
+        # (node, parity, None) enters; (node, position, slice start or -1) leaves
+        todo: list[tuple] = [(phi.root, 0, None)]
+        count = 0
+        while todo:
+            n, parity, mark = todo.pop()
+            cls = type(n)
+            if mark is None:
+                pos, count = count, count + 1
+                names = _KIDS.get(cls, ())
+                comps: tuple[int, ...] = ()
+                if cls not in _KIDS:
+                    errors.append(f"unknown node {cls.__name__}")
+                elif cls is Var:
+                    s = scope.get(n.name)
+                    if s is not None and s[0] != parity:
+                        errors.append(f"negative occurrence of {n.name!r}")
+                elif cls is Color or cls is Diamond or cls is Box:
+                    what, name = ("color", n.color) if cls is Color else ("action", n.action)
+                    if sig is not None and name not in (sig.colors if cls is Color else sig.actions):
+                        errors.append(f"unknown {what} {name!r}")
+                    comps = (n.comp,)
+                elif cls is Replace:
+                    if len(n.mapping) != arity:
+                        errors.append(f"replacement lists {len(n.mapping)} components, arity is {arity}")
+                    comps = n.mapping
+                elif cls is Mu or cls is Nu:
+                    if n.var in scope:
+                        errors.append(f"variable {n.var!r} bound twice")
+                    scope[n.var] = (parity, pos)
+                for k in comps:
+                    if not 0 <= k < arity:
+                        errors.append(f"component {k} out of range for arity {arity}")
+                if names:
+                    todo.append((n, pos, len(node) if cls is Mu or cls is Nu else -1))
+                    parity ^= cls is Neg
+                    for f in reversed(names):
+                        todo.append((getattr(n, f), parity, None))
+                    continue
+                ks, fv = (), frozenset()
+                if cls is Var:
+                    fv = frozenset((n.name,))
+                    key = (Var, n.name, (scope.get(n.name) or (0, -1))[1])
+                else:
+                    key = (cls, _PAYLOAD[cls](n), ks) if cls in _DATA else (cls, id(n))
+            else:
+                pos = parity  # a leaving node carries its position here
+                ks = (done.pop(),)
+                fv = free[ks[0]]
+                if cls is And or cls is Or:
+                    ks = (done.pop(), ks[0])
+                    fv = free[ks[0]] | fv
+                key = (cls, _PAYLOAD[cls](n), ks)
+                if cls is Mu or cls is Nu:
+                    fv -= {n.var}
+                    scope[n.var] = None
+            e = index.get(key)
+            if e is None:
+                e = index[key] = len(node)
+                node.append(n)
+                kids.append(ks)
+                free.append(fv)
+                pre.append(pos)
+                if mark is not None and mark >= 0:
+                    self.start[e] = mark
+                    binder_at[pos] = e
+            done.append(e)
+        self.bind = {e: binder_at[key[2]] for key, e in index.items() if key[0] is Var and key[2] >= 0}
+        self.root = done[0]
+        self.size = count
+        self.error = errors[0] if errors else None
 
 
-def _walk(n: Node) -> Iterator[Node]:
-    yield n
-    for c in _children(n):
-        yield from _walk(c)
+def _rebuild(n: Node, kids: list[Node], cls: type | None = None) -> Node:
+    """n over new children, as a cls node (n's class by default)."""
+    if not kids:
+        return n
+    return (cls or type(n))(*map(n.__getattribute__, _DATA[type(n)]), *kids)
+
+
+def _map_table(t: _Table, image: Callable[[Node, list[Node]], Node]) -> Node:
+    """The AST rebuilt by image(node, new children), children first; of
+    the FormulaErrors image raises, the first in pre-order propagates."""
+    new: list = []
+    failed: list[tuple[int, FormulaError]] = []
+    for e, n in enumerate(t.node):
+        try:
+            new.append(image(n, list(map(new.__getitem__, t.kids[e]))))
+        except FormulaError as err:
+            failed.append((t.pre[e], err))
+            new.append(None)
+    if failed:
+        raise min(failed, key=itemgetter(0))[1]
+    return new[t.root]
 
 
 def formula_size(phi: Formula) -> int:
     """Number of AST nodes."""
-    return sum(1 for _ in _walk(phi.root))
-
-
-def _free_map(root: Node) -> dict[int, frozenset[str]]:
-    """Free variables per AST node, keyed by object identity."""
-    out: dict[int, frozenset[str]] = {}
-
-    def go(n: Node) -> frozenset[str]:
-        if id(n) in out:
-            return out[id(n)]
-        if isinstance(n, Var):
-            fv = frozenset({n.name})
-        elif isinstance(n, (Mu, Nu)):
-            fv = go(n.body) - {n.var}
-        else:
-            fv = frozenset().union(*map(go, _children(n)))
-        out[id(n)] = fv
-        return fv
-
-    go(root)
-    return out
+    return _Table(phi).size
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    return _free_map(phi.root)[id(phi.root)]
+    t = _Table(phi)
+    return t.free[t.root]
 
 
 def bound_vars(phi: Formula) -> frozenset[str]:
-    return frozenset(n.var for n in _walk(phi.root) if isinstance(n, (Mu, Nu)))
+    t = _Table(phi)
+    return frozenset(t.node[b].var for b in t.start)
 
 
 def validate_formula(phi: Formula, sig: Signature) -> None:
     """Check names, component indices, unique binding and positivity."""
-    if phi.arity < 1:
-        raise FormulaError(f"arity must be >= 1, got {phi.arity}")
-    actions = set(sig.actions)
-    colors = set(sig.colors)
-    binders: set[str] = set()
-
-    def go(n: Node, scope: dict[str, int], parity: int):
-        if isinstance(n, Color):
-            if n.color not in colors:
-                raise FormulaError(f"unknown color {n.color!r}")
-            if not 0 <= n.comp < phi.arity:
-                raise FormulaError(f"component {n.comp} out of range for arity {phi.arity}")
-        elif isinstance(n, (Diamond, Box)):
-            if n.action not in actions:
-                raise FormulaError(f"unknown action {n.action!r}")
-            if not 0 <= n.comp < phi.arity:
-                raise FormulaError(f"component {n.comp} out of range for arity {phi.arity}")
-            go(n.sub, scope, parity)
-        elif isinstance(n, Var):
-            if n.name in scope and scope[n.name] != parity:
-                raise FormulaError(f"negative occurrence of {n.name!r}")
-        elif isinstance(n, Neg):
-            go(n.sub, scope, 1 - parity)
-        elif isinstance(n, (And, Or)):
-            go(n.left, scope, parity)
-            go(n.right, scope, parity)
-        elif isinstance(n, (Mu, Nu)):
-            if n.var in binders:
-                raise FormulaError(f"variable {n.var!r} bound twice")
-            binders.add(n.var)
-            scope2 = dict(scope)
-            scope2[n.var] = parity
-            go(n.body, scope2, parity)
-        elif isinstance(n, Replace):
-            if len(n.mapping) != phi.arity:
-                raise FormulaError(
-                    f"replacement lists {len(n.mapping)} components, arity is {phi.arity}"
-                )
-            for k in n.mapping:
-                if not 0 <= k < phi.arity:
-                    raise FormulaError(f"component {k} out of range for arity {phi.arity}")
-            go(n.sub, scope, parity)
-        elif isinstance(n, (TT, FF)):
-            pass
-        else:
-            raise FormulaError(f"unknown node {type(n).__name__}")
-
-    go(phi.root, {}, 0)
+    error = _Table(phi, sig).error
+    if error is not None:
+        raise FormulaError(error)
 
 
 # ---------------------------------------------------------------- parser
@@ -274,149 +307,121 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _KEYWORDS = {"mu", "nu", "tt", "ff"}
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Signature, arity: int):
-        if arity < 1:
-            raise FormulaError(f"arity must be >= 1, got {arity}")
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.sig = sig
-        self.arity = arity
-        self.binders: set[str] = set()
+def parse_formula(text: str, sig: Signature, arity: int) -> Formula:
+    if arity < 1:
+        raise FormulaError(f"arity must be >= 1, got {arity}")
+    toks = _tokenize(text)[::-1]
+    actions, colors = set(sig.actions), set(sig.colors)
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, value: str):
-        kind, val, off = self.next()
+    def expect(value: str):
+        kind, val, off = toks.pop()
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", off)
 
-    def resolve(self, token: str, names, what: str, off: int) -> tuple[str, int]:
+    def nat() -> int:
+        kind, val, off = toks.pop()
+        if kind != "nat":
+            raise ParseError("expected a number", off)
+        return int(val)
+
+    def resolve(token: str, names, what: str, off: int) -> tuple[str, int]:
         """Split the trailing component index off an atom or action token."""
         if "@" in token:
             prefix, _, suffix = token.rpartition("@")
             if suffix.isdigit() and prefix in names:
                 comp = int(suffix)
-                if comp >= self.arity:
-                    raise ParseError(
-                        f"component {comp} out of range for arity {self.arity}", off
-                    )
+                if comp >= arity:
+                    raise ParseError(f"component {comp} out of range for arity {arity}", off)
                 return prefix, comp
         if token in names:
-            if self.arity == 1:
+            if arity == 1:
                 return token, 0
             raise ParseError(f"{what} {token!r} needs a component index", off)
         raise ParseError(f"unknown {what} {token!r}", off)
 
-    def formula(self, scope: dict[str, int], parity: int) -> Node:
-        node = self.conjunct(scope, parity)
-        while self.peek()[1] == "|":
-            self.next()
-            node = Or(node, self.conjunct(scope, parity))
-        return node
-
-    def conjunct(self, scope, parity) -> Node:
-        node = self.prefix(scope, parity)
-        while self.peek()[1] == "&":
-            self.next()
-            node = And(node, self.prefix(scope, parity))
-        return node
-
-    def prefix(self, scope, parity) -> Node:
-        kind, val, off = self.peek()
+    scope: dict[str, int | None] = {}  # binder variable -> parity while open, else None
+    parity = 0
+    # operators waiting for the operand being read; a formula opens an "|"
+    # and an "&" frame (op, left operand or None, parity)
+    frames: list[tuple] = [("|", None, 0), ("&", None, 0)]
+    while True:
+        kind, val, off = toks.pop()
         if val == "~":
-            self.next()
-            return Neg(self.prefix(scope, 1 - parity))
+            frames.append((Neg,))
+            parity = 1 - parity
+            continue
         if val == "<" or val == "[":
-            self.next()
-            closing = ">" if val == "<" else "]"
-            k2, tok, off2 = self.next()
+            k2, tok, off2 = toks.pop()
             if k2 != "lident":
                 raise ParseError("expected an action name", off2)
-            action, comp = self.resolve(tok, set(self.sig.actions), "action", off2)
-            self.expect(closing)
-            sub = self.prefix(scope, parity)
-            cls = Diamond if val == "<" else Box
-            return cls(action, comp, sub)
+            action, comp = resolve(tok, actions, "action", off2)
+            expect(">" if val == "<" else "]")
+            frames.append((Diamond if val == "<" else Box, action, comp))
+            continue
         if val == "%":
-            self.next()
-            self.expect("{")
-            mapping = [self.nat()]
-            while self.peek()[1] == ",":
-                self.next()
-                mapping.append(self.nat())
-            self.expect("}")
-            if len(mapping) != self.arity:
+            expect("{")
+            mapping = [nat()]
+            while toks[-1][1] == ",":
+                toks.pop()
+                mapping.append(nat())
+            expect("}")
+            if len(mapping) != arity:
                 raise ParseError(
-                    f"replacement lists {len(mapping)} components, arity is {self.arity}",
-                    off,
+                    f"replacement lists {len(mapping)} components, arity is {arity}", off
                 )
             for k in mapping:
-                if k >= self.arity:
-                    raise ParseError(
-                        f"component {k} out of range for arity {self.arity}", off
-                    )
-            return Replace(tuple(mapping), self.prefix(scope, parity))
+                if k >= arity:
+                    raise ParseError(f"component {k} out of range for arity {arity}", off)
+            frames.append((Replace, tuple(mapping)))
+            continue
         if val in ("mu", "nu"):
-            return self.fixpoint(scope, parity)
-        return self.atom(scope, parity)
-
-    def nat(self) -> int:
-        kind, val, off = self.next()
-        if kind != "nat":
-            raise ParseError("expected a number", off)
-        return int(val)
-
-    def fixpoint(self, scope, parity) -> Node:
-        kind, val, off = self.next()
-        cls = Mu if val == "mu" else Nu
-        k2, name, off2 = self.next()
-        if k2 != "uident":
-            raise ParseError("expected a variable name", off2)
-        if name in self.binders:
-            raise ParseError(f"variable {name!r} bound twice", off2)
-        self.binders.add(name)
-        self.expect(".")
-        scope2 = dict(scope)
-        scope2[name] = parity
-        body = self.formula(scope2, parity)
-        return cls(name, body)
-
-    def atom(self, scope, parity) -> Node:
-        kind, val, off = self.next()
+            k2, name, off2 = toks.pop()
+            if k2 != "uident":
+                raise ParseError("expected a variable name", off2)
+            if name in scope:
+                raise ParseError(f"variable {name!r} bound twice", off2)
+            expect(".")
+            scope[name] = parity
+            frames += [(Mu if val == "mu" else Nu, name), ("|", None, parity), ("&", None, parity)]
+            continue
         if val == "(":
-            node = self.formula(scope, parity)
-            self.expect(")")
-            return node
-        if kind == "lident":
-            if val == "tt":
-                return TT()
-            if val == "ff":
-                return FF()
-            if val in _KEYWORDS:
-                raise ParseError(f"misplaced keyword {val!r}", off)
-            color, comp = self.resolve(val, set(self.sig.colors), "color", off)
-            return Color(color, comp)
-        if kind == "uident":
-            if val in scope and scope[val] != parity:
+            frames += [("(",), ("|", None, parity), ("&", None, parity)]
+            continue
+        if kind == "lident" and val in ("tt", "ff"):
+            node = TT() if val == "tt" else FF()
+        elif kind == "lident":
+            node = Color(*resolve(val, colors, "color", off))
+        elif kind == "uident":
+            if scope.get(val) not in (None, parity):
                 raise ParseError(f"negative occurrence of {val!r}", off)
-            return Var(val)
-        raise ParseError(f"expected a formula, found {val or 'end of input'!r}", off)
-
-
-def parse_formula(text: str, sig: Signature, arity: int) -> Formula:
-    p = _Parser(text, sig, arity)
-    node = p.formula({}, 0)
-    kind, val, off = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", off)
-    return Formula(arity, node)
+            node = Var(val)
+        else:
+            raise ParseError(f"expected a formula, found {val or 'end of input'!r}", off)
+        # the operand is complete: apply waiting operators until one wants more
+        while frames:
+            f = frames.pop()
+            op = f[0]
+            if op == "&" or op == "|":
+                if f[1] is not None:
+                    node = (And if op == "&" else Or)(f[1], node)
+                if toks[-1][1] == op:
+                    toks.pop()
+                    parity = f[2]
+                    frames.append((op, node, parity))
+                    if op == "|":
+                        frames.append(("&", None, parity))
+                    break
+            elif op == "(":
+                expect(")")
+            else:
+                if op is Mu or op is Nu:
+                    scope[f[1]] = None
+                node = op(*f[1:], node)
+        else:
+            kind, val, off = toks[-1]
+            if kind != "eof":
+                raise ParseError(f"trailing input {val!r}", off)
+            return Formula(arity, node)
 
 
 # ---------------------------------------------------------------- printer
@@ -430,37 +435,48 @@ def print_formula(phi: Formula) -> str:
     Left-nested chains of one connective print flat; a fixpoint is
     parenthesized unless the rest of the output belongs to its body.
     """
-
-    def go(n: Node, level: int, tail: bool) -> str:
+    out: list[str] = []
+    todo: list = [(phi.root, _LV_OR, True)]  # text, or (node, level, tail) still to print
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        n, level, tail = item
         if isinstance(n, TT):
-            return "tt"
-        if isinstance(n, FF):
-            return "ff"
-        if isinstance(n, Color):
-            return f"{n.color}@{n.comp}"
-        if isinstance(n, Var):
-            return n.name
-        if isinstance(n, Neg):
-            return "~" + go(n.sub, _LV_PREFIX, tail)
-        if isinstance(n, Diamond):
-            return f"<{n.action}@{n.comp}>" + go(n.sub, _LV_PREFIX, tail)
-        if isinstance(n, Box):
-            return f"[{n.action}@{n.comp}]" + go(n.sub, _LV_PREFIX, tail)
-        if isinstance(n, Replace):
-            return "%{" + ",".join(map(str, n.mapping)) + "}" + go(n.sub, _LV_PREFIX, tail)
-        if isinstance(n, Or):
-            s = go(n.left, _LV_OR, False) + " | " + go(n.right, _LV_AND, tail)
-            return f"({s})" if level > _LV_OR else s
-        if isinstance(n, And):
-            s = go(n.left, _LV_AND, False) + " & " + go(n.right, _LV_PREFIX, tail)
-            return f"({s})" if level > _LV_AND else s
-        if isinstance(n, (Mu, Nu)):
-            kw = "mu" if isinstance(n, Mu) else "nu"
-            s = f"{kw} {n.var}. " + go(n.body, _LV_OR, True)
-            return s if tail else f"({s})"
-        raise FormulaError(f"unknown node {type(n).__name__}")
-
-    return go(phi.root, _LV_OR, True)
+            out.append("tt")
+        elif isinstance(n, FF):
+            out.append("ff")
+        elif isinstance(n, Color):
+            out.append(f"{n.color}@{n.comp}")
+        elif isinstance(n, Var):
+            out.append(n.name)
+        elif isinstance(n, (Neg, Diamond, Box, Replace)):
+            if isinstance(n, Neg):
+                out.append("~")
+            elif isinstance(n, Diamond):
+                out.append(f"<{n.action}@{n.comp}>")
+            elif isinstance(n, Box):
+                out.append(f"[{n.action}@{n.comp}]")
+            else:
+                out.append("%{" + ",".join(map(str, n.mapping)) + "}")
+            todo.append((n.sub, _LV_PREFIX, tail))
+        elif isinstance(n, (Or, And)):
+            # the left operand stays at the connective's level, the right one binds tighter
+            lv = _LV_OR if isinstance(n, Or) else _LV_AND
+            if level > lv:
+                out.append("(")
+                todo.append(")")
+            todo += [(n.right, lv + 1, tail), " | " if lv == _LV_OR else " & ", (n.left, lv, False)]
+        elif isinstance(n, (Mu, Nu)):
+            if not tail:
+                out.append("(")
+                todo.append(")")
+            out.append(f"{'mu' if isinstance(n, Mu) else 'nu'} {n.var}. ")
+            todo.append((n.body, _LV_OR, True))
+        else:
+            raise FormulaError(f"unknown node {type(n).__name__}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------- transforms
@@ -478,7 +494,9 @@ def check_d_rooted(phi: Formula, d: int) -> bool:
     every replacement copies component d into a single other one."""
     if phi.arity != d + 1:
         return False
-    for n in _walk(phi.root):
+    t = _Table(phi)
+    for e in sorted(range(len(t.node)), key=t.pre.__getitem__):  # pre-order
+        n = t.node[e]
         if isinstance(n, (Color, Diamond, Box)) and n.comp >= d:
             return False
         if isinstance(n, Replace):
@@ -498,19 +516,17 @@ def monofy(phi: Formula, d: int) -> Formula:
     if not check_d_rooted(phi, d):
         raise FormulaError(f"formula is not {d}-rooted")
 
-    def go(n: Node) -> Node:
+    def image(n: Node, kids: list[Node]) -> Node:
         if isinstance(n, Color):
             return Color(f"{n.color}@{n.comp}", 0)
-        if isinstance(n, Diamond):
-            return Diamond(f"{n.action}@{n.comp}", 0, go(n.sub))
-        if isinstance(n, Box):
-            return Box(f"{n.action}@{n.comp}", 0, go(n.sub))
+        if isinstance(n, (Diamond, Box)):
+            return type(n)(f"{n.action}@{n.comp}", 0, *kids)
         if isinstance(n, Replace):
             j = next(k for k in range(d + 1) if n.mapping[k] != k)
-            return Diamond(f"{RESET}@{j}", 0, go(n.sub))
-        return map_children(n, go)
+            return Diamond(f"{RESET}@{j}", 0, *kids)
+        return _rebuild(n, kids)
 
-    return Formula(1, go(phi.root))
+    return Formula(1, _map_table(_Table(phi), image))
 
 
 def polyfy(psi: Formula, d: int) -> Formula:
@@ -520,32 +536,26 @@ def polyfy(psi: Formula, d: int) -> Formula:
     if psi.arity != 1:
         raise FormulaError(f"polyfy needs an arity-1 formula, got arity {psi.arity}")
 
-    def go(n: Node) -> Node:
+    def image(n: Node, kids: list[Node]) -> Node:
         if isinstance(n, Color):
             c, i = _split_lifted_name(n.color)
             if i >= d:
                 raise FormulaError(f"color {n.color!r} exceeds dimension {d}")
             return Color(c, i)
-        if isinstance(n, Diamond):
+        if isinstance(n, (Diamond, Box)):
             a, i = _split_lifted_name(n.action)
             if i >= d:
                 raise FormulaError(f"action {n.action!r} exceeds dimension {d}")
-            if a == RESET:
-                mapping = tuple(d if k == i else k for k in range(d + 1))
-                return Replace(mapping, go(n.sub))
-            return Diamond(a, i, go(n.sub))
-        if isinstance(n, Box):
-            a, i = _split_lifted_name(n.action)
-            if i >= d:
-                raise FormulaError(f"action {n.action!r} exceeds dimension {d}")
-            if a == RESET:
+            if a != RESET:
+                return type(n)(a, i, *kids)
+            if isinstance(n, Box):
                 raise FormulaError(f"[{n.action}] has no arity-{d + 1} counterpart")
-            return Box(a, i, go(n.sub))
+            return Replace(tuple(d if k == i else k for k in range(d + 1)), *kids)
         if isinstance(n, Replace):
             raise FormulaError("replacement nodes have no lifted counterpart")
-        return map_children(n, go)
+        return _rebuild(n, kids)
 
-    return Formula(d + 1, go(psi.root))
+    return Formula(d + 1, _map_table(_Table(psi), image))
 
 
 # ------------------------------------------------- characteristic formulas

@@ -8,8 +8,11 @@ are single int operations, colors are digit masks, and the bitsets are
 decoded into node-name tuples only on the way out.  A bitset is n**d
 bits wide, so evaluation refuses to start when that exceeds tuple_cap.
 
-Fixpoints are computed by iteration: least fixpoints climb from the
-empty set, greatest fixpoints descend from the full tuple space.
+The formula runs as its compiled table (logic._Table), entries in order,
+children first.  Fixpoints are computed by iteration: a binder's entry
+jumps back to the start of its body's entries until its value is
+stable.  Least fixpoints climb from the empty set, greatest fixpoints
+descend from the full tuple space; a closed subformula is computed once.
 Positivity of bound variables (checked up front) makes both monotone,
 so each loop stabilizes after at most |V|^d + 1 rounds; exceeding the
 bound is reported as an error instead of looping forever.
@@ -36,14 +39,12 @@ from .logic import (
     Formula,
     Mu,
     Neg,
-    Node,
     Nu,
     Or,
     Replace,
     TT,
     Var,
-    _free_map,
-    validate_formula,
+    _Table,
 )
 
 DEFAULT_TUPLE_CAP = 2**20
@@ -89,20 +90,19 @@ def _evaluate_bits(
     d: int | None,
     env: Mapping[str, TupleSet] | None,
     tuple_cap: int,
-    fmap: dict[int, frozenset[str]] | None = None,
+    t: _Table | None = None,
 ) -> int:
     """Denotation of phi over g as a bitset; see the module docstring.
-
-    fmap, when given, is _free_map(phi.root), already built by the caller.
-    """
-    validate_formula(phi, g.signature)
+    t, when given, is _Table(phi, g.signature), built by the caller."""
+    if t is None:
+        t = _Table(phi, g.signature)
+    if t.error is not None:
+        raise FormulaError(t.error)
     if d is not None and d != phi.arity:
         raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
     arity = phi.arity
     env = dict(env or {})
-    if fmap is None:
-        fmap = _free_map(phi.root)
-    missing = fmap[id(phi.root)] - set(env)
+    missing = t.free[t.root] - set(env)
     if missing:
         raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
 
@@ -126,10 +126,10 @@ def _evaluate_bits(
         if ts.arity != arity:
             raise FormulaError(f"environment entry {name!r} has arity {ts.arity}, expected {arity}")
         members = []
-        for t in ts.tuples:
-            if len(t) != arity or any(v not in idx for v in t):
-                raise FormulaError(f"environment entry {name!r} contains a bad tuple {t!r}")
-            members.append(sum(idx[v] * s for v, s in zip(t, stride)))
+        for tup in ts.tuples:
+            if len(tup) != arity or any(v not in idx for v in tup):
+                raise FormulaError(f"environment entry {name!r} contains a bad tuple {tup!r}")
+            members.append(sum(idx[v] * s for v, s in zip(tup, stride)))
         base_env[name] = _to_bits(members, size)
 
     def digit_mask(k: int, values) -> int:
@@ -175,18 +175,17 @@ def _evaluate_bits(
 
     last_pre: dict[int, tuple[int, int]] = {}
 
-    def pre_inc(node: Diamond | Box, s: int) -> int:
-        """pre() of s, reusing the node's last call when s contains its argument."""
-        # a node seen for the first time starts from pre(0) == 0
-        old, old_res = last_pre.get(id(node), (0, 0))
+    def pre_inc(e: int, s: int) -> int:
+        """pre() of s at modality entry e, reusing its last call when s contains its argument."""
+        node = t.node[e]
+        # an entry seen for the first time starts from pre(0) == 0
+        old, old_res = last_pre.get(e, (0, 0))
         if s & old == old:
             res = old_res | pre(node.action, node.comp, s & ~old)
         else:
             res = pre(node.action, node.comp, s)
-        last_pre[id(node)] = (s, res)
+        last_pre[e] = (s, res)
         return res
-
-    index_maps: dict[int, itemgetter] = {}
 
     def index_map(node: Replace) -> itemgetter:
         """Picks the replaced tuple's bits out of the argument's bit string."""
@@ -198,58 +197,65 @@ def _evaluate_bits(
         for j in range(arity):
             src = [x + v * weight[j] for x in src for v in range(n)]
         # bin strings are most significant bit first
-        getter = itemgetter(*[size - 1 - x for x in reversed(src)])
-        index_maps[id(node)] = getter
-        return getter
+        return itemgetter(*[size - 1 - x for x in reversed(src)])
 
-    closed_cache: dict[int, int] = {}
-
-    def go(node: Node, scope: dict[str, int]) -> int:
-        closed = not fmap[id(node)]
-        if closed and id(node) in closed_cache:
-            return closed_cache[id(node)]
-        if isinstance(node, TT):
+    nodes, kids, free, bind, start = t.node, t.kids, t.free, t.bind, t.start
+    init = {b: 0 if type(nodes[b]) is Mu else full for b in start}
+    cur = dict(init)  # binder -> the approximant its variable stands for
+    rounds = dict.fromkeys(start, 0)
+    # a closed binder, once stable, is stepped over from its slice start
+    jump: dict[int, int] = {}
+    getters = {e: index_map(n) for e, n in enumerate(nodes) if type(n) is Replace}
+    vals: list = [None] * len(nodes)
+    e = 0
+    while e < len(nodes):
+        if e in jump or (not free[e] and vals[e] is not None):
+            e = jump.get(e, e + 1)
+            continue
+        op = type(nodes[e])
+        if op is Var:
+            b = bind.get(e)
+            res = base_env[nodes[e].name] if b is None else cur[b]
+        elif op is And:
+            a, b = kids[e]
+            res = vals[a] & vals[b]
+        elif op is Or:
+            a, b = kids[e]
+            res = vals[a] | vals[b]
+        elif op is Diamond:
+            res = pre_inc(e, vals[kids[e][0]])
+        elif op is Box:
+            res = full ^ pre_inc(e, full ^ vals[kids[e][0]])
+        elif op is Neg:
+            res = full ^ vals[kids[e][0]]
+        elif op is Mu or op is Nu:
+            res = vals[kids[e][0]]
+            rounds[e] += 1
+            if res != cur[e]:
+                if rounds[e] == max_rounds:
+                    raise PolymuError(
+                        f"fixpoint for {nodes[e].var!r} did not stabilize in {max_rounds} rounds"
+                    )
+                cur[e] = res
+                e = start[e]
+                continue
+            # stable: the next visit of the slice starts afresh
+            cur[e], rounds[e] = init[e], 0
+            if not free[e]:
+                jump[start[e]] = e + 1
+        elif op is Color:
+            good = [idx[v] for v in g.nodes if g.has_color(v, nodes[e].color)]
+            res = digit_mask(nodes[e].comp, good)
+        elif op is TT:
             res = full
-        elif isinstance(node, Color):
-            good = [idx[v] for v in g.nodes if g.has_color(v, node.color)]
-            res = digit_mask(node.comp, good)
-        elif isinstance(node, Var):
-            res = scope[node.name]
-        elif isinstance(node, Neg):
-            res = full ^ go(node.sub, scope)
-        elif isinstance(node, And):
-            res = go(node.left, scope) & go(node.right, scope)
-        elif isinstance(node, Or):
-            res = go(node.left, scope) | go(node.right, scope)
-        elif isinstance(node, Diamond):
-            res = pre_inc(node, go(node.sub, scope))
-        elif isinstance(node, Box):
-            res = full ^ pre_inc(node, full ^ go(node.sub, scope))
-        elif isinstance(node, Replace):
-            getter = index_maps.get(id(node)) or index_map(node)
-            res = int("".join(getter(format(go(node.sub, scope), f"0{size}b"))), 2)
-        elif isinstance(node, (Mu, Nu)):
-            cur = 0 if isinstance(node, Mu) else full
-            inner_scope = dict(scope)
-            for _ in range(max_rounds):
-                inner_scope[node.var] = cur
-                nxt = go(node.body, inner_scope)
-                if nxt == cur:
-                    break
-                cur = nxt
-            else:
-                raise PolymuError(
-                    f"fixpoint for {node.var!r} did not stabilize in {max_rounds} rounds"
-                )
-            res = cur
+        elif op is Replace:
+            res = int("".join(getters[e](format(vals[kids[e][0]], f"0{size}b"))), 2)
         else:
-            # FF and anything unexpected; validate_formula already vetted types
+            # FF; the table's checks already vetted every other type
             res = 0
-        if closed:
-            closed_cache[id(node)] = res
-        return res
-
-    return go(phi.root, base_env)
+        vals[e] = res
+        e += 1
+    return vals[t.root]
 
 
 def evaluate(
@@ -277,10 +283,10 @@ def evaluate(
 def models(g: LabeledGraph, phi: Formula, d: int | None = None,
            tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """Does the arity-fold root tuple of g satisfy phi?  phi must be closed."""
-    fmap = _free_map(phi.root)
-    if fmap[id(phi.root)]:
+    t = _Table(phi, g.signature)
+    if t.free[t.root]:
         raise FormulaError("models needs a closed formula")
-    bits = _evaluate_bits(g, phi, d, None, tuple_cap, fmap)
+    bits = _evaluate_bits(g, phi, d, None, tuple_cap, t)
     n = len(g.nodes)
     r = g.index[g.root]
     root_bit = sum(r * n**k for k in range(phi.arity))

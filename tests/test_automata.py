@@ -390,11 +390,21 @@ def test_solver_ladder_needs_no_recursion_limit_patch(monkeypatch):
     assert strategy_is_winning(g, FORALL, set(), res.strategy[FORALL])
 
 
-def test_solver_rejects_priorities_nesting_past_the_recursion_limit():
-    n = sys.getrecursionlimit()
+def test_solver_nests_priorities_without_the_recursion_limit(monkeypatch):
+    # one self-loop per priority: each priority opens one nested frame,
+    # past the 500 that used to be refused under the default recursion limit
+    def forbidden(*args):
+        raise AssertionError("the recursion limit was touched")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    monkeypatch.setattr(sys, "getrecursionlimit", forbidden)
+    n = 600
     g = game([EXISTS] * n, list(range(n)), [(v,) for v in range(n)])
-    with pytest.raises(ResourceLimitError, match="distinct priorities"):
-        solve_parity(g)
+    res = solve_parity(g)
+    assert res.winner == tuple(v % 2 for v in range(n))
+    assert parity_winners(g) == res.winner
+    assert strategy_is_winning(g, EXISTS, set(range(0, n, 2)), res.strategy[EXISTS])
+    assert strategy_is_winning(g, FORALL, set(range(1, n, 2)), res.strategy[FORALL])
 
 
 # ------------------------------------------------ the winners-only solver
@@ -443,8 +453,6 @@ def test_winners_need_no_recursion_for_thousands_of_priorities(monkeypatch):
         m.setattr(sys, "setrecursionlimit", forbidden)
         m.setattr(sys, "getrecursionlimit", forbidden)
         assert parity_winners(g) == (EXISTS,) * n
-    with pytest.raises(ResourceLimitError, match="distinct priorities"):
-        solve_parity(g)
 
 
 

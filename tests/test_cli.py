@@ -380,13 +380,18 @@ def test_apt_and_mc_agree_on_deep_modal_nesting(capsys, tmp_path):
             assert (code, out.strip()) == (0, want), cmd
 
 
-def run_python_m_polymu(*argv):
+def start_python_m_polymu(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "polymu", *argv], env=env, capture_output=True, text=True
-    )
+    return subprocess.Popen([sys.executable, "-m", "polymu", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def run_python_m_polymu(*argv):
+    proc = start_python_m_polymu(*argv)
+    out, err = proc.communicate(timeout=600)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_python_m_polymu_runs_the_cli():
@@ -395,13 +400,64 @@ def test_python_m_polymu_runs_the_cli():
     assert done.stdout.startswith("usage: polymu")
 
 
-@pytest.mark.parametrize("cmd, depth", [("mc", 1000), ("apt", 500)])
-def test_too_deep_nesting_exits_2_without_a_traceback(tmp_path, cmd, depth):
+def loop_graph(tmp_path):
+    """One node with an a-loop and color f."""
     graph = tmp_path / "loop.json"
     graph.write_text(write_graph(LabeledGraph(
         Signature(("a",), ("f",)), ["0"], "0", [("0", "a", "0")], {"0": ["f"]})))
-    done = run_python_m_polymu(cmd, "--formula", "<a>" * depth + "f", "--graph", str(graph))
+    return str(graph)
+
+
+BIG = 10**5
+# shape -> formula text, given the component suffix of its names
+SHAPES = {
+    "diamonds": lambda c: f"<a{c}>" * BIG + f"f{c}",
+    "negations": lambda c: "~" * BIG + f"f{c}",
+    "parentheses": lambda c: "(" * BIG + f"f{c}" + ")" * BIG,
+    "conjunction": lambda c: " & ".join([f"f{c}"] * BIG),
+    "disjunction": lambda c: " | ".join([f"f{c}"] * BIG),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_formulas_deep_or_wide_get_answers(tmp_path, shape):
+    graph = loop_graph(tmp_path)
+
+    def printed(c):
+        return f"f{c}" if shape == "parentheses" else SHAPES[shape](c)
+
+    # command -> (extra flags, component suffix of the input names, stdout)
+    runs = {
+        "mc": ((), "", "true"),
+        "mono": (("-d", "1"), "@0", printed("@0@0")),
+        "poly": (("-d", "1"), "@0", printed("@0")),
+    }
+    procs = {}
+    for cmd, (flags, c, _) in runs.items():
+        text = tmp_path / f"{cmd}.txt"  # too long for one command-line argument
+        text.write_text(SHAPES[shape](c))
+        procs[cmd] = start_python_m_polymu(cmd, "--graph", graph, "--formula", f"@{text}", *flags)
+    for cmd, proc in procs.items():
+        out, err = proc.communicate(timeout=600)
+        assert (proc.returncode, err) == (0, ""), (cmd, err[-400:])
+        assert out == runs[cmd][2] + "\n", cmd
+
+
+def test_apt_answers_deep_nesting_and_refuses_past_its_name_budget(tmp_path):
+    graph = loop_graph(tmp_path)
+    done = run_python_m_polymu("apt", "--graph", graph, "--formula", "<a>" * 500 + "f")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+    # the k + 1 states of <a>^k f have names of about 2.5 k^2 characters in all
+    done = run_python_m_polymu("apt", "--graph", graph, "--formula", "<a>" * 3000 + "f")
     assert (done.returncode, done.stdout) == (2, "")
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: input nested too deeply")
+    assert done.stderr == "error: formula_to_apt: more than 16777216 state-name characters\n"
+
+
+def test_deeply_nested_graph_json_is_a_format_error(tmp_path):
+    graph = tmp_path / "deep.json"
+    graph.write_text("[" * BIG)
+    done = run_python_m_polymu("mc", "--graph", str(graph), "--formula", "f")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: invalid JSON: ")
     assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

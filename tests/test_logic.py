@@ -6,7 +6,7 @@ import pytest
 from polymu.errors import FormulaError, ParseError
 from polymu.graphs import Signature, lift_signature
 from polymu.logic import (
-    _children,
+    _Table,
     And,
     Box,
     Color,
@@ -30,7 +30,6 @@ from polymu.logic import (
     gen_per_formula,
     gen_pow_formula,
     gen_rst_formula,
-    map_children,
     monofy,
     parse_formula,
     polyfy,
@@ -287,6 +286,11 @@ def test_polyfy_rejects_outside_fragment():
         polyfy(parse_formula("f@1@0", lift_signature(SIG, 2), 1), 1)
     with pytest.raises(FormulaError, match="arity-1"):
         polyfy(parse_formula("f@0", SIG, 2), 1)
+    # of several faults, the first in pre-order is reported
+    with pytest.raises(FormulaError, match="replacement nodes"):
+        polyfy(parse_formula("%{0}[rst@0]f@0", lsig, 1), 1)
+    with pytest.raises(FormulaError, match="no arity-2 counterpart"):
+        polyfy(parse_formula("[rst@0]%{0}f@0", lsig, 1), 1)
 
 
 def test_monofy_polyfy_round_trip_on_lifted_side():
@@ -315,7 +319,7 @@ def test_generated_formulas_are_wellformed():
         gen_allbox(2, inner, SIG, 2)
 
 
-def test_map_children_on_every_node_class():
+def test_table_compiles_every_node_class():
     leaf = Color("f", 0)
     nodes = [
         TT(), FF(), leaf, Var("X"), Neg(leaf), And(leaf, TT()), Or(FF(), leaf),
@@ -324,8 +328,24 @@ def test_map_children_on_every_node_class():
     ]
     assert {type(n) for n in nodes} == set(Node.__subclasses__())
     for n in nodes:
-        assert map_children(n, lambda c: c) == n
-        seen = []
-        map_children(n, lambda c: seen.append(c) or c)
-        assert seen == list(_children(n))
-        assert _children(map_children(n, lambda c: FF())) == (FF(),) * len(seen)
+        t = _Table(Formula(1, n), SIG)
+        assert t.error is None, n
+        # the root comes last, after one entry per distinct child
+        assert t.node[t.root] is n and t.root == len(t.node) - 1
+        kids = [t.node[k] for k in t.kids[t.root]]
+        assert kids == [getattr(n, f) for f in ("left", "right", "sub", "body") if hasattr(n, f)]
+        assert t.size == 1 + len(kids)
+
+
+def test_table_shares_equal_subformulas_but_keeps_free_and_bound_apart():
+    phi = parse_formula("(X & <a>f) | mu X. <a>f & <a>X", SIG, 1)
+    t = _Table(phi, SIG)
+    texts = [print_formula(Formula(1, n)) for n in t.node]
+    assert texts.count("<a@0>f@0") == 1
+    assert texts.count("X") == 2  # the free X and the bound one
+    assert t.size == formula_size(phi) == 11 and len(t.node) == 9
+    assert t.free[t.root] == free_vars(phi) == frozenset({"X"})
+    (b,) = t.start
+    assert [t.node[e] for e in range(t.start[b], b)] == [Var("X"), Diamond("a", 0, Var("X")),
+                                                       And(Diamond("a", 0, Color("f", 0)),
+                                                           Diamond("a", 0, Var("X")))]

@@ -6,7 +6,7 @@ import pytest
 from polymu.automata import accepts, formula_to_apt
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power
-from polymu.logic import Color, Formula, Or, Var, parse_formula
+from polymu.logic import Color, Formula, Or, Var, _Table, formula_size, free_vars, parse_formula
 from polymu.semantics import TupleSet, evaluate, models
 
 from conftest import SIG_AF, make_loop3
@@ -186,3 +186,36 @@ def test_models_error_order(loop3):
         models(loop3, Formula(1, Color("q", 0)))
     with pytest.raises(FormulaError, match="unbound variables: X"):
         evaluate(loop3, Formula(1, Or(Var("X"), Color("f", 0))))
+
+
+def test_free_and_bound_variable_of_one_name():
+    # 0 -> 1 -> 1 and 2 -> 3: only 0 and 1 start an infinite a-path, so
+    # mu X. <a>X is empty and nu X. <a>X is {0, 1}; the free X is {1, 2}
+    g = LabeledGraph(SIG_AF, ["0", "1", "2", "3"], "0",
+                     [("0", "a", "1"), ("1", "a", "1"), ("2", "a", "3")], {})
+    env = {"X": TupleSet(1, frozenset({("1",), ("2",)}))}
+    for text, want in [
+        ("X & mu X. <a>X", set()),
+        ("(mu X. <a>X) & X", set()),
+        ("X | mu X. <a>X", {"1", "2"}),
+        ("X & nu X. <a>X", {"1"}),
+        ("(nu X. <a>X) | X", {"0", "1", "2"}),
+    ]:
+        phi = parse_formula(text, SIG_AF, 1)
+        assert free_vars(phi) == frozenset({"X"}), text
+        assert {v for (v,) in evaluate(g, phi, 1, env).tuples} == want, text
+    # formula_size counts AST nodes, not the entries of the compiled table
+    phi = parse_formula("X & X & mu X. <a>X", SIG_AF, 1)
+    assert formula_size(phi) == 7
+    assert len(_Table(phi).node) == 6
+
+
+def test_inner_fixpoint_restarts_in_each_outer_round():
+    # 0 -> 0, 0 -> 1 (f), 1 -> 2: no a-path sees f infinitely often.  The
+    # inner mu depends on X, so each round of X must start it from the
+    # empty set; resuming from its last value would keep {0}.
+    g = LabeledGraph(SIG_AF, ["0", "1", "2"], "0",
+                     [("0", "a", "0"), ("0", "a", "1"), ("1", "a", "2")], {"1": ["f"]})
+    assert tset(g, "nu X. mu Y. (f & <a>X) | <a>Y", 1) == set()
+    loop = LabeledGraph(SIG_AF, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {"1": ["f"]})
+    assert tset(loop, "nu X. mu Y. (f & <a>X) | <a>Y", 1) == {("0",), ("1",)}

@@ -1,7 +1,9 @@
 """The benchmark tracer's targets exist in the library, its sizers read
-what the library returns, the library never patches the recursion limit,
-the trusted constructor is not exported, and acceptance keeps off the
+what the library returns, the library never patches or reads the
+recursion limit and the formula and game modules never recurse, the
+trusted constructor is not exported, and acceptance keeps off the
 Zielonka solver that checks it."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -63,6 +65,31 @@ def test_library_never_raises_the_recursion_limit():
     sources = sorted((ROOT / "src" / "polymu").glob("*.py"))
     assert sources
     assert [p.name for p in sources if "setrecursionlimit" in p.read_text()] == []
+    assert [p.name for p in sources if "getrecursionlimit" in p.read_text()] == []
+
+
+def test_formula_and_game_passes_do_not_recurse():
+    """No function in these modules, nested ones included, calls itself
+    by name; randgen's generator is left out, as its size budget bounds
+    its depth."""
+    recursive = []
+    for name in ("logic.py", "semantics.py", "automata.py"):
+        tree = ast.parse((ROOT / "src" / "polymu" / name).read_text())
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                # a method calls itself as self.name, a function by its bare name
+                if fn in methods:
+                    hit = isinstance(f, ast.Attribute) and f.attr == fn.name and \
+                        isinstance(f.value, ast.Name) and f.value.id == "self"
+                else:
+                    hit = isinstance(f, ast.Name) and f.id == fn.name
+                if hit:
+                    recursive.append(f"{name}:{fn.lineno} {fn.name}")
+    assert recursive == []
 
 
 def test_trusted_constructor_is_not_exported():
