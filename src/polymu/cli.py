@@ -8,6 +8,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -310,7 +311,13 @@ def _add_out(p):
     p.add_argument("-o", "--out", help="write the result to this file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on the first main call;
+    later calls only run parse_args on it.  Each set_defaults(func=_cmd_...)
+    binds its handler on that first build, so a test patches what a handler
+    calls (as test_xcheck_failure_exit_code patches cli.run_all), not the
+    _cmd_* function itself."""
     top = argparse.ArgumentParser(
         prog="polymu",
         description="Polyadic modal mu-calculus toolchain on finite labeled graphs.",

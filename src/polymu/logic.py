@@ -492,9 +492,11 @@ def _split_lifted_name(name: str) -> tuple[str, int]:
 def check_d_rooted(phi: Formula, d: int) -> bool:
     """Arity d+1, component d untouched by atoms and modalities, and
     every replacement copies component d into a single other one."""
-    if phi.arity != d + 1:
-        return False
-    t = _Table(phi)
+    return phi.arity == d + 1 and _d_rooted(_Table(phi), d)
+
+
+def _d_rooted(t: _Table, d: int) -> bool:
+    """check_d_rooted's conditions on the entries of a compiled arity-(d+1) formula."""
     for e in sorted(range(len(t.node)), key=t.pre.__getitem__):  # pre-order
         n = t.node[e]
         if isinstance(n, (Color, Diamond, Box)) and n.comp >= d:
@@ -513,7 +515,7 @@ def monofy(phi: Formula, d: int) -> Formula:
     """Arity-1 image of a d-rooted arity-(d+1) formula over the lifted
     signature: atoms and modalities pick up @i suffixes, replacements
     of component j by component d become <rst@j> steps."""
-    if not check_d_rooted(phi, d):
+    if phi.arity != d + 1 or not _d_rooted(t := _Table(phi), d):
         raise FormulaError(f"formula is not {d}-rooted")
 
     def image(n: Node, kids: list[Node]) -> Node:
@@ -526,7 +528,7 @@ def monofy(phi: Formula, d: int) -> Formula:
             return Diamond(f"{RESET}@{j}", 0, *kids)
         return _rebuild(n, kids)
 
-    return Formula(1, _map_table(_Table(phi), image))
+    return Formula(1, _map_table(t, image))
 
 
 def polyfy(psi: Formula, d: int) -> Formula:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polymu.cli import _split_path, main
+from polymu.cli import _build_parser, _split_path, main
 from polymu.graphs import FiniteTree, LabeledGraph, Signature, power, read_graph, write_graph
 
 DATA = Path(__file__).parent / "data"
@@ -325,6 +326,80 @@ def test_input_error_exit_codes(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--graph", "x.json"])  # missing --formula
     assert exc.value.code == 2
+
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path, ex1, pow2):
+    run(capsys, "gen", "ex1")  # builds the parser if no earlier test has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out_file = tmp_path / "p.json"
+    for argv, want in [
+        (["mc", "--graph", ex1, "--formula", "mu X. f | <a>X"], "true\n"),
+        (["power", "--graph", ex1, "-d", "2", "-o", str(out_file)], ""),
+        (["detect-power", "--graph", pow2], "true\n"),
+        (["apt", "--graph", ex1, "--formula", "nu X. f & [a]X"], "false\n"),
+    ]:
+        assert run(capsys, *argv) == (0, want, ""), argv
+    assert built == []
+    assert out_file.read_text() == Path(pow2).read_text() + "\n"
+
+
+def outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+# name -> argv lists run in turn in one process; EX1, POW2 and OUT stand for files
+SEQUENCES = {
+    "power -o, then stdout": [
+        ["power", "--graph", "EX1", "-d", "2", "-o", "OUT"], ["power", "--graph", "EX1", "-d", "2"]],
+    "dbisim --i --j, then all": [
+        ["dbisim", "--graph", "POW2", "--i", "0", "--j", "1"], ["dbisim", "--graph", "POW2"]],
+    "mc --arity 2, then default": [
+        ["mc", "--graph", "EX1", "--arity", "2", "--formula", "<a@0>(f@0 & <a@1><a@1>[a@1]f@1)"],
+        ["mc", "--graph", "EX1", "--formula", "mu X. f | <a>X"]],
+    "detect-power -d, then none": [
+        ["detect-power", "--graph", "POW2", "-d", "2"], ["detect-power", "--graph", "POW2"]],
+    "bad command between good": [
+        ["mc", "--graph", "EX1", "--formula", "f"], ["bogus"], ["mc", "--graph", "EX1", "--formula", "f"]],
+    "missing option between good": [
+        ["mc", "--graph", "EX1", "--formula", "f"], ["mc", "--graph", "EX1"],
+        ["mc", "--graph", "EX1", "--formula", "f"]],
+    "help twice": [["--help"], ["--help"]],
+    "mc help twice": [["mc", "--help"], ["mc", "--help"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_calls_in_one_process_answer_as_first_calls(capsys, tmp_path, ex1, pow2, name):
+    out = tmp_path / "out.json"
+    files = {"EX1": ex1, "POW2": pow2, "OUT": str(out)}
+    seq = [[files.get(a, a) for a in argv] for argv in SEQUENCES[name]]
+    firsts = []
+    for argv in seq:  # each on a newly built parser, as the first call of a process
+        _build_parser.cache_clear()
+        firsts.append(outcome(capsys, argv))
+    written = out.read_text() if out.exists() else None
+    _build_parser.cache_clear()
+    assert [outcome(capsys, argv) for argv in seq] == firsts
+    if written is not None:
+        assert firsts[0][1] == "" and firsts[1][1] == written
+        assert out.read_text() == written
+    for code, stdout, stderr in firsts:
+        if code == ("SystemExit", 2):
+            assert stdout == "" and stderr.startswith("usage: polymu")
 
 
 @pytest.mark.parametrize("argv, message", [

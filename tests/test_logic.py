@@ -262,6 +262,34 @@ def test_monofy_shape():
         monofy(parse_formula("f@1", SIG, 2), 1)
 
 
+
+def test_monofy_compiles_its_input_once(monkeypatch):
+    from polymu import logic
+
+    compiled = []
+
+    class CountingTable(logic._Table):
+        __slots__ = ()
+
+        def __init__(self, phi, sig=None):
+            compiled.append(phi)
+            super().__init__(phi, sig)
+
+    monkeypatch.setattr(logic, "_Table", CountingTable)
+    phi = parse_formula(ROOTED, SIG, 2)
+    assert monofy(phi, 1) == monofy(parse_formula(ROOTED, SIG, 2), 1)
+    assert compiled == [phi, phi]
+    compiled.clear()
+    with pytest.raises(FormulaError, match="rooted"):
+        monofy(parse_formula("f@1", SIG, 2), 1)
+    assert len(compiled) == 1
+    compiled.clear()
+    with pytest.raises(FormulaError, match="rooted"):
+        monofy(phi, 2)  # wrong arity: refused before compiling
+    assert compiled == []
+    assert check_d_rooted(phi, 1) and len(compiled) == 1
+
+
 def test_polyfy_inverse():
     for text, d in [
         (ROOTED, 1),
