@@ -34,9 +34,10 @@ from .logic import (
     TT,
     Var,
     _KIDS,
-    _Table,
     _rebuild,
+    free_vars,
     print_formula,
+    validate_formula,
 )
 
 EXISTS = 0
@@ -141,14 +142,12 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
     least the maximum inside their body, greatest fixpoints the smallest
     such even one; every other state has priority 0.  State names grow
     with the square of the formula, so past _MAX_ID_CHARS it is refused."""
-    t = _Table(phi, sig)
-    if t.error is not None:
-        raise FormulaError(t.error)
+    validate_formula(phi, sig)
     if phi.arity != 1:
         raise FormulaError("automaton translation needs an arity-1 formula")
-    if t.free[t.root]:
+    if free_vars(phi):
         raise FormulaError("automaton translation needs a closed formula")
-    t = _Table(Formula(1, _pnf(phi.root, strip=True)))
+    t = Formula(1, _pnf(phi.root, strip=True))._table
     node, kids = t.node, t.kids
     c0 = sig.colors[0]
 

@@ -29,6 +29,8 @@ from typing import Mapping
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
 from .graphs import LabeledGraph, RESET, split_lifted, tuple_id, unlift
+from .logic import gen_per_formula, gen_pow_formula, gen_rst_formula
+from .semantics import models
 
 Relation = frozenset  # of (node, node) pairs
 
@@ -318,9 +320,6 @@ def detect_power(g: LabeledGraph, d: int | None = None, method: str = "both") ->
 
 def power_formula_verdicts(g: LabeledGraph) -> dict[str, bool]:
     """Root-pair truth of the persistence, reset and power formulas."""
-    from .logic import gen_per_formula, gen_pow_formula, gen_rst_formula
-    from .semantics import models
-
     base, d = split_lifted(g.signature)
     return {
         "persistent": models(g, gen_per_formula(base, d), 2),

@@ -19,12 +19,14 @@ inside their binder.
 
 No pass recurses on the AST.  The parser and printer keep pending work
 on explicit stacks; the other passes loop over _Table, the formula
-compiled once into one entry per distinct subformula.
+compiled into one entry per distinct subformula on its first use and
+kept on the Formula.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -114,6 +116,10 @@ class Formula:
     arity: int
     root: Node
 
+    @cached_property
+    def _table(self) -> _Table:  # compiled on first use; every formula pass reads it
+        return _Table(self)
+
 
 # per node class: the payload fields, then the child fields; constructors take both in turn
 _DATA = {c: tuple(f.name for f in fields(c) if f.type != "Node") for c in Node.__subclasses__()}
@@ -128,16 +134,16 @@ class _Table:
     Per entry: node, its first AST node; kids; free variables; pre, that
     node's pre-order position.  Binder b's new body entries are
     start[b]..b-1; bind maps bound variable entries to binders.  size
-    counts AST nodes; error is validate_formula's first failed check in
-    pre-order (names only with sig), or None."""
+    counts AST nodes; error is (position, message) of the first failed
+    structural check in pre-order, the arity check at -1, or None."""
 
     __slots__ = ("node", "kids", "free", "pre", "bind", "start", "root", "size", "error")
 
-    def __init__(self, phi: Formula, sig: Signature | None = None):
+    def __init__(self, phi: Formula):
         arity = phi.arity
         self.node, self.kids, self.free, self.pre = node, kids, free, pre = [], [], [], []
         self.start: dict[int, int] = {}
-        errors = [f"arity must be >= 1, got {arity}"] if arity < 1 else []
+        errors = [(-1, f"arity must be >= 1, got {arity}")] if arity < 1 else []
         index: dict[tuple, int] = {}
         # binder variable -> (parity, position) while its binder is open, else None
         scope: dict[str, tuple[int, int] | None] = {}
@@ -154,27 +160,24 @@ class _Table:
                 names = _KIDS.get(cls, ())
                 comps: tuple[int, ...] = ()
                 if cls not in _KIDS:
-                    errors.append(f"unknown node {cls.__name__}")
+                    errors.append((pos, f"unknown node {cls.__name__}"))
                 elif cls is Var:
                     s = scope.get(n.name)
                     if s is not None and s[0] != parity:
-                        errors.append(f"negative occurrence of {n.name!r}")
+                        errors.append((pos, f"negative occurrence of {n.name!r}"))
                 elif cls is Color or cls is Diamond or cls is Box:
-                    what, name = ("color", n.color) if cls is Color else ("action", n.action)
-                    if sig is not None and name not in (sig.colors if cls is Color else sig.actions):
-                        errors.append(f"unknown {what} {name!r}")
                     comps = (n.comp,)
                 elif cls is Replace:
                     if len(n.mapping) != arity:
-                        errors.append(f"replacement lists {len(n.mapping)} components, arity is {arity}")
+                        errors.append((pos, f"replacement lists {len(n.mapping)} components, arity is {arity}"))
                     comps = n.mapping
                 elif cls is Mu or cls is Nu:
                     if n.var in scope:
-                        errors.append(f"variable {n.var!r} bound twice")
+                        errors.append((pos, f"variable {n.var!r} bound twice"))
                     scope[n.var] = (parity, pos)
                 for k in comps:
                     if not 0 <= k < arity:
-                        errors.append(f"component {k} out of range for arity {arity}")
+                        errors.append((pos, f"component {k} out of range for arity {arity}"))
                 if names:
                     todo.append((n, pos, len(node) if cls is Mu or cls is Nu else -1))
                     parity ^= cls is Neg
@@ -240,24 +243,35 @@ def _map_table(t: _Table, image: Callable[[Node, list[Node]], Node]) -> Node:
 
 def formula_size(phi: Formula) -> int:
     """Number of AST nodes."""
-    return _Table(phi).size
+    return phi._table.size
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    t = _Table(phi)
+    t = phi._table
     return t.free[t.root]
 
 
 def bound_vars(phi: Formula) -> frozenset[str]:
-    t = _Table(phi)
+    t = phi._table
     return frozenset(t.node[b].var for b in t.start)
 
 
 def validate_formula(phi: Formula, sig: Signature) -> None:
-    """Check names, component indices, unique binding and positivity."""
-    error = _Table(phi, sig).error
-    if error is not None:
-        raise FormulaError(error)
+    """Check names, component indices, unique binding and positivity;
+    the first failed check in pre-order is raised, on one node the name
+    check first."""
+    t = phi._table
+    # an entry's node is the first of its equal subtrees in pre-order
+    faults = []
+    for e, n in enumerate(t.node):
+        if type(n) is Color and n.color not in sig.colors:
+            faults.append((t.pre[e], f"unknown color {n.color!r}"))
+        elif type(n) in (Diamond, Box) and n.action not in sig.actions:
+            faults.append((t.pre[e], f"unknown action {n.action!r}"))
+    if t.error is not None:
+        faults.append(t.error)  # after the name faults, so min() prefers those on a tie
+    if faults:
+        raise FormulaError(min(faults, key=itemgetter(0))[1])
 
 
 # ---------------------------------------------------------------- parser
@@ -492,11 +506,9 @@ def _split_lifted_name(name: str) -> tuple[str, int]:
 def check_d_rooted(phi: Formula, d: int) -> bool:
     """Arity d+1, component d untouched by atoms and modalities, and
     every replacement copies component d into a single other one."""
-    return phi.arity == d + 1 and _d_rooted(_Table(phi), d)
-
-
-def _d_rooted(t: _Table, d: int) -> bool:
-    """check_d_rooted's conditions on the entries of a compiled arity-(d+1) formula."""
+    if phi.arity != d + 1:
+        return False
+    t = phi._table
     for e in sorted(range(len(t.node)), key=t.pre.__getitem__):  # pre-order
         n = t.node[e]
         if isinstance(n, (Color, Diamond, Box)) and n.comp >= d:
@@ -515,7 +527,7 @@ def monofy(phi: Formula, d: int) -> Formula:
     """Arity-1 image of a d-rooted arity-(d+1) formula over the lifted
     signature: atoms and modalities pick up @i suffixes, replacements
     of component j by component d become <rst@j> steps."""
-    if phi.arity != d + 1 or not _d_rooted(t := _Table(phi), d):
+    if not check_d_rooted(phi, d):
         raise FormulaError(f"formula is not {d}-rooted")
 
     def image(n: Node, kids: list[Node]) -> Node:
@@ -528,7 +540,7 @@ def monofy(phi: Formula, d: int) -> Formula:
             return Diamond(f"{RESET}@{j}", 0, *kids)
         return _rebuild(n, kids)
 
-    return Formula(1, _map_table(t, image))
+    return Formula(1, _map_table(phi._table, image))
 
 
 def polyfy(psi: Formula, d: int) -> Formula:
@@ -557,7 +569,7 @@ def polyfy(psi: Formula, d: int) -> Formula:
             raise FormulaError("replacement nodes have no lifted counterpart")
         return _rebuild(n, kids)
 
-    return Formula(d + 1, _map_table(_Table(psi), image))
+    return Formula(d + 1, _map_table(psi._table, image))
 
 
 # ------------------------------------------------- characteristic formulas

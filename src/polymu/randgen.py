@@ -149,7 +149,6 @@ def rand_lifted_graph(
 class FormulaGenOptions:
     """Pools the generator draws from; empty pools disable a construct."""
 
-    arity: int
     colors: list[tuple[str, int]]
     dia: list[tuple[str, int]]
     box: list[tuple[str, int]]
@@ -210,7 +209,6 @@ def rand_formula(rng: Xorshift, sig: Signature, arity: int, size: int) -> Formul
     comps = range(arity)
     replaces = [tuple(rng.below(arity) for _ in range(arity)) for _ in range(arity)]
     opt = FormulaGenOptions(
-        arity=arity,
         colors=[(c, i) for c in sig.colors for i in comps],
         dia=[(a, i) for a in sig.actions for i in comps],
         box=[(a, i) for a in sig.actions for i in comps],
@@ -223,12 +221,8 @@ def rand_d_rooted_formula(rng: Xorshift, sig: Signature, d: int, size: int) -> F
     """Random d-rooted formula of arity d + 1: atoms and modalities touch
     only components below d, replacements copy component d somewhere."""
     comps = range(d)
-    replaces = []
-    for j in comps:
-        m = tuple(d if k == j else k for k in range(d + 1))
-        replaces.append(m)
+    replaces = [tuple(d if k == j else k for k in range(d + 1)) for j in comps]
     opt = FormulaGenOptions(
-        arity=d + 1,
         colors=[(c, i) for c in sig.colors for i in comps],
         dia=[(a, i) for a in sig.actions for i in comps],
         box=[(a, i) for a in sig.actions for i in comps],
@@ -245,5 +239,5 @@ def rand_lifted_unary_formula(rng: Xorshift, base: Signature, d: int, size: int)
     dia = [(f"{a}@{i}", 0) for a in base.actions for i in range(d)]
     dia += [(f"{RESET}@{i}", 0) for i in range(d)]
     box = [(f"{a}@{i}", 0) for a in base.actions for i in range(d)]
-    opt = FormulaGenOptions(arity=1, colors=colors, dia=dia, box=box)
+    opt = FormulaGenOptions(colors=colors, dia=dia, box=box)
     return Formula(1, _rand_node(rng, opt, size, [], [0]))

@@ -8,14 +8,14 @@ are single int operations, colors are digit masks, and the bitsets are
 decoded into node-name tuples only on the way out.  A bitset is n**d
 bits wide, so evaluation refuses to start when that exceeds tuple_cap.
 
-The formula runs as its compiled table (logic._Table), entries in order,
-children first.  Fixpoints are computed by iteration: a binder's entry
-jumps back to the start of its body's entries until its value is
-stable.  Least fixpoints climb from the empty set, greatest fixpoints
-descend from the full tuple space; a closed subformula is computed once.
-Positivity of bound variables (checked up front) makes both monotone,
-so each loop stabilizes after at most |V|^d + 1 rounds; exceeding the
-bound is reported as an error instead of looping forever.
+The formula runs as its table (logic._Table, compiled once per Formula),
+entries in order, children first.  Fixpoints are computed by iteration:
+a binder's entry jumps back to the start of its body's entries until its
+value is stable.  Least fixpoints climb from the empty set, greatest
+fixpoints descend from the full tuple space; a closed subformula is
+computed once.  Positivity of bound variables (checked up front) makes
+both monotone, so each loop stabilizes after at most |V|^d + 1 rounds;
+exceeding the bound is reported as an error instead of looping forever.
 
 Each modality keeps its last argument and pre-image.  The pre-image
 distributes over union, so when the new argument contains the last one
@@ -44,7 +44,8 @@ from .logic import (
     Replace,
     TT,
     Var,
-    _Table,
+    free_vars,
+    validate_formula,
 )
 
 DEFAULT_TUPLE_CAP = 2**20
@@ -90,17 +91,12 @@ def _evaluate_bits(
     d: int | None,
     env: Mapping[str, TupleSet] | None,
     tuple_cap: int,
-    t: _Table | None = None,
 ) -> int:
-    """Denotation of phi over g as a bitset; see the module docstring.
-    t, when given, is _Table(phi, g.signature), built by the caller."""
-    if t is None:
-        t = _Table(phi, g.signature)
-    if t.error is not None:
-        raise FormulaError(t.error)
+    """Denotation of phi over g as a bitset; see the module docstring."""
+    validate_formula(phi, g.signature)
     if d is not None and d != phi.arity:
         raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
-    arity = phi.arity
+    arity, t = phi.arity, phi._table
     env = dict(env or {})
     missing = t.free[t.root] - set(env)
     if missing:
@@ -251,7 +247,7 @@ def _evaluate_bits(
         elif op is Replace:
             res = int("".join(getters[e](format(vals[kids[e][0]], f"0{size}b"))), 2)
         else:
-            # FF; the table's checks already vetted every other type
+            # FF; validate_formula already vetted every other type
             res = 0
         vals[e] = res
         e += 1
@@ -283,10 +279,9 @@ def evaluate(
 def models(g: LabeledGraph, phi: Formula, d: int | None = None,
            tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """Does the arity-fold root tuple of g satisfy phi?  phi must be closed."""
-    t = _Table(phi, g.signature)
-    if t.free[t.root]:
+    if free_vars(phi):
         raise FormulaError("models needs a closed formula")
-    bits = _evaluate_bits(g, phi, d, None, tuple_cap, t)
+    bits = _evaluate_bits(g, phi, d, None, tuple_cap)
     n = len(g.nodes)
     r = g.index[g.root]
     root_bit = sum(r * n**k for k in range(phi.arity))

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from polymu.automata import formula_to_apt
 from polymu.errors import FormulaError, ParseError
-from polymu.graphs import Signature, lift_signature
+from polymu.graphs import LabeledGraph, Signature, lift_signature
 from polymu.logic import (
     _Table,
     And,
@@ -37,6 +38,7 @@ from polymu.logic import (
     validate_formula,
 )
 from polymu.randgen import Xorshift, rand_formula
+from polymu.semantics import evaluate, models
 
 SIG = Signature(["a", "b"], ["f"])
 SIG3 = Signature(["a"], ["f", "g", "h"])
@@ -161,6 +163,35 @@ def test_print_generated_round_trip():
         assert parse_formula(print_formula(phi), lsig, 2) == phi
 
 
+MIXED_FAULTS = [
+    (Formula(1, And(Diamond("a", 1, TT()), Color("q", 0))), "component 1 out of range for arity 1"),
+    (Formula(1, And(Color("q", 0), Diamond("a", 1, TT()))), "unknown color 'q'"),
+    (Formula(1, Color("q", 5)), "unknown color 'q'"),
+    (Formula(0, Color("q", 0)), "arity must be >= 1, got 0"),
+    (Formula(1, Mu("X", And(Diamond("z", 0, Neg(Var("X"))), Color("f", 3)))), "unknown action 'z'"),
+    (Formula(1, And(Mu("X", Var("X")), Mu("X", Diamond("zz", 0, Var("X"))))),
+     "variable 'X' bound twice"),
+]
+
+
+@pytest.mark.parametrize("phi, message", MIXED_FAULTS)
+def test_first_fault_in_pre_order_wins_names_first_on_a_node(phi, message):
+    sig = Signature(("a", "b"), ("f", "g"))
+    g = LabeledGraph(sig, ["0"], "0", [("0", "a", "0")], {"0": ["f"]})
+    for check in (lambda: validate_formula(phi, sig), lambda: evaluate(g, phi),
+                  lambda: formula_to_apt(phi, sig)):
+        with pytest.raises(FormulaError) as err:
+            check()
+        assert str(err.value) == message
+
+
+def test_models_checks_closedness_before_validity():
+    sig = Signature(("a", "b"), ("f", "g"))
+    g = LabeledGraph(sig, ["0"], "0", [], {})
+    with pytest.raises(FormulaError, match="^models needs a closed formula$"):
+        models(g, Formula(1, And(Var("Y"), Color("q", 0))))
+
+
 def test_validate_formula_rejects():
     with pytest.raises(FormulaError, match="bound twice"):
         validate_formula(Formula(1, And(Mu("X", Var("X")), Mu("X", Var("X")))), SIG)
@@ -263,7 +294,9 @@ def test_monofy_shape():
 
 
 
-def test_monofy_compiles_its_input_once(monkeypatch):
+def test_each_formula_compiles_once(monkeypatch):
+    """Every formula pass reads the table cached on the Formula; only a
+    new Formula object, such as a positive normal form, compiles again."""
     from polymu import logic
 
     compiled = []
@@ -271,14 +304,28 @@ def test_monofy_compiles_its_input_once(monkeypatch):
     class CountingTable(logic._Table):
         __slots__ = ()
 
-        def __init__(self, phi, sig=None):
+        def __init__(self, phi):
             compiled.append(phi)
-            super().__init__(phi, sig)
+            super().__init__(phi)
 
     monkeypatch.setattr(logic, "_Table", CountingTable)
     phi = parse_formula(ROOTED, SIG, 2)
-    assert monofy(phi, 1) == monofy(parse_formula(ROOTED, SIG, 2), 1)
-    assert compiled == [phi, phi]
+    validate_formula(phi, SIG)
+    with pytest.raises(FormulaError, match="unknown action 'a'"):
+        validate_formula(phi, Signature(["b"], ["f"]))
+    assert free_vars(phi) == frozenset() and bound_vars(phi) == {"X"}
+    assert formula_size(phi) == 8
+    assert check_d_rooted(phi, 1)
+    assert monofy(phi, 1) == monofy(phi, 1)
+    g = LabeledGraph(SIG, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "1")], {"1": ["f"]})
+    assert models(g, phi, 2) == (("0", "0") in evaluate(g, phi))
+    assert compiled == [phi]
+    compiled.clear()
+    psi = parse_formula("mu X. f | <a>X", SIG, 1)
+    assert formula_to_apt(psi, SIG) == formula_to_apt(psi, SIG)
+    # the input once, then one positive normal form per call
+    assert compiled[0] is psi and len(compiled) == 3
+    assert compiled[1] == compiled[2] and compiled[1] is not compiled[2]
     compiled.clear()
     with pytest.raises(FormulaError, match="rooted"):
         monofy(parse_formula("f@1", SIG, 2), 1)
@@ -287,7 +334,6 @@ def test_monofy_compiles_its_input_once(monkeypatch):
     with pytest.raises(FormulaError, match="rooted"):
         monofy(phi, 2)  # wrong arity: refused before compiling
     assert compiled == []
-    assert check_d_rooted(phi, 1) and len(compiled) == 1
 
 
 def test_polyfy_inverse():
@@ -356,7 +402,7 @@ def test_table_compiles_every_node_class():
     ]
     assert {type(n) for n in nodes} == set(Node.__subclasses__())
     for n in nodes:
-        t = _Table(Formula(1, n), SIG)
+        t = _Table(Formula(1, n))
         assert t.error is None, n
         # the root comes last, after one entry per distinct child
         assert t.node[t.root] is n and t.root == len(t.node) - 1
@@ -367,7 +413,7 @@ def test_table_compiles_every_node_class():
 
 def test_table_shares_equal_subformulas_but_keeps_free_and_bound_apart():
     phi = parse_formula("(X & <a>f) | mu X. <a>f & <a>X", SIG, 1)
-    t = _Table(phi, SIG)
+    t = _Table(phi)
     texts = [print_formula(Formula(1, n)) for n in t.node]
     assert texts.count("<a@0>f@0") == 1
     assert texts.count("X") == 2  # the free X and the bound one

@@ -1,8 +1,9 @@
 """The benchmark tracer's targets exist in the library, its sizers read
 what the library returns, the library never patches or reads the
-recursion limit and the formula and game modules never recurse, the
-trusted constructor is not exported, and acceptance keeps off the
-Zielonka solver that checks it."""
+recursion limit and the formula and game modules never recurse, a
+formula is compiled only in its cached property, the trusted
+constructor is not exported, and acceptance keeps off the Zielonka
+solver that checks it."""
 import ast
 import importlib
 import importlib.util
@@ -90,6 +91,26 @@ def test_formula_and_game_passes_do_not_recurse():
                 if hit:
                     recursive.append(f"{name}:{fn.lineno} {fn.name}")
     assert recursive == []
+
+
+def test_formula_table_is_built_in_one_place():
+    """The only call of _Table in the library is in Formula's cached
+    property, so each Formula object is compiled at most once."""
+    calls = []
+    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fns = [fn for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            f = getattr(call, "func", None)
+            if getattr(f, "id", None) != "_Table" and getattr(f, "attr", None) != "_Table":
+                continue
+            # the innermost function around the call, with its decorators
+            around = [fn for fn in fns if fn.lineno <= call.lineno <= fn.end_lineno]
+            fn = max(around, key=lambda fn: fn.lineno, default=None)
+            decorators = fn and [ast.unparse(d) for d in fn.decorator_list]
+            calls.append((path.name, fn and fn.name, decorators))
+    assert calls == [("logic.py", "_table", ["cached_property"])]
 
 
 def test_trusted_constructor_is_not_exported():
