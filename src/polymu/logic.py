@@ -513,12 +513,9 @@ def check_d_rooted(phi: Formula, d: int) -> bool:
         n = t.node[e]
         if isinstance(n, (Color, Diamond, Box)) and n.comp >= d:
             return False
-        if isinstance(n, Replace):
-            diffs = [k for k in range(d + 1) if n.mapping[k] != k]
-            if len(diffs) != 1:
-                return False
-            j = diffs[0]
-            if j == d or n.mapping[j] != d:
+        if isinstance(n, Replace):  # the identity with d at one j < d
+            j = next((k for k, m in enumerate(n.mapping) if m != k), d)
+            if j >= d or n.mapping != (*range(j), d, *range(j + 1, d + 1)):
                 return False
     return True
 

@@ -331,9 +331,18 @@ def test_each_formula_compiles_once(monkeypatch):
         monofy(parse_formula("f@1", SIG, 2), 1)
     assert len(compiled) == 1
     compiled.clear()
+    fresh = parse_formula(ROOTED, SIG, 2)
     with pytest.raises(FormulaError, match="rooted"):
-        monofy(phi, 2)  # wrong arity: refused before compiling
-    assert compiled == []
+        monofy(fresh, 2)  # wrong arity: refused before compiling
+    assert compiled == [] and "_table" not in fresh.__dict__
+
+
+def test_replacement_list_of_wrong_length_is_not_d_rooted():
+    for mapping in [(0,), (0, 1, 1)]:
+        phi = Formula(2, Replace(mapping, TT()))
+        assert not check_d_rooted(phi, 1)
+        with pytest.raises(FormulaError, match="not 1-rooted"):
+            monofy(phi, 1)
 
 
 def test_polyfy_inverse():
