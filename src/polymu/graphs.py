@@ -129,6 +129,10 @@ class LabeledGraph:
     labels: node id to set of colors.
     """
 
+    # semantics' pre-image tables for the arity last evaluated on this
+    # graph, as (arity, tables); an evaluation at another arity replaces them
+    _pre_tables: tuple[int, dict] | None = None
+
     def __init__(
         self,
         signature: Signature,
@@ -219,6 +223,16 @@ class LabeledGraph:
         for src, a, dst in self.edges:
             succ.setdefault((src, a), []).append(dst)
         return {k: tuple(sorted(v)) for k, v in succ.items()}
+
+    @functools.cached_property
+    def _moves(self) -> dict[str, list[tuple[int, int]]]:
+        """Edges grouped by action on first use: (source position, target
+        position) pairs in edge order."""
+        idx = self.index
+        moves: dict[str, list[tuple[int, int]]] = {}
+        for src, a, dst in self.edges:
+            moves.setdefault(a, []).append((idx[src], idx[dst]))
+        return moves
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:
         return self._succ.get((v, a), ())
@@ -470,7 +484,8 @@ def read_graph(data) -> LabeledGraph:
         labels[entry["id"]] = entry["colors"]
     edges = []
     for i, e in enumerate(obj["edges"]):
-        if not isinstance(e, list) or len(e) != 3 or not all(isinstance(x, str) for x in e):
+        if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                and isinstance(e[1], str) and isinstance(e[2], str)):
             raise GraphFormatError(f"edges[{i}]: expected [src, action, dst] strings")
         edges.append(tuple(e))
     return LabeledGraph(sig, nodes, obj["root"], edges, labels)

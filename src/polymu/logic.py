@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -570,6 +570,11 @@ def polyfy(psi: Formula, d: int) -> Formula:
 
 
 # ------------------------------------------------- characteristic formulas
+#
+# The gen_*_formula generators depend on their arguments alone, and a
+# Formula and its nodes are frozen, so each generator keeps a bounded
+# cache of its results: callers of one (signature, d) share one Formula,
+# whose table compiles once.  A call that raises caches nothing.
 
 
 def _conj(parts: list[Node]) -> Node:
@@ -621,6 +626,7 @@ def _allbox_node(i: int, sub: Node, sig: Signature, d: int, fresh: _Fresh) -> No
     return Nu(x, _conj([sub] + boxes))
 
 
+@lru_cache(maxsize=64)
 def gen_bisim_formula(i: int, j: int, sig: Signature, d: int) -> Formula:
     _check_component(i, d)
     _check_component(j, d)
@@ -641,6 +647,7 @@ def _check_component(i: int, d: int):
         raise FormulaError(f"component {i} out of range for dimension {d}")
 
 
+@lru_cache(maxsize=64)
 def gen_per_formula(sig: Signature, d: int) -> Formula:
     """Persistence: wherever both tuple slots wander along base actions,
     a slot-0 step in component i preserves every other component's
@@ -662,6 +669,7 @@ def gen_per_formula(sig: Signature, d: int) -> Formula:
     return Formula(2, _allbox_node(0, inner, sig, d, fresh))
 
 
+@lru_cache(maxsize=64)
 def gen_rst_formula(sig: Signature, d: int) -> Formula:
     """Reset: wherever slot 0 wanders along base actions while slot 1
     rests on the root, a rst@i step lands on something equivalent to
@@ -674,6 +682,7 @@ def gen_rst_formula(sig: Signature, d: int) -> Formula:
     return Formula(2, _allbox_node(0, _conj(parts), sig, d, fresh))
 
 
+@lru_cache(maxsize=64)
 def gen_pow_formula(sig: Signature, d: int) -> Formula:
     """All components of the root pair mutually equivalent."""
     lift_signature(sig, d)

@@ -22,6 +22,13 @@ distributes over union, so when the new argument contains the last one
 only the added tuples are mapped, as in semi-naive evaluation; any
 other change is recomputed in full.  Under mu the arguments of <a@i>
 only grow, and under nu so do the complements taken by [a@i].
+
+The pre-image of one action in one component is driven by a table (per
+node offsets for sparse sets, mask/shift groups for dense ones) built
+from the graph's edges grouped by action (LabeledGraph._moves).  The
+tables are kept on the graph for one arity at a time, so later
+evaluations at that arity on the same graph object reuse them, and an
+evaluation at another arity replaces them.
 """
 from __future__ import annotations
 
@@ -135,17 +142,18 @@ def _evaluate_bits(
             res |= unit[k] << (v * stride[k])
         return res
 
-    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups)
-    pre_tables: dict[tuple[str, int], tuple[list, list]] = {}
+    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups),
+    # kept on g for this arity so that later evaluations at it skip the building
+    held = g._pre_tables
+    if held is None or held[0] != arity:
+        held = g._pre_tables = (arity, {})
+    pre_tables: dict[tuple[str, int], tuple[list, list]] = held[1]
 
     def pre_table(a: str, k: int) -> tuple[list, list]:
         sk = stride[k]
         offs: list[list[int]] = [[] for _ in range(n)]
         by_shift: dict[int, list[int]] = {}
-        for src, b, dst in g.edges:
-            if b != a:
-                continue
-            u, w = idx[src], idx[dst]
+        for u, w in g._moves.get(a, ()):
             offs[w].append((u - w) * sk)
             by_shift.setdefault((w - u) * sk, []).append(w)
         groups = [(digit_mask(k, ws), sh) for sh, ws in by_shift.items()]

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from polymu.automata import formula_to_apt
-from polymu.errors import FormulaError, ParseError
-from polymu.graphs import LabeledGraph, Signature, lift_signature
+from polymu.bisim import detect_power
+from polymu.errors import FormulaError, GraphFormatError, ParseError
+from polymu.graphs import LabeledGraph, Signature, lift_signature, power
 from polymu.logic import (
     _Table,
     And,
@@ -293,10 +294,18 @@ def test_monofy_shape():
         monofy(parse_formula("f@1", SIG, 2), 1)
 
 
+GENERATORS = (gen_bisim_formula, gen_per_formula, gen_rst_formula, gen_pow_formula)
 
-def test_each_formula_compiles_once(monkeypatch):
-    """Every formula pass reads the table cached on the Formula; only a
-    new Formula object, such as a positive normal form, compiles again."""
+
+@pytest.fixture(autouse=True)
+def fresh_generator_caches():
+    """Compile counts do not depend on formulas an earlier test generated."""
+    for gen in GENERATORS:
+        gen.cache_clear()
+
+
+def counting_tables(monkeypatch) -> list:
+    """The formulas compiled from here on, in order."""
     from polymu import logic
 
     compiled = []
@@ -309,6 +318,13 @@ def test_each_formula_compiles_once(monkeypatch):
             super().__init__(phi)
 
     monkeypatch.setattr(logic, "_Table", CountingTable)
+    return compiled
+
+
+def test_each_formula_compiles_once(monkeypatch):
+    """Every formula pass reads the table cached on the Formula; only a
+    new Formula object, such as a positive normal form, compiles again."""
+    compiled = counting_tables(monkeypatch)
     phi = parse_formula(ROOTED, SIG, 2)
     validate_formula(phi, SIG)
     with pytest.raises(FormulaError, match="unknown action 'a'"):
@@ -335,6 +351,37 @@ def test_each_formula_compiles_once(monkeypatch):
     with pytest.raises(FormulaError, match="rooted"):
         monofy(fresh, 2)  # wrong arity: refused before compiling
     assert compiled == [] and "_table" not in fresh.__dict__
+
+
+def test_power_formulas_are_built_once_per_signature_and_d(monkeypatch):
+    """Equal (signature, d) keys share one Formula, so detect_power on a
+    second graph of the same signature compiles nothing."""
+    base = Signature(["a"], ["f"])
+    same = Signature(["a"], ["f"])
+    for gen in GENERATORS[1:]:
+        assert gen(base, 2) is gen(same, 2)
+        assert gen(base, 2) is not gen(base, 3)
+        assert gen.cache_info().maxsize is not None
+    assert gen_bisim_formula(0, 1, base, 2) is gen_bisim_formula(0, 1, same, 2)
+    assert gen_bisim_formula(0, 1, base, 2) is not gen_bisim_formula(1, 0, base, 2)
+    for gen in GENERATORS:
+        gen.cache_clear()
+    compiled = counting_tables(monkeypatch)
+    cycle = LabeledGraph(base, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {"1": ["f"]})
+    loop = LabeledGraph(base, ["0"], "0", [("0", "a", "0")], {"0": ["f"]})
+    assert detect_power(power(cycle, 2), method="logic")
+    assert len(compiled) == 3
+    compiled.clear()
+    assert detect_power(power(loop, 2), method="logic")
+    assert compiled == []
+    lifted = lift_signature(base, 2)
+    for gen in GENERATORS[1:]:
+        for _ in range(2):
+            with pytest.raises(GraphFormatError, match="already lifted"):
+                gen(lifted, 2)
+    for _ in range(2):
+        with pytest.raises(FormulaError, match="component 2 out of range"):
+            gen_bisim_formula(2, 0, base, 2)
 
 
 def test_replacement_list_of_wrong_length_is_not_d_rooted():

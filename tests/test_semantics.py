@@ -4,8 +4,9 @@ import itertools
 import pytest
 
 from polymu.automata import accepts, formula_to_apt
+from polymu.bisim import power_formula_verdicts
 from polymu.errors import FormulaError, ResourceLimitError
-from polymu.graphs import LabeledGraph, Signature, power
+from polymu.graphs import LabeledGraph, Signature, power, read_graph, write_graph
 from polymu.logic import Color, Formula, Or, Var, _Table, formula_size, free_vars, parse_formula
 from polymu.semantics import TupleSet, evaluate, models
 
@@ -219,3 +220,39 @@ def test_inner_fixpoint_restarts_in_each_outer_round():
     assert tset(g, "nu X. mu Y. (f & <a>X) | <a>Y", 1) == set()
     loop = LabeledGraph(SIG_AF, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {"1": ["f"]})
     assert tset(loop, "nu X. mu Y. (f & <a>X) | <a>Y", 1) == {("0",), ("1",)}
+
+
+def test_pre_image_tables_are_built_once_per_graph(loop3):
+    """The three formulas of power_formula_verdicts share the tables kept
+    on the graph, each (action, component) table built at most once."""
+    g = power(loop3, 2)
+    built = []
+
+    class CountingTables(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    g._pre_tables = (2, CountingTables())
+    assert all(power_formula_verdicts(g).values())
+    assert built and len(built) == len(set(built))
+
+
+def test_pre_image_tables_follow_the_arity_of_each_evaluation():
+    """Arity 1, then 2, then 1 again on one graph object: each result
+    matches a fresh copy of the graph and brute force."""
+    g = make_mixed4()
+    for arity in (1, 2, 1):
+        space = list(itertools.product(g.nodes, repeat=arity))
+        inner_text = f"f@0 | g@{arity - 1}"
+        inner = {t for t in space if g.has_color(t[0], "f") or g.has_color(t[-1], "g")}
+        fresh = read_graph(write_graph(g))
+        for k in range(arity):
+            want_dia = {t for t in space
+                        if any(t[:k] + (w,) + t[k + 1:] in inner for w in g.succ(t[k], "a"))}
+            want_box = {t for t in space
+                        if all(t[:k] + (w,) + t[k + 1:] in inner for w in g.succ(t[k], "a"))}
+            for text, want in ((f"<a@{k}>({inner_text})", want_dia),
+                               (f"[a@{k}]({inner_text})", want_box)):
+                assert tset(g, text, arity) == tset(fresh, text, arity) == want, (arity, text)
+        assert g._pre_tables[0] == arity

@@ -113,6 +113,14 @@ def test_formula_table_is_built_in_one_place():
     assert calls == [("logic.py", "_table", ["cached_property"])]
 
 
+def test_evaluator_sees_edges_only_grouped_by_action():
+    """semantics.py never reads .edges: its pre-image tables come from the
+    one per-graph grouping LabeledGraph._moves."""
+    tree = ast.parse((ROOT / "src" / "polymu" / "semantics.py").read_text())
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "edges"]
+    assert reads == []
+
+
 def test_trusted_constructor_is_not_exported():
     import polymu
 
