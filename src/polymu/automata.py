@@ -126,12 +126,6 @@ def _pnf(root: Node, strip: bool = False) -> Node:
     return done[0]
 
 
-def positive_normal_form(phi: Formula) -> Formula:
-    """Negations pushed onto colors; negated fixpoints dualize and their
-    variables flip polarity."""
-    return Formula(phi.arity, _pnf(phi.root))
-
-
 # ------------------------------------------------------------ translation
 
 

@@ -36,16 +36,15 @@ Relation = frozenset  # of (node, node) pairs
 
 
 def _int_adjacency(g: LabeledGraph) -> tuple[list[tuple], list[tuple], list[dict]]:
-    """Per node position: its enabled actions in sorted order, a tuple of
-    successor positions for each of them, and action -> predecessor
-    positions."""
-    idx = g.index
+    """Per node position, read off g._moves: its enabled actions in sorted
+    order, a tuple of successor positions for each of them, and action ->
+    predecessor positions; both position lists keep edge order."""
     succ: list[dict[str, list[int]]] = [{} for _ in g.nodes]
     pred: list[dict[str, list[int]]] = [{} for _ in g.nodes]
-    for src, a, dst in g.edges:
-        s, t = idx[src], idx[dst]
-        succ[s].setdefault(a, []).append(t)
-        pred[t].setdefault(a, []).append(s)
+    for a, pairs in g._moves.items():
+        for s, t in pairs:
+            succ[s].setdefault(a, []).append(t)
+            pred[t].setdefault(a, []).append(s)
     enabled = [tuple(sorted(by_a)) for by_a in succ]
     succs = [tuple(by_a[a] for a in acts) for by_a, acts in zip(succ, enabled)]
     return enabled, succs, pred
@@ -194,11 +193,12 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
     """Base-signature view of component i: keep x@i edges and c@i colors."""
     base, d = split_lifted(g.signature)
     _check_component(i, d)
+    nodes = g.nodes
     edges = []
-    for u, a, w in g.edges:
+    for a, pairs in g._moves.items():
         name, k = unlift(a)
         if name != RESET and k == i:
-            edges.append((u, name, w))
+            edges += [(nodes[u], name, nodes[w]) for u, w in pairs]
     labels = {v: frozenset(c for c, k in map(unlift, g.label(v)) if k == i) for v in g.nodes}
     return LabeledGraph._trusted(base, g.nodes, g.root, edges, labels)
 
@@ -207,8 +207,8 @@ class DBisimFamily:
     """Largest family of component relations over one lifted graph.
 
     Holds the d component views and, from one refinement over their
-    disjoint union, a class id per view and node: u rel(i, j) v exactly
-    when u in view i and v in view j share a class.
+    disjoint union, a class id per view and node position: u rel(i, j) v
+    exactly when u in view i and v in view j share a class.
     """
 
     def __init__(self, views: list[LabeledGraph]):
@@ -224,7 +224,7 @@ class DBisimFamily:
             enabled += acts
             succs += [[[w + off for w in by_a] for by_a in s] for s in ws]
         cls = iter(_refine(labels, enabled, succs))
-        self._cls = tuple({v: next(cls) for v in view.nodes} for view in self.views)
+        self._cls = tuple([next(cls) for _ in view.nodes] for view in self.views)
 
     def view(self, i: int) -> LabeledGraph:
         _check_component(i, self.d)
@@ -234,9 +234,11 @@ class DBisimFamily:
         for k in (i, j):
             _check_component(k, self.d)
         members: dict[int, list[str]] = {}
-        for v, c in self._cls[j].items():
+        for v, c in zip(self.views[j].nodes, self._cls[j]):
             members.setdefault(c, []).append(v)
-        return frozenset((u, v) for u, c in self._cls[i].items() for v in members.get(c, ()))
+        return frozenset(
+            (u, v) for u, c in zip(self.views[i].nodes, self._cls[i]) for v in members.get(c, ())
+        )
 
     @property
     def relations(self) -> Mapping[tuple[int, int], Relation]:
@@ -253,15 +255,25 @@ def largest_d_bisimulation(g: LabeledGraph) -> DBisimFamily:
     return DBisimFamily([component_view(g, i) for i in range(d)])
 
 
+def _family_of(g: LabeledGraph, fam: DBisimFamily | None) -> DBisimFamily:
+    """fam, or g's largest family when fam is None.  A family's class lists
+    are read by g's node positions, so its views must list g's nodes in
+    g's order, as those of largest_d_bisimulation(g) do."""
+    if fam is None:
+        return largest_d_bisimulation(g)
+    if any(view.nodes != g.nodes for view in fam.views):
+        raise GraphFormatError("fam: its views must list the graph's nodes in the graph's order")
+    return fam
+
+
 def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
     """Every edge touching component i preserves all other components'
     behavior: (v, x@i, v') with j != i implies v rel(j,j) v'."""
-    if fam is None:
-        fam = largest_d_bisimulation(g)
-    for u, a, w in g.edges:
+    fam = _family_of(g, fam)
+    for a, pairs in g._moves.items():
         _, i = unlift(a)
         for j, cls in enumerate(fam._cls):
-            if j != i and cls[u] != cls[w]:
+            if j != i and any(cls[u] != cls[w] for u, w in pairs):
                 return False
     return True
 
@@ -269,20 +281,20 @@ def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
 def has_reset_property(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
     """Every rst@i edge lands on a node whose component i behaves like
     the root's component i."""
-    if fam is None:
-        fam = largest_d_bisimulation(g)
-    for u, a, w in g.edges:
+    fam = _family_of(g, fam)
+    r = g.index[g.root]
+    for a, pairs in g._moves.items():
         name, i = unlift(a)
-        if name == RESET and fam._cls[i][w] != fam._cls[i][g.root]:
+        if name == RESET and any(fam._cls[i][w] != fam._cls[i][r] for _, w in pairs):
             return False
     return True
 
 
 def is_power_rooted(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
     """root rel(i, j) root for all components i, j: the d roots share one class."""
-    if fam is None:
-        fam = largest_d_bisimulation(g)
-    return len({cls[g.root] for cls in fam._cls}) <= 1
+    fam = _family_of(g, fam)
+    r = g.index[g.root]
+    return len({cls[r] for cls in fam._cls}) <= 1
 
 
 def power_conditions(g: LabeledGraph) -> dict[str, bool]:
@@ -335,8 +347,7 @@ def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledG
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.
     """
-    if fam is None:
-        fam = largest_d_bisimulation(g)
+    fam = _family_of(g, fam)
     view = fam.view(i)  # rejects an out-of-range i before the conditions
     if not is_persistent(g, fam):
         raise PolymuError("factor: graph is not persistent")

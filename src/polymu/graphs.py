@@ -3,7 +3,9 @@
 A graph doubles as an NFA by reading one designated color as the
 accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
-construction; adjacency maps are built on first use.
+construction.  Only graph builders read a graph's edge list; every
+analysis, succ() included, derives what it needs from LabeledGraph._moves,
+the edges grouped once by action into position pairs.
 
 The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
@@ -216,23 +218,28 @@ class LabeledGraph:
         """Shape checks of subclasses, run once the parts are in place."""
 
     @functools.cached_property
-    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """Adjacency from self.edges, grouped on the first succ() call:
-        successor tuples sorted by id."""
-        succ: dict[tuple[str, str], list[str]] = {}
-        for src, a, dst in self.edges:
-            succ.setdefault((src, a), []).append(dst)
-        return {k: tuple(sorted(v)) for k, v in succ.items()}
-
-    @functools.cached_property
     def _moves(self) -> dict[str, list[tuple[int, int]]]:
-        """Edges grouped by action on first use: (source position, target
-        position) pairs in edge order."""
+        """The one grouping of the edges, built on first use: per action,
+        (source position, target position) pairs in edge order."""
         idx = self.index
         moves: dict[str, list[tuple[int, int]]] = {}
         for src, a, dst in self.edges:
-            moves.setdefault(a, []).append((idx[src], idx[dst]))
+            pairs = moves.get(a)
+            if pairs is None:  # setdefault would build a list per edge
+                pairs = moves[a] = []
+            pairs.append((idx[src], idx[dst]))
         return moves
+
+    @functools.cached_property
+    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """succ()'s view of _moves: per (node id, action) the successor
+        ids sorted."""
+        nodes = self.nodes
+        succ: dict[tuple[str, str], list[str]] = {}
+        for a, pairs in self._moves.items():
+            for u, w in pairs:
+                succ.setdefault((nodes[u], a), []).append(nodes[w])
+        return {k: tuple(sorted(v)) for k, v in succ.items()}
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:
         return self._succ.get((v, a), ())

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import FormulaError, GraphFormatError, ParseError
 from .graphs import RESET, Signature, lift_signature, unlift
@@ -241,19 +241,9 @@ def _map_table(t: _Table, image: Callable[[Node, list[Node]], Node]) -> Node:
     return new[t.root]
 
 
-def formula_size(phi: Formula) -> int:
-    """Number of AST nodes."""
-    return phi._table.size
-
-
 def free_vars(phi: Formula) -> frozenset[str]:
     t = phi._table
     return t.free[t.root]
-
-
-def bound_vars(phi: Formula) -> frozenset[str]:
-    t = phi._table
-    return frozenset(t.node[b].var for b in t.start)
 
 
 def validate_formula(phi: Formula, sig: Signature) -> None:
@@ -591,24 +581,11 @@ def _iff(p: Node, q: Node) -> Node:
     return Or(And(p, q), And(Neg(p), Neg(q)))
 
 
-class _Fresh:
-    """Variable names X0, X1, ... in order, passing over those in skip."""
-
-    def __init__(self, skip: frozenset[str] = frozenset()):
-        self.counter = itertools.count()
-        self.skip = skip
-
-    def __call__(self) -> str:
-        while True:
-            x = f"X{next(self.counter)}"
-            if x not in self.skip:
-                return x
-
-
-def _bis_node(i: int, j: int, sig: Signature, fresh: _Fresh) -> Node:
+def _bis_node(i: int, j: int, sig: Signature, fresh: Iterator[int]) -> Node:
     """Greatest fixpoint relating component-i behavior of the 0th tuple
-    slot with component-j behavior of the 1st."""
-    x = fresh()
+    slot with component-j behavior of the 1st.  Binders are named X0, X1,
+    ... in the order they are built, from the counter fresh."""
+    x = f"X{next(fresh)}"
     parts: list[Node] = []
     for c in sig.colors:
         parts.append(_iff(Color(f"{c}@{i}", 0), Color(f"{c}@{j}", 1)))
@@ -618,10 +595,10 @@ def _bis_node(i: int, j: int, sig: Signature, fresh: _Fresh) -> Node:
     return Nu(x, _conj(parts))
 
 
-def _allbox_node(i: int, sub: Node, sig: Signature, d: int, fresh: _Fresh) -> Node:
+def _allbox_node(i: int, sub: Node, sig: Signature, d: int, fresh: Iterator[int]) -> Node:
     """sub holds at every value of tuple slot i reachable along lifted
     base actions.  Reset actions are deliberately not traversed."""
-    x = fresh()
+    x = f"X{next(fresh)}"
     boxes = [Box(f"{a}@{j}", i, Var(x)) for a in sig.actions for j in range(d)]
     return Nu(x, _conj([sub] + boxes))
 
@@ -631,15 +608,7 @@ def gen_bisim_formula(i: int, j: int, sig: Signature, d: int) -> Formula:
     _check_component(i, d)
     _check_component(j, d)
     lift_signature(sig, d)  # validates sig is base and d >= 1
-    return Formula(2, _bis_node(i, j, sig, _Fresh()))
-
-
-def gen_allbox(i: int, phi: Formula, sig: Signature, d: int) -> Formula:
-    if not 0 <= i < phi.arity:
-        raise FormulaError(f"component {i} out of range for arity {phi.arity}")
-    lift_signature(sig, d)
-    # the fresh binder must not capture a variable already used in phi
-    return Formula(phi.arity, _allbox_node(i, phi.root, sig, d, _Fresh(bound_vars(phi))))
+    return Formula(2, _bis_node(i, j, sig, itertools.count()))
 
 
 def _check_component(i: int, d: int):
@@ -653,7 +622,7 @@ def gen_per_formula(sig: Signature, d: int) -> Formula:
     a slot-0 step in component i preserves every other component's
     equivalence that held before the step."""
     lift_signature(sig, d)
-    fresh = _Fresh()
+    fresh = itertools.count()
     clauses: list[Node] = []
     for i in range(d):
         for j in range(d):
@@ -675,7 +644,7 @@ def gen_rst_formula(sig: Signature, d: int) -> Formula:
     rests on the root, a rst@i step lands on something equivalent to
     the root in component i."""
     lift_signature(sig, d)
-    fresh = _Fresh()
+    fresh = itertools.count()
     parts = [
         Box(f"{RESET}@{i}", 0, _bis_node(i, i, sig, fresh)) for i in range(d)
     ]
@@ -686,6 +655,6 @@ def gen_rst_formula(sig: Signature, d: int) -> Formula:
 def gen_pow_formula(sig: Signature, d: int) -> Formula:
     """All components of the root pair mutually equivalent."""
     lift_signature(sig, d)
-    fresh = _Fresh()
+    fresh = itertools.count()
     parts = [_bis_node(i, j, sig, fresh) for i in range(d) for j in range(d)]
     return Formula(2, _conj(parts))

@@ -16,7 +16,6 @@ progress counters (lifted).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -94,29 +93,34 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
     closed under the other components' edges, and starts from the root
     and each rst@i target of a node reachable from the root.
 
+    Explored states keep a parent pointer, not their word, so the search
+    is linear in the number of states.
+
     Returns (word, subsets, exhausted); word is None when there is no
     such word, and exhausted says whether the cap cut the search short.
     """
     lifted = base != g.signature
-    idx, size = g.index, len(g.nodes)
-    kind = {a: unlift(a) if lifted else (a, 0) for a in g.signature.actions}
+    size = len(g.nodes)
+    root = 1 << g.index[g.root]
     out = [0] * size
     step = [{x: [0] * size for x in base.actions} for _ in range(d)]
     silent = [[0] * size for _ in range(d)]
-    start = [1 << idx[g.root]] * d
+    start = [root] * d
     resets = []
-    for u, act, w in g.edges:
-        x, i = kind[act]
-        k, t = idx[u], 1 << idx[w]
-        out[k] |= t
-        if x in step[i]:
-            step[i][x][k] |= t
-        else:
-            resets.append((i, k, t))
-        for j in range(d):
-            if j != i:
-                silent[j][k] |= t
-    reach = _closure(1 << idx[g.root], out)
+    for act, pairs in g._moves.items():
+        x, i = unlift(act) if lifted else (act, 0)
+        row = step[i].get(x)  # None for rst@i
+        for k, w in pairs:
+            t = 1 << w
+            out[k] |= t
+            if row is None:
+                resets.append((i, k, t))
+            else:
+                row[k] |= t
+            for j in range(d):
+                if j != i:
+                    silent[j][k] |= t
+    reach = _closure(root, out)
     for i, k, t in resets:
         if reach >> k & 1:
             start[i] |= t
@@ -125,13 +129,17 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
     accept = [sum(1 << k for k, v in enumerate(g.nodes) if g.has_color(v, c)) for c in colors]
     first = tuple(map(_closure, start, silent))
     seen = {first}
-    queue = deque([(first, ())])
+    # the trail in order of discovery is the breadth-first queue
+    trail = [(first, -1, None, 0)]
     exhausted = False
-    while queue:
-        cur, word = queue.popleft()
+    for e, (cur, _, _, depth) in enumerate(trail):
         if not any(sub & acc for sub, acc in zip(cur, accept)):
-            return word, cur, False
-        if cap is not None and len(word) >= cap:
+            word = []
+            while e > 0:
+                _, e, x, _ = trail[e]
+                word.append(x)
+            return tuple(reversed(word)), cur, False
+        if cap is not None and depth >= cap:
             exhausted = True
             continue
         for x in sorted(base.actions):
@@ -140,7 +148,7 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
             )
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, word + (x,)))
+                trail.append((nxt, e, x, depth + 1))
     return None, None, exhausted
 
 
@@ -174,13 +182,10 @@ def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
     if n < 0:
         raise PolymuError("n must be >= 0")
     _require_plain(g, 1, "reach_by_squaring")
-    a = g.signature.actions[0]
-    index = g.index
     size = len(g.nodes)
     mat = [0] * size
-    for v in g.nodes:
-        for w in g.succ(v, a):
-            mat[index[v]] |= 1 << index[w]
+    for u, w in g._moves.get(g.signature.actions[0], ()):
+        mat[u] |= 1 << w
 
     def mul(x: list[int], y: list[int]) -> list[int]:
         out = [0] * size
@@ -201,8 +206,8 @@ def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
             acc = mul(acc, base)
         base = mul(base, base)
         e >>= 1
-    row = acc[index[g.root]]
-    return frozenset(v for v in g.nodes if row >> index[v] & 1)
+    row = acc[g.index[g.root]]
+    return frozenset(v for k, v in enumerate(g.nodes) if row >> k & 1)
 
 
 def two_letter_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> NonUnivVerdict:
@@ -263,16 +268,19 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
     color f@i."""
     full = len(letters)
     dead = full + 1
-    out: dict[str, list[tuple[str, int, str]]] = {v: [] for v in g.nodes}
-    for u, act, w in g.edges:
-        out[u].append((*unlift(act), w))
+    out: list[list[tuple[str, int, int]]] = [[] for _ in g.nodes]
+    for act, pairs in g._moves.items():
+        x, i = unlift(act)
+        for u, w in pairs:
+            out[u].append((x, i, w))
+    nodes = g.nodes
     accepting = [f"{f}@{i}" for i in range(d)]
-    start = (g.root, (0,) * d)
+    start = (g.index[g.root], (0,) * d)
     seen = {start}
     todo = [start]
     while todo:
         v, prog = todo.pop()
-        if any(p == full and g.has_color(v, c) for p, c in zip(prog, accepting)):
+        if any(p == full and g.has_color(nodes[v], c) for p, c in zip(prog, accepting)):
             return False
         for x, i, w in out[v]:
             ps = list(prog)

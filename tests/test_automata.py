@@ -21,11 +21,11 @@ from polymu.automata import (
     format_apt,
     formula_to_apt,
     parity_winners,
-    positive_normal_form,
     solve_parity,
     strategy_is_winning,
     winning_state_sets,
     _sccs,
+    _pnf,
 )
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.logic import Formula, Var, parse_formula, print_formula
@@ -36,7 +36,8 @@ from conftest import SIG_AF, SIG_ABF, make_graph, make_loop3
 
 
 def pnf_text(text, sig, arity=1):
-    return print_formula(positive_normal_form(parse_formula(text, sig, arity)))
+    phi = parse_formula(text, sig, arity)
+    return print_formula(Formula(phi.arity, _pnf(phi.root)))
 
 
 def test_pnf_shapes():

@@ -23,7 +23,7 @@ from polymu.bisim import (
     relation_lines,
 )
 from polymu.errors import GraphFormatError, PolymuError
-from polymu.graphs import LabeledGraph, Signature, power, product, unfold
+from polymu.graphs import RESET, LabeledGraph, Signature, power, product, split_lifted, unfold, unlift
 from polymu.randgen import Xorshift, rand_base_signature, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
@@ -225,6 +225,91 @@ def test_component_view(loop3):
         component_view(p, 2)
     with pytest.raises(GraphFormatError):
         component_view(loop3, 0)
+
+
+def _edge_view(g, i):
+    """component_view as a scan over g.edges: x@i edges renamed x, in edge
+    order, and c@i colors renamed c."""
+    base, _ = split_lifted(g.signature)
+    edges = []
+    for u, a, w in g.edges:
+        name, k = unlift(a)
+        if name != RESET and k == i:
+            edges.append((u, name, w))
+    labels = {v: [c for c, k in map(unlift, g.label(v)) if k == i] for v in g.nodes}
+    return LabeledGraph(base, g.nodes, g.root, edges, labels)
+
+
+def _edge_conditions(g):
+    """The three power conditions as a scan over g.edges, on the component
+    relations that pair deletion computes between the per-edge views."""
+    _, d = split_lifted(g.signature)
+    views = [_edge_view(g, i) for i in range(d)]
+    rel = {(i, j): largest_bisimulation(views[i], views[j]) for i in range(d) for j in range(d)}
+    persistent = reset = True
+    for u, a, w in g.edges:
+        name, i = unlift(a)
+        persistent &= all((u, w) in rel[j, j] for j in range(d) if j != i)
+        if name == RESET:
+            reset &= (w, g.root) in rel[i, i]
+    rooted = all((g.root, g.root) in r for r in rel.values())
+    return {"persistent": persistent, "reset": reset, "power_rooted": rooted}
+
+
+def _lifted_corpus():
+    """Random lifted graphs, powers, powers with one edge added, and
+    products of two random graphs, at d = 2 and 3."""
+    for t in range(240):
+        rng = Xorshift.substream(41000, t)
+        base = (SIG_AF, SIG_ABF)[t % 2]
+        d = 2 + t // 2 % 2
+        kind = t // 4 % 4
+        if kind == 0:
+            yield rand_lifted_graph(rng, base, d, 7, base_reachable=t % 3 > 0)
+            continue
+        if kind == 3:
+            yield product([rand_graph(rng, base, 4) for _ in range(d)])
+            continue
+        p = power(rand_graph(rng, base, 4 - d // 3), d)
+        if kind == 2:
+            u, w = rng.choice(p.nodes), rng.choice(p.nodes)
+            extra = (u, rng.choice(p.signature.actions), w)
+            edges = set(p.edges) | {extra}
+            p = LabeledGraph(p.signature, p.nodes, p.root, sorted(edges),
+                             {v: p.label(v) for v in p.nodes})
+        yield p
+
+
+def test_positional_checks_match_per_edge_references():
+    failed = dict.fromkeys(("persistent", "reset", "power_rooted"), 0)
+    graphs = 0
+    for g in _lifted_corpus():
+        fam = largest_d_bisimulation(g)
+        for i in range(fam.d):
+            want = _edge_view(g, i)
+            assert component_view(g, i) == fam.view(i) == want
+            assert fam.view(i)._succ == want._succ
+        conds = power_conditions(g)
+        assert conds == _edge_conditions(g), g
+        for name, ok in conds.items():
+            failed[name] += not ok
+        graphs += 1
+    assert graphs == 240
+    assert min(failed.values()) >= 10, failed
+
+
+def test_power_checks_refuse_a_family_in_another_node_order(loop3):
+    # the family's class lists are read by node position
+    p = power(loop3, 2)
+    q = LabeledGraph(p.signature, p.nodes[::-1], p.root, p.edges, {v: p.label(v) for v in p.nodes})
+    fam = largest_d_bisimulation(q)
+    assert q == p
+    for check in (is_persistent, has_reset_property, is_power_rooted):
+        assert check(q, fam)
+        with pytest.raises(GraphFormatError, match="^fam: its views must list"):
+            check(p, fam)
+    with pytest.raises(GraphFormatError, match="^fam: its views must list"):
+        factor(p, 0, fam)
 
 
 def test_d_bisimulation_on_power(loop3):

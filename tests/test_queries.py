@@ -50,6 +50,20 @@ def test_one_letter_least_witness_and_empty_level():
     assert one_letter_non_universal(g) == NonUnivVerdict(False, None)
 
 
+def test_one_letter_least_word_on_six_prime_cycles():
+    """The root reaches position 1 of one a-cycle per prime, and only the
+    cycles' positions 0 lack f, so the least n is the product of the
+    primes.  Breadth-first search explores one state per level."""
+    nodes, edges, accepting = ["r"], [], ["r"]
+    for p in (2, 3, 5, 7, 11, 13):
+        cycle = [f"c{p}.{k}" for k in range(p)]
+        nodes += cycle
+        accepting += cycle[1:]
+        edges.append(("r", "a", cycle[1]))
+        edges += [(v, "a", cycle[(k + 1) % p]) for k, v in enumerate(cycle)]
+    assert one_letter_non_universal(nfa1(nodes, "r", edges, accepting)) == NonUnivVerdict(True, 30030)
+
+
 def test_reach_by_squaring_pins():
     g = make_loop3()
     assert reach_by_squaring(g, 0) == {"0"}

@@ -3,7 +3,6 @@ import pytest
 from polymu.graphs import RESET, lift_signature, split_lifted
 from polymu.logic import (
     check_d_rooted,
-    formula_size,
     monofy,
     polyfy,
     print_formula,
@@ -97,7 +96,7 @@ def test_rand_formula_valid():
         phi = rand_formula(rng, sig, arity, 12)
         validate_formula(phi, sig)
         assert phi.arity == arity
-        sizes.append(formula_size(phi))
+        sizes.append(phi._table.size)
     assert max(sizes) <= 12
     assert min(sizes) >= 1
 

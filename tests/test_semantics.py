@@ -7,7 +7,7 @@ from polymu.automata import accepts, formula_to_apt
 from polymu.bisim import power_formula_verdicts
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power, read_graph, write_graph
-from polymu.logic import Color, Formula, Or, Var, _Table, formula_size, free_vars, parse_formula
+from polymu.logic import Color, Formula, Or, Var, _Table, free_vars, parse_formula
 from polymu.semantics import TupleSet, evaluate, models
 
 from conftest import SIG_AF, make_loop3
@@ -205,9 +205,9 @@ def test_free_and_bound_variable_of_one_name():
         phi = parse_formula(text, SIG_AF, 1)
         assert free_vars(phi) == frozenset({"X"}), text
         assert {v for (v,) in evaluate(g, phi, 1, env).tuples} == want, text
-    # formula_size counts AST nodes, not the entries of the compiled table
+    # the table's size counts AST nodes, not its entries
     phi = parse_formula("X & X & mu X. <a>X", SIG_AF, 1)
-    assert formula_size(phi) == 7
+    assert phi._table.size == 7
     assert len(_Table(phi).node) == 6
 
 

@@ -1,9 +1,9 @@
 """The benchmark tracer's targets exist in the library, its sizers read
 what the library returns, the library never patches or reads the
 recursion limit and the formula and game modules never recurse, a
-formula is compiled only in its cached property, the trusted
-constructor is not exported, and acceptance keeps off the Zielonka
-solver that checks it."""
+formula is compiled only in its cached property, the analyses read a
+graph's edges only grouped by action, the trusted constructor is not
+exported, and acceptance keeps off the Zielonka solver that checks it."""
 import ast
 import importlib
 import importlib.util
@@ -113,12 +113,29 @@ def test_formula_table_is_built_in_one_place():
     assert calls == [("logic.py", "_table", ["cached_property"])]
 
 
+def _edge_readers(name):
+    """Name of the innermost function around each .edges read in a module."""
+    tree = ast.parse((ROOT / "src" / "polymu" / name).read_text())
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    readers = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and n.attr == "edges":
+            around = [fn for fn in fns if fn.lineno <= n.lineno <= fn.end_lineno]
+            readers.append(max(around, key=lambda fn: fn.lineno).name if around else None)
+    return readers
+
+
 def test_evaluator_sees_edges_only_grouped_by_action():
-    """semantics.py never reads .edges: its pre-image tables come from the
-    one per-graph grouping LabeledGraph._moves."""
-    tree = ast.parse((ROOT / "src" / "polymu" / "semantics.py").read_text())
-    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "edges"]
-    assert reads == []
+    """The analysis layers reach a graph's edges only through the one
+    per-graph grouping LabeledGraph._moves.  The one .edges read they keep
+    is bisim.quotient, which builds a new edge list; in graphs.py the
+    succ() view is derived from _moves as well."""
+    readers = {name: _edge_readers(name)
+               for name in ("semantics.py", "bisim.py", "queries.py", "automata.py")}
+    assert readers == {"semantics.py": [], "bisim.py": ["quotient"],
+                       "queries.py": [], "automata.py": []}
+    graphs = _edge_readers("graphs.py")
+    assert "_moves" in graphs and "_succ" not in graphs
 
 
 def test_trusted_constructor_is_not_exported():
