@@ -297,8 +297,9 @@ def solve_parity(game: ParityGame) -> GameResult:
     over distinct priorities on an explicit stack.  Dead ends are routed
     to a fresh losing sink for their owner, which makes the game total
     for the attractor decomposition; the sinks are stripped from the
-    answer.  Positions are bucketed by priority once, so each loop turn
-    finds the top priority of its region by set intersection."""
+    answer; a sink that no dead end leads to stays out of the game.
+    Positions are bucketed by priority once, so each loop turn finds the
+    top priority of its region by set intersection."""
     n = len(game.labels)
     prio = tuple(game.priority) + (1, 0)
     owner = tuple(game.owner) + (EXISTS, FORALL)
@@ -309,7 +310,8 @@ def solve_parity(game: ParityGame) -> GameResult:
     for v, ms in enumerate(moves):
         for w in ms:
             preds[w].append(v)
-    by_prio = groupby(sorted(range(n + 2), key=prio.__getitem__), key=prio.__getitem__)
+    positions = [*range(n), *sorted({sink[o][0] for m, o in zip(game.moves, game.owner) if not m})]
+    by_prio = groupby(sorted(positions, key=prio.__getitem__), key=prio.__getitem__)
     buckets = {p: set(vs) for p, vs in by_prio}
     order = sorted(buckets, reverse=True)
 
@@ -338,7 +340,7 @@ def solve_parity(game: ParityGame) -> GameResult:
 
     # a frame solves region, whose priorities are at most order[k], into win and
     # strat per player; its parent waits on the stack with the top's attractor
-    region, k, win, strat = set(range(n + 2)), 0, [set(), set()], [{}, {}]
+    region, k, win, strat = set(positions), 0, [set(), set()], [{}, {}]
     frames: list = []
     while True:
         if region:
@@ -495,10 +497,13 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
                 return False
             succ[v] = game.moves[v]
 
+    # only positions on some cycle can lie on a losing one
+    cyclic = [c for c in _sccs(set(win), succ) if len(c) > 1 or any(v in succ[v] for v in c)]
+    on_cycle = set().union(*cyclic)
     bad = 1 - player % 2
-    bad_prios = sorted({game.priority[v] for v in win if game.priority[v] % 2 == bad})
+    bad_prios = sorted({game.priority[v] for v in on_cycle if game.priority[v] % 2 == bad})
     for p in bad_prios:
-        sub = {v for v in win if game.priority[v] <= p}
+        sub = {v for v in on_cycle if game.priority[v] <= p}
         for comp in _sccs(sub, succ):
             if not any(game.priority[v] == p for v in comp):
                 continue

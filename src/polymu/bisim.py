@@ -176,11 +176,12 @@ def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
 def quotient(g: LabeledGraph) -> LabeledGraph:
     """Quotient by bisimilarity; class ids are lex-least representatives."""
     classes = bisimulation_partition(g)
-    rep = {v: members[0] for members in classes for v in members}
     nodes = tuple(members[0] for members in classes)  # sorted, as the classes are
-    edges = sorted({(rep[u], a, rep[w]) for u, a, w in g.edges})
+    at = {v: k for k, members in enumerate(classes) for v in members}
+    to = [at[v] for v in g.nodes]
+    moves = {a: sorted({(to[u], to[w]) for u, w in pairs}) for a, pairs in g._moves.items()}
     return LabeledGraph._trusted(
-        g.signature, nodes, rep[g.root], edges, {r: g.label(r) for r in nodes}
+        g.signature, nodes, nodes[to[g.index[g.root]]], moves, {r: g.label(r) for r in nodes}
     )
 
 
@@ -193,14 +194,13 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
     """Base-signature view of component i: keep x@i edges and c@i colors."""
     base, d = split_lifted(g.signature)
     _check_component(i, d)
-    nodes = g.nodes
-    edges = []
+    moves = {}
     for a, pairs in g._moves.items():
         name, k = unlift(a)
         if name != RESET and k == i:
-            edges += [(nodes[u], name, nodes[w]) for u, w in pairs]
+            moves[name] = pairs
     labels = {v: frozenset(c for c, k in map(unlift, g.label(v)) if k == i) for v in g.nodes}
-    return LabeledGraph._trusted(base, g.nodes, g.root, edges, labels)
+    return LabeledGraph._trusted(base, g.nodes, g.root, moves, labels)
 
 
 class DBisimFamily:
@@ -255,55 +255,35 @@ def largest_d_bisimulation(g: LabeledGraph) -> DBisimFamily:
     return DBisimFamily([component_view(g, i) for i in range(d)])
 
 
-def _family_of(g: LabeledGraph, fam: DBisimFamily | None) -> DBisimFamily:
-    """fam, or g's largest family when fam is None.  A family's class lists
-    are read by g's node positions, so its views must list g's nodes in
-    g's order, as those of largest_d_bisimulation(g) do."""
-    if fam is None:
-        return largest_d_bisimulation(g)
-    if any(view.nodes != g.nodes for view in fam.views):
-        raise GraphFormatError("fam: its views must list the graph's nodes in the graph's order")
-    return fam
+def _conditions(g: LabeledGraph, fam: DBisimFamily) -> dict[str, bool]:
+    """The three power conditions, read off g's largest family fam.
 
-
-def is_persistent(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
-    """Every edge touching component i preserves all other components'
-    behavior: (v, x@i, v') with j != i implies v rel(j,j) v'."""
-    fam = _family_of(g, fam)
-    for a, pairs in g._moves.items():
-        _, i = unlift(a)
-        for j, cls in enumerate(fam._cls):
-            if j != i and any(cls[u] != cls[w] for u, w in pairs):
-                return False
-    return True
-
-
-def has_reset_property(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
-    """Every rst@i edge lands on a node whose component i behaves like
-    the root's component i."""
-    fam = _family_of(g, fam)
+    persistent: every edge touching component i preserves all other
+    components' behavior: (v, x@i, v') with j != i implies v rel(j,j) v'.
+    reset: every rst@i edge lands on a node whose component i behaves
+    like the root's component i.
+    power_rooted: root rel(i, j) root for all components i, j, so the d
+    roots share one class.
+    """
     r = g.index[g.root]
+    persistent = reset = True
     for a, pairs in g._moves.items():
         name, i = unlift(a)
-        if name == RESET and any(fam._cls[i][w] != fam._cls[i][r] for _, w in pairs):
-            return False
-    return True
-
-
-def is_power_rooted(g: LabeledGraph, fam: DBisimFamily | None = None) -> bool:
-    """root rel(i, j) root for all components i, j: the d roots share one class."""
-    fam = _family_of(g, fam)
-    r = g.index[g.root]
-    return len({cls[r] for cls in fam._cls}) <= 1
+        persistent = persistent and all(
+            cls[u] == cls[w] for j, cls in enumerate(fam._cls) if j != i for u, w in pairs
+        )
+        if name == RESET:
+            own = fam._cls[i]
+            reset = reset and all(own[w] == own[r] for _, w in pairs)
+    return {
+        "persistent": persistent,
+        "reset": reset,
+        "power_rooted": len({cls[r] for cls in fam._cls}) <= 1,
+    }
 
 
 def power_conditions(g: LabeledGraph) -> dict[str, bool]:
-    fam = largest_d_bisimulation(g)
-    return {
-        "persistent": is_persistent(g, fam),
-        "reset": has_reset_property(g, fam),
-        "power_rooted": is_power_rooted(g, fam),
-    }
+    return _conditions(g, largest_d_bisimulation(g))
 
 
 def detect_power(g: LabeledGraph, d: int | None = None, method: str = "both") -> bool:
@@ -340,26 +320,31 @@ def power_formula_verdicts(g: LabeledGraph) -> dict[str, bool]:
     }
 
 
-def factor(g: LabeledGraph, i: int, fam: DBisimFamily | None = None) -> LabeledGraph:
+def _factor(g: LabeledGraph, i: int, fam: DBisimFamily) -> LabeledGraph:
+    """Component-i factor of g, given g's largest family."""
+    view = fam.view(i)  # rejects an out-of-range i before the conditions
+    ok = _conditions(g, fam)
+    if not ok["persistent"]:
+        raise PolymuError("factor: graph is not persistent")
+    if not ok["reset"]:
+        raise PolymuError("factor: graph lacks the reset property")
+    return quotient(view)
+
+
+def factor(g: LabeledGraph, i: int) -> LabeledGraph:
     """Component-i factor: quotient of the component-i view by rel(i, i),
     which is the view's own bisimilarity.
 
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.
     """
-    fam = _family_of(g, fam)
-    view = fam.view(i)  # rejects an out-of-range i before the conditions
-    if not is_persistent(g, fam):
-        raise PolymuError("factor: graph is not persistent")
-    if not has_reset_property(g, fam):
-        raise PolymuError("factor: graph lacks the reset property")
-    return quotient(view)
+    return _factor(g, i, largest_d_bisimulation(g))
 
 
 def factors(g: LabeledGraph) -> list[LabeledGraph]:
     """All d component factors, sharing one family computation."""
     fam = largest_d_bisimulation(g)
-    return [factor(g, i, fam) for i in range(fam.d)]
+    return [_factor(g, i, fam) for i in range(fam.d)]
 
 
 def relation_lines(rel: Relation) -> list[str]:

@@ -3,9 +3,12 @@
 A graph doubles as an NFA by reading one designated color as the
 accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
-construction.  Only graph builders read a graph's edge list; every
-analysis, succ() included, derives what it needs from LabeledGraph._moves,
-the edges grouped once by action into position pairs.
+construction.  A graph stores its edges once, as LabeledGraph._moves:
+per action, (source position, target position) pairs over the node
+order.  Every analysis, succ() included, reads them there, and derived
+graphs are built from positions; the (src, action, dst) id triples of
+LabeledGraph.edges are read off _moves on demand, for the writer,
+equality and hashing.
 
 The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
@@ -16,7 +19,8 @@ LabeledGraph(...), and read_graph with it, is the validating boundary:
 it checks every node id, edge, action and color it is given.  Graphs
 the library derives from graphs it already holds (product, unfold,
 bisim.quotient, bisim.component_view, pumping.pump) are built through
-LabeledGraph._trusted, which checks only that the ids are distinct.
+LabeledGraph._trusted, which takes their position pairs ready-made and
+checks only that the ids are distinct.
 """
 from __future__ import annotations
 
@@ -127,7 +131,10 @@ class LabeledGraph:
 
     nodes: unique non-empty string ids, order preserved.
     index: node id to its position in nodes, so nodes[index[v]] == v.
-    edges: (src, action, dst) triples, no duplicates.
+    _moves: the stored edges, action to (source position, target
+    position) pairs, no duplicates, in input order within each action.
+    edges: (src, action, dst) triples derived from _moves on first use,
+    grouped by action.
     labels: node id to set of colors.
     """
 
@@ -158,7 +165,7 @@ class LabeledGraph:
             raise GraphFormatError(f"root: {root!r} is not a node")
         action_set = set(signature.actions)
         color_set = set(signature.colors)
-        edge_list: list[tuple[str, str, str]] = []
+        moves: dict[str, list[tuple[int, int]]] = {}
         edge_set = set()
         for i, e in enumerate(edges):
             e = tuple(e)
@@ -174,8 +181,11 @@ class LabeledGraph:
             if e in edge_set:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge {e!r}")
             edge_set.add(e)
-            edge_list.append(e)
-        self.edges = tuple(edge_list)
+            pairs = moves.get(a)
+            if pairs is None:  # setdefault would build a list per edge
+                pairs = moves[a] = []
+            pairs.append((index[src], index[dst]))
+        self._moves = moves
         lab: dict[str, frozenset[str]] = {v: frozenset() for v in self.nodes}
         for v, cs in labels.items():
             if v not in index:
@@ -189,14 +199,15 @@ class LabeledGraph:
         self._check_shape()
 
     @classmethod
-    def _trusted(cls, signature, nodes, root, edges, labels):
+    def _trusted(cls, signature, nodes, root, moves, labels):
         """Graph from parts the library derived from graphs it already holds.
 
-        nodes: a tuple of ids; edges: distinct (src, action, dst) triples
-        over them; labels: every node id to a frozenset of colors.  Only
-        distinct ids are checked, as building index finds a duplicate for
-        free; derived ids such as "(u,v)" can collide when the ids they
-        are made of contain the separator.
+        nodes: a tuple of ids; moves: action to distinct (source position,
+        target position) pairs over them, as _moves holds them; labels:
+        every node id to a frozenset of colors.  Only distinct ids are
+        checked, as building index finds a duplicate for free; derived ids
+        such as "(u,v)" can collide when the ids they are made of contain
+        the separator.
         """
         g = cls.__new__(cls)
         g.signature = signature
@@ -209,7 +220,7 @@ class LabeledGraph:
                 if v in seen:
                     raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
                 seen.add(v)
-        g.edges = tuple(edges)
+        g._moves = moves
         g._labels = labels
         g._check_shape()
         return g
@@ -218,17 +229,11 @@ class LabeledGraph:
         """Shape checks of subclasses, run once the parts are in place."""
 
     @functools.cached_property
-    def _moves(self) -> dict[str, list[tuple[int, int]]]:
-        """The one grouping of the edges, built on first use: per action,
-        (source position, target position) pairs in edge order."""
-        idx = self.index
-        moves: dict[str, list[tuple[int, int]]] = {}
-        for src, a, dst in self.edges:
-            pairs = moves.get(a)
-            if pairs is None:  # setdefault would build a list per edge
-                pairs = moves[a] = []
-            pairs.append((idx[src], idx[dst]))
-        return moves
+    def edges(self) -> tuple[tuple[str, str, str], ...]:
+        """(src, action, dst) id triples read off _moves on first use:
+        grouped by action, in input order within each action."""
+        nodes = self.nodes
+        return tuple((nodes[u], a, nodes[w]) for a, pairs in self._moves.items() for u, w in pairs)
 
     @functools.cached_property
     def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -265,7 +270,8 @@ class LabeledGraph:
         return hash((self.signature, frozenset(self.nodes), self.root, frozenset(self.edges)))
 
     def __repr__(self):
-        return f"<LabeledGraph {len(self.nodes)} nodes, {len(self.edges)} edges, root {self.root!r}>"
+        n_edges = sum(map(len, self._moves.values()))
+        return f"<LabeledGraph {len(self.nodes)} nodes, {n_edges} edges, root {self.root!r}>"
 
 
 class FiniteTree(LabeledGraph):
@@ -278,13 +284,16 @@ class FiniteTree(LabeledGraph):
 
     def _check_shape(self) -> None:
         """The tree shape check that fills parents and depths."""
+        nodes = self.nodes
         parent: dict[str, tuple[str, str]] = {}
-        for src, a, dst in self.edges:
-            if dst == self.root:
-                raise GraphFormatError(f"edges: root {dst!r} has an incoming edge")
-            if dst in parent:
-                raise GraphFormatError(f"edges: node {dst!r} has two incoming edges")
-            parent[dst] = (src, a)
+        for a, pairs in self._moves.items():
+            for u, w in pairs:
+                dst = nodes[w]
+                if dst == self.root:
+                    raise GraphFormatError(f"edges: root {dst!r} has an incoming edge")
+                if dst in parent:
+                    raise GraphFormatError(f"edges: node {dst!r} has two incoming edges")
+                parent[dst] = (nodes[u], a)
         for v in self.nodes:
             if v != self.root and v not in parent:
                 raise GraphFormatError(f"nodes: {v!r} is unreachable from the root")
@@ -304,7 +313,7 @@ class FiniteTree(LabeledGraph):
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "FiniteTree":
         # g's parts were checked when g was built; only the tree shape is new
-        return cls._trusted(g.signature, g.nodes, g.root, g.edges, g._labels)
+        return cls._trusted(g.signature, g.nodes, g.root, g._moves, g._labels)
 
     def parent(self, v: str) -> tuple[str, str] | None:
         """(parent node, action of the incoming edge), None for the root."""
@@ -372,37 +381,26 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
         if size > _MAX_NODES:
             raise ResourceLimitError(f"product: more than {_MAX_NODES} nodes")
     lifted = lift_signature(sig, len(graphs))
-    # per component i and base position k: the lifted colors, and the moves
-    # as (x@i, offset to the target's position) with rst@i last; component
-    # i steps a product position by the node counts of the factors after i
-    parts = []
+    # component i steps a product position by the node counts of the factors
+    # after i, so each of its moves is a factor pair shifted onto every
+    # position whose component i is 0
+    moves: dict[str, list[tuple[int, int]]] = {}
     stride = size
     root = 0
     for i, g in enumerate(graphs):
-        stride //= len(g.nodes)
-        idx = g.index
-        r = idx[g.root]
+        n = len(g.nodes)
+        bases = [hi + lo for hi in range(0, size, stride) for lo in range(stride // n)]
+        stride //= n
+        r = g.index[g.root]
         root += r * stride
-        names = [(a, f"{a}@{i}") for a in sig.actions]
-        reset = f"{RESET}@{i}"
-        parts.append([
-            (
-                frozenset(f"{c}@{i}" for c in g.label(v)),
-                [(name, (idx[u] - k) * stride) for a, name in names for u in g.succ(v, a)]
-                + [(reset, (r - k) * stride)],
-            )
-            for k, v in enumerate(g.nodes)
-        ])
+        for a, pairs in [*g._moves.items(), (RESET, [(k, r) for k in range(n)])]:
+            shifted = [(u * stride, w * stride) for u, w in pairs]
+            moves[f"{a}@{i}"] = [(b + u, b + w) for b in bases for u, w in shifted]
+    colors = [[frozenset(f"{c}@{i}" for c in g.label(v)) for v in g.nodes]
+              for i, g in enumerate(graphs)]
     ids = tuple(map(tuple_id, itertools.product(*[g.nodes for g in graphs])))
-    labels: dict[str, frozenset[str]] = {}
-    edges: list[tuple[str, str, str]] = []
-    for p, combo in enumerate(itertools.product(*parts)):
-        src = ids[p]
-        labels[src] = frozenset().union(*[colors for colors, _ in combo])
-        for _, moves in combo:
-            for name, off in moves:
-                edges.append((src, name, ids[p + off]))
-    return LabeledGraph._trusted(lifted, ids, ids[root], edges, labels)
+    labels = {v: frozenset().union(*cs) for v, cs in zip(ids, itertools.product(*colors))}
+    return LabeledGraph._trusted(lifted, ids, ids[root], moves, labels)
 
 
 def power(g: LabeledGraph, d: int) -> LabeledGraph:
@@ -422,16 +420,14 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
     """
     if depth < 0:
         raise GraphFormatError(f"depth: must be >= 0, got {depth}")
-    nodes: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    labels: dict[str, frozenset[str]] = {}
-    frontier = [(g.root, g.root)]
-    nodes.append(g.root)
-    labels[g.root] = g.label(g.root)
+    nodes = [g.root]
+    moves: dict[str, list[tuple[int, int]]] = {}
+    labels = {g.root: g.label(g.root)}
+    frontier = [(0, g.root, g.root)]  # (position, path id, endpoint)
     chars = len(g.root)
     for _ in range(depth):
         width = 0
-        for pid, v in frontier:
+        for _, pid, v in frontier:
             for a in g.signature.actions:
                 ws = g.succ(v, a)
                 width += len(ws)
@@ -441,16 +437,16 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
         if chars > _MAX_ID_CHARS:
             raise ResourceLimitError(f"unfold: more than {_MAX_ID_CHARS} id characters")
         nxt = []
-        for pid, v in frontier:
+        for p, pid, v in frontier:
             for a in g.signature.actions:
                 for w in g.succ(v, a):
                     cid = f"{pid}|{a}|{w}"
+                    moves.setdefault(a, []).append((p, len(nodes)))
+                    nxt.append((len(nodes), cid, w))
                     nodes.append(cid)
                     labels[cid] = g.label(w)
-                    edges.append((pid, a, cid))
-                    nxt.append((cid, w))
         frontier = nxt
-    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, edges, labels)
+    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, labels)
 
 
 def read_graph(data) -> LabeledGraph:

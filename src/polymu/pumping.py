@@ -63,37 +63,42 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     def cid(v: str, c: int) -> str:
         return f"({v},{c})"
 
-    nodes = [v for v in tree.nodes if v not in seg]
-    for c in range(k):
-        nodes += [cid(v, c) for v in tree.nodes if v in seg]
-    labels = {v: tree.label(v) for v in tree.nodes if v not in seg}
-    for c in range(k):
-        for v in tree.nodes:
-            if v in seg:
-                labels[cid(v, c)] = tree.label(v)
+    in_seg = [v in seg for v in tree.nodes]
+    outside = [v for v, s in zip(tree.nodes, in_seg) if not s]
+    inside = [v for v, s in zip(tree.nodes, in_seg) if s]
+    nodes = outside + [cid(v, c) for c in range(k) for v in inside]
+    labels = {v: tree.label(v) for v in outside}
+    labels.update((cid(v, c), tree.label(v)) for c in range(k) for v in inside)
+    # new positions: the n nodes outside the segment keep their order, then
+    # copy c of the segment's m nodes starts at n + c * m
+    n, m = len(outside), len(inside)
+    rank = {v: p for part in (outside, inside) for p, v in enumerate(part)}
+    to = [rank[v] for v in tree.nodes]
 
-    edges = []
-    for (u, a, w) in tree.edges:
-        u_in, w_in = u in seg, w in seg
-        if not u_in and not w_in:
-            edges.append((u, a, w))
-        elif u_in and w_in:
-            edges += [(cid(u, c), a, cid(w, c)) for c in range(k)]
-        elif u_in:
-            # the unique exit edge v_{j-1} -> v_j
-            if k > 0:
-                edges.append((cid(u, k - 1), a, w))
-        else:
-            # the unique entry edge v_{i-1} -> v_i
-            if k > 0:
-                edges.append((u, a, cid(w, 0)))
+    def at(p: int, c: int) -> int:
+        return n + c * m + to[p]
+
+    j_at = to[tree.index[path[j]]]
+    moves: dict[str, list[tuple[int, int]]] = {}
+    for a, pairs in tree._moves.items():
+        out = moves[a] = []
+        for u, w in pairs:
+            if not in_seg[u] and not in_seg[w]:
+                out.append((to[u], to[w]))
+            elif in_seg[u] and in_seg[w]:
+                out += [(at(u, c), at(w, c)) for c in range(k)]
+            elif in_seg[u]:
+                # the unique exit edge v_{j-1} -> v_j
+                if k > 0:
+                    out.append((at(u, k - 1), to[w]))
             else:
-                edges.append((u, a, path[j]))
+                # the unique entry edge v_{i-1} -> v_i
+                out.append((to[u], at(w, 0) if k > 0 else j_at))
     exit_action = tree.parent(path[j])[1]
-    for c in range(k - 1):
-        edges.append((cid(path[j - 1], c), exit_action, cid(path[i], c + 1)))
+    last, first = tree.index[path[j - 1]], tree.index[path[i]]
+    moves[exit_action] += [(at(last, c), at(first, c + 1)) for c in range(k - 1)]
 
-    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, edges, labels)
+    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, labels)
 
 
 def canonical_tree_form(tree: FiniteTree):

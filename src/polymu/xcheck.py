@@ -133,7 +133,7 @@ def _toggle_root_color(g: LabeledGraph) -> LabeledGraph:
     cols.symmetric_difference_update({c})
     labels = {v: g.label(v) for v in g.nodes}
     labels[g.root] = frozenset(cols)
-    return LabeledGraph(g.signature, g.nodes, g.root, g.edges, labels)
+    return LabeledGraph._trusted(g.signature, g.nodes, g.root, g._moves, labels)
 
 
 def check_power_detection(cfg: RunConfig) -> tuple[bool, str]:

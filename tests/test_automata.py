@@ -190,6 +190,20 @@ def test_strategy_checker_requires_closure():
     assert strategy_is_winning(g, FORALL, {0, 1}, {0: 1, 1: 1})
 
 
+def test_strategy_checker_judges_cycles_only():
+    # 0 <-> 1 is a cycle of top priority 1: a win for Forall, not Exists
+    g = game([EXISTS, FORALL], [0, 1], [(1,), (0,)])
+    assert not strategy_is_winning(g, EXISTS, {0, 1}, {0: 1})
+    assert strategy_is_winning(g, FORALL, {0, 1}, {1: 0})
+    # an odd priority on the path into an even self-loop does not count,
+    # and a self-loop alone is a cycle
+    g = game([FORALL, FORALL, EXISTS], [1, 3, 4], [(1,), (2,), (2,)])
+    assert strategy_is_winning(g, EXISTS, {0, 1, 2}, {2: 2})
+    assert not strategy_is_winning(g, FORALL, {0, 1, 2}, {0: 1, 1: 2})
+    g = game([EXISTS], [1], [(0,)])
+    assert not strategy_is_winning(g, EXISTS, {0}, {0: 0})
+
+
 def brute_exists_wins(g: ParityGame) -> set | None:
     n = len(g.labels)
     epos = [v for v in range(n) if g.owner[v] == EXISTS and g.moves[v]]
@@ -406,6 +420,19 @@ def test_solver_nests_priorities_without_the_recursion_limit(monkeypatch):
     assert parity_winners(g) == res.winner
     assert strategy_is_winning(g, EXISTS, set(range(0, n, 2)), res.strategy[EXISTS])
     assert strategy_is_winning(g, FORALL, set(range(1, n, 2)), res.strategy[FORALL])
+
+
+def test_solver_leaves_out_the_sink_no_dead_end_reaches():
+    # the chain v -> v - 1, priority v, owner v mod 2: only position 0, an
+    # Exists dead end, needs a sink; Forall's sink would sit below every
+    # priority and be peeled off again at each of the n nested frames
+    n = 3000
+    g = game([v % 2 for v in range(n)], list(range(n)), [(v - 1,) if v else () for v in range(n)])
+    res = solve_parity(g)
+    assert res.winner == parity_winners(g)
+    won = {v for v in range(n) if res.winner[v] == EXISTS}
+    assert strategy_is_winning(g, EXISTS, won, res.strategy[EXISTS])
+    assert strategy_is_winning(g, FORALL, set(range(n)) - won, res.strategy[FORALL])
 
 
 # ------------------------------------------------ the winners-only solver

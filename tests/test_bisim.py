@@ -14,9 +14,6 @@ from polymu.bisim import (
     factors,
     largest_bisimulation,
     largest_d_bisimulation,
-    has_reset_property,
-    is_persistent,
-    is_power_rooted,
     power_conditions,
     power_formula_verdicts,
     quotient,
@@ -298,20 +295,6 @@ def test_positional_checks_match_per_edge_references():
     assert min(failed.values()) >= 10, failed
 
 
-def test_power_checks_refuse_a_family_in_another_node_order(loop3):
-    # the family's class lists are read by node position
-    p = power(loop3, 2)
-    q = LabeledGraph(p.signature, p.nodes[::-1], p.root, p.edges, {v: p.label(v) for v in p.nodes})
-    fam = largest_d_bisimulation(q)
-    assert q == p
-    for check in (is_persistent, has_reset_property, is_power_rooted):
-        assert check(q, fam)
-        with pytest.raises(GraphFormatError, match="^fam: its views must list"):
-            check(p, fam)
-    with pytest.raises(GraphFormatError, match="^fam: its views must list"):
-        factor(p, 0, fam)
-
-
 def test_d_bisimulation_on_power(loop3):
     p = power(loop3, 2)
     fam = largest_d_bisimulation(p)
@@ -389,7 +372,7 @@ def test_family_builds_only_the_relations_asked_for(monkeypatch, loop3):
     with pytest.raises(GraphFormatError, match="component 3 out of range for dimension 3"):
         factor(p3, 3)
     with pytest.raises(GraphFormatError, match="component -1 out of range"):
-        factor(p3, -1, largest_d_bisimulation(p3))
+        factor(p3, -1)
     fam = largest_d_bisimulation(p3)
     with pytest.raises(GraphFormatError, match="component -1 out of range"):
         fam.rel(0, -1)
@@ -400,11 +383,11 @@ def test_family_builds_only_the_relations_asked_for(monkeypatch, loop3):
 def _factor_is_view_quotient(g):
     """Check every factor of g against the quotient of its view; count
     the factors that merge nodes."""
-    fam = largest_d_bisimulation(g)
+    _, d = split_lifted(g.signature)
     merged = 0
-    for i in range(fam.d):
+    for i in range(d):
         want = quotient(component_view(g, i))
-        got = factor(g, i, fam)
+        got = factor(g, i)
         assert got == want and got.nodes == want.nodes, i
         merged += len(got.nodes) < len(g.nodes)
     return merged
@@ -415,7 +398,8 @@ def test_factor_is_quotient_of_view():
     for t in range(400):
         rng = Xorshift.substream(9, t)
         g = rand_lifted_graph(rng, rand_base_signature(rng), 1 + t % 3, 6, min_nodes=2)
-        if is_persistent(g) and has_reset_property(g):
+        conds = power_conditions(g)
+        if conds["persistent"] and conds["reset"]:
             draws += 1
             merged += _factor_is_view_quotient(g)
     assert draws >= 30 and merged >= 10, (draws, merged)
@@ -465,9 +449,14 @@ def test_power_detection_broken_persistence(loop3):
         list(p.edges) + [("(0,0)", "a@0", "(1,1)")],
         {v: p.label(v) for v in p.nodes},
     )
-    assert not is_persistent(g)
+    assert not power_conditions(g)["persistent"]
     assert not detect_power(g, 2, "both")
     assert not power_formula_verdicts(g)["persistent"]
+    # the component range is checked before the conditions
+    with pytest.raises(GraphFormatError, match="component 2 out of range"):
+        factor(g, 2)
+    with pytest.raises(PolymuError, match="not persistent"):
+        factor(g, 0)
 
 
 def test_power_detection_broken_reset(loop3):
@@ -476,8 +465,7 @@ def test_power_detection_broken_reset(loop3):
     edges = [e for e in p.edges if e != ("(1,1)", "rst@0", "(0,1)")]
     edges.append(("(1,1)", "rst@0", "(1,1)"))
     g = LabeledGraph(p.signature, p.nodes, p.root, edges, {v: p.label(v) for v in p.nodes})
-    fam = largest_d_bisimulation(g)
-    assert not has_reset_property(g, fam)
+    assert not power_conditions(g)["reset"]
     assert not detect_power(g, 2, "both")
 
 

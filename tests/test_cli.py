@@ -177,6 +177,33 @@ def test_dbisim_output_is_stable(capsys, pow2, tmp_path):
         assert out == (DATA / golden).read_text(), golden
 
 
+def test_builder_output_is_stable(capsys, ex1, pow2, tmp_path):
+    # every graph builder behind the CLI, on ex1, its power and two trees
+    two = tmp_path / "two.json"
+    two.write_text(write_graph(LabeledGraph(
+        Signature(["a"], ["f"]), ["p", "q"], "p", [("p", "a", "q"), ("q", "a", "q")], {"q": ["f"]}
+    )))
+    rword = tmp_path / "rword.json"
+    code, out, _ = run(capsys, "gen", "rword")
+    rword.write_text(out)
+    for argv, golden in [
+        (["gen", "power-ex1"], "build_gen_power_ex1.txt"),
+        (["power", "--graph", str(two), "-d", "3"], "build_power3_two.txt"),
+        (["product", "--graph", ex1, "--graph2", str(two)], "build_product_ex1_two.txt"),
+        (["quotient", "--graph", ex1], "build_quotient_ex1.txt"),
+        (["quotient", "--graph", pow2], "build_quotient_pow2_ex1.txt"),
+        (["unfold", "--graph", ex1, "--depth", "3"], "build_unfold3_ex1.txt"),
+        (["unfold", "--graph", pow2, "--depth", "3"], "build_unfold3_pow2_ex1.txt"),
+        (["factor", "--graph", pow2, "--component", "0"], "build_factor0_pow2_ex1.txt"),
+        (["factor", "--graph", pow2, "--component", "1"], "build_factor1_pow2_ex1.txt"),
+        (["pump", "--graph", str(rword), "--path", "n,n.0,n.0.0", "--i", "1", "--j", "2",
+          "--k", "2"], "build_pump_rword.txt"),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, golden
+        assert out == (DATA / golden).read_text(), golden
+
+
 def test_detect_power_and_factor(capsys, ex1, pow2, tmp_path):
     code, out, _ = run(capsys, "detect-power", "--graph", pow2, "-d", "2",
                        "--method", "both")

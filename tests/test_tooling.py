@@ -1,8 +1,9 @@
 """The benchmark tracer's targets exist in the library, its sizers read
 what the library returns, the library never patches or reads the
 recursion limit and the formula and game modules never recurse, a
-formula is compiled only in its cached property, the analyses read a
-graph's edges only grouped by action, the trusted constructor is not
+formula is compiled only in its cached property, the analyses and the
+derived-graph builders read a graph's edges only as the position pairs
+it stores, the trusted constructor is not
 exported, and acceptance keeps off the Zielonka solver that checks it."""
 import ast
 import importlib
@@ -126,16 +127,35 @@ def _edge_readers(name):
 
 
 def test_evaluator_sees_edges_only_grouped_by_action():
-    """The analysis layers reach a graph's edges only through the one
-    per-graph grouping LabeledGraph._moves.  The one .edges read they keep
-    is bisim.quotient, which builds a new edge list; in graphs.py the
-    succ() view is derived from _moves as well."""
-    readers = {name: _edge_readers(name)
-               for name in ("semantics.py", "bisim.py", "queries.py", "automata.py")}
-    assert readers == {"semantics.py": [], "bisim.py": ["quotient"],
-                       "queries.py": [], "automata.py": []}
-    graphs = _edge_readers("graphs.py")
-    assert "_moves" in graphs and "_succ" not in graphs
+    """A graph stores its edges once, as LabeledGraph._moves, and the
+    analysis layers and derived-graph builders reach them only there.  In
+    graphs.py only the writer, equality and hashing read the derived
+    .edges view; the succ() view is derived from _moves as well."""
+    readers = {name: _edge_readers(name) for name in
+               ("semantics.py", "bisim.py", "queries.py", "automata.py", "pumping.py")}
+    assert readers == {"semantics.py": [], "bisim.py": [], "queries.py": [],
+                       "automata.py": [], "pumping.py": []}
+    assert sorted(set(_edge_readers("graphs.py"))) == ["__eq__", "__hash__", "write_graph"]
+
+
+def test_derived_graphs_are_built_from_position_pairs():
+    """Every _trusted call hands over position pairs: a moves dict built
+    from positions, or another graph's _moves.  No library module reads
+    .edges outside the writer, equality, hashing and xcheck suite 8's
+    breadth-first oracle, so none builds string edges for a derived graph."""
+    handed = []
+    readers = {}
+    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_trusted":
+                handed.append(ast.unparse(call.args[3]))
+        if _edge_readers(path.name):
+            readers[path.name] = sorted(set(_edge_readers(path.name)))
+    assert len(handed) >= 7
+    assert set(handed) <= {"moves", "g._moves"}, handed
+    assert readers == {"graphs.py": ["__eq__", "__hash__", "write_graph"],
+                       "xcheck.py": ["check_squaring"]}
 
 
 def test_trusted_constructor_is_not_exported():
