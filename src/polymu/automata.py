@@ -258,13 +258,13 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     size = len(nodes) * nq
     if size > _MAX_NODES:
         raise ResourceLimitError(f"acceptance_game: more than {_MAX_NODES} positions")
-    index = g.index
     heads = ["(" + v + ",q" for v in nodes]
     colors = list(map(g.label, nodes))
     labels: list = [None] * size
     owner: list = [EXISTS] * size
     moves: list = [()] * size
-    # per action, each node's successors as position bases, in succ order
+    # per action, each node's successors as position bases, ordered by
+    # node id as succ() orders them
     succ_bases: dict[str, list[list[int]]] = {}
     for q, t in enumerate(apt.delta):
         tail = f"{q})"
@@ -275,8 +275,9 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
         elif isinstance(t, TransMod):
             outs = succ_bases.get(t.action)
             if outs is None:
-                a = t.action
-                outs = succ_bases[a] = [[index[w] * nq for w in g.succ(v, a)] for v in nodes]
+                outs = succ_bases[t.action] = [[] for _ in nodes]
+                for u, w in sorted(g._moves.get(t.action, ()), key=lambda uw: nodes[uw[1]]):
+                    outs[u].append(w * nq)
             target = t.target
             owner[q::nq] = [EXISTS if t.existential else FORALL] * len(nodes)
             moves[q::nq] = [tuple([b + target for b in out]) for out in outs]
@@ -286,7 +287,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
             moves[q::nq] = zip(*(range(o, size, nq) for o in sorted({t.left, t.right})))
     return ParityGame(
         tuple(labels), tuple(owner), apt.priority * len(nodes), tuple(moves),
-        index[g.root] * nq + apt.initial,
+        g.index[g.root] * nq + apt.initial,
     )
 
 

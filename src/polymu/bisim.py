@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
 from .graphs import LabeledGraph, RESET, split_lifted, tuple_id, unlift
-from .logic import gen_per_formula, gen_pow_formula, gen_rst_formula
+from .logic import gen_is_power_formula, gen_per_formula, gen_pow_formula, gen_rst_formula
 from .semantics import models
 
 Relation = frozenset  # of (node, node) pairs
@@ -163,19 +163,27 @@ def _refine(labels: list, enabled: list, succs: list) -> list[int]:
         ]
 
 
-def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
-    """Bisimilarity classes of g by partition refinement, sorted."""
-    enabled, succs, _ = _int_adjacency(g)
-    cls = _refine([g.label(v) for v in g.nodes], enabled, succs)
+def _classes(g: LabeledGraph, ids: list[int]) -> list[tuple[str, ...]]:
+    """The classes of a class id per position, each sorted, in order."""
     groups: dict[int, list[str]] = {}
-    for v, c in zip(g.nodes, cls):
+    for v, c in zip(g.nodes, ids):
         groups.setdefault(c, []).append(v)
     return sorted(tuple(sorted(members)) for members in groups.values())
 
 
+def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
+    """Bisimilarity classes of g by partition refinement, sorted."""
+    enabled, succs, _ = _int_adjacency(g)
+    return _classes(g, _refine([g.label(v) for v in g.nodes], enabled, succs))
+
+
 def quotient(g: LabeledGraph) -> LabeledGraph:
     """Quotient by bisimilarity; class ids are lex-least representatives."""
-    classes = bisimulation_partition(g)
+    return _quotient_by(g, bisimulation_partition(g))
+
+
+def _quotient_by(g: LabeledGraph, classes: list[tuple[str, ...]]) -> LabeledGraph:
+    """g with each of the sorted classes merged into its first member."""
     nodes = tuple(members[0] for members in classes)  # sorted, as the classes are
     at = {v: k for k, members in enumerate(classes) for v in members}
     to = [at[v] for v in g.nodes]
@@ -290,10 +298,12 @@ def detect_power(g: LabeledGraph, d: int | None = None, method: str = "both") ->
     """Is g a d-fold power up to bisimulation?
 
     method "dbisim" checks persistence, reset and root conditions on the
-    largest family; "logic" evaluates the corresponding fixpoint formulas;
-    "both" runs the two and raises CrossCheckError on disagreement.
+    largest family; "logic" evaluates one fixpoint formula, the
+    conjunction of the three power formulas, whose renamed copies of each
+    component bisimulation are computed once; "both" runs the two and
+    raises CrossCheckError on disagreement.
     """
-    _, d_sig = split_lifted(g.signature)
+    base, d_sig = split_lifted(g.signature)
     if d is not None and d != d_sig:
         raise GraphFormatError(f"d: signature has dimension {d_sig}, got {d}")
     if method not in ("dbisim", "logic", "both"):
@@ -302,7 +312,7 @@ def detect_power(g: LabeledGraph, d: int | None = None, method: str = "both") ->
     if method in ("dbisim", "both"):
         answers["dbisim"] = all(power_conditions(g).values())
     if method in ("logic", "both"):
-        answers["logic"] = all(power_formula_verdicts(g).values())
+        answers["logic"] = models(g, gen_is_power_formula(base, d_sig), 2)
     if method == "both" and answers["dbisim"] != answers["logic"]:
         raise CrossCheckError(
             f"detect_power: dbisim={answers['dbisim']} logic={answers['logic']}"
@@ -328,12 +338,14 @@ def _factor(g: LabeledGraph, i: int, fam: DBisimFamily) -> LabeledGraph:
         raise PolymuError("factor: graph is not persistent")
     if not ok["reset"]:
         raise PolymuError("factor: graph lacks the reset property")
-    return quotient(view)
+    return _quotient_by(view, _classes(view, fam._cls[i]))
 
 
 def factor(g: LabeledGraph, i: int) -> LabeledGraph:
     """Component-i factor: quotient of the component-i view by rel(i, i),
-    which is the view's own bisimilarity.
+    which is the view's own bisimilarity.  Its classes are read off the
+    family: restricted to one view, the classes of the refinement over
+    the union of the views are that view's own bisimilarity classes.
 
     Requires persistence and the reset property; together they make the
     factors recombine into a product bisimilar to g.

@@ -135,20 +135,37 @@ class _Table:
     node's pre-order position.  Binder b's new body entries are
     start[b]..b-1; bind maps bound variable entries to binders.  size
     counts AST nodes; error is (position, message) of the first failed
-    structural check in pre-order, the arity check at -1, or None."""
+    structural check in pre-order, the arity check at -1, or None.
 
-    __slots__ = ("node", "kids", "free", "pre", "bind", "start", "root", "size", "error")
+    The same walk keys every occurrence up to renaming of bound
+    variables: a bound variable becomes its de Bruijn index (the number
+    of binders between it and its own) and binder names are dropped.
+    twin maps a closed entry to the first earlier closed entry with the
+    same key, so renamed copies of a closed subformula, which are
+    separate entries, are known to denote the same set.  run_kids is
+    kids with every child read at its first twin.  Only the evaluator
+    reads these two."""
+
+    __slots__ = ("node", "kids", "run_kids", "free", "pre", "bind", "start", "twin", "root",
+                 "size", "error")
 
     def __init__(self, phi: Formula):
         arity = phi.arity
         self.node, self.kids, self.free, self.pre = node, kids, free, pre = [], [], [], []
         self.start: dict[int, int] = {}
+        self.twin: dict[int, int] = {}
         errors = [(-1, f"arity must be >= 1, got {arity}")] if arity < 1 else []
         index: dict[tuple, int] = {}
-        # binder variable -> (parity, position) while its binder is open, else None
-        scope: dict[str, tuple[int, int] | None] = {}
+        # binder variable -> (parity, position, binders open around it) while
+        # its binder is open, else None
+        scope: dict[str, tuple[int, int, int] | None] = {}
         binder_at: dict[int, int] = {}  # binder position -> binder entry
         done: list[int] = []  # entries of finished subtrees awaiting their parent
+        # the nameless keys: key -> id, the ids beside done, id -> first closed entry
+        alpha: dict[tuple, int] = {}
+        adone: list[int] = []
+        first: dict[int, int] = {}
+        depth = 0  # binders open
         # (node, parity, None) enters; (node, position, slice start or -1) leaves
         todo: list[tuple] = [(phi.root, 0, None)]
         count = 0
@@ -174,7 +191,8 @@ class _Table:
                 elif cls is Mu or cls is Nu:
                     if n.var in scope:
                         errors.append((pos, f"variable {n.var!r} bound twice"))
-                    scope[n.var] = (parity, pos)
+                    scope[n.var] = (parity, pos, depth)
+                    depth += 1
                 for k in comps:
                     if not 0 <= k < arity:
                         errors.append((pos, f"component {k} out of range for arity {arity}"))
@@ -187,20 +205,27 @@ class _Table:
                 ks, fv = (), frozenset()
                 if cls is Var:
                     fv = frozenset((n.name,))
-                    key = (Var, n.name, (scope.get(n.name) or (0, -1))[1])
+                    s = scope.get(n.name)
+                    key = (Var, n.name, -1 if s is None else s[1])
+                    akey = (Var, n.name if s is None else depth - 1 - s[2])
                 else:
-                    key = (cls, _PAYLOAD[cls](n), ks) if cls in _DATA else (cls, id(n))
+                    key = akey = (cls, _PAYLOAD[cls](n), ks) if cls in _DATA else (cls, id(n))
             else:
                 pos = parity  # a leaving node carries its position here
-                ks = (done.pop(),)
+                ks, aks = (done.pop(),), (adone.pop(),)
                 fv = free[ks[0]]
                 if cls is And or cls is Or:
-                    ks = (done.pop(), ks[0])
+                    ks, aks = (done.pop(), ks[0]), (adone.pop(), aks[0])
                     fv = free[ks[0]] | fv
                 key = (cls, _PAYLOAD[cls](n), ks)
+                akey = (cls, _PAYLOAD[cls](n), aks)
                 if cls is Mu or cls is Nu:
                     fv -= {n.var}
                     scope[n.var] = None
+                    depth -= 1
+                    akey = (cls, aks)  # the binder's name dropped
+            a = alpha.setdefault(akey, len(alpha))
+            adone.append(a)
             e = index.get(key)
             if e is None:
                 e = index[key] = len(node)
@@ -211,8 +236,12 @@ class _Table:
                 if mark is not None and mark >= 0:
                     self.start[e] = mark
                     binder_at[pos] = e
+                if not fv and first.setdefault(a, e) != e:
+                    self.twin[e] = first[a]
             done.append(e)
         self.bind = {e: binder_at[key[2]] for key, e in index.items() if key[0] is Var and key[2] >= 0}
+        twin = self.twin
+        self.run_kids = [tuple([twin.get(k, k) for k in ks]) for ks in kids] if twin else kids
         self.root = done[0]
         self.size = count
         self.error = errors[0] if errors else None
@@ -616,13 +645,7 @@ def _check_component(i: int, d: int):
         raise FormulaError(f"component {i} out of range for dimension {d}")
 
 
-@lru_cache(maxsize=64)
-def gen_per_formula(sig: Signature, d: int) -> Formula:
-    """Persistence: wherever both tuple slots wander along base actions,
-    a slot-0 step in component i preserves every other component's
-    equivalence that held before the step."""
-    lift_signature(sig, d)
-    fresh = itertools.count()
+def _per_node(sig: Signature, d: int, fresh: Iterator[int]) -> Node:
     clauses: list[Node] = []
     for i in range(d):
         for j in range(d):
@@ -635,7 +658,32 @@ def gen_per_formula(sig: Signature, d: int) -> Formula:
             steps.append(Box(f"{RESET}@{i}", 0, _bis_node(j, j, sig, fresh)))
             clauses.append(Or(Neg(ante), _conj(steps)))
     inner = _allbox_node(1, _conj(clauses), sig, d, fresh)
-    return Formula(2, _allbox_node(0, inner, sig, d, fresh))
+    return _allbox_node(0, inner, sig, d, fresh)
+
+
+def _rst_node(sig: Signature, d: int, fresh: Iterator[int]) -> Node:
+    parts = [Box(f"{RESET}@{i}", 0, _bis_node(i, i, sig, fresh)) for i in range(d)]
+    return _allbox_node(0, _conj(parts), sig, d, fresh)
+
+
+def _pow_node(sig: Signature, d: int, fresh: Iterator[int]) -> Node:
+    return _conj([_bis_node(i, j, sig, fresh) for i in range(d) for j in range(d)])
+
+
+def _gen_formula(sig: Signature, d: int, *builders: Callable) -> Formula:
+    """The conjunction of the nodes the builders return, their binders
+    named X0, X1, ... from one counter."""
+    lift_signature(sig, d)  # validates sig is base and d >= 1
+    fresh = itertools.count()
+    return Formula(2, _conj([build(sig, d, fresh) for build in builders]))
+
+
+@lru_cache(maxsize=64)
+def gen_per_formula(sig: Signature, d: int) -> Formula:
+    """Persistence: wherever both tuple slots wander along base actions,
+    a slot-0 step in component i preserves every other component's
+    equivalence that held before the step."""
+    return _gen_formula(sig, d, _per_node)
 
 
 @lru_cache(maxsize=64)
@@ -643,18 +691,18 @@ def gen_rst_formula(sig: Signature, d: int) -> Formula:
     """Reset: wherever slot 0 wanders along base actions while slot 1
     rests on the root, a rst@i step lands on something equivalent to
     the root in component i."""
-    lift_signature(sig, d)
-    fresh = itertools.count()
-    parts = [
-        Box(f"{RESET}@{i}", 0, _bis_node(i, i, sig, fresh)) for i in range(d)
-    ]
-    return Formula(2, _allbox_node(0, _conj(parts), sig, d, fresh))
+    return _gen_formula(sig, d, _rst_node)
 
 
 @lru_cache(maxsize=64)
 def gen_pow_formula(sig: Signature, d: int) -> Formula:
     """All components of the root pair mutually equivalent."""
-    lift_signature(sig, d)
-    fresh = itertools.count()
-    parts = [_bis_node(i, j, sig, fresh) for i in range(d) for j in range(d)]
-    return Formula(2, _conj(parts))
+    return _gen_formula(sig, d, _pow_node)
+
+
+@lru_cache(maxsize=64)
+def gen_is_power_formula(sig: Signature, d: int) -> Formula:
+    """Persistence, reset and power in one formula, its binders drawn
+    from one counter: the renamed copies of each component bisimulation
+    are evaluated once (see _Table.twin)."""
+    return _gen_formula(sig, d, _per_node, _rst_node, _pow_node)

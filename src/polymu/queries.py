@@ -10,8 +10,8 @@ since its last reset; one shared witness must work for all components.
 All four queries are one breadth-first subset search, _least_word.
 Every positive verdict is replayed by an independent check before it is
 returned: matrix squaring (plain one-letter), a subset replay of the
-word (plain two-letter), or a product of paths with per-component
-progress counters (lifted).
+word (plain two-letter), or, per component, a walk over paths with a
+progress counter (lifted).
 """
 from __future__ import annotations
 
@@ -261,44 +261,47 @@ def two_lifted_non_universal(g: LabeledGraph, d: int,
 
 
 def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
-    """Path-product check of a word witness: walk the graph tracking how
-    far each component's counted actions since its last reset have
-    progressed through letters, with the dead marker len(letters) + 1
-    once they deviate; full progress forbids the component's accepting
-    color f@i."""
-    full = len(letters)
-    dead = full + 1
+    """Path check of a word witness, one component at a time: walk the
+    graph tracking how far component i's counted actions since its last
+    reset have progressed through letters, with the dead marker
+    len(letters) + 1 once they deviate; full progress forbids the color
+    f@i.  Other components' moves leave the counter alone, so this walk
+    reaches (node, count) exactly when a walk tracking every component's
+    counter at once reaches it with count in place i."""
+    width = len(letters) + 2  # counts 0..full, then dead
+    full, dead = width - 2, width - 1
     out: list[list[tuple[str, int, int]]] = [[] for _ in g.nodes]
     for act, pairs in g._moves.items():
         x, i = unlift(act)
         for u, w in pairs:
-            out[u].append((x, i, w))
+            out[u].append((x, i, w * width))
     nodes = g.nodes
-    accepting = [f"{f}@{i}" for i in range(d)]
-    start = (g.index[g.root], (0,) * d)
-    seen = {start}
-    todo = [start]
-    while todo:
-        v, prog = todo.pop()
-        if any(p == full and g.has_color(nodes[v], c) for p, c in zip(prog, accepting)):
-            return False
-        for x, i, w in out[v]:
-            ps = list(prog)
-            if x == RESET:
-                ps[i] = 0
-            elif ps[i] < full and letters[ps[i]] == x:
-                ps[i] += 1
-            else:
-                ps[i] = dead
-            state = (w, tuple(ps))
-            if state not in seen:
-                seen.add(state)
-                todo.append(state)
+    for i in range(d):
+        accepting = f"{f}@{i}"
+        start = g.index[g.root] * width  # count 0 at the root
+        seen = {start}
+        todo = [start]
+        while todo:
+            v, p = divmod(todo.pop(), width)
+            if p == full and g.has_color(nodes[v], accepting):
+                return False
+            for x, j, w in out[v]:
+                if j != i:
+                    state = w + p
+                elif x == RESET:
+                    state = w
+                elif p < full and letters[p] == x:
+                    state = w + p + 1
+                else:
+                    state = w + dead
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
     return True
 
 
 def verify_one_lifted_witness(g: LabeledGraph, d: int, n: int) -> bool:
-    """Path-product check of a level witness: the word witness a^n, where
+    """Path check of a level witness: the word witness a^n, where
     a count of n + 1 marks a component whose count ran past n."""
     base = _lifted_base(g, d, 1, "verify_one_lifted_witness")
     if n < 0:
@@ -307,7 +310,7 @@ def verify_one_lifted_witness(g: LabeledGraph, d: int, n: int) -> bool:
 
 
 def verify_two_lifted_witness(g: LabeledGraph, d: int, word: Sequence[str]) -> bool:
-    """Path-product check of a word witness, given as a sequence of base
+    """Path check of a word witness, given as a sequence of base
     action names (a string reads as its single-character names)."""
     base = _lifted_base(g, d, 2, "verify_two_lifted_witness")
     letters = tuple(word)

@@ -13,9 +13,12 @@ entries in order, children first.  Fixpoints are computed by iteration:
 a binder's entry jumps back to the start of its body's entries until its
 value is stable.  Least fixpoints climb from the empty set, greatest
 fixpoints descend from the full tuple space; a closed subformula is
-computed once.  Positivity of bound variables (checked up front) makes
-both monotone, so each loop stabilizes after at most |V|^d + 1 rounds;
-exceeding the bound is reported as an error instead of looping forever.
+computed once up to renaming of bound variables: every entry reads a
+closed child at its first twin (logic._Table.run_kids), and a twin
+binder's slice is never run.  Positivity of bound variables (checked
+up front) makes both monotone, so each loop stabilizes after at most
+|V|^d + 1 rounds; exceeding the bound is reported as an error instead
+of looping forever.
 
 Each modality keeps its last argument and pre-image.  The pre-image
 distributes over union, so when the new argument contains the last one
@@ -203,17 +206,23 @@ def _evaluate_bits(
         # bin strings are most significant bit first
         return itemgetter(*[size - 1 - x for x in reversed(src)])
 
-    nodes, kids, free, bind, start = t.node, t.kids, t.free, t.bind, t.start
+    nodes, kids, free, bind, start = t.node, t.run_kids, t.free, t.bind, t.start
     init = {b: 0 if type(nodes[b]) is Mu else full for b in start}
     cur = dict(init)  # binder -> the approximant its variable stands for
     rounds = dict.fromkeys(start, 0)
-    # a closed binder, once stable, is stepped over from its slice start
+    # a closed binder, once stable, is stepped over from its slice start;
+    # a twin binder always is, as its value is read at its first twin;
+    # any other twin entry is skipped too, as no parent reads it
+    twin = t.twin
     jump: dict[int, int] = {}
+    for b, s in start.items():  # entry order: of two binders starting at s, the outer is last
+        if b in twin:
+            jump[s] = b + 1
     getters = {e: index_map(n) for e, n in enumerate(nodes) if type(n) is Replace}
     vals: list = [None] * len(nodes)
     e = 0
     while e < len(nodes):
-        if e in jump or (not free[e] and vals[e] is not None):
+        if e in jump or e in twin or (not free[e] and vals[e] is not None):
             e = jump.get(e, e + 1)
             continue
         op = type(nodes[e])

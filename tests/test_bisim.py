@@ -20,7 +20,11 @@ from polymu.bisim import (
     relation_lines,
 )
 from polymu.errors import GraphFormatError, PolymuError
-from polymu.graphs import RESET, LabeledGraph, Signature, power, product, split_lifted, unfold, unlift
+from polymu.graphs import (
+    RESET, LabeledGraph, Signature, power, product, split_lifted, unfold, unlift, write_graph,
+)
+from polymu.logic import gen_is_power_formula
+from polymu.semantics import models
 from polymu.randgen import Xorshift, rand_base_signature, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3
@@ -388,7 +392,7 @@ def _factor_is_view_quotient(g):
     for i in range(d):
         want = quotient(component_view(g, i))
         got = factor(g, i)
-        assert got == want and got.nodes == want.nodes, i
+        assert got == want and got.nodes == want.nodes and write_graph(got) == write_graph(want), i
         merged += len(got.nodes) < len(g.nodes)
     return merged
 
@@ -438,6 +442,29 @@ def test_power_detection_mixed_product(loop3):
     assert conds == {"persistent": True, "reset": True, "power_rooted": False}
     assert power_formula_verdicts(h) == conds
     assert not detect_power(h, 2, "both")
+
+
+def test_is_power_formula_conjoins_the_three_verdicts():
+    """The one formula detect_power evaluates agrees with the three
+    verdicts on random lifted graphs, built powers and mixed products."""
+    seen = set()
+    for t in range(300):
+        rng = Xorshift.substream(7100, t)
+        base = rand_base_signature(rng)
+        d = 1 + t % 3
+        if t < 210:
+            g = rand_lifted_graph(rng, base, d, 6)
+        elif t % 2:
+            g = power(rand_graph(rng, base, 3), d)
+        else:
+            g = product([rand_graph(rng, base, 3) for _ in range(max(d, 2))])
+        verdicts = power_formula_verdicts(g)
+        phi = gen_is_power_formula(*split_lifted(g.signature))
+        assert models(g, phi, 2) == all(verdicts.values()), t
+        seen.add((t < 210, tuple(verdicts.values())))
+    assert {(True, (True, True, True)), (False, (True, True, True)),
+            (False, (True, True, False))} <= seen, seen
+    assert len({v for random, v in seen if random}) >= 5, seen
 
 
 def test_power_detection_broken_persistence(loop3):

@@ -1,5 +1,6 @@
 """Formula syntax: parser, printer, arity transforms, generated formulas."""
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from polymu.logic import (
     check_d_rooted,
     free_vars,
     gen_bisim_formula,
+    gen_is_power_formula,
     gen_per_formula,
     gen_pow_formula,
     gen_rst_formula,
@@ -292,7 +294,8 @@ def test_monofy_shape():
         monofy(parse_formula("f@1", SIG, 2), 1)
 
 
-GENERATORS = (gen_bisim_formula, gen_per_formula, gen_rst_formula, gen_pow_formula)
+GENERATORS = (gen_bisim_formula, gen_per_formula, gen_rst_formula, gen_pow_formula,
+              gen_is_power_formula)
 
 
 @pytest.fixture(autouse=True)
@@ -369,7 +372,7 @@ def test_power_formulas_are_built_once_per_signature_and_d(monkeypatch):
     cycle = LabeledGraph(base, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {"1": ["f"]})
     loop = LabeledGraph(base, ["0"], "0", [("0", "a", "0")], {"0": ["f"]})
     assert detect_power(power(cycle, 2), method="logic")
-    assert len(compiled) == 3
+    assert len(compiled) == 1
     compiled.clear()
     assert detect_power(power(loop, 2), method="logic")
     assert compiled == []
@@ -381,6 +384,68 @@ def test_power_formulas_are_built_once_per_signature_and_d(monkeypatch):
     for _ in range(2):
         with pytest.raises(FormulaError, match="component 2 out of range"):
             gen_bisim_formula(2, 0, base, 2)
+
+
+def test_table_twins_are_closed_and_equal_up_to_renaming():
+    """twin maps each later renamed copy of a closed subformula to the
+    first copy; bindings that differ, classes that differ and open
+    subformulas get no twin."""
+    def twins(text):
+        t = parse_formula(text, SIG, 1)._table
+        return {print_formula(Formula(1, t.node[e])): print_formula(Formula(1, t.node[f]))
+                for e, f in t.twin.items()}
+
+    assert twins("(nu X. <a>X) & nu Y. <a>Y") == {"nu Y. <a@0>Y": "nu X. <a@0>X"}
+    assert twins("(mu X. <a>X) & nu Y. <a>Y") == {}
+    assert twins("(nu X. f & <a>X) & nu Y. <a>Y & f") == {}
+    # the same shape, but the inner variable bound by the other binder
+    assert twins("(nu X. mu Y. <a>X | f & <a>Y) & nu Z. mu W. <a>W | f & <a>Z") == {}
+    assert twins("(nu X. mu Y. <a>X | f & <a>Y) & nu Z. mu W. <a>Z | f & <a>W") == {
+        "nu Z. mu W. <a@0>Z | f@0 & <a@0>W": "nu X. mu Y. <a@0>X | f@0 & <a@0>Y"}
+    # a free variable keeps a subformula open
+    assert twins("(mu X. V | <a>X) & mu Y. V | <a>Y") == {}
+    # closed copies nested in copies, at different binder depths
+    text = "(nu X. <a>(mu Y. f | <a>Y) & <a>X) & nu Z. [a](nu U. <a>(mu W. f | <a>W) & <a>U) & Z"
+    assert twins(text) == {"mu W. f@0 | <a@0>W": "mu Y. f@0 | <a@0>Y",
+                           "<a@0>mu W. f@0 | <a@0>W": "<a@0>mu Y. f@0 | <a@0>Y",
+                           "nu U. <a@0>(mu W. f@0 | <a@0>W) & <a@0>U":
+                           "nu X. <a@0>(mu Y. f@0 | <a@0>Y) & <a@0>X"}
+
+
+def binders_evaluated(phi):
+    """Binders of phi's table left to run: those with no earlier twin."""
+    t = phi._table
+    return sum(b not in t.twin for b in t.start), len(t.start)
+
+
+def test_power_formulas_evaluate_each_bisimulation_once():
+    """Over two actions and one color, the renamed copies of a component
+    bisimulation or an all-box fixpoint are twins of their first copy."""
+    base = Signature(["a", "b"], ["f"])
+    assert binders_evaluated(gen_is_power_formula(base, 2)) == (7, 17)
+    assert binders_evaluated(gen_is_power_formula(base, 3)) == (12, 39)
+    assert binders_evaluated(gen_per_formula(base, 2)) == (4, 10)
+    # d^2 distinct bisimulations and one all-box: no twins
+    assert binders_evaluated(gen_pow_formula(base, 2)) == (4, 4)
+    assert binders_evaluated(gen_rst_formula(base, 2)) == (3, 3)
+
+
+def test_is_power_formula_conjoins_the_three_formulas():
+    """Printed, the is-power formula is the three formulas conjoined, with
+    the binders of the later ones renumbered after the earlier ones."""
+    base = Signature(["a"], ["f"])
+    parts = [gen_per_formula(base, 2), gen_rst_formula(base, 2), gen_pow_formula(base, 2)]
+    texts, shift = [], 0
+    for phi in parts:
+        count = len(phi._table.start)
+        text = print_formula(phi)
+        for k in reversed(range(count)):  # X10 before X1
+            text = re.sub(rf"\bX{k}\b", f"Y{k + shift}", text)
+        texts.append(text.replace("Y", "X"))
+        shift += count
+    phi = gen_is_power_formula(base, 2)
+    assert print_formula(phi) == "(" + ") & (".join(texts) + ")"
+    assert gen_is_power_formula(base, 2) is phi
 
 
 def test_replacement_list_of_wrong_length_is_not_d_rooted():

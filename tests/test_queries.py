@@ -6,7 +6,7 @@ import pytest
 from polymu import Signature
 from polymu.bisim import quotient
 from polymu.errors import GraphFormatError, PolymuError
-from polymu.graphs import LabeledGraph, power, split_lifted
+from polymu.graphs import LabeledGraph, power, split_lifted, unlift
 from polymu.queries import (
     NonUnivVerdict,
     one_letter_non_universal,
@@ -463,3 +463,81 @@ def test_replays_reject_malformed_witnesses():
     # a sequence of action names is the witness form; f holds everywhere
     assert not verify_two_lifted_witness(p, 2, ("go", "stop"))
     assert not verify_two_lifted_witness(p, 2, ["stop"])
+
+
+def joint_replay(g, d, f, letters):
+    """The lifted replay as one walk over (node, one progress counter per
+    component) states, O(|V|·(n+2)^d) of them; the library walks each
+    component on its own."""
+    full = len(letters)
+    dead = full + 1
+    out = [[] for _ in g.nodes]
+    for act, pairs in g._moves.items():
+        x, i = unlift(act)
+        for u, w in pairs:
+            out[u].append((x, i, w))
+    accepting = [f"{f}@{i}" for i in range(d)]
+    start = (g.index[g.root], (0,) * d)
+    seen, todo = {start}, [start]
+    while todo:
+        v, prog = todo.pop()
+        if any(p == full and g.has_color(g.nodes[v], c) for p, c in zip(prog, accepting)):
+            return False
+        for x, i, w in out[v]:
+            ps = list(prog)
+            if x == "rst":
+                ps[i] = 0
+            elif ps[i] < full and letters[ps[i]] == x:
+                ps[i] += 1
+            else:
+                ps[i] = dead
+            state = (w, tuple(ps))
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return True
+
+
+def test_replay_per_component_matches_the_joint_walk():
+    """xcheck suite 6's automata lifted at d = 1, 2 (every fifth one) with
+    levels around their least n, and random lifted graphs with two-letter
+    words, including graphs that are not powers."""
+    from polymu.xcheck import _enum_one_letter_nfas
+
+    verdicts = Counter()
+    for k, g in enumerate(_enum_one_letter_nfas()):
+        if k % 5:
+            continue
+        n = one_letter_non_universal(g).witness or 0
+        for d in (1, 2):
+            pg = power(g, d)
+            for m in {max(n - 1, 0), n, n + 1}:
+                got = verify_one_lifted_witness(pg, d, m)
+                assert got == joint_replay(pg, d, "f", ("a",) * m), (k, d, m)
+                verdicts[got] += 1
+    for base, one in ((SIG_AF, True), (SIG_ABF, False)):
+        for k, d, g in lifted_corpus(base, 54100 + one, 150):
+            words = [("a",) * n for n in range(6)] if one else \
+                [w for ln in range(4) for w in itertools.product(("a", "b"), repeat=ln)]
+            verify = verify_one_lifted_witness if one else verify_two_lifted_witness
+            for word in words:
+                got = verify(g, d, len(word) if one else word)
+                assert got == joint_replay(g, d, "f", word), (k, word)
+                verdicts[got] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+
+
+def test_lifted_replay_of_the_five_prime_graph():
+    """power(g, 2) of the prime-cycle graph with primes 2..11: the least
+    n is 2310, and the joint walk would visit up to 841 · 2312^2 states."""
+    nodes, edges, accepting = ["r"], [], ["r"]
+    for p in (2, 3, 5, 7, 11):
+        cycle = [f"c{p}.{k}" for k in range(p)]
+        nodes += cycle
+        accepting += cycle[1:]
+        edges.append(("r", "a", cycle[1]))
+        edges += [(v, "a", cycle[(k + 1) % p]) for k, v in enumerate(cycle)]
+    pg = power(nfa1(nodes, "r", edges, accepting), 2)
+    assert one_lifted_non_universal(pg, 2) == NonUnivVerdict(True, 2310)
+    assert not verify_one_lifted_witness(pg, 2, 2309)
+    assert not verify_one_lifted_witness(pg, 2, 2311)

@@ -1,4 +1,5 @@
 """Evaluator: denotations, fixpoints, environments, caps."""
+import dataclasses
 import itertools
 
 import pytest
@@ -7,7 +8,11 @@ from polymu.automata import accepts, formula_to_apt
 from polymu.bisim import power_formula_verdicts
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power, read_graph, write_graph
-from polymu.logic import Color, Formula, Or, Var, _Table, free_vars, parse_formula
+from polymu.logic import (
+    FF, TT, And, Box, Color, Diamond, Formula, Mu, Neg, Nu, Or, Replace, Var, _Table, free_vars,
+    parse_formula, print_formula,
+)
+from polymu.randgen import Xorshift, rand_formula, rand_graph
 from polymu.semantics import TupleSet, evaluate, models
 
 from conftest import SIG_AF, make_loop3
@@ -256,3 +261,126 @@ def test_pre_image_tables_follow_the_arity_of_each_evaluation():
                                (f"[a@{k}]({inner_text})", want_box)):
                 assert tset(g, text, arity) == tset(fresh, text, arity) == want, (arity, text)
         assert g._pre_tables[0] == arity
+
+
+def brute_force(g, root, arity, env=None):
+    """Denotation of the AST root by the definitions alone: node-name
+    tuple sets, and each fixpoint iterated from scratch at every use."""
+    space = set(itertools.product(g.nodes, repeat=arity))
+
+    def step(t, k, ws):
+        return [t[:k] + (w,) + t[k + 1:] for w in ws]
+
+    def ev(n, env):
+        c = type(n)
+        if c is TT:
+            return space
+        if c is FF:
+            return set()
+        if c is Color:
+            return {t for t in space if g.has_color(t[n.comp], n.color)}
+        if c is Var:
+            return env[n.name]
+        if c is Neg:
+            return space - ev(n.sub, env)
+        if c is And:
+            return ev(n.left, env) & ev(n.right, env)
+        if c is Or:
+            return ev(n.left, env) | ev(n.right, env)
+        if c is Replace:
+            s = ev(n.sub, env)
+            return {t for t in space if tuple(t[j] for j in n.mapping) in s}
+        if c is Diamond or c is Box:
+            s, test = ev(n.sub, env), any if c is Diamond else all
+            return {t for t in space if test(u in s for u in step(t, n.comp, g.succ(t[n.comp], n.action)))}
+        x = set() if c is Mu else space
+        while True:
+            y = ev(n.body, {**env, n.var: x})
+            if y == x:
+                return x
+            x = y
+
+    return ev(root, dict(env or {}))
+
+
+def renamed(n, prefix):
+    """n with every variable X, bound and free, renamed to prefix + X."""
+    if type(n) in (Mu, Nu):
+        return type(n)(prefix + n.var, renamed(n.body, prefix))
+    if type(n) is Var:
+        return Var(prefix + n.name)
+    kids = {f: renamed(getattr(n, f), prefix) for f in ("sub", "left", "right")
+            if hasattr(n, f)}
+    return dataclasses.replace(n, **kids)
+
+
+def plugged(n, holes: dict):
+    """n with its leaves numbered in pre-order, leaf k replaced by
+    holes[k], and the number of leaves."""
+    count = [0]
+
+    def go(n):
+        if type(n) in (TT, FF, Color, Var):
+            count[0] += 1
+            return holes.get(count[0] - 1, n)
+        kids = {f: go(getattr(n, f)) for f in ("sub", "left", "right", "body")
+                if hasattr(n, f)}
+        return dataclasses.replace(n, **kids)
+
+    return go(n), count[0]
+
+
+def test_renamed_closed_copies_agree_with_brute_force():
+    """Renamed copies of a closed random fixpoint, and a copy whose inner
+    variables are bound the other way round, are plugged into the leaves
+    of a random context (under binders, negations and modalities alike);
+    the evaluator, which runs each renamed copy's binders only once,
+    agrees with the definitions."""
+    twinned = 0
+    for k in range(160):
+        rng = Xorshift.substream(61800, k)
+        arity = 1 + k % 2
+        sig = Signature(["a", "b"], ["f"]) if k % 3 else SIG_AF
+        g = rand_graph(rng, sig, 3 if arity == 2 else 4)
+        a, b = (renamed(rand_formula(rng, sig, arity, rng.randint(1, 5)).root, x) for x in "AB")
+
+        def psi(outer, inner):
+            return Nu("Xu", Mu("Xv", Or(And(a, Diamond("a", 0, Var(outer))),
+                                        And(b, Diamond("a", 0, Var(inner))))))
+
+        context, leaves = plugged(rand_formula(rng, sig, arity, rng.randint(3, 9)).root, {})
+        holes = {rng.below(leaves): renamed(psi("Xu", "Xv"), "P"),
+                 rng.below(leaves): renamed(psi("Xu", "Xv"), "Q"),
+                 rng.below(leaves): Or(renamed(psi("Xu", "Xv"), "R"), renamed(psi("Xv", "Xu"), "S"))}
+        phi = Formula(arity, plugged(context, holes)[0])
+        want = brute_force(g, phi.root, arity)
+        assert set(evaluate(g, phi).tuples) == want, (k, print_formula(phi))
+        twinned += bool(phi._table.twin)
+    assert twinned >= 100, twinned
+
+
+def test_twin_binders_are_not_run(monkeypatch):
+    """Renamed copies of a closed subformula cost no sparse pre-image beyond
+    the first copy's: their binders' slices and their other entries are
+    never run."""
+    from polymu import semantics
+
+    calls = []
+    real = semantics._to_bits
+    monkeypatch.setattr(semantics, "_to_bits", lambda bits, size: calls.append(size) or real(bits, size))
+    nodes = [str(i) for i in range(6)]
+    g = LabeledGraph(SIG_AF, nodes, "0", [(u, "a", w) for u, w in zip(nodes, nodes[1:])], {"5": ["f"]})
+    counts = []
+    for text in ("mu X. f | <a>X", "(mu X. f | <a>X) & mu Y. f | <a>Y",
+                 "(mu X. f | <a>X) & ((mu Y. f | <a>Y) | nu Z. mu W. f | <a>W)"):
+        calls.clear()
+        assert tset(g, text, 1) == {(v,) for v in nodes}, text
+        counts.append(len(calls))
+    assert counts == [6] * 3, counts
+    # the wrapped copy is a twin entry outside any binder: its sparse <a> is not run either
+    counts.clear()
+    for text in ("<a>(f & (mu X. f | <a>X))", "<a>(f & (mu X. f | <a>X)) & <a>(f & (mu Y. f | <a>Y))"):
+        calls.clear()
+        assert tset(g, text, 1) == {("4",)}, text
+        counts.append(len(calls))
+    assert counts == [7] * 2, counts
