@@ -48,7 +48,10 @@ from .xcheck import RunConfig, format_report, run_all
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PolymuError(f"{path}: invalid UTF-8: {e}") from None
 
 
 def _load_graph(path: str) -> LabeledGraph:

@@ -16,7 +16,18 @@ x-edge of factor i, action rst@i resets component i to the root of
 factor i, and color c@i holds where component i carries c.
 
 LabeledGraph(...), and read_graph with it, is the validating boundary:
-it checks every node id, edge, action and color it is given.  Graphs
+it checks every node id, edge, action and color it is given.  read_graph
+checks only what the constructor cannot see: the top-level fields, the
+signature, and, over whole lists, that every node entry is a dict with
+exactly the keys id and colors and that every colors value and every
+edge is a list.  It hands the edge lists to the constructor uncopied;
+the constructor checks ids (non-empty strings, distinct), the root,
+each edge (length, source, target, action, duplicate) and each label
+color.  Faults are reported in one order: the JSON shape of every node
+entry (id a string, colors a list of strings), then of every edge
+(three strings), then the constructor's checks in the order above.  A
+non-string id, color or edge field trips the constructor, and read_graph
+then walks the JSON shape item by item to report that fault first.  Graphs
 the library derives from graphs it already holds (product, unfold,
 bisim.quotient, bisim.component_view, pumping.pump) are built through
 LabeledGraph._trusted, which takes their position pairs ready-made and
@@ -27,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -51,7 +63,8 @@ class Signature:
     Names are non-empty words over [a-z0-9_], optionally carrying a
     single @i component suffix (lifted form).  Order is significant
     and preserved; two signatures are equal only if they list the same
-    names in the same order.
+    names in the same order.  _action_number maps each action to its
+    position in actions; _color_set holds the colors.
     """
 
     actions: tuple[str, ...]
@@ -72,6 +85,11 @@ class Signature:
                 if name in seen:
                     raise GraphFormatError(f"{kind}: duplicate name {name!r}")
                 seen.add(name)
+        # lookups for the validating constructor and validate_formula; set
+        # here, as a cached_property writing the instance __dict__ would slow
+        # every later attribute read on the signature
+        object.__setattr__(self, "_action_number", dict(zip(self.actions, itertools.count())))
+        object.__setattr__(self, "_color_set", frozenset(self.colors))
 
     def is_base(self) -> bool:
         return all("@" not in n for n in self.actions + self.colors)
@@ -151,10 +169,10 @@ class LabeledGraph:
         labels: Mapping[str, Iterable[str]],
     ):
         self.signature = signature
-        self.nodes = tuple(nodes)
+        self.nodes = nodes = tuple(nodes)
         self.root = root
         index: dict[str, int] = {}
-        for i, v in enumerate(self.nodes):
+        for i, v in enumerate(nodes):
             if not isinstance(v, str) or not v:
                 raise GraphFormatError(f"nodes[{i}]: id must be a non-empty string")
             if v in index:
@@ -163,37 +181,45 @@ class LabeledGraph:
         self.index = index
         if root not in index:
             raise GraphFormatError(f"root: {root!r} is not a node")
-        action_set = set(signature.actions)
-        color_set = set(signature.colors)
+        position = index.get
+        number = signature._action_number.get
+        n, n_actions = len(nodes), len(signature.actions)
         moves: dict[str, list[tuple[int, int]]] = {}
-        edge_set = set()
+        seen: set[int] = set()  # edge (u, a, w) as (u * n + w) * n_actions + number(a)
         for i, e in enumerate(edges):
-            e = tuple(e)
-            if len(e) != 3:
-                raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]")
-            src, a, dst = e
-            if src not in index:
+            try:
+                src, a, dst = e
+            except ValueError:
+                raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]") from None
+            u = position(src)
+            if u is None:
                 raise GraphFormatError(f"edges[{i}]: unknown source {src!r}")
-            if dst not in index:
+            w = position(dst)
+            if w is None:
                 raise GraphFormatError(f"edges[{i}]: unknown target {dst!r}")
-            if a not in action_set:
+            k = number(a)
+            if k is None:
                 raise GraphFormatError(f"edges[{i}]: unknown action {a!r}")
-            if e in edge_set:
-                raise GraphFormatError(f"edges[{i}]: duplicate edge {e!r}")
-            edge_set.add(e)
+            key = (u * n + w) * n_actions + k
+            if key in seen:
+                raise GraphFormatError(f"edges[{i}]: duplicate edge {(src, a, dst)!r}")
+            seen.add(key)
             pairs = moves.get(a)
             if pairs is None:  # setdefault would build a list per edge
                 pairs = moves[a] = []
-            pairs.append((index[src], index[dst]))
+            pairs.append((u, w))
         self._moves = moves
-        lab: dict[str, frozenset[str]] = {v: frozenset() for v in self.nodes}
+        color_set = signature._color_set
+        lab: dict[str, frozenset[str]] = dict.fromkeys(nodes, frozenset())
         for v, cs in labels.items():
             if v not in index:
                 raise GraphFormatError(f"labels: unknown node {v!r}")
             cs = tuple(cs)
-            for c in cs:
-                if c not in color_set:
-                    raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
+            # issuperset meets the colors in order and stops at the first it
+            # lacks, so an unhashable color raises only where a loop would
+            if not color_set.issuperset(cs):
+                c = next(c for c in cs if c not in color_set)
+                raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
             lab[v] = frozenset(cs)
         self._labels = lab
         self._check_shape()
@@ -449,10 +475,49 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
     return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, labels)
 
 
+_ID = operator.itemgetter("id")
+_COLORS = operator.itemgetter("colors")
+
+
+def _json_shape_ok(entries: list, edges: list) -> bool:
+    """The JSON shape the constructor cannot see, checked over whole
+    lists: every node entry is a dict with exactly the keys id and
+    colors, and every colors value and every edge is a list."""
+    return (
+        set(map(type, entries)) <= {dict}
+        and set(map(len, entries)) <= {2}
+        and all(map(dict.__contains__, entries, itertools.repeat("id")))
+        and all(map(dict.__contains__, entries, itertools.repeat("colors")))
+        and set(map(type, map(_COLORS, entries))) <= {list}
+        and set(map(type, edges)) <= {list}
+    )
+
+
+def _check_json_shape(entries: list, edges: list) -> None:
+    """Raise the first JSON shape fault, walking every node entry, then
+    every edge; read_graph runs it only once something has failed."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {"id", "colors"}:
+            raise GraphFormatError(f'nodes[{i}]: expected {{"id", "colors"}}')
+        if not isinstance(entry["id"], str):
+            raise GraphFormatError(f"nodes[{i}].id: expected a string")
+        if not isinstance(entry["colors"], list) or not all(
+            isinstance(c, str) for c in entry["colors"]
+        ):
+            raise GraphFormatError(f"nodes[{i}].colors: expected a list of strings")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                and isinstance(e[1], str) and isinstance(e[2], str)):
+            raise GraphFormatError(f"edges[{i}]: expected [src, action, dst] strings")
+
+
 def read_graph(data) -> LabeledGraph:
-    """Parse graph JSON.  Accepts bytes or str."""
+    """Parse graph JSON.  Accepts bytes (UTF-8) or str."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GraphFormatError(f"invalid UTF-8: {e}") from None
     try:
         obj = json.loads(data)
     except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses on nesting
@@ -472,26 +537,17 @@ def read_graph(data) -> LabeledGraph:
     if not isinstance(obj["root"], str):
         raise GraphFormatError("root: expected a string")
     sig = Signature(obj["actions"], obj["colors"])
-    nodes: list[str] = []
-    labels: dict[str, list[str]] = {}
-    for i, entry in enumerate(obj["nodes"]):
-        if not isinstance(entry, dict) or set(entry) != {"id", "colors"}:
-            raise GraphFormatError(f'nodes[{i}]: expected {{"id", "colors"}}')
-        if not isinstance(entry["id"], str):
-            raise GraphFormatError(f"nodes[{i}].id: expected a string")
-        if not isinstance(entry["colors"], list) or not all(
-            isinstance(c, str) for c in entry["colors"]
-        ):
-            raise GraphFormatError(f"nodes[{i}].colors: expected a list of strings")
-        nodes.append(entry["id"])
-        labels[entry["id"]] = entry["colors"]
-    edges = []
-    for i, e in enumerate(obj["edges"]):
-        if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-                and isinstance(e[1], str) and isinstance(e[2], str)):
-            raise GraphFormatError(f"edges[{i}]: expected [src, action, dst] strings")
-        edges.append(tuple(e))
-    return LabeledGraph(sig, nodes, obj["root"], edges, labels)
+    entries, edges = obj["nodes"], obj["edges"]
+    if not _json_shape_ok(entries, edges):
+        _check_json_shape(entries, edges)  # raises: the walk meets the fault found above
+    ids = list(map(_ID, entries))
+    try:
+        return LabeledGraph(sig, ids, obj["root"], edges, dict(zip(ids, map(_COLORS, entries))))
+    except (GraphFormatError, TypeError):
+        # a non-string id, color or edge field trips the constructor (or
+        # hashing); the walk reports the first shape fault ahead of it
+        _check_json_shape(entries, edges)
+        raise
 
 
 def read_tree(data) -> FiniteTree:
@@ -505,6 +561,6 @@ def write_graph(g: LabeledGraph) -> str:
         "colors": list(g.signature.colors),
         "nodes": [{"id": v, "colors": sorted(g.label(v))} for v in sorted(g.nodes)],
         "root": g.root,
-        "edges": sorted(list(e) for e in g.edges),
+        "edges": sorted(g.edges),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -136,6 +136,8 @@ class _Table:
     start[b]..b-1; bind maps bound variable entries to binders.  size
     counts AST nodes; error is (position, message) of the first failed
     structural check in pre-order, the arity check at -1, or None.
+    colors and actions are the color and action names the formula
+    mentions, and replaces lists the Replace entries in entry order.
 
     The same walk keys every occurrence up to renaming of bound
     variables: a bound variable becomes its de Bruijn index (the number
@@ -147,7 +149,7 @@ class _Table:
     reads these two."""
 
     __slots__ = ("node", "kids", "run_kids", "free", "pre", "bind", "start", "twin", "root",
-                 "size", "error")
+                 "size", "error", "colors", "actions", "replaces")
 
     def __init__(self, phi: Formula):
         arity = phi.arity
@@ -155,6 +157,10 @@ class _Table:
         self.start: dict[int, int] = {}
         self.twin: dict[int, int] = {}
         errors = [(-1, f"arity must be >= 1, got {arity}")] if arity < 1 else []
+        self.colors: set[str] = set()
+        self.actions: set[str] = set()
+        self.replaces: list[int] = []
+        colors, actions, replaces = self.colors, self.actions, self.replaces
         index: dict[tuple, int] = {}
         # binder variable -> (parity, position, binders open around it) while
         # its binder is open, else None
@@ -182,7 +188,11 @@ class _Table:
                     s = scope.get(n.name)
                     if s is not None and s[0] != parity:
                         errors.append((pos, f"negative occurrence of {n.name!r}"))
-                elif cls is Color or cls is Diamond or cls is Box:
+                elif cls is Color:
+                    colors.add(n.color)
+                    comps = (n.comp,)
+                elif cls is Diamond or cls is Box:
+                    actions.add(n.action)
                     comps = (n.comp,)
                 elif cls is Replace:
                     if len(n.mapping) != arity:
@@ -236,6 +246,8 @@ class _Table:
                 if mark is not None and mark >= 0:
                     self.start[e] = mark
                     binder_at[pos] = e
+                elif cls is Replace:
+                    replaces.append(e)
                 if not fv and first.setdefault(a, e) != e:
                     self.twin[e] = first[a]
             done.append(e)
@@ -280,6 +292,9 @@ def validate_formula(phi: Formula, sig: Signature) -> None:
     the first failed check in pre-order is raised, on one node the name
     check first."""
     t = phi._table
+    # the walk below names a fault; a table with none returns here
+    if t.error is None and t.colors <= sig._color_set and t.actions <= sig._action_number.keys():
+        return
     # an entry's node is the first of its equal subtrees in pre-order
     faults = []
     for e, n in enumerate(t.node):

@@ -218,7 +218,7 @@ def _evaluate_bits(
     for b, s in start.items():  # entry order: of two binders starting at s, the outer is last
         if b in twin:
             jump[s] = b + 1
-    getters = {e: index_map(n) for e, n in enumerate(nodes) if type(n) is Replace}
+    getters = {e: index_map(nodes[e]) for e in t.replaces}
     vals: list = [None] * len(nodes)
     e = 0
     while e < len(nodes):

@@ -355,6 +355,17 @@ def test_input_error_exit_codes(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_undecodable_input_files_are_input_errors(capsys, tmp_path, ex1):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(EX1_JSON.replace('"0"', '"é"').encode("latin-1"))
+    for argv in (("mc", "--graph", str(latin1), "--formula", "tt"),
+                 ("pump", "--graph", str(latin1), "--path", "0", "--i", "0", "--j", "0", "--k", "2"),
+                 ("mc", "--graph", ex1, "--formula", f"@{latin1}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {latin1}: invalid UTF-8: "), argv
+        assert err.count("\n") == 1, argv
+
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path, ex1, pow2):
     run(capsys, "gen", "ex1")  # builds the parser if no earlier test has

@@ -628,3 +628,224 @@ def test_derived_graphs_skip_the_validating_constructor(monkeypatch, loop3):
         with pytest.raises(GraphFormatError) as err:
             read_graph(json.dumps(dict(good, edges=edges)))
         assert str(err.value) == message
+
+
+def test_read_graph_rejects_undecodable_bytes():
+    with pytest.raises(GraphFormatError, match="invalid UTF-8"):
+        read_graph(b"\xff{}")
+    with pytest.raises(GraphFormatError, match="invalid UTF-8"):
+        read_graph(CANON_LOOP3.replace('"0"', '"é"').encode("latin-1"))
+    assert read_graph(CANON_LOOP3.replace('"0"', '"é"').encode()).root == "é"
+
+
+def ref_construct(sig, nodes, root, edges, labels):
+    """The validating constructor's checks as they stood before it keyed
+    edges by position: (nodes, moves, labels, root) or the first fault."""
+    nodes = tuple(nodes)
+    index = {}
+    for i, v in enumerate(nodes):
+        if not isinstance(v, str) or not v:
+            raise GraphFormatError(f"nodes[{i}]: id must be a non-empty string")
+        if v in index:
+            raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
+        index[v] = i
+    if root not in index:
+        raise GraphFormatError(f"root: {root!r} is not a node")
+    action_set = set(sig.actions)
+    color_set = set(sig.colors)
+    moves = {}
+    edge_set = set()
+    for i, e in enumerate(edges):
+        e = tuple(e)
+        if len(e) != 3:
+            raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]")
+        src, a, dst = e
+        if src not in index:
+            raise GraphFormatError(f"edges[{i}]: unknown source {src!r}")
+        if dst not in index:
+            raise GraphFormatError(f"edges[{i}]: unknown target {dst!r}")
+        if a not in action_set:
+            raise GraphFormatError(f"edges[{i}]: unknown action {a!r}")
+        if e in edge_set:
+            raise GraphFormatError(f"edges[{i}]: duplicate edge {e!r}")
+        edge_set.add(e)
+        moves.setdefault(a, []).append((index[src], index[dst]))
+    lab = {v: frozenset() for v in nodes}
+    for v, cs in labels.items():
+        if v not in index:
+            raise GraphFormatError(f"labels: unknown node {v!r}")
+        cs = tuple(cs)
+        for c in cs:
+            if c not in color_set:
+                raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
+        lab[v] = frozenset(cs)
+    return nodes, moves, lab, root
+
+
+def ref_read_graph(text):
+    """read_graph as it stood before its shape checks ran over whole
+    lists: a per-item walk over nodes and edges, then the constructor."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise GraphFormatError("top level: expected an object")
+    required = ["actions", "colors", "nodes", "root", "edges"]
+    for key in required:
+        if key not in obj:
+            raise GraphFormatError(f"{key}: missing field")
+    for key in obj:
+        if key not in required:
+            raise GraphFormatError(f"{key}: unknown field")
+    for key in ("actions", "colors", "nodes", "edges"):
+        if not isinstance(obj[key], list):
+            raise GraphFormatError(f"{key}: expected a list")
+    if not isinstance(obj["root"], str):
+        raise GraphFormatError("root: expected a string")
+    sig = Signature(obj["actions"], obj["colors"])
+    nodes = []
+    labels = {}
+    for i, entry in enumerate(obj["nodes"]):
+        if not isinstance(entry, dict) or set(entry) != {"id", "colors"}:
+            raise GraphFormatError(f'nodes[{i}]: expected {{"id", "colors"}}')
+        if not isinstance(entry["id"], str):
+            raise GraphFormatError(f"nodes[{i}].id: expected a string")
+        if not isinstance(entry["colors"], list) or not all(
+            isinstance(c, str) for c in entry["colors"]
+        ):
+            raise GraphFormatError(f"nodes[{i}].colors: expected a list of strings")
+        nodes.append(entry["id"])
+        labels[entry["id"]] = entry["colors"]
+    edges = []
+    for i, e in enumerate(obj["edges"]):
+        if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                and isinstance(e[1], str) and isinstance(e[2], str)):
+            raise GraphFormatError(f"edges[{i}]: expected [src, action, dst] strings")
+        edges.append(tuple(e))
+    return ref_construct(sig, nodes, obj["root"], edges, labels)
+
+
+def _outcome(build, *args):
+    """(nodes, moves, labels, root) with their orders, or (exception type, message)."""
+    try:
+        got = build(*args)
+    except (GraphFormatError, TypeError) as e:
+        return type(e), str(e)
+    if isinstance(got, LabeledGraph):
+        got = (got.nodes, got._moves, got._labels, got.root)
+    nodes, moves, labels, root = got
+    return nodes, list(moves.items()), list(labels.items()), root
+
+
+def _plant(rng, obj, kind):
+    """Plant one fault of the given kind into a graph JSON object; False
+    when an earlier fault left no place for it."""
+    nodes, edges = obj["nodes"], obj["edges"]
+    entry = rng.choice(nodes)
+    if kind == "entry not a dict":
+        nodes[nodes.index(entry)] = rng.choice([["0", []], "0", 7, None])
+    elif kind == "unknown root":
+        obj["root"] = rng.choice(["nope", ""])
+    elif kind in ("missing key", "extra key", "non-string id", "empty id", "duplicate id",
+                  "colors not a list", "non-string color", "unknown color"):
+        if not isinstance(entry, dict):
+            return False
+        colors = entry.get("colors")
+        if kind == "missing key":
+            del entry[rng.choice(["id", "colors"])]
+        elif kind == "extra key":
+            entry[rng.choice(["x", "ids"])] = rng.choice([1, "0", []])
+        elif kind == "non-string id":
+            entry["id"] = rng.choice([5, None, True, 1.5, ["0"], {"id": "0"}])
+        elif kind == "empty id":
+            entry["id"] = ""
+        elif kind == "duplicate id":
+            others = [n["id"] for n in nodes if n is not entry and isinstance(n, dict) and "id" in n]
+            if not others:
+                return False
+            entry["id"] = rng.choice(others)
+        elif kind == "colors not a list":
+            entry["colors"] = rng.choice(["f", "fg", {"f": 1}, {}, 3, None])
+        elif not isinstance(colors, list):
+            return False
+        elif kind == "non-string color":
+            colors.insert(rng.randrange(len(colors) + 1), rng.choice([1, None, ["f"], {"f": 1}]))
+        else:
+            colors.append("zz")
+    elif not edges:
+        return False
+    else:
+        j = rng.randrange(len(edges))
+        e = edges[j]
+        if kind == "edge not a list":
+            edges[j] = rng.choice(["0a1", "0a0", {"0": 1, "a": 2, "1": 3}, 3, None])
+        elif kind == "wrong edge length":
+            edges[j] = rng.choice([[], ["0"], ["0", "a"], ["0", "a", "0", "a"]])
+        elif not (isinstance(e, list) and len(e) == 3):
+            return False
+        elif kind == "non-string edge field":
+            e[rng.randrange(3)] = rng.choice([0, None, 1.5, False])
+        elif kind == "unhashable edge field":
+            e[rng.randrange(3)] = rng.choice([["0"], {"a": 1}])
+        elif kind == "unknown source":
+            e[0] = "nope"
+        elif kind == "unknown target":
+            e[2] = "nope"
+        elif kind == "unknown action":
+            e[1] = rng.choice(["z", "A", ""])
+        else:
+            edges.insert(rng.randrange(j + 1, len(edges) + 1), list(e))
+    return True
+
+
+FAULT_KINDS = (
+    "entry not a dict", "missing key", "extra key", "non-string id", "empty id",
+    "duplicate id", "colors not a list", "non-string color", "unknown color",
+    "unknown root", "edge not a list", "wrong edge length", "non-string edge field",
+    "unhashable edge field", "unknown source", "unknown target", "unknown action",
+    "duplicate edge",
+)
+
+
+def test_read_graph_matches_the_per_item_reference_on_planted_faults():
+    rng = random.Random(1919)
+    seen = dict.fromkeys(FAULT_KINDS, 0)
+    outcomes = {"graph": 0, "fault": 0}
+    for _ in range(12000):
+        n = rng.randint(1, 6)
+        ids = rng.sample(["0", "1", "2", "a", "b,c", "(0,1)", "é", "10"], n)
+        pairs = [(u, a, w) for u in ids for a in ("a", "b") for w in ids]
+        obj = {
+            "actions": ["a", "b"],
+            "colors": ["f", "g"],
+            "nodes": [{"id": v, "colors": rng.sample(["f", "g"], rng.randint(0, 2))} for v in ids],
+            "root": rng.choice(ids),
+            "edges": [list(e) for e in rng.sample(pairs, rng.randint(0, min(8, len(pairs))))],
+        }
+        for kind in rng.sample(FAULT_KINDS, rng.randint(0, 3)):
+            seen[kind] += _plant(rng, obj, kind)
+        text = json.dumps(obj, sort_keys=rng.random() < 0.5)
+        want = _outcome(ref_read_graph, text)
+        assert _outcome(read_graph, text) == want, text
+        assert _outcome(read_graph, text.encode()) == want, text
+        outcomes["fault" if isinstance(want[0], type) else "graph"] += 1
+    assert all(seen.values()), seen
+    assert min(outcomes.values()) > 2000, outcomes
+
+
+def test_constructor_matches_the_reference_on_edge_forms():
+    rng = random.Random(19)
+    sig = Signature(("a", "b"), ("f", "g"))
+    bad_edges = [("0", "a"), ("0", "a", "1", "b"), ("9", "a", "0"), ("0", "a", "9"),
+                 ("0", "z", "0"), ("0", "a", "0"), "0a0", "0a"]
+    for _ in range(2000):
+        ids = [str(i) for i in range(rng.randint(1, 4))]
+        edges = rng.sample([(u, a, w) for u in ids for a in sig.actions for w in ids],
+                           rng.randint(0, 2))
+        if rng.random() < 0.5:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(bad_edges))
+        labels = {v: rng.sample(["f", "g", "h"], rng.randint(0, 2)) for v in ids
+                  if rng.random() < 0.5}
+        want = _outcome(ref_construct, sig, ids, "0", edges, labels)
+        for form in (list(map(tuple, edges)), list(map(list, edges)),
+                     (e for e in edges), (iter(e) for e in edges)):
+            got = _outcome(LabeledGraph, sig, ids, "0", form, labels)
+            assert got == want, (edges, labels)

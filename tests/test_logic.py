@@ -185,6 +185,51 @@ def test_first_fault_in_pre_order_wins_names_first_on_a_node(phi, message):
         assert str(err.value) == message
 
 
+def ref_validate(phi, sig):
+    """validate_formula's walk over every entry, run on every formula."""
+    t = phi._table
+    faults = []
+    for e, n in enumerate(t.node):
+        if type(n) is Color and n.color not in sig.colors:
+            faults.append((t.pre[e], f"unknown color {n.color!r}"))
+        elif type(n) in (Diamond, Box) and n.action not in sig.actions:
+            faults.append((t.pre[e], f"unknown action {n.action!r}"))
+    if t.error is not None:
+        faults.append(t.error)
+    if faults:
+        raise FormulaError(min(faults, key=lambda f: f[0])[1])
+
+
+def _validation(check, phi, sig):
+    try:
+        check(phi, sig)
+    except FormulaError as e:
+        return str(e)
+    return None
+
+
+def test_validation_reads_the_names_and_replacements_the_table_recorded():
+    full = Signature(("a", "b", "c"), ("f", "g", "h"))
+    sigs = [full] + [Signature([x for x in full.actions if x != a], full.colors)
+                     for a in full.actions]
+    sigs += [Signature(full.actions, [c for c in full.colors if c != x]) for x in full.colors]
+    faults = 0
+    phis = [phi for phi, _ in MIXED_FAULTS]
+    phis += [Formula(1, Mu("X", Neg(Var("X")))), Formula(2, Replace((0,), Color("f", 1)))]
+    phis += [rand_formula(Xorshift.substream(1919, k), full, 1 + k % 3, 4 + k % 13)
+             for k in range(300)]
+    for phi in phis:
+        t = phi._table
+        assert t.colors == {n.color for n in t.node if type(n) is Color}
+        assert t.actions == {n.action for n in t.node if type(n) in (Diamond, Box)}
+        assert t.replaces == [e for e, n in enumerate(t.node) if type(n) is Replace]
+        for sig in sigs:
+            want = _validation(ref_validate, phi, sig)
+            assert _validation(validate_formula, phi, sig) == want, (phi, sig)
+            faults += want is not None
+    assert 300 < faults < 6 * len(phis)
+
+
 def test_models_checks_closedness_before_validity():
     sig = Signature(("a", "b"), ("f", "g"))
     g = LabeledGraph(sig, ["0"], "0", [], {})
