@@ -3,12 +3,16 @@
 A closed arity-1 formula becomes an automaton whose states are the
 table entries of its positive normal form.  Running the automaton on a
 graph is a parity game between Exists (claims acceptance) and Forall.
-Acceptance reads winners only: ``parity_winners`` settles the dead-end
-attractors first and runs Zielonka's loop over opponent attractors on
-the rest, nested on an explicit stack, with no strategies.
-``solve_parity``, Zielonka's algorithm with positional strategies for
-both players on the same kind of stack, stays for strategies and as the
-oracle that xcheck suite 9 checks ``parity_winners`` against.
+Acceptance reads winners only: ``acceptance_winners`` solves the game
+on the graph x automaton product, deriving moves and predecessors from
+per-action adjacency and per-state transitions as it goes; it settles
+the dead-end attractors first and runs Zielonka's loop over opponent
+attractors on the rest, nested on an explicit stack, with no strategies.
+``acceptance_game`` builds the same game explicitly, as a
+``ParityGame``, and ``solve_parity``, Zielonka's algorithm with
+positional strategies for both players on the same kind of stack,
+solves it; the pair stays for strategies and as the oracle that xcheck
+suite 9 checks ``acceptance_winners`` against.
 """
 from __future__ import annotations
 
@@ -245,19 +249,27 @@ class GameResult:
     strategy: tuple[dict, dict]
 
 
+def _game_size(apt: Apt, g: LabeledGraph) -> int:
+    """The number of positions of the acceptance game of apt on g,
+    refused before anything is allocated when the signatures differ or
+    it exceeds the node budget."""
+    if g.signature != apt.signature:
+        raise PolymuError("acceptance_game: graph and automaton signatures differ")
+    size = len(g.nodes) * len(apt.states)
+    if size > _MAX_NODES:
+        raise ResourceLimitError(f"acceptance_game: more than {_MAX_NODES} positions")
+    return size
+
+
 def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     """Positions are (node, state) pairs, (v, q) at index[v] * |Q| + q.
     Literal positions are terminal and owned by whoever loses there;
     modal and boolean positions are owned by Exists on disjunctive
     transitions, Forall on conjunctive.  The game is filled one state at
     a time over all nodes."""
-    if g.signature != apt.signature:
-        raise PolymuError("acceptance_game: graph and automaton signatures differ")
+    size = _game_size(apt, g)
     nodes = g.nodes
     nq = len(apt.states)
-    size = len(nodes) * nq
-    if size > _MAX_NODES:
-        raise ResourceLimitError(f"acceptance_game: more than {_MAX_NODES} positions")
     heads = ["(" + v + ",q" for v in nodes]
     colors = list(map(g.label, nodes))
     labels: list = [None] * size
@@ -385,25 +397,62 @@ def solve_parity(game: ParityGame) -> GameResult:
     return GameResult(winner, strategies)
 
 
-def parity_winners(game: ParityGame) -> tuple[int, ...]:
-    """The winner of every position, without strategies.
+def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
+    """The winner of every position of the acceptance game of apt on g,
+    at the positions acceptance_game numbers, without building the game.
 
-    A player with no move loses, so Exists first takes its attractor of
-    Forall's dead ends, and Forall then its attractor of Exists' dead
-    ends in what is left.  Every remaining position keeps a move inside
-    the remainder, so Zielonka's loop over opponent attractors solves it
-    with no sink positions.  Its nesting over priorities runs on an
-    explicit stack of frames, so any number of priorities is solved."""
-    n = len(game.labels)
-    owner, prio, moves = game.owner, game.priority, game.moves
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v, ms in enumerate(moves):
-        for w in ms:
-            preds[w].append(v)
+    The game is read off the graph x automaton product: per action, the
+    successor and predecessor nodes of every node as position bases
+    (index * |Q|), and per state, its transitions and the transitions
+    into it.  The moves of (v, q) and the predecessors of (w, t) are
+    derived from them where the loops need them, so only the owner and
+    the move count are kept per position.  A player with no move loses,
+    so Exists first takes its attractor of Forall's dead ends, and Forall
+    then its attractor of Exists' dead ends in what is left.  Every
+    remaining position keeps a move inside the remainder, so Zielonka's
+    loop over opponent attractors solves it with no sink positions.  Its
+    nesting over priorities runs on an explicit stack of frames, so any
+    number of priorities is solved."""
+    size = _game_size(apt, g)
+    n, nq = len(g.nodes), len(apt.states)
+    owner = [EXISTS] * size
+    count = [0] * size  # each position's moves into the undecided ones
+    here = [[v * nq] for v in range(n)]  # a boolean transition stays at its node
+    adjacency: dict[str, tuple[list[list[int]], list[list[int]]]] = {}
+    # outs[q] holds (r, bases) per transition q -> r and into[r] holds (q, bases)
+    # per transition q -> r: (v, q) moves to b + r for b in bases[v], and
+    # (w, r) is entered from b + q for b in bases[w]
+    outs: list[list] = [[] for _ in range(nq)]
+    into: list[list] = [[] for _ in range(nq)]
+    for q, t in enumerate(apt.delta):
+        if isinstance(t, TransLit):
+            color, positive = t.color, t.positive
+            owner[q::nq] = [FORALL if (color in cs) == positive else EXISTS
+                            for cs in map(g.label, g.nodes)]
+            continue
+        if isinstance(t, TransMod):
+            a = t.action
+            if a not in adjacency:
+                out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+                for u, w in g._moves.get(a, ()):
+                    out[u].append(w * nq)
+                    inn[w].append(u * nq)
+                adjacency[a] = out, inn
+            out, inn = adjacency[a]
+            owner[q::nq] = [EXISTS if t.existential else FORALL] * n
+            count[q::nq] = map(len, out)
+            outs[q] = [(t.target, out)]
+            into[t.target].append((q, inn))
+        else:
+            owner[q::nq] = [FORALL if t.conj else EXISTS] * n
+            targets = {t.left, t.right}
+            count[q::nq] = [len(targets)] * n
+            outs[q] = [(r, here) for r in targets]
+            for r in targets:
+                into[r].append((q, here))
 
-    winner = [None] * n
-    ends = [v for v, ms in enumerate(moves) if not ms]
-    count = list(map(len, moves))  # each position's moves into the undecided ones
+    winner: list = [None] * size
+    ends = [v for v, c in enumerate(count) if not c]
     for player in (EXISTS, FORALL):
         # the opponent's dead ends; the first round takes none of Exists',
         # as Exists attracts only positions with a move
@@ -411,14 +460,17 @@ def parity_winners(game: ParityGame) -> tuple[int, ...]:
         for v in queue:
             winner[v] = player
         for v in queue:  # grows while iterated
-            for u in preds[v]:
-                if winner[u] is None:
-                    if owner[u] != player:
-                        count[u] -= 1
-                        if count[u]:
-                            continue
-                    winner[u] = player
-                    queue.append(u)
+            w = v // nq
+            for q, bases in into[v - w * nq]:
+                for b in bases[w]:
+                    u = b + q
+                    if winner[u] is None:
+                        if owner[u] != player:
+                            count[u] -= 1
+                            if count[u]:
+                                continue
+                        winner[u] = player
+                        queue.append(u)
 
     def attractor(target: set, region: set, player: int) -> set:
         """region minus player's attractor of target within it."""
@@ -426,23 +478,32 @@ def parity_winners(game: ParityGame) -> tuple[int, ...]:
         left = {}  # opponent positions: moves into region not yet attracted
         queue = list(target)
         for v in queue:
-            for u in preds[v]:
-                if u not in rest:
-                    continue
-                if owner[u] != player:
-                    ms = moves[u]
-                    if len(ms) > 1:  # with one move, its count drops from 1 to 0
-                        c = (left.get(u) or len([w for w in ms if w in region])) - 1
-                        if c:
-                            left[u] = c
+            w = v // nq
+            for q, bases in into[v - w * nq]:
+                for b in bases[w]:
+                    u = b + q
+                    if u not in rest:
+                        continue
+                    # count[u] holds u's moves into the region left by the dead
+                    # ends; with one, its count drops from 1 to 0
+                    if owner[u] != player and count[u] > 1:
+                        c = left.get(u)
+                        if c is None:
+                            x = u // nq
+                            c = len([y for r, ys in outs[u - x * nq] for y in ys[x]
+                                     if y + r in region])
+                        if c > 1:
+                            left[u] = c - 1
                             continue
-                rest.remove(u)
-                queue.append(u)
+                    rest.remove(u)
+                    queue.append(u)
         return rest
 
-    region = {v for v in range(n) if winner[v] is None}
-    by_prio = groupby(sorted(region, key=prio.__getitem__), key=prio.__getitem__)
-    buckets = {p: set(vs) for p, vs in by_prio}
+    region = {v for v in range(size) if winner[v] is None}
+    # every position of a priority, decided or not: tops are cut to the region
+    buckets: dict[int, set] = {}
+    for q, p in enumerate(apt.priority):
+        buckets.setdefault(p, set()).update(range(q, size, nq))
     order = sorted(buckets, reverse=True)
     # a frame solves region, whose priorities are at most order[k]; won[p]
     # gathers what p wins of it
@@ -566,8 +627,7 @@ def _sccs(nodes: set, succ: dict) -> list[set]:
 
 
 def accepts(apt: Apt, g: LabeledGraph) -> bool:
-    game = acceptance_game(apt, g)
-    return parity_winners(game)[game.initial] == EXISTS
+    return acceptance_winners(apt, g)[g.index[g.root] * len(apt.states) + apt.initial] == EXISTS
 
 
 def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[frozenset[int]]:
@@ -575,8 +635,7 @@ def winning_state_sets(apt: Apt, tree: FiniteTree, path: list[str]) -> list[froz
     in the acceptance game on the tree."""
     path = _check_root_path(tree, path)
     nq = len(apt.states)
-    game = acceptance_game(apt, tree)
-    winner = parity_winners(game)
+    winner = acceptance_winners(apt, tree)
     out = []
     for v in path:
         base = tree.index[v] * nq

@@ -154,6 +154,11 @@ class LabeledGraph:
     edges: (src, action, dst) triples derived from _moves on first use,
     grouped by action.
     labels: node id to set of colors.
+
+    The edges and succ() views are held in _edge_view and _succ_view,
+    which both constructors set to None and the accessors fill by plain
+    assignment: a functools.cached_property writing the instance __dict__
+    would slow every later attribute read on the graph.
     """
 
     # semantics' pre-image tables for the arity last evaluated on this
@@ -222,6 +227,7 @@ class LabeledGraph:
                 raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
             lab[v] = frozenset(cs)
         self._labels = lab
+        self._edge_view = self._succ_view = None
         self._check_shape()
 
     @classmethod
@@ -248,29 +254,38 @@ class LabeledGraph:
                 seen.add(v)
         g._moves = moves
         g._labels = labels
+        g._edge_view = g._succ_view = None
         g._check_shape()
         return g
 
     def _check_shape(self) -> None:
         """Shape checks of subclasses, run once the parts are in place."""
 
-    @functools.cached_property
+    @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
         """(src, action, dst) id triples read off _moves on first use:
         grouped by action, in input order within each action."""
-        nodes = self.nodes
-        return tuple((nodes[u], a, nodes[w]) for a, pairs in self._moves.items() for u, w in pairs)
+        view = self._edge_view
+        if view is None:
+            nodes = self.nodes
+            view = self._edge_view = tuple(
+                (nodes[u], a, nodes[w]) for a, pairs in self._moves.items() for u, w in pairs
+            )
+        return view
 
-    @functools.cached_property
+    @property
     def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """succ()'s view of _moves: per (node id, action) the successor
-        ids sorted."""
-        nodes = self.nodes
-        succ: dict[tuple[str, str], list[str]] = {}
-        for a, pairs in self._moves.items():
-            for u, w in pairs:
-                succ.setdefault((nodes[u], a), []).append(nodes[w])
-        return {k: tuple(sorted(v)) for k, v in succ.items()}
+        """succ()'s view of _moves, built on first use: per (node id,
+        action) the successor ids sorted."""
+        view = self._succ_view
+        if view is None:
+            nodes = self.nodes
+            succ: dict[tuple[str, str], list[str]] = {}
+            for a, pairs in self._moves.items():
+                for u, w in pairs:
+                    succ.setdefault((nodes[u], a), []).append(nodes[w])
+            view = self._succ_view = {k: tuple(sorted(v)) for k, v in succ.items()}
+        return view
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:
         return self._succ.get((v, a), ())

@@ -14,10 +14,10 @@ from typing import Callable, Iterator, Optional
 from .automata import (
     EXISTS,
     acceptance_game,
+    acceptance_winners,
     accepts,
     find_pumping_pair,
     formula_to_apt,
-    parity_winners,
     solve_parity,
 )
 from .bisim import (
@@ -295,9 +295,11 @@ def check_apt_vs_evaluator(cfg: RunConfig) -> tuple[bool, str]:
         psi = rand_formula(rng, sig, 1, 10)
         b = models(g, psi, 1)
         sat += b
-        # Zielonka with strategies is the oracle for the winners-only solver
-        game = acceptance_game(formula_to_apt(psi, sig), g)
-        winner = parity_winners(game)
+        # Zielonka with strategies on the built game is the oracle for the
+        # winners-only solver on the product
+        apt = formula_to_apt(psi, sig)
+        game = acceptance_game(apt, g)
+        winner = acceptance_winners(apt, g)
         bad += winner != solve_parity(game).winner or (winner[game.initial] == EXISTS) != b
     return bad == 0, f"{n - bad}/{n} agree, {sat} satisfied"
 

@@ -17,10 +17,10 @@ from polymu.automata import (
     TransMod,
     accepts,
     acceptance_game,
+    acceptance_winners,
     find_pumping_pair,
     format_apt,
     formula_to_apt,
-    parity_winners,
     solve_parity,
     strategy_is_winning,
     winning_state_sets,
@@ -368,17 +368,18 @@ def test_solver_matches_recursive_reference():
         g = rand_game(Xorshift.substream(4471, k))
         res = solve_parity(g)
         assert (res.winner, res.strategy) == ref_solve_parity(g), k
-        assert parity_winners(g) == res.winner, k
         for o, ms in zip(g.owner, g.moves):
             dead_ends[o] += not ms
     assert min(dead_ends) >= 100
     for k in range(150):
         rng = Xorshift.substream(4472, k)
         sig = rand_base_signature(rng)
-        g = acceptance_game(formula_to_apt(rand_formula(rng, sig, 1, 12), sig),
-                            rand_graph(rng, sig, 6))
+        apt = formula_to_apt(rand_formula(rng, sig, 1, 12), sig)
+        graph = rand_graph(rng, sig, 6)
+        g = acceptance_game(apt, graph)
         res = solve_parity(g)
         assert (res.winner, res.strategy) == ref_solve_parity(g), k
+        assert acceptance_winners(apt, graph) == res.winner, k
 
 
 def ladder(n):
@@ -400,7 +401,6 @@ def test_solver_ladder_needs_no_recursion_limit_patch(monkeypatch):
     g = ladder(n)
     res = solve_parity(g)
     assert res.winner == (EXISTS,) * n
-    assert parity_winners(g) == res.winner
     assert strategy_is_winning(g, EXISTS, set(range(n)), res.strategy[EXISTS])
     assert strategy_is_winning(g, FORALL, set(), res.strategy[FORALL])
 
@@ -417,7 +417,6 @@ def test_solver_nests_priorities_without_the_recursion_limit(monkeypatch):
     g = game([EXISTS] * n, list(range(n)), [(v,) for v in range(n)])
     res = solve_parity(g)
     assert res.winner == tuple(v % 2 for v in range(n))
-    assert parity_winners(g) == res.winner
     assert strategy_is_winning(g, EXISTS, set(range(0, n, 2)), res.strategy[EXISTS])
     assert strategy_is_winning(g, FORALL, set(range(1, n, 2)), res.strategy[FORALL])
 
@@ -429,7 +428,8 @@ def test_solver_leaves_out_the_sink_no_dead_end_reaches():
     n = 3000
     g = game([v % 2 for v in range(n)], list(range(n)), [(v - 1,) if v else () for v in range(n)])
     res = solve_parity(g)
-    assert res.winner == parity_winners(g)
+    # every play runs down to position 0, where Exists is stuck
+    assert res.winner == (FORALL,) * n
     won = {v for v in range(n) if res.winner[v] == EXISTS}
     assert strategy_is_winning(g, EXISTS, won, res.strategy[EXISTS])
     assert strategy_is_winning(g, FORALL, set(range(n)) - won, res.strategy[FORALL])
@@ -437,8 +437,9 @@ def test_solver_leaves_out_the_sink_no_dead_end_reaches():
 
 # ------------------------------------------------ the winners-only solver
 #
-# solve_parity is the oracle: parity_winners must give the same winner at
-# every position, here and in the reference tests above and below.
+# solve_parity on the built game is the oracle: acceptance_winners must give
+# the same winner at every position, here and in the reference tests above
+# and below.
 
 
 # the formula shapes of the benchmark's modelcheck workload
@@ -461,7 +462,7 @@ def test_winners_match_zielonka_on_pattern_acceptance_games():
         g = rand_graph(rng, sig, 40, min_nodes=20, edge_den=24)
         for text, apt in zip(PATTERNS, apts):
             gm = acceptance_game(apt, g)
-            winner = parity_winners(gm)
+            winner = acceptance_winners(apt, g)
             assert winner == solve_parity(gm).winner, (k, text)
             want = models(g, parse_formula(text, sig, 1))
             assert (winner[gm.initial] == EXISTS) == want, (k, text)
@@ -469,19 +470,25 @@ def test_winners_match_zielonka_on_pattern_acceptance_games():
     assert len(verdicts) == 2 * len(PATTERNS)
 
 
-def test_winners_need_no_recursion_for_thousands_of_priorities(monkeypatch):
-    # v -> v-1 down to a self-loop on 0, priority v: every play ends on
-    # priority 0, and each priority opens one nested frame
-    n = 3000
-    g = game([v % 2 for v in range(n)], list(range(n)), [(v - 1,) if v else (0,) for v in range(n)])
+def test_winners_need_no_recursion_for_a_thousand_priorities(monkeypatch):
+    # a thousand alternating binders around a self-loop on the innermost
+    # variable, on a one-node loop: the binder states carry the priorities
+    # 999 down to 0, and each opens one nested frame
+    n = 1000
+    binders = "".join(f"{'nu' if (n - k) % 2 else 'mu'} X{k}. " for k in range(n))
+    apt = formula_to_apt(parse_formula(binders + f"<a>X{n - 1}", SIG_AF, 1), SIG_AF)
+    assert len(set(apt.priority)) == n
+    g = LabeledGraph(SIG_AF, ["0"], "0", [("0", "a", "0")], {})
     with monkeypatch.context() as m:
         def forbidden(*args):
             raise AssertionError("the recursion limit was touched")
 
         m.setattr(sys, "setrecursionlimit", forbidden)
         m.setattr(sys, "getrecursionlimit", forbidden)
-        assert parity_winners(g) == (EXISTS,) * n
-
+        winner = acceptance_winners(apt, g)
+        # the play loops on the innermost binder, a greatest fixpoint
+        assert winner == (EXISTS,) * len(apt.states)
+        assert winner == solve_parity(acceptance_game(apt, g)).winner
 
 
 # ------------------------------------------ the per-position game construction
@@ -571,10 +578,11 @@ def test_solver_matches_recursive_reference_on_larger_acceptance_games():
         g = rand_graph(rng, sig, 40, min_nodes=20, edge_den=12)
         if k % 2:
             g = with_odd_ids(g, rng)
-        gm = acceptance_game(formula_to_apt(rand_formula(rng, sig, 1, 14), sig), g)
+        apt = formula_to_apt(rand_formula(rng, sig, 1, 14), sig)
+        gm = acceptance_game(apt, g)
         res = solve_parity(gm)
         assert (res.winner, res.strategy) == ref_solve_parity(gm), k
-        assert parity_winners(gm) == res.winner, k
+        assert acceptance_winners(apt, g) == res.winner, k
 
 
 def test_solver_matches_recursive_reference_with_duplicate_moves():
@@ -587,7 +595,6 @@ def test_solver_matches_recursive_reference_with_duplicate_moves():
     )
     res = solve_parity(g)
     assert (res.winner, res.strategy) == ref_solve_parity(g)
-    assert parity_winners(g) == res.winner
     for k in range(300):
         rng = Xorshift.substream(4475, k)
         n = rng.randint(1, 30)
@@ -600,7 +607,6 @@ def test_solver_matches_recursive_reference_with_duplicate_moves():
         g = game(owner, prio, moves)
         res = solve_parity(g)
         assert (res.winner, res.strategy) == ref_solve_parity(g), k
-        assert parity_winners(g) == res.winner, k
         won = {v for v in range(n) if res.winner[v] == EXISTS}
         assert strategy_is_winning(g, EXISTS, won, res.strategy[EXISTS]), k
         assert strategy_is_winning(g, FORALL, set(range(n)) - won, res.strategy[FORALL]), k
@@ -631,6 +637,24 @@ def test_acceptance_game_budget_admits_exactly_the_limit(monkeypatch):
     assert len(acceptance_game(apt, edgeless(3)).labels) == 48
     with pytest.raises(ResourceLimitError, match="more than 48 positions"):
         acceptance_game(apt, edgeless(4))
+
+
+def test_acceptance_refuses_the_game_budget_before_allocating(monkeypatch):
+    # the product solver shares the game's check: 20,000 nodes of 16 states
+    # would take megabytes of per-position lists
+    monkeypatch.setattr(automata, "_MAX_NODES", 48)
+    apt = formula_to_apt(parse_formula("<a>" * 15 + "f", SIG_AF, 1), SIG_AF)
+    assert accepts(apt, edgeless(3)) is False
+    g = edgeless(20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            accepts(apt, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "acceptance_game: more than 48 positions"
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------- runs on trees
@@ -682,5 +706,7 @@ def test_find_pumping_pair_errors():
 def test_acceptance_game_signature_mismatch():
     apt = formula_to_apt(parse_formula("f", SIG_AF, 1), SIG_AF)
     g = make_graph(SIG_ABF, ["0"], "0", [], {})
-    with pytest.raises(PolymuError, match="signatures differ"):
-        acceptance_game(apt, g)
+    for solve in (acceptance_game, accepts, acceptance_winners):
+        with pytest.raises(PolymuError) as exc:
+            solve(apt, g)
+        assert str(exc.value) == "acceptance_game: graph and automaton signatures differ"

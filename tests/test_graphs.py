@@ -560,11 +560,11 @@ def test_adjacency_is_grouped_on_first_use(loop3):
 
     p = power(loop3, 2)
     assert one_lifted_non_universal(p, 2).witness == one_letter_non_universal(loop3).witness
-    assert "_succ" not in p.__dict__
+    assert p._succ_view is None
     assert p.succ("(0,0)", "a@0") == ("(1,0)",)
     assert p._succ == _eager_succ(p)
     # a tree groups its adjacency when its constructor walks the shape
-    assert "_succ" in unfold(loop3, 3).__dict__
+    assert unfold(loop3, 3)._succ_view is not None
 
     checked = 0
     for k in range(60):
@@ -588,8 +588,8 @@ def test_analyses_leave_the_edge_view_unbuilt(loop3):
     one_lifted_non_universal(p, 2)
     assert detect_power(p, 2, "both")
     fs = factors(p)
-    assert "edges" not in p.__dict__
-    assert all("edges" not in f.__dict__ for f in fs)
+    assert p._edge_view is None
+    assert all(f._edge_view is None for f in fs)
     # the view is read off the stored pairs: grouped by action, in input
     # order within each action
     g = LabeledGraph(SIG_ABF, ["0", "1"], "0",

@@ -3,8 +3,9 @@ what the library returns, the library never patches or reads the
 recursion limit and no module but the random generator recurses, a
 formula is compiled only in its cached property, the analyses and the
 derived-graph builders read a graph's edges only as the position pairs
-it stores, the trusted constructor is not
-exported, and acceptance keeps off the Zielonka solver that checks it."""
+it stores, the trusted constructor is not exported, acceptance builds
+no game and keeps off the Zielonka solver that checks it, and graphs
+hold no cached_property."""
 import ast
 import importlib
 import importlib.util
@@ -169,17 +170,20 @@ def test_trusted_constructor_is_not_exported():
     assert all(not name.startswith("_") for name in polymu.__all__)
 
 
-def test_acceptance_runs_without_its_oracle(monkeypatch):
-    """accepts, winning_state_sets and find_pumping_pair use the
-    winners-only solver; xcheck suite 9 keeps solve_parity as its oracle."""
-    from polymu import automata, xcheck
-    from polymu.graphs import FiniteTree, Signature
+def test_acceptance_runs_without_its_oracle(monkeypatch, tmp_path, capsys):
+    """accepts, winning_state_sets, find_pumping_pair and `polymu apt
+    --graph` solve on the product and build no game; xcheck suite 9 keeps
+    acceptance_game and solve_parity as its oracle, once per case."""
+    from polymu import automata, cli, xcheck
+    from polymu.graphs import FiniteTree, Signature, write_graph
     from polymu.logic import parse_formula
 
-    def oracle_called(game):
-        raise AssertionError("solve_parity called on the acceptance path")
+    def oracle_called(*args):
+        raise AssertionError("the oracle was called on the acceptance path")
 
+    oracle = (automata.acceptance_game, automata.solve_parity)
     for module in (automata, xcheck):
+        monkeypatch.setattr(module, "acceptance_game", oracle_called)
         monkeypatch.setattr(module, "solve_parity", oracle_called)
     sig = Signature(("a",), ("f",))
     apt = automata.formula_to_apt(parse_formula("mu X. f | <a>X", sig, 1), sig)
@@ -190,14 +194,36 @@ def test_acceptance_runs_without_its_oracle(monkeypatch):
     assert automata.accepts(apt, tree)
     assert apt.initial in automata.winning_state_sets(apt, tree, nodes)[0]
     assert automata.find_pumping_pair(apt, tree, nodes) == (1, 2)
+    graph = tmp_path / "tree.json"
+    graph.write_text(write_graph(tree))
+    assert cli.main(["apt", "--formula", "mu X. f | <a>X", "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out == "true\n"
     assert xcheck.run_check(10, xcheck.RunConfig(iterations=2)).ok
 
     calls = []
 
-    def counted(game):
-        calls.append(game)
-        return automata.GameResult(automata.parity_winners(game), ({}, {}))
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(xcheck, "solve_parity", counted)
+    for fn in oracle:
+        monkeypatch.setattr(xcheck, fn.__name__, counted(fn))
     assert xcheck.run_check(9, xcheck.RunConfig(iterations=5)).ok
-    assert len(calls) == 5
+    assert sorted(calls) == ["acceptance_game"] * 5 + ["solve_parity"] * 5
+
+
+def test_graphs_hold_no_cached_property():
+    """graphs.py fills its lazy views by plain assignment: a
+    functools.cached_property writes the instance __dict__, which slows
+    every later attribute read on that graph."""
+    tree = ast.parse((ROOT / "src" / "polymu" / "graphs.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "attr", None) == "cached_property"
+        or getattr(node, "id", None) == "cached_property"
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []

@@ -82,18 +82,18 @@ def test_enum_covers_declared_space():
 def test_apt_suite_catches_one_flipped_winner(monkeypatch):
     from polymu import xcheck
 
-    real = xcheck.parity_winners
+    real = xcheck.acceptance_winners
 
-    def flip_one(game):
+    def flip_one(apt, g):
         # away from the initial position, where the evaluator cannot see it
-        winner = list(real(game))
-        v = (game.initial + 1) % len(winner)
+        winner = list(real(apt, g))
+        v = (g.index[g.root] * len(apt.states) + apt.initial + 1) % len(winner)
         winner[v] = 1 - winner[v]
         return tuple(winner)
 
     cfg = RunConfig(seed=7, iterations=20)
     assert run_check(9, cfg).ok
-    monkeypatch.setattr(xcheck, "parity_winners", flip_one)
+    monkeypatch.setattr(xcheck, "acceptance_winners", flip_one)
     r = run_check(9, cfg)
     assert not r.ok
     assert r.detail.startswith("0/20 agree")
