@@ -261,6 +261,14 @@ def _game_size(apt: Apt, g: LabeledGraph) -> int:
     return size
 
 
+def _literal_owners(t: TransLit, g: LabeledGraph) -> list[int]:
+    """Per node position, the owner of literal t's position, read off its
+    color's mask: Forall where t holds, Exists where it fails."""
+    holds = format(g._colors[t.color], f"0{len(g.nodes)}b")[::-1]
+    true = "1" if t.positive else "0"
+    return [FORALL if h == true else EXISTS for h in holds]
+
+
 def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     """Positions are (node, state) pairs, (v, q) at index[v] * |Q| + q.
     Literal positions are terminal and owned by whoever loses there;
@@ -271,7 +279,6 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     nodes = g.nodes
     nq = len(apt.states)
     heads = ["(" + v + ",q" for v in nodes]
-    colors = list(map(g.label, nodes))
     labels: list = [None] * size
     owner: list = [EXISTS] * size
     moves: list = [()] * size
@@ -282,8 +289,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
         tail = f"{q})"
         labels[q::nq] = [h + tail for h in heads]
         if isinstance(t, TransLit):
-            color, positive = t.color, t.positive
-            owner[q::nq] = [FORALL if (color in cs) == positive else EXISTS for cs in colors]
+            owner[q::nq] = _literal_owners(t, g)
         elif isinstance(t, TransMod):
             outs = succ_bases.get(t.action)
             if outs is None:
@@ -426,9 +432,7 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
     into: list[list] = [[] for _ in range(nq)]
     for q, t in enumerate(apt.delta):
         if isinstance(t, TransLit):
-            color, positive = t.color, t.positive
-            owner[q::nq] = [FORALL if (color in cs) == positive else EXISTS
-                            for cs in map(g.label, g.nodes)]
+            owner[q::nq] = _literal_owners(t, g)
             continue
         if isinstance(t, TransMod):
             a = t.action

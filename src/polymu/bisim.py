@@ -67,14 +67,10 @@ def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set
     n2 = len(g2.nodes)
     enabled1, succ1, pred1 = _int_adjacency(g1)
     enabled2, succ2, pred2 = _int_adjacency(g2)
-    by_label: dict[frozenset, list[int]] = {}
-    for v, name in enumerate(g2.nodes):
-        by_label.setdefault(g2.label(name), []).append(v)
-    check = [
-        u * n2 + v
-        for u, name in enumerate(g1.nodes)
-        for v in by_label.get(g1.label(name), ())
-    ]
+    by_label: dict[int, list[int]] = {}
+    for v, code in enumerate(g2._codes()):
+        by_label.setdefault(code, []).append(v)
+    check = [u * n2 + v for u, code in enumerate(g1._codes()) for v in by_label.get(code, ())]
     rel = set(check)
 
     def pair_ok(p: int) -> bool:
@@ -174,7 +170,7 @@ def _classes(g: LabeledGraph, ids: list[int]) -> list[tuple[str, ...]]:
 def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Bisimilarity classes of g by partition refinement, sorted."""
     enabled, succs, _ = _int_adjacency(g)
-    return _classes(g, _refine([g.label(v) for v in g.nodes], enabled, succs))
+    return _classes(g, _refine(g._codes(), enabled, succs))
 
 
 def quotient(g: LabeledGraph) -> LabeledGraph:
@@ -188,9 +184,8 @@ def _quotient_by(g: LabeledGraph, classes: list[tuple[str, ...]]) -> LabeledGrap
     at = {v: k for k, members in enumerate(classes) for v in members}
     to = [at[v] for v in g.nodes]
     moves = {a: sorted({(to[u], to[w]) for u, w in pairs}) for a, pairs in g._moves.items()}
-    return LabeledGraph._trusted(
-        g.signature, nodes, nodes[to[g.index[g.root]]], moves, {r: g.label(r) for r in nodes}
-    )
+    colors = g._colors_at([g.index[r] for r in nodes])
+    return LabeledGraph._trusted(g.signature, nodes, nodes[to[g.index[g.root]]], moves, colors)
 
 
 def _check_component(i: int, d: int) -> None:
@@ -207,8 +202,8 @@ def component_view(g: LabeledGraph, i: int) -> LabeledGraph:
         name, k = unlift(a)
         if name != RESET and k == i:
             moves[name] = pairs
-    labels = {v: frozenset(c for c, k in map(unlift, g.label(v)) if k == i) for v in g.nodes}
-    return LabeledGraph._trusted(base, g.nodes, g.root, moves, labels)
+    colors = {c: g._colors[f"{c}@{i}"] for c in base.colors}
+    return LabeledGraph._trusted(base, g.nodes, g.root, moves, colors)
 
 
 class DBisimFamily:
@@ -228,7 +223,7 @@ class DBisimFamily:
         for view in self.views:  # view k's positions follow those of views 0..k-1
             off = len(labels)
             acts, ws, _ = _int_adjacency(view)
-            labels += map(view.label, view.nodes)
+            labels += view._codes()
             enabled += acts
             succs += [[[w + off for w in by_a] for by_a in s] for s in ws]
         cls = iter(_refine(labels, enabled, succs))

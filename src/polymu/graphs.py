@@ -8,7 +8,10 @@ per action, (source position, target position) pairs over the node
 order.  Every analysis, succ() included, reads them there, and derived
 graphs are built from positions; the (src, action, dst) id triples of
 LabeledGraph.edges are read off _moves on demand, for the writer,
-equality and hashing.
+equality and hashing.  Its colors are stored once too, in
+LabeledGraph._colors: per color, a mask with bit p set when position p
+carries it.  Analyses read the masks, derived graphs shift, map or flip
+their bits, and label() and has_color() are views read off them.
 
 The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
@@ -30,8 +33,8 @@ non-string id, color or edge field trips the constructor, and read_graph
 then walks the JSON shape item by item to report that fault first.  Graphs
 the library derives from graphs it already holds (product, unfold,
 bisim.quotient, bisim.component_view, pumping.pump) are built through
-LabeledGraph._trusted, which takes their position pairs ready-made and
-checks only that the ids are distinct.
+LabeledGraph._trusted, which takes their position pairs and color masks
+ready-made and checks only that the ids are distinct.
 """
 from __future__ import annotations
 
@@ -95,6 +98,23 @@ class Signature:
         return all("@" not in n for n in self.actions + self.colors)
 
 
+def _set_bits(x: int):
+    """Indices of the set bits of x >= 0, ascending."""
+    s = bin(x)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
+def _to_bits(indices, size: int) -> int:
+    """Bitset of width size with the given bits set."""
+    out = bytearray((size + 7) >> 3)
+    for j in indices:
+        out[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(out, "little")
+
+
 @functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
 def unlift(name: str) -> tuple[str, int]:
     """(x, i) for a lifted action or color name x@i."""
@@ -153,7 +173,9 @@ class LabeledGraph:
     position) pairs, no duplicates, in input order within each action.
     edges: (src, action, dst) triples derived from _moves on first use,
     grouped by action.
-    labels: node id to set of colors.
+    _colors: the stored colors, every signature color to its position
+    mask: bit p set when nodes[p] carries the color.  label() and
+    has_color() read it.
 
     The edges and succ() views are held in _edge_view and _succ_view,
     which both constructors set to None and the accessors fill by plain
@@ -215,9 +237,10 @@ class LabeledGraph:
             pairs.append((u, w))
         self._moves = moves
         color_set = signature._color_set
-        lab: dict[str, frozenset[str]] = dict.fromkeys(nodes, frozenset())
+        holders: dict[str, list[int]] = {c: [] for c in signature.colors}
         for v, cs in labels.items():
-            if v not in index:
+            p = position(v)
+            if p is None:
                 raise GraphFormatError(f"labels: unknown node {v!r}")
             cs = tuple(cs)
             # issuperset meets the colors in order and stops at the first it
@@ -225,21 +248,22 @@ class LabeledGraph:
             if not color_set.issuperset(cs):
                 c = next(c for c in cs if c not in color_set)
                 raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
-            lab[v] = frozenset(cs)
-        self._labels = lab
+            for c in cs:
+                holders[c].append(p)
+        self._colors = {c: _to_bits(ps, n) for c, ps in holders.items()}
         self._edge_view = self._succ_view = None
         self._check_shape()
 
     @classmethod
-    def _trusted(cls, signature, nodes, root, moves, labels):
+    def _trusted(cls, signature, nodes, root, moves, colors):
         """Graph from parts the library derived from graphs it already holds.
 
         nodes: a tuple of ids; moves: action to distinct (source position,
-        target position) pairs over them, as _moves holds them; labels:
-        every node id to a frozenset of colors.  Only distinct ids are
-        checked, as building index finds a duplicate for free; derived ids
-        such as "(u,v)" can collide when the ids they are made of contain
-        the separator.
+        target position) pairs over them, as _moves holds them; colors:
+        every signature color to its position mask, as _colors holds
+        them.  Only distinct ids are checked, as building index finds a
+        duplicate for free; derived ids such as "(u,v)" can collide when
+        the ids they are made of contain the separator.
         """
         g = cls.__new__(cls)
         g.signature = signature
@@ -253,7 +277,7 @@ class LabeledGraph:
                     raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
                 seen.add(v)
         g._moves = moves
-        g._labels = labels
+        g._colors = colors
         g._edge_view = g._succ_view = None
         g._check_shape()
         return g
@@ -291,10 +315,29 @@ class LabeledGraph:
         return self._succ.get((v, a), ())
 
     def label(self, v: str) -> frozenset[str]:
-        return self._labels[v]
+        p = self.index[v]
+        return frozenset([c for c, mask in self._colors.items() if mask >> p & 1])
 
     def has_color(self, v: str, c: str) -> bool:
-        return c in self._labels[v]
+        return bool(self._colors.get(c, 0) >> self.index[v] & 1)
+
+    def _codes(self) -> list[int]:
+        """Per position, its colors as one int: bit k for signature color k."""
+        codes = [0] * len(self.nodes)
+        for k, c in enumerate(self.signature.colors):
+            for p in _set_bits(self._colors[c]):
+                codes[p] |= 1 << k
+        return codes
+
+    def _colors_at(self, src: Sequence[int]) -> dict[str, int]:
+        """Color masks of a graph whose position k carries the colors of
+        this graph's position src[k]."""
+        width = len(self.nodes)
+        out = {}
+        for c, mask in self._colors.items():
+            holds = format(mask, f"0{width}b")[::-1]
+            out[c] = _to_bits([k for k, p in enumerate(src) if holds[p] == "1"], len(src))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -304,7 +347,7 @@ class LabeledGraph:
             and set(self.nodes) == set(other.nodes)
             and self.root == other.root
             and set(self.edges) == set(other.edges)
-            and self._labels == other._labels
+            and dict(zip(self.nodes, self._codes())) == dict(zip(other.nodes, other._codes()))
         )
 
     def __hash__(self):
@@ -320,7 +363,7 @@ class FiniteTree(LabeledGraph):
 
     Every non-root node has exactly one incoming edge and is reachable
     from the root; the root has none.  Only each node's parent and depth
-    are kept; root paths are walked up on demand.
+    are kept.
     """
 
     def _check_shape(self) -> None:
@@ -354,19 +397,11 @@ class FiniteTree(LabeledGraph):
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "FiniteTree":
         # g's parts were checked when g was built; only the tree shape is new
-        return cls._trusted(g.signature, g.nodes, g.root, g._moves, g._labels)
+        return cls._trusted(g.signature, g.nodes, g.root, g._moves, g._colors)
 
     def parent(self, v: str) -> tuple[str, str] | None:
         """(parent node, action of the incoming edge), None for the root."""
         return self._parent.get(v)
-
-    def root_path(self, v: str) -> tuple[str, ...]:
-        """Node sequence from the root to v, inclusive."""
-        path = [v]
-        for _ in range(self._depth[v]):
-            v = self._parent[v][0]
-            path.append(v)
-        return tuple(reversed(path))
 
     def depth_of(self, v: str) -> int:
         return self._depth[v]
@@ -424,8 +459,10 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
     lifted = lift_signature(sig, len(graphs))
     # component i steps a product position by the node counts of the factors
     # after i, so each of its moves is a factor pair shifted onto every
-    # position whose component i is 0
+    # position whose component i is 0, and color c@i spreads each bit p of
+    # c's mask over every position whose component i is p
     moves: dict[str, list[tuple[int, int]]] = {}
+    colors = dict.fromkeys(lifted.colors, 0)
     stride = size
     root = 0
     for i, g in enumerate(graphs):
@@ -437,11 +474,12 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
         for a, pairs in [*g._moves.items(), (RESET, [(k, r) for k in range(n)])]:
             shifted = [(u * stride, w * stride) for u, w in pairs]
             moves[f"{a}@{i}"] = [(b + u, b + w) for b in bases for u, w in shifted]
-    colors = [[frozenset(f"{c}@{i}" for c in g.label(v)) for v in g.nodes]
-              for i, g in enumerate(graphs)]
+        # the positions whose component i is 0, by multiplying with a repunit
+        unit = ((1 << stride) - 1) * (((1 << size) - 1) // ((1 << (n * stride)) - 1))
+        for c, mask in g._colors.items():
+            colors[f"{c}@{i}"] = sum([unit << p * stride for p in _set_bits(mask)])
     ids = tuple(map(tuple_id, itertools.product(*[g.nodes for g in graphs])))
-    labels = {v: frozenset().union(*cs) for v, cs in zip(ids, itertools.product(*colors))}
-    return LabeledGraph._trusted(lifted, ids, ids[root], moves, labels)
+    return LabeledGraph._trusted(lifted, ids, ids[root], moves, colors)
 
 
 def power(g: LabeledGraph, d: int) -> LabeledGraph:
@@ -463,7 +501,7 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
         raise GraphFormatError(f"depth: must be >= 0, got {depth}")
     nodes = [g.root]
     moves: dict[str, list[tuple[int, int]]] = {}
-    labels = {g.root: g.label(g.root)}
+    ends = [g.index[g.root]]  # per tree position, the path's endpoint position
     frontier = [(0, g.root, g.root)]  # (position, path id, endpoint)
     chars = len(g.root)
     for _ in range(depth):
@@ -485,9 +523,9 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
                     moves.setdefault(a, []).append((p, len(nodes)))
                     nxt.append((len(nodes), cid, w))
                     nodes.append(cid)
-                    labels[cid] = g.label(w)
+                    ends.append(g.index[w])
         frontier = nxt
-    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, labels)
+    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, g._colors_at(ends))
 
 
 _ID = operator.itemgetter("id")
@@ -571,10 +609,13 @@ def read_tree(data) -> FiniteTree:
 
 def write_graph(g: LabeledGraph) -> str:
     """Serialize to canonical JSON: sorted keys, sorted node and edge lists."""
+    colors = g.signature.colors
+    codes = dict(zip(g.nodes, g._codes()))
     obj = {
         "actions": list(g.signature.actions),
-        "colors": list(g.signature.colors),
-        "nodes": [{"id": v, "colors": sorted(g.label(v))} for v in sorted(g.nodes)],
+        "colors": list(colors),
+        "nodes": [{"id": v, "colors": sorted(c for k, c in enumerate(colors) if codes[v] >> k & 1)}
+                  for v in sorted(g.nodes)],
         "root": g.root,
         "edges": sorted(g.edges),
     }

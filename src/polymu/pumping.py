@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import PolymuError, ResourceLimitError
-from .graphs import _MAX_NODES, FiniteTree, Signature, _check_root_path
+from .graphs import _MAX_NODES, FiniteTree, Signature, _check_root_path, _set_bits
 from .logic import Formula
 from .semantics import models
 
@@ -67,13 +67,12 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     outside = [v for v, s in zip(tree.nodes, in_seg) if not s]
     inside = [v for v, s in zip(tree.nodes, in_seg) if s]
     nodes = outside + [cid(v, c) for c in range(k) for v in inside]
-    labels = {v: tree.label(v) for v in outside}
-    labels.update((cid(v, c), tree.label(v)) for c in range(k) for v in inside)
     # new positions: the n nodes outside the segment keep their order, then
     # copy c of the segment's m nodes starts at n + c * m
     n, m = len(outside), len(inside)
     rank = {v: p for part in (outside, inside) for p, v in enumerate(part)}
     to = [rank[v] for v in tree.nodes]
+    colors = tree._colors_at([tree.index[v] for v in outside + inside * k])
 
     def at(p: int, c: int) -> int:
         return n + c * m + to[p]
@@ -98,16 +97,17 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     last, first = tree.index[path[j - 1]], tree.index[path[i]]
     moves[exit_action] += [(at(last, c), at(first, c + 1)) for c in range(k - 1)]
 
-    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, labels)
+    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, colors)
 
 
 def canonical_tree_form(tree: FiniteTree):
-    """Order-independent nested-tuple form; equal forms mean isomorphic."""
+    """Order-independent nested-tuple form; over one signature, equal forms mean isomorphic."""
+    code = dict(zip(tree.nodes, tree._codes()))
     canon: dict = {}
     for level in reversed(tree.levels()):
         for v in level:
             kids = tuple(sorted((a, canon[w]) for a, w in tree.children(v)))
-            canon[v] = (tuple(sorted(tree.label(v))), kids)
+            canon[v] = (code[v], kids)
     return canon[tree.root]
 
 
@@ -161,8 +161,9 @@ def gen_rword_tree(word: Word, branching: int, depth: int,
 def is_rword(tree: FiniteTree) -> bool:
     """Same-depth nodes share one label set and one outgoing action; leaf
     nodes constrain nothing, so early truncation is allowed."""
+    code = dict(zip(tree.nodes, tree._codes()))
     for level in tree.levels():
-        if len({tree.label(v) for v in level}) > 1:
+        if len({code[v] for v in level}) > 1:
             return False
         acts = {a for v in level for a, _ in tree.children(v)}
         if len(acts) > 1:
@@ -174,8 +175,9 @@ def check_luni(tree: FiniteTree, color: Optional[str] = None) -> Optional[int]:
     """Least depth whose nodes all carry the color (default f), else None."""
     if color is None:
         color = "f" if "f" in tree.signature.colors else tree.signature.colors[0]
+    holders = {tree.nodes[p] for p in _set_bits(tree._colors.get(color, 0))}
     for n, level in enumerate(tree.levels()):
-        if all(tree.has_color(v, color) for v in level):
+        if holders.issuperset(level):
             return n
     return None
 

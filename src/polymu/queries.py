@@ -126,7 +126,7 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
             start[i] |= t
     f = base.colors[0]
     colors = [f"{f}@{i}" for i in range(d)] if lifted else [f]
-    accept = [sum(1 << k for k, v in enumerate(g.nodes) if g.has_color(v, c)) for c in colors]
+    accept = [g._colors[c] for c in colors]
     first = tuple(map(_closure, start, silent))
     seen = {first}
     # the trail in order of discovery is the breadth-first queue
@@ -155,9 +155,8 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
 def _replayed(g: LabeledGraph, level: frozenset, sub: int) -> bool:
     """A plain graph's replayed level is the searched subset sub, and it
     avoids the accepting color."""
-    f = g.signature.colors[0]
     same = level == frozenset(v for k, v in enumerate(g.nodes) if sub >> k & 1)
-    return same and not any(g.has_color(v, f) for v in level)
+    return same and not sub & g._colors[g.signature.colors[0]]
 
 
 # ------------------------------------------------------------- base queries
@@ -275,15 +274,14 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
         x, i = unlift(act)
         for u, w in pairs:
             out[u].append((x, i, w * width))
-    nodes = g.nodes
     for i in range(d):
-        accepting = f"{f}@{i}"
+        accepting = g._colors[f"{f}@{i}"]
         start = g.index[g.root] * width  # count 0 at the root
         seen = {start}
         todo = [start]
         while todo:
             v, p = divmod(todo.pop(), width)
-            if p == full and g.has_color(nodes[v], accepting):
+            if p == full and accepting >> v & 1:
                 return False
             for x, j, w in out[v]:
                 if j != i:

@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _set_bits, _to_bits
 from .logic import (
     And,
     Box,
@@ -76,23 +76,6 @@ class TupleSet:
 
     def sorted(self) -> list[tuple[str, ...]]:
         return sorted(self.tuples)
-
-
-def _set_bits(x: int):
-    """Indices of the set bits of x >= 0, ascending."""
-    s = bin(x)[:1:-1]
-    i = s.find("1")
-    while i >= 0:
-        yield i
-        i = s.find("1", i + 1)
-
-
-def _to_bits(indices, size: int) -> int:
-    """Bitset of width size with the given bits set."""
-    out = bytearray((size + 7) >> 3)
-    for j in indices:
-        out[j >> 3] |= 1 << (j & 7)
-    return int.from_bytes(out, "little")
 
 
 def _evaluate_bits(
@@ -257,8 +240,7 @@ def _evaluate_bits(
             if not free[e]:
                 jump[start[e]] = e + 1
         elif op is Color:
-            good = [idx[v] for v in g.nodes if g.has_color(v, nodes[e].color)]
-            res = digit_mask(nodes[e].comp, good)
+            res = digit_mask(nodes[e].comp, _set_bits(g._colors[nodes[e].color]))
         elif op is TT:
             res = full
         elif op is Replace:

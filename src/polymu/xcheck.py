@@ -128,12 +128,9 @@ def check_transform_inverses(cfg: RunConfig) -> tuple[bool, str]:
 
 def _toggle_root_color(g: LabeledGraph) -> LabeledGraph:
     """Copy of g with the first color flipped on the root; never bisimilar to g."""
-    c = g.signature.colors[0]
-    cols = set(g.label(g.root))
-    cols.symmetric_difference_update({c})
-    labels = {v: g.label(v) for v in g.nodes}
-    labels[g.root] = frozenset(cols)
-    return LabeledGraph._trusted(g.signature, g.nodes, g.root, g._moves, labels)
+    colors = dict(g._colors)
+    colors[g.signature.colors[0]] ^= 1 << g.index[g.root]
+    return LabeledGraph._trusted(g.signature, g.nodes, g.root, g._moves, colors)
 
 
 def check_power_detection(cfg: RunConfig) -> tuple[bool, str]:

@@ -28,3 +28,11 @@ def loop3():
 
 def make_graph(sig, nodes, root, edges, labels=None):
     return LabeledGraph(sig, nodes, root, edges, labels or {})
+
+
+def root_path(tree, v):
+    """Node sequence from the root of tree to v, inclusive, walked up by parent()."""
+    path = [v]
+    while (up := tree.parent(path[-1])) is not None:
+        path.append(up[0])
+    return tuple(reversed(path))

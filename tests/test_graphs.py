@@ -24,7 +24,7 @@ from polymu.graphs import (
 )
 from polymu.randgen import Xorshift, rand_graph
 
-from conftest import SIG_AF, SIG_ABF, make_loop3
+from conftest import SIG_AF, SIG_ABF, make_loop3, root_path
 
 
 def _index_ok(g):
@@ -331,7 +331,7 @@ def test_tree_paths():
         [("r", "a", "x"), ("x", "b", "y"), ("r", "b", "z")],
         {},
     )
-    assert t.root_path("y") == ("r", "x", "y")
+    assert root_path(t, "y") == ("r", "x", "y")
     assert t.parent("y") == ("x", "b")
     assert t.parent("r") is None
     assert t.levels() == [["r"], ["x", "z"], ["y"]]
@@ -382,7 +382,7 @@ def test_read_tree():
     with pytest.raises(GraphFormatError):
         read_tree(write_graph(g))
     t = unfold(g, 2)
-    assert read_tree(write_graph(t)).root_path(t.nodes[-1]) == t.root_path(t.nodes[-1])
+    assert root_path(read_tree(write_graph(t)), t.nodes[-1]) == root_path(t, t.nodes[-1])
 
 
 def test_product_label_and_edge_semantics_brute():
@@ -539,12 +539,105 @@ def test_derived_graphs_equal_their_validated_rebuild():
         derived = [view, quotient(view), quotient(g), t]
         deepest = max(t.nodes, key=t.depth_of)
         if t.depth_of(deepest) >= 2:
-            path = t.root_path(deepest)
+            path = root_path(t, deepest)
             derived.append(pump(t, path, 1, len(path) - 1, k % 4))
         for h in derived:
             _assert_same_graph(h, _rebuilt(h))
             built += 1
     assert built > 350
+
+
+# ------------------------------------------- colors as one mask per color
+
+
+def _drawn_labels(rng, g):
+    """g with colors drawn afresh per node and a root drawn among its
+    nodes, and each node id's colors: some nodes list a color twice, and
+    some colorless nodes have no entry."""
+    labels, want = {}, {}
+    for v in g.nodes:
+        cs = [c for c in g.signature.colors if rng.chance(1, 2)]
+        want[v] = frozenset(cs)
+        if cs or rng.chance(1, 2):
+            labels[v] = cs + cs[: rng.below(2)]
+    root = rng.choice(g.nodes)
+    return LabeledGraph(g.signature, g.nodes, root, g.edges, labels), want
+
+
+def _assert_masks(g, want):
+    """g's color masks hold exactly the brute-force labels want (node id to
+    colors), and its label() and has_color() views agree with them."""
+    assert set(g._colors) == set(g.signature.colors)
+    for c in g.signature.colors:
+        assert g._colors[c] == sum(1 << k for k, v in enumerate(g.nodes) if c in want[v]), c
+    for v in g.nodes:
+        assert g.label(v) == want[v], v
+        assert [g.has_color(v, c) for c in g.signature.colors] == [
+            c in want[v] for c in g.signature.colors
+        ]
+
+
+def test_constructor_fills_one_mask_per_color():
+    sig = Signature(("a",), ("f", "g"))
+    g = LabeledGraph(sig, ["0", "1", "2"], "0", [], {"1": ["g", "f", "g"], "2": []})
+    assert g._colors == {"f": 0b010, "g": 0b010}
+    _assert_masks(g, {"0": set(), "1": {"f", "g"}, "2": set()})
+    assert not g.has_color("1", "h")
+    with pytest.raises(GraphFormatError) as err:
+        LabeledGraph(sig, ["0", "1"], "0", [], {"1": ["f", "zz", "f"]})
+    assert str(err.value) == "labels['1']: unknown color 'zz'"
+
+
+def test_power_and_product_masks_match_brute_force_labels():
+    # c@i holds on a product node exactly where factor i's node carries c
+    sig = Signature(("a", "b"), ("f", "g", "h"))
+    for k in range(60):
+        rng = Xorshift.substream(40962, k)
+        d = 1 + k % 3
+        drawn = [_drawn_labels(rng, rand_graph(rng, sig, (6, 5, 4)[d - 1])) for _ in range(d)]
+        for g, want in drawn:
+            _assert_masks(g, want)
+        factors = [g for g, _ in drawn]
+        for p, parts in ((product(factors), drawn), (power(factors[0], d), drawn[:1] * d)):
+            want = {}
+            for t in itertools.product(*[g.nodes for g, _ in parts]):
+                colors = {f"{c}@{i}" for i, v in enumerate(t) for c in parts[i][1][v]}
+                want["(" + ",".join(t) + ")"] = colors
+            _assert_masks(p, want)
+
+
+def test_derived_graph_masks_match_brute_force_labels():
+    from polymu.bisim import component_view, quotient
+    from polymu.pumping import pump
+    from polymu.xcheck import _toggle_root_color
+
+    sig = Signature(("a", "b"), ("f", "g"))
+    pumped = 0
+    for k in range(80):
+        rng = Xorshift.substream(40963, k)
+        g, want = _drawn_labels(rng, rand_graph(rng, sig, 5, min_nodes=2))
+        p = power(g, 2)
+        for i in range(2):
+            _assert_masks(component_view(p, i), {
+                "(" + ",".join(t) + ")": want[t[i]] for t in itertools.product(g.nodes, repeat=2)
+            })
+        q = quotient(g)
+        _assert_masks(q, {r: want[r] for r in q.nodes})
+        c = sig.colors[0]
+        _assert_masks(_toggle_root_color(g),
+                      {v: want[v] ^ {c} if v == g.root else want[v] for v in g.nodes})
+        t = unfold(g, 3)
+        at_end = {v: want[v.rsplit("|", 1)[-1]] for v in t.nodes}
+        _assert_masks(t, at_end)
+        deepest = max(t.nodes, key=t.depth_of)
+        if t.depth_of(deepest) >= 2:
+            path = root_path(t, deepest)
+            out = pump(t, path, 1, len(path) - 1, k % 4)
+            copied = [re.fullmatch(r"\((.*),\d+\)", v) for v in out.nodes]
+            _assert_masks(out, {v: at_end[m.group(1) if m else v]
+                                for v, m in zip(out.nodes, copied)})
+            pumped += 1
+    assert pumped > 40
 
 
 def _eager_succ(g):
@@ -614,7 +707,7 @@ def test_derived_graphs_skip_the_validating_constructor(monkeypatch, loop3):
     p = power(loop3, 2)
     quotient(component_view(p, 1))
     t = unfold(loop3, 4)
-    pump(t, t.root_path(max(t.nodes, key=t.depth_of)), 1, 3, 2)
+    pump(t, root_path(t, max(t.nodes, key=t.depth_of)), 1, 3, 2)
     read_tree(write_graph(t))  # the JSON boundary validates once, as a LabeledGraph
     assert calls == ["LabeledGraph"]
 
@@ -724,13 +817,14 @@ def ref_read_graph(text):
 
 
 def _outcome(build, *args):
-    """(nodes, moves, labels, root) with their orders, or (exception type, message)."""
+    """(nodes, moves, labels, root) with their orders, or (exception type, message);
+    a graph's labels are each node's label() in node order."""
     try:
         got = build(*args)
     except (GraphFormatError, TypeError) as e:
         return type(e), str(e)
     if isinstance(got, LabeledGraph):
-        got = (got.nodes, got._moves, got._labels, got.root)
+        got = (got.nodes, got._moves, {v: got.label(v) for v in got.nodes}, got.root)
     nodes, moves, labels, root = got
     return nodes, list(moves.items()), list(labels.items()), root
 

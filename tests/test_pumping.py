@@ -21,7 +21,7 @@ from polymu.randgen import Xorshift, rand_graph
 from polymu.semantics import models
 from polymu.xcheck import _rand_decorated_chain
 
-from conftest import SIG_AF, SIG_ABF
+from conftest import SIG_AF, SIG_ABF, root_path
 
 
 def a_chain(n):
@@ -107,7 +107,7 @@ def ref_partition_nodes(tree, path, i, j):
     pre_j = tuple(path[: j + 1])
     before, segment, after = set(), set(), set()
     for v in tree.nodes:
-        rp = tree.root_path(v)
+        rp = root_path(tree, v)
         if rp[: j + 1] == pre_j:
             after.add(v)
         elif rp[: i + 1] == pre_i:
@@ -123,7 +123,7 @@ def test_partition_matches_root_path_prefixes():
         rng = Xorshift.substream(60713, k)
         t = unfold(rand_graph(rng, SIG_ABF, 4, min_nodes=2), rng.randint(2, 4))
         deepest = max(t.depth_of(v) for v in t.nodes)
-        cases += [(t, t.root_path(v)) for v in t.nodes if t.depth_of(v) == deepest][:3]
+        cases += [(t, root_path(t, v)) for v in t.nodes if t.depth_of(v) == deepest][:3]
         cases.append((_rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 8),
                       [f"s{m}" for m in range(8)]))
     pairs = 0
@@ -148,7 +148,7 @@ def test_deep_chain_keeps_linear_state():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert t.depth_of(nodes[-1]) == n - 1
-    assert t.root_path(nodes[-1]) == tuple(nodes)
+    assert root_path(t, nodes[-1]) == tuple(nodes)
     part = partition_nodes(t, nodes, 1000, 3000)
     assert (len(part.before), len(part.segment), len(part.after)) == (1000, 2000, 5000)
     assert len(pump(t, nodes, 1000, 3000, 0).nodes) == n - 2000

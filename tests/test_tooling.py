@@ -3,9 +3,10 @@ what the library returns, the library never patches or reads the
 recursion limit and no module but the random generator recurses, a
 formula is compiled only in its cached property, the analyses and the
 derived-graph builders read a graph's edges only as the position pairs
-it stores, the trusted constructor is not exported, acceptance builds
-no game and keeps off the Zielonka solver that checks it, and graphs
-hold no cached_property."""
+it stores, and their colors only as the position masks it stores, the
+trusted constructor is not exported, acceptance builds no game and keeps
+off the Zielonka solver that checks it, and graphs hold no
+cached_property."""
 import ast
 import importlib
 import importlib.util
@@ -119,13 +120,14 @@ def test_formula_table_is_built_in_one_place():
     assert calls == [("logic.py", "_table", ["cached_property"])]
 
 
-def _edge_readers(name):
-    """Name of the innermost function around each .edges read in a module."""
+def _attr_readers(name, attrs=("edges",)):
+    """Name of the innermost function around each read of one of the
+    attributes attrs (by default .edges) in a module."""
     tree = ast.parse((ROOT / "src" / "polymu" / name).read_text())
     fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
     readers = []
     for n in ast.walk(tree):
-        if isinstance(n, ast.Attribute) and n.attr == "edges":
+        if isinstance(n, ast.Attribute) and n.attr in attrs:
             around = [fn for fn in fns if fn.lineno <= n.lineno <= fn.end_lineno]
             readers.append(max(around, key=lambda fn: fn.lineno).name if around else None)
     return readers
@@ -136,11 +138,11 @@ def test_evaluator_sees_edges_only_grouped_by_action():
     analysis layers and derived-graph builders reach them only there.  In
     graphs.py only the writer, equality and hashing read the derived
     .edges view; the succ() view is derived from _moves as well."""
-    readers = {name: _edge_readers(name) for name in
+    readers = {name: _attr_readers(name) for name in
                ("semantics.py", "bisim.py", "queries.py", "automata.py", "pumping.py")}
     assert readers == {"semantics.py": [], "bisim.py": [], "queries.py": [],
                        "automata.py": [], "pumping.py": []}
-    assert sorted(set(_edge_readers("graphs.py"))) == ["__eq__", "__hash__", "write_graph"]
+    assert sorted(set(_attr_readers("graphs.py"))) == ["__eq__", "__hash__", "write_graph"]
 
 
 def test_derived_graphs_are_built_from_position_pairs():
@@ -155,12 +157,26 @@ def test_derived_graphs_are_built_from_position_pairs():
         for call in ast.walk(tree):
             if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_trusted":
                 handed.append(ast.unparse(call.args[3]))
-        if _edge_readers(path.name):
-            readers[path.name] = sorted(set(_edge_readers(path.name)))
+        if _attr_readers(path.name):
+            readers[path.name] = sorted(set(_attr_readers(path.name)))
     assert len(handed) >= 7
     assert set(handed) <= {"moves", "g._moves"}, handed
     assert readers == {"graphs.py": ["__eq__", "__hash__", "write_graph"],
                        "xcheck.py": ["check_squaring"]}
+
+
+def test_colors_are_read_as_position_masks():
+    """A graph stores its colors once, as LabeledGraph._colors, one
+    position mask per color, and no module keeps a _labels copy.  The
+    analysis layers, product and every other library reader use the
+    masks: none calls or passes the per-node label() and has_color()
+    views, which cost a shift of a |V|-bit mask per call.  The writer and
+    equality read them through LabeledGraph._codes, like bisimulation."""
+    views = ("label", "has_color")
+    paths = sorted((ROOT / "src" / "polymu").glob("*.py"))
+    assert [p.name for p in paths if "_labels" in p.read_text()] == []
+    readers = {p.name: _attr_readers(p.name, views) for p in paths}
+    assert {name: found for name, found in readers.items() if found} == {}
 
 
 def test_trusted_constructor_is_not_exported():
