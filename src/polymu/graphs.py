@@ -5,10 +5,12 @@ accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
 construction.  A graph stores its edges once, as LabeledGraph._moves:
 per action, (source position, target position) pairs over the node
-order.  Every analysis, succ() included, reads them there, and derived
-graphs are built from positions; the (src, action, dst) id triples of
-LabeledGraph.edges are read off _moves on demand, for the writer,
-equality and hashing.  Its colors are stored once too, in
+order.  Every analysis, succ() and the tree shape check included, reads
+them there, and derived graphs are built from positions; the (src,
+action, dst) id triples of LabeledGraph.edges are read off _moves on
+demand, for the writer, equality and hashing.  A tree keeps its shape by
+position too: FiniteTree._parent and _depth per position, and _order,
+a top-down walk order.  A graph's colors are stored once too, in
 LabeledGraph._colors: per color, a mask with bit p set when position p
 carries it.  Analyses read the masks, derived graphs shift, map or flip
 their bits, and label() and has_color() are views read off them.
@@ -182,10 +184,6 @@ class LabeledGraph:
     assignment: a functools.cached_property writing the instance __dict__
     would slow every later attribute read on the graph.
     """
-
-    # semantics' pre-image tables for the arity last evaluated on this
-    # graph, as (arity, tables); an evaluation at another arity replaces them
-    _pre_tables: tuple[int, dict] | None = None
 
     def __init__(
         self,
@@ -362,37 +360,40 @@ class FiniteTree(LabeledGraph):
     """LabeledGraph whose edge relation is a tree rooted at root.
 
     Every non-root node has exactly one incoming edge and is reachable
-    from the root; the root has none.  Only each node's parent and depth
-    are kept.
+    from the root; the root has none.  The shape is kept once, by node
+    position: _parent holds (parent position, action) per position, None
+    at the root; _depth holds each position's depth; _order lists the
+    positions top-down, root first, each after its parent.  parent(),
+    depth_of() and levels() are id views read off them.
     """
 
     def _check_shape(self) -> None:
-        """The tree shape check that fills parents and depths."""
+        """The tree shape check that fills _parent, _depth and _order."""
         nodes = self.nodes
-        parent: dict[str, tuple[str, str]] = {}
+        r = self.index[self.root]
+        parent: list[tuple[int, str] | None] = [None] * len(nodes)
+        kids: list[list[int]] = [[] for _ in nodes]
         for a, pairs in self._moves.items():
             for u, w in pairs:
-                dst = nodes[w]
-                if dst == self.root:
-                    raise GraphFormatError(f"edges: root {dst!r} has an incoming edge")
-                if dst in parent:
-                    raise GraphFormatError(f"edges: node {dst!r} has two incoming edges")
-                parent[dst] = (nodes[u], a)
-        for v in self.nodes:
-            if v != self.root and v not in parent:
-                raise GraphFormatError(f"nodes: {v!r} is unreachable from the root")
-        self._parent = parent
-        depth = {self.root: 0}
-        todo = [self.root]
-        while todo:
-            v = todo.pop()
-            for _, w in self.children(v):
-                depth[w] = depth[v] + 1
-                todo.append(w)
+                if w == r:
+                    raise GraphFormatError(f"edges: root {self.root!r} has an incoming edge")
+                if parent[w] is not None:
+                    raise GraphFormatError(f"edges: node {nodes[w]!r} has two incoming edges")
+                parent[w] = (u, a)
+                kids[u].append(w)
+        for p, up in enumerate(parent):
+            if up is None and p != r:
+                raise GraphFormatError(f"nodes: {nodes[p]!r} is unreachable from the root")
+        depth = [0] * len(nodes)
+        order = [r]
+        for u in order:  # grows as the walk meets each child
+            for w in kids[u]:
+                depth[w] = depth[u] + 1
+                order.append(w)
         # every node has a parent, so one the walk missed lies on a cycle
-        if len(depth) != len(self.nodes):
+        if len(order) != len(nodes):
             raise GraphFormatError("edges: cycle in tree")
-        self._depth = depth
+        self._parent, self._depth, self._order = parent, depth, order
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "FiniteTree":
@@ -400,26 +401,21 @@ class FiniteTree(LabeledGraph):
         return cls._trusted(g.signature, g.nodes, g.root, g._moves, g._colors)
 
     def parent(self, v: str) -> tuple[str, str] | None:
-        """(parent node, action of the incoming edge), None for the root."""
-        return self._parent.get(v)
+        """(parent node, action of the incoming edge), None for the root
+        and for an id not in the tree."""
+        p = self.index.get(v)
+        up = None if p is None else self._parent[p]
+        return None if up is None else (self.nodes[up[0]], up[1])
 
     def depth_of(self, v: str) -> int:
-        return self._depth[v]
+        return self._depth[self.index[v]]
 
     def levels(self) -> list[list[str]]:
         """Nodes grouped by depth, each level sorted."""
-        by_depth: dict[int, list[str]] = {}
-        for v in self.nodes:
-            by_depth.setdefault(self.depth_of(v), []).append(v)
-        return [sorted(by_depth[k]) for k in sorted(by_depth)]
-
-    def children(self, v: str) -> list[tuple[str, str]]:
-        """Outgoing (action, child) pairs, sorted."""
-        out = []
-        for a in self.signature.actions:
-            for w in self.succ(v, a):
-                out.append((a, w))
-        return sorted(out)
+        by_depth: list[list[str]] = [[] for _ in range(max(self._depth) + 1)]
+        for v, d in zip(self.nodes, self._depth):
+            by_depth[d].append(v)
+        return [sorted(level) for level in by_depth]
 
 
 def _check_root_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:

@@ -5,7 +5,9 @@ segment of the tree hanging between path nodes v_i (inclusive) and v_j
 (exclusive), branches included; k = 1 reproduces the tree up to node
 renaming.  The word-shaped trees give a family where membership of a
 level language is checkable both by formula evaluation and by direct
-level inspection.
+level inspection.  Everything here reads a tree's shape by position,
+from FiniteTree._parent, _depth and _order; isomorphism numbers subtree
+classes bottom-up, so no depth recurses.
 """
 from __future__ import annotations
 
@@ -27,26 +29,30 @@ class PumpPartition:
     after: frozenset
 
 
-def _subtree(tree: FiniteTree, v: str) -> set:
-    """v and all its descendants."""
-    out, todo = {v}, [v]
-    while todo:
-        for _, w in tree.children(todo.pop()):
-            out.add(w)
-            todo.append(w)
-    return out
+def _zones(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> list[int]:
+    """Per position, 0 before the segment, 1 in it, 2 at or below v_j:
+    one top-down pass in which every node but v_i and v_j takes its
+    parent's zone."""
+    path = _check_root_path(tree, path)
+    if not 0 < i < j <= len(path) - 1:
+        raise PolymuError(f"need 0 < i < j <= {len(path) - 1}, got i={i} j={j}")
+    zone = [0] * len(tree.nodes)
+    zone[tree.index[path[i]]] = 1
+    zone[tree.index[path[j]]] = 2
+    parent = tree._parent
+    for p in tree._order[1:]:  # the root, first, lies before the segment
+        if not zone[p]:
+            zone[p] = zone[parent[p][0]]
+    return zone
 
 
 def partition_nodes(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> PumpPartition:
     """Split the nodes by subtrees: after is v_j's subtree, the segment is
     the rest of v_i's subtree, before is everything else."""
-    path = _check_root_path(tree, path)
-    if not 0 < i < j <= len(path) - 1:
-        raise PolymuError(f"need 0 < i < j <= {len(path) - 1}, got i={i} j={j}")
-    after = _subtree(tree, path[j])
-    segment = _subtree(tree, path[i]) - after
-    before = set(tree.nodes) - segment - after
-    return PumpPartition(frozenset(before), frozenset(segment), frozenset(after))
+    parts: tuple[list, list, list] = ([], [], [])
+    for v, z in zip(tree.nodes, _zones(tree, path, i, j)):
+        parts[z].append(v)
+    return PumpPartition(*map(frozenset, parts))
 
 
 def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> FiniteTree:
@@ -55,21 +61,20 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     action, and k = 0 bridges v_{i-1} straight to v_j."""
     if k < 0:
         raise PolymuError("k must be >= 0")
-    part = partition_nodes(tree, path, i, j)
-    seg = part.segment
-    if len(part.before) + len(part.after) + k * len(seg) > _MAX_NODES:
+    in_seg = [z == 1 for z in _zones(tree, path, i, j)]
+    m = sum(in_seg)
+    if len(tree.nodes) - m + k * m > _MAX_NODES:
         raise ResourceLimitError(f"pump: more than {_MAX_NODES} nodes")
 
     def cid(v: str, c: int) -> str:
         return f"({v},{c})"
 
-    in_seg = [v in seg for v in tree.nodes]
     outside = [v for v, s in zip(tree.nodes, in_seg) if not s]
     inside = [v for v, s in zip(tree.nodes, in_seg) if s]
     nodes = outside + [cid(v, c) for c in range(k) for v in inside]
     # new positions: the n nodes outside the segment keep their order, then
     # copy c of the segment's m nodes starts at n + c * m
-    n, m = len(outside), len(inside)
+    n = len(outside)
     rank = {v: p for part in (outside, inside) for p, v in enumerate(part)}
     to = [rank[v] for v in tree.nodes]
     colors = tree._colors_at([tree.index[v] for v in outside + inside * k])
@@ -93,26 +98,32 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
             else:
                 # the unique entry edge v_{i-1} -> v_i
                 out.append((to[u], at(w, 0) if k > 0 else j_at))
-    exit_action = tree.parent(path[j])[1]
+    exit_action = tree._parent[tree.index[path[j]]][1]
     last, first = tree.index[path[j - 1]], tree.index[path[i]]
     moves[exit_action] += [(at(last, c), at(first, c + 1)) for c in range(k - 1)]
 
     return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, colors)
 
 
-def canonical_tree_form(tree: FiniteTree):
-    """Order-independent nested-tuple form; over one signature, equal forms mean isomorphic."""
-    code = dict(zip(tree.nodes, tree._codes()))
-    canon: dict = {}
-    for level in reversed(tree.levels()):
-        for v in level:
-            kids = tuple(sorted((a, canon[w]) for a, w in tree.children(v)))
-            canon[v] = (code[v], kids)
-    return canon[tree.root]
+def _root_class(tree: FiniteTree, table: dict) -> int:
+    """The isomorphism class of tree, numbered bottom-up: a node's class
+    is table's int for its color code and its sorted (action, child
+    class) pairs, so trees numbered through one table are isomorphic
+    exactly when their roots share a class."""
+    codes = tree._codes()
+    parent = tree._parent
+    kids: list[list[tuple[str, int]]] = [[] for _ in codes]
+    for p in reversed(tree._order):  # children before their parent, the root last
+        cls = table.setdefault((codes[p], tuple(sorted(kids[p]))), len(table))
+        up = parent[p]
+        if up is not None:
+            kids[up[0]].append((up[1], cls))
+    return cls
 
 
 def is_isomorphic(t1: FiniteTree, t2: FiniteTree) -> bool:
-    return t1.signature == t2.signature and canonical_tree_form(t1) == canonical_tree_form(t2)
+    table: dict = {}
+    return t1.signature == t2.signature and _root_class(t1, table) == _root_class(t2, table)
 
 
 # -------------------------------------------------- word-shaped tree family
@@ -161,25 +172,20 @@ def gen_rword_tree(word: Word, branching: int, depth: int,
 def is_rword(tree: FiniteTree) -> bool:
     """Same-depth nodes share one label set and one outgoing action; leaf
     nodes constrain nothing, so early truncation is allowed."""
-    code = dict(zip(tree.nodes, tree._codes()))
-    for level in tree.levels():
-        if len({code[v] for v in level}) > 1:
-            return False
-        acts = {a for v in level for a, _ in tree.children(v)}
-        if len(acts) > 1:
-            return False
-    return True
+    # the edges out of one level are the edges into the next, so the shape
+    # holds when each depth shows one (color code, incoming action) pair
+    levels = zip(tree._depth, tree._codes(), [up and up[1] for up in tree._parent])
+    return len(set(levels)) == max(tree._depth) + 1
 
 
 def check_luni(tree: FiniteTree, color: Optional[str] = None) -> Optional[int]:
     """Least depth whose nodes all carry the color (default f), else None."""
     if color is None:
         color = "f" if "f" in tree.signature.colors else tree.signature.colors[0]
-    holders = {tree.nodes[p] for p in _set_bits(tree._colors.get(color, 0))}
-    for n, level in enumerate(tree.levels()):
-        if holders.issuperset(level):
-            return n
-    return None
+    depth = tree._depth
+    lacking = ~tree._colors.get(color, 0) & ((1 << len(depth)) - 1)
+    missed = {depth[p] for p in _set_bits(lacking)}
+    return next((d for d in range(max(depth) + 1) if d not in missed), None)
 
 
 def check_relative_membership(

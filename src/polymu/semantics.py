@@ -28,10 +28,8 @@ only grow, and under nu so do the complements taken by [a@i].
 
 The pre-image of one action in one component is driven by a table (per
 node offsets for sparse sets, mask/shift groups for dense ones) built
-from the graph's edges grouped by action (LabeledGraph._moves).  The
-tables are kept on the graph for one arity at a time, so later
-evaluations at that arity on the same graph object reuse them, and an
-evaluation at another arity replaces them.
+from the graph's edges grouped by action (LabeledGraph._moves), once per
+evaluation, when the modality first runs.
 """
 from __future__ import annotations
 
@@ -128,12 +126,8 @@ def _evaluate_bits(
             res |= unit[k] << (v * stride[k])
         return res
 
-    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups),
-    # kept on g for this arity so that later evaluations at it skip the building
-    held = g._pre_tables
-    if held is None or held[0] != arity:
-        held = g._pre_tables = (arity, {})
-    pre_tables: dict[tuple[str, int], tuple[list, list]] = held[1]
+    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups)
+    pre_tables: dict[tuple[str, int], tuple[list, list]] = {}
 
     def pre_table(a: str, k: int) -> tuple[list, list]:
         sk = stride[k]

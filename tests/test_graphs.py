@@ -288,7 +288,7 @@ def test_unfold_shape(loop3):
     t = unfold(loop3, 3)
     # deterministic graph: a single path 0,1,2,1
     assert len(t.nodes) == 4
-    leaves = [v for v in t.nodes if not t.children(v)]
+    leaves = [v for v in t.nodes if not t.succ(v, "a")]
     assert len(leaves) == 1
     assert t.depth_of(leaves[0]) == 3
     assert t.label(leaves[0]) == frozenset({"f"})
@@ -311,16 +311,31 @@ def test_unfold_branching():
     assert isinstance(t, FiniteTree)
 
 
-def test_tree_validation():
-    with pytest.raises(GraphFormatError, match="two incoming"):
-        FiniteTree(SIG_ABF, ["0", "1"], "0", [("0", "a", "1"), ("0", "b", "1")], {})
-    with pytest.raises(GraphFormatError, match="root .* incoming"):
-        FiniteTree(SIG_AF, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "0")], {})
-    with pytest.raises(GraphFormatError, match="unreachable"):
-        FiniteTree(SIG_AF, ["0", "1"], "0", [], {})
+@pytest.mark.parametrize("build", [
+    lambda nodes, edges: FiniteTree(SIG_ABF, nodes, "0", edges, {}),
+    lambda nodes, edges: FiniteTree.from_graph(LabeledGraph(SIG_ABF, nodes, "0", edges, {})),
+], ids=["checked", "from_graph"])
+@pytest.mark.parametrize("nodes, edges, message", [
+    (["0", "1"], [("0", "a", "1"), ("1", "a", "0")], "edges: root '0' has an incoming edge"),
+    (["0", "1"], [("0", "a", "1"), ("0", "b", "1")], "edges: node '1' has two incoming edges"),
+    (["0", "1"], [], "nodes: '1' is unreachable from the root"),
     # 1 and 2 are each other's parent, so neither hangs below the root
-    with pytest.raises(GraphFormatError, match="cycle in tree"):
-        FiniteTree(SIG_AF, ["0", "1", "2"], "0", [("1", "a", "2"), ("2", "a", "1")], {})
+    (["0", "1", "2"], [("1", "a", "2"), ("2", "a", "1")], "edges: cycle in tree"),
+    # two faults each: edges are met grouped by action, so the a-edge into
+    # the root comes before the b-edge that gives 1 its second parent ...
+    (["0", "1"], [("0", "a", "1"), ("0", "b", "1"), ("1", "a", "0")],
+     "edges: root '0' has an incoming edge"),
+    # ... edges are checked before nodes ...
+    (["0", "1", "2"], [("0", "a", "1"), ("0", "b", "1")], "edges: node '1' has two incoming edges"),
+    # ... and a node without a parent is reported ahead of a cycle
+    (["0", "1", "2", "3"], [("1", "a", "2"), ("2", "a", "1")],
+     "nodes: '3' is unreachable from the root"),
+], ids=["root", "two-parents", "unreachable", "cycle",
+        "root-before-two-parents", "edges-before-nodes", "unreachable-before-cycle"])
+def test_tree_validation(build, nodes, edges, message):
+    with pytest.raises(GraphFormatError) as err:
+        build(nodes, edges)
+    assert str(err.value) == message
 
 
 def test_tree_paths():
@@ -656,8 +671,8 @@ def test_adjacency_is_grouped_on_first_use(loop3):
     assert p._succ_view is None
     assert p.succ("(0,0)", "a@0") == ("(1,0)",)
     assert p._succ == _eager_succ(p)
-    # a tree groups its adjacency when its constructor walks the shape
-    assert unfold(loop3, 3)._succ_view is not None
+    # a tree's shape check reads positions and groups no adjacency
+    assert unfold(loop3, 3)._succ_view is None
 
     checked = 0
     for k in range(60):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -7,7 +8,6 @@ from polymu.automata import find_pumping_pair, formula_to_apt, accepts, winning_
 from polymu.logic import parse_formula
 from polymu.pumping import (
     DEFAULT_WORD_SIG,
-    canonical_tree_form,
     check_luni,
     check_relative_membership,
     gen_rword_tree,
@@ -165,7 +165,7 @@ def test_pump_chain_counts():
     out2 = pump(t, path, 1, 3, 2)
     assert len(out2.nodes) == 8
     # still a single a-chain
-    assert all(len(out2.children(v)) <= 1 for v in out2.nodes)
+    assert all(len(out2.succ(v, "a")) <= 1 for v in out2.nodes)
     for k in range(5):
         out = pump(t, path, 1, 3, k)
         assert len(out.nodes) == 1 + 3 + 2 * k
@@ -309,3 +309,117 @@ def test_relative_membership_report():
     # the formula agrees with the level check on word-shaped trees
     for t in (inside_hit, inside_miss):
         assert models(t, phi) == (check_luni(t) is not None)
+
+
+# ---------------------------------- isomorphism and levels against references
+
+
+def ref_levels(tree):
+    """Node sets by depth, by a breadth-first walk over the edge triples."""
+    levels = [{tree.root}]
+    while nxt := {w for u, _, w in tree.edges if u in levels[-1]}:
+        levels.append(nxt)
+    return levels
+
+
+def ref_canonical_form(tree):
+    """The nested-tuple form is_isomorphic compared before it numbered
+    classes: per node its color code and its sorted (action, child form)
+    pairs, built deepest level first; over one signature, equal forms
+    mean isomorphic trees."""
+    code = dict(zip(tree.nodes, tree._codes()))
+    kids = {v: [] for v in tree.nodes}
+    for u, a, w in tree.edges:
+        kids[u].append((a, w))
+    canon = {}
+    for level in reversed(ref_levels(tree)):
+        for v in level:
+            canon[v] = (code[v], tuple(sorted((a, canon[w]) for a, w in kids[v])))
+    return canon[tree.root]
+
+
+def ref_is_rword(tree):
+    levels = ref_levels(tree)
+    return all(len({tree.label(v) for v in level}) == 1
+               and len({a for u, a, _ in tree.edges if u in level}) <= 1 for level in levels)
+
+
+def ref_check_luni(tree, color):
+    levels = ref_levels(tree)
+    return next((n for n, level in enumerate(levels)
+                 if all(color in tree.label(v) for v in level)), None)
+
+
+def relabeled(tree, rng, flip=None, swap=None):
+    """tree with its node and edge order shuffled and every id renamed;
+    flip names a node whose first color is toggled, swap the index of an
+    edge (in tree.edges) whose action becomes another one."""
+    names = [f"x{k}" for k in range(len(tree.nodes))]
+    rng.shuffle(names)
+    new = dict(zip(tree.nodes, names))
+    order = list(tree.nodes)
+    rng.shuffle(order)
+    actions = tree.signature.actions
+    edges = [(new[u], actions[(actions.index(a) + (k == swap)) % len(actions)], new[w])
+             for k, (u, a, w) in enumerate(tree.edges)]
+    rng.shuffle(edges)
+    first = {tree.signature.colors[0]}
+    labels = {new[v]: tree.label(v) ^ (first if v == flip else set()) for v in tree.nodes}
+    return FiniteTree(tree.signature, [new[v] for v in order], new[tree.root], edges, labels)
+
+
+def tree_corpus():
+    """Seeded small trees: unfolds of random graphs, word-shaped trees,
+    pumps of both, and decorated chains over a second signature."""
+    trees = []
+    for k in range(30):
+        rng = Xorshift.substream(52711, k)
+        word = [(("f",) if rng.chance(1, 2) else (), rng.choice("ab")) for _ in range(3)]
+        for t in (unfold(rand_graph(rng, SIG_ABF, 4, min_nodes=2), rng.randint(1, 3)),
+                  gen_rword_tree(word, rng.randint(1, 2), rng.randint(1, 3))):
+            trees.append(t)
+            deepest = max(t.nodes, key=t.depth_of)
+            if t.depth_of(deepest) >= 2:
+                trees.append(pump(t, root_path(t, deepest), 1, 2, rng.randint(0, 2)))
+        trees.append(_rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 5))
+    return trees
+
+
+def test_is_isomorphic_matches_the_nested_form():
+    rng = random.Random(8191)
+    trees = tree_corpus()
+    outcomes = []
+    for t in trees:
+        others = [relabeled(t, rng), relabeled(t, rng, flip=rng.choice(t.nodes)),
+                  rng.choice(trees), rng.choice(trees)]
+        if len(t.signature.actions) > 1 and t.edges:
+            others.append(relabeled(t, rng, swap=rng.randrange(len(t.edges))))
+        for u in others:
+            want = t.signature == u.signature and ref_canonical_form(t) == ref_canonical_form(u)
+            assert is_isomorphic(t, u) == is_isomorphic(u, t) == want
+            outcomes.append(want)
+    assert outcomes.count(True) > 60 and outcomes.count(False) > 60
+
+
+def test_is_rword_and_check_luni_match_brute_force():
+    rng = random.Random(4099)
+    seen_rword, seen_luni = set(), set()
+    for t in tree_corpus():
+        for u in (t, relabeled(t, rng)):
+            assert is_rword(u) == ref_is_rword(u)
+            seen_rword.add(is_rword(u))
+            assert check_luni(u) == ref_check_luni(u, "f")
+            for c in u.signature.colors:
+                assert check_luni(u, c) == ref_check_luni(u, c)
+                seen_luni.add(check_luni(u, c))
+    assert seen_rword == {True, False}
+    assert {None, 0, 1, 2} <= seen_luni
+
+
+def test_is_isomorphic_answers_on_deep_chains():
+    n = 2500
+    t = a_chain(n)  # f on the deepest leaf only
+    assert is_isomorphic(t, relabeled(t, random.Random(3)))
+    bare = FiniteTree(SIG_AF, t.nodes, t.root, t.edges, {})
+    assert not is_isomorphic(t, bare)
+    assert not is_isomorphic(bare, t)

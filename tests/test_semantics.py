@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from polymu.automata import accepts, formula_to_apt
-from polymu.bisim import power_formula_verdicts
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power, read_graph, write_graph
 from polymu.logic import (
@@ -227,22 +226,6 @@ def test_inner_fixpoint_restarts_in_each_outer_round():
     assert tset(loop, "nu X. mu Y. (f & <a>X) | <a>Y", 1) == {("0",), ("1",)}
 
 
-def test_pre_image_tables_are_built_once_per_graph(loop3):
-    """The three formulas of power_formula_verdicts share the tables kept
-    on the graph, each (action, component) table built at most once."""
-    g = power(loop3, 2)
-    built = []
-
-    class CountingTables(dict):
-        def __setitem__(self, key, value):
-            built.append(key)
-            super().__setitem__(key, value)
-
-    g._pre_tables = (2, CountingTables())
-    assert all(power_formula_verdicts(g).values())
-    assert built and len(built) == len(set(built))
-
-
 def test_pre_image_tables_follow_the_arity_of_each_evaluation():
     """Arity 1, then 2, then 1 again on one graph object: each result
     matches a fresh copy of the graph and brute force."""
@@ -260,7 +243,6 @@ def test_pre_image_tables_follow_the_arity_of_each_evaluation():
             for text, want in ((f"<a@{k}>({inner_text})", want_dia),
                                (f"[a@{k}]({inner_text})", want_box)):
                 assert tset(g, text, arity) == tset(fresh, text, arity) == want, (arity, text)
-        assert g._pre_tables[0] == arity
 
 
 def brute_force(g, root, arity, env=None):

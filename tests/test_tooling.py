@@ -3,7 +3,8 @@ what the library returns, the library never patches or reads the
 recursion limit and no module but the random generator recurses, a
 formula is compiled only in its cached property, the analyses and the
 derived-graph builders read a graph's edges only as the position pairs
-it stores, and their colors only as the position masks it stores, the
+it stores, and their colors only as the position masks it stores, trees
+are read by position, not through per-node successor views, the
 trusted constructor is not exported, acceptance builds no game and keeps
 off the Zielonka solver that checks it, and graphs hold no
 cached_property."""
@@ -143,6 +144,20 @@ def test_evaluator_sees_edges_only_grouped_by_action():
     assert readers == {"semantics.py": [], "bisim.py": [], "queries.py": [],
                        "automata.py": [], "pumping.py": []}
     assert sorted(set(_attr_readers("graphs.py"))) == ["__eq__", "__hash__", "write_graph"]
+
+
+def test_tree_shape_is_read_by_position():
+    """Pumping and FiniteTree's methods read a tree's shape from
+    FiniteTree._parent, _depth and _order, never through the per-node
+    children() or succ() views."""
+    views = ("children", "succ")
+    tree = ast.parse((ROOT / "src" / "polymu" / "graphs.py").read_text())
+    cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "FiniteTree")
+    methods = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+    assert {"_check_shape", "parent", "depth_of", "levels"} <= methods
+    allowed = []
+    assert _attr_readers("pumping.py", views) == allowed
+    assert [r for r in _attr_readers("graphs.py", views) if r in methods] == allowed
 
 
 def test_derived_graphs_are_built_from_position_pairs():
