@@ -5,14 +5,19 @@ table entries of its positive normal form.  Running the automaton on a
 graph is a parity game between Exists (claims acceptance) and Forall.
 Acceptance reads winners only: ``acceptance_winners`` solves the game
 on the graph x automaton product, deriving moves and predecessors from
-per-action adjacency and per-state transitions as it goes; it settles
-the dead-end attractors first and runs Zielonka's loop over opponent
-attractors on the rest, nested on an explicit stack, with no strategies.
-``acceptance_game`` builds the same game explicitly, as a
-``ParityGame``, and ``solve_parity``, Zielonka's algorithm with
-positional strategies for both players on the same kind of stack,
-solves it; the pair stays for strategies and as the oracle that xcheck
-suite 9 checks ``acceptance_winners`` against.
+per-action adjacency and per-state transitions as it goes.  It walks
+the strongly connected components of the automaton bottom-up (Tarjan,
+``_sccs``): a state on no cycle is decided over all nodes at once from
+its color mask or its decided successors; a component whose cycles all
+have a top priority of one parity takes one attractor, as an
+alternation-free formula always does, so those are solved in linear
+time; only a component whose cycles mix parities runs Zielonka's loop
+over opponent attractors, on its own positions, nested on an explicit
+stack, with no strategies.  ``acceptance_game`` builds the same game
+explicitly, as a ``ParityGame``, and ``solve_parity``, Zielonka's
+algorithm with positional strategies for both players on the same kind
+of stack, solves it; the pair stays for strategies and as the oracle
+that xcheck suite 9 checks ``acceptance_winners`` against.
 """
 from __future__ import annotations
 
@@ -261,12 +266,14 @@ def _game_size(apt: Apt, g: LabeledGraph) -> int:
     return size
 
 
-def _literal_owners(t: TransLit, g: LabeledGraph) -> list[int]:
-    """Per node position, the owner of literal t's position, read off its
-    color's mask: Forall where t holds, Exists where it fails."""
-    holds = format(g._colors[t.color], f"0{len(g.nodes)}b")[::-1]
+def _on_literal(t: TransLit, g: LabeledGraph, holds: int, fails: int) -> list[int]:
+    """Per node position, holds where literal t holds and fails where it
+    fails, read off its color's mask: with Forall and Exists, the owners
+    of t's positions (whoever loses there), the other way round their
+    winners."""
+    bits = format(g._colors[t.color], f"0{len(g.nodes)}b")[::-1]
     true = "1" if t.positive else "0"
-    return [FORALL if h == true else EXISTS for h in holds]
+    return [holds if h == true else fails for h in bits]
 
 
 def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
@@ -289,7 +296,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
         tail = f"{q})"
         labels[q::nq] = [h + tail for h in heads]
         if isinstance(t, TransLit):
-            owner[q::nq] = _literal_owners(t, g)
+            owner[q::nq] = _on_literal(t, g, FORALL, EXISTS)
         elif isinstance(t, TransMod):
             outs = succ_bases.get(t.action)
             if outs is None:
@@ -407,121 +414,201 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
     """The winner of every position of the acceptance game of apt on g,
     at the positions acceptance_game numbers, without building the game.
 
-    The game is read off the graph x automaton product: per action, the
-    successor and predecessor nodes of every node as position bases
-    (index * |Q|), and per state, its transitions and the transitions
-    into it.  The moves of (v, q) and the predecessors of (w, t) are
-    derived from them where the loops need them, so only the owner and
-    the move count are kept per position.  A player with no move loses,
-    so Exists first takes its attractor of Forall's dead ends, and Forall
-    then its attractor of Exists' dead ends in what is left.  Every
-    remaining position keeps a move inside the remainder, so Zielonka's
-    loop over opponent attractors solves it with no sink positions.  Its
-    nesting over priorities runs on an explicit stack of frames, so any
-    number of priorities is solved."""
+    Every move of the game follows a transition of the automaton, so a
+    play ends up in one strongly connected component of apt.delta.  The
+    components are solved bottom-up, each after every component it
+    reaches, so the positions a component can leave to are decided when
+    it starts.  A state on no cycle is decided on the spot, over all
+    nodes at once: a literal from its color's mask, a modal or boolean
+    state from its decided successors.  In a component with cycles, a
+    position whose owner is stuck, or can leave to a position it wins, is
+    decided at once.  When the top priority of every cycle in the
+    component has one parity sigma (always so for an alternation-free
+    formula), the other player's attractor of what it has won decides
+    its part and sigma wins the rest.  Only a component whose cycles
+    disagree takes both players' attractors and then runs _zielonka on
+    what is left.  The moves of (v, q) and the predecessors of (w, t) are
+    derived where needed from per-action successor and predecessor lists
+    of node positions and from the transitions inside the component."""
     size = _game_size(apt, g)
     n, nq = len(g.nodes), len(apt.states)
-    owner = [EXISTS] * size
-    count = [0] * size  # each position's moves into the undecided ones
-    here = [[v * nq] for v in range(n)]  # a boolean transition stays at its node
-    adjacency: dict[str, tuple[list[list[int]], list[list[int]]]] = {}
-    # outs[q] holds (r, bases) per transition q -> r and into[r] holds (q, bases)
-    # per transition q -> r: (v, q) moves to b + r for b in bases[v], and
-    # (w, r) is entered from b + q for b in bases[w]
-    outs: list[list] = [[] for _ in range(nq)]
-    into: list[list] = [[] for _ in range(nq)]
-    for q, t in enumerate(apt.delta):
-        if isinstance(t, TransLit):
-            owner[q::nq] = _literal_owners(t, g)
-            continue
-        if isinstance(t, TransMod):
-            a = t.action
-            if a not in adjacency:
-                out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
-                for u, w in g._moves.get(a, ()):
-                    out[u].append(w * nq)
-                    inn[w].append(u * nq)
-                adjacency[a] = out, inn
-            out, inn = adjacency[a]
-            owner[q::nq] = [EXISTS if t.existential else FORALL] * n
-            count[q::nq] = map(len, out)
-            outs[q] = [(t.target, out)]
-            into[t.target].append((q, inn))
-        else:
-            owner[q::nq] = [FORALL if t.conj else EXISTS] * n
-            targets = {t.left, t.right}
-            count[q::nq] = [len(targets)] * n
-            outs[q] = [(r, here) for r in targets]
-            for r in targets:
-                into[r].append((q, here))
-
+    delta, prio = apt.delta, apt.priority
+    succ = [[t.target] if type(t) is TransMod else [] if type(t) is TransLit else [t.left, t.right]
+            for t in delta]
     winner: list = [None] * size
-    ends = [v for v, c in enumerate(count) if not c]
-    for player in (EXISTS, FORALL):
-        # the opponent's dead ends; the first round takes none of Exists',
-        # as Exists attracts only positions with a move
-        queue = [v for v in ends if owner[v] != player]
-        for v in queue:
-            winner[v] = player
-        for v in queue:  # grows while iterated
-            w = v // nq
-            for q, bases in into[v - w * nq]:
-                for b in bases[w]:
-                    u = b + q
-                    if winner[u] is None:
-                        if owner[u] != player:
-                            count[u] -= 1
-                            if count[u]:
-                                continue
-                        winner[u] = player
-                        queue.append(u)
+    # per action: each node's successors and predecessors as position
+    # bases (index * |Q|), and the bases of the nodes without a successor
+    adjacency: dict[str, tuple[list, list, list]] = {}
+    for t in delta:
+        if type(t) is TransMod and t.action not in adjacency:
+            out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+            for u, w in g._moves.get(t.action, ()):
+                out[u].append(w * nq)
+                inn[w].append(u * nq)
+            adjacency[t.action] = out, inn, [v * nq for v in range(n) if not out[v]]
+    owner: list = []  # allocated with the first component that has a cycle
+    for comp in _sccs(range(nq), succ):
+        q = comp[0]
+        t = delta[q]
+        if len(comp) == 1 and q not in succ[q]:
+            if type(t) is TransLit:
+                winner[q::nq] = _on_literal(t, g, EXISTS, FORALL)
+            elif type(t) is TransMod:
+                r = t.target
+                out = adjacency[t.action][0]
+                if t.existential:
+                    winner[q::nq] = [min([winner[b + r] for b in bs], default=FORALL) for bs in out]
+                else:
+                    winner[q::nq] = [max([winner[b + r] for b in bs], default=EXISTS) for bs in out]
+            else:
+                winner[q::nq] = map(max if t.conj else min, winner[t.left::nq], winner[t.right::nq])
+            continue
+        if not owner:
+            # for the positions of states on cycles: owner, moves into their
+            # own component, and per state its transitions into (q, bases)
+            # and out of it (r, bases): (v, q) moves to b + r for b in
+            # bases[v], and (w, r) is entered from b + q for b in bases[w]
+            owner, count = [EXISTS] * size, [0] * size
+            into: list[list] = [[] for _ in range(nq)]
+            outs: list[list] = [[] for _ in range(nq)]
+            here = [[v * nq] for v in range(n)]  # a boolean transition stays at its node
+        sigma = _cycle_parity(comp, succ, prio)
+        won: tuple[list, list] = ([], [])  # per player, the positions decided for it
+        for q in comp:
+            t = delta[q]
+            if type(t) is TransMod:
+                out, inn, dead = adjacency[t.action]
+                o = EXISTS if t.existential else FORALL
+                owner[q::nq] = [o] * n
+                count[q::nq] = map(len, out)
+                outs[q] = [(t.target, out)]
+                into[t.target].append((q, inn))
+                stuck = [b + q for b in dead]
+                for v in stuck:
+                    winner[v] = 1 - o
+                won[1 - o].extend(stuck)
+                continue
+            o = FORALL if t.conj else EXISTS
+            owner[q::nq] = [o] * n
+            targets = {t.left, t.right}
+            outs[q] = [(r, here) for r in targets]
+            inside = [r for r in targets if r in comp]
+            count[q::nq] = [len(inside)] * n
+            for r in inside:
+                into[r].append((q, here))
+            for r in targets.difference(inside):
+                # a decided position: the owner leaves to it if it wins there,
+                # and otherwise never takes that move
+                leave = [v * nq + q for v, x in enumerate(winner[r::nq]) if x == o]
+                for v in leave:
+                    winner[v] = o
+                won[o].extend(leave)
+        if sigma is None:
+            for player in (EXISTS, FORALL):
+                _attract(won[player], player, winner, owner, count, into, nq)
+            region = {v for q in comp for v in range(q, size, nq) if winner[v] is None}
+            if region:
+                _zielonka(region, comp, prio, owner, count, into, outs, winner)
+        else:
+            _attract(won[1 - sigma], 1 - sigma, winner, owner, count, into, nq)
+            for q in comp:
+                winner[q::nq] = [sigma if x is None else x for x in winner[q::nq]]
+    return tuple(winner)
 
-    def attractor(target: set, region: set, player: int) -> set:
-        """region minus player's attractor of target within it."""
-        rest = region - target
-        left = {}  # opponent positions: moves into region not yet attracted
-        queue = list(target)
-        for v in queue:
-            w = v // nq
-            for q, bases in into[v - w * nq]:
-                for b in bases[w]:
-                    u = b + q
-                    if u not in rest:
-                        continue
-                    # count[u] holds u's moves into the region left by the dead
-                    # ends; with one, its count drops from 1 to 0
-                    if owner[u] != player and count[u] > 1:
-                        c = left.get(u)
-                        if c is None:
-                            x = u // nq
-                            c = len([y for r, ys in outs[u - x * nq] for y in ys[x]
-                                     if y + r in region])
-                        if c > 1:
-                            left[u] = c - 1
+
+def _cycle_parity(comp: list[int], succ: list, prio: tuple[int, ...]) -> int | None:
+    """The parity of the top priority of every cycle in the automaton
+    component comp, or None when cycles of both parities exist.  A state
+    of priority p tops a cycle exactly when it lies on a cycle through
+    states of priority at most p; the parity is read off the cycles, as a
+    greatest fixpoint may carry priority 0 like the states that bind
+    nothing."""
+    sigma = max([prio[q] for q in comp]) % 2
+    for p in sorted({prio[q] for q in comp if prio[q] % 2 != sigma}, reverse=True):
+        for c in _sccs({q for q in comp if prio[q] <= p}, succ):
+            if (len(c) > 1 or c[0] in succ[c[0]]) and p in [prio[q] for q in c]:
+                return None
+    return sigma
+
+
+def _attract(queue: list, player: int, winner: list, owner: list, count: list,
+             into: list, nq: int) -> None:
+    """Give player every undecided position of the component from which it
+    forces a play into queue, positions it has already won; queue grows
+    while iterated.  count[u] holds the moves of u not yet known to lead
+    into player's positions."""
+    for v in queue:
+        w = v // nq
+        for q, bases in into[v - w * nq]:
+            for b in bases[w]:
+                u = b + q
+                if winner[u] is None:
+                    if owner[u] != player:
+                        count[u] -= 1
+                        if count[u]:
                             continue
-                    rest.remove(u)
+                    winner[u] = player
                     queue.append(u)
-        return rest
 
-    region = {v for v in range(size) if winner[v] is None}
+
+def _attractor(target: set, region: set, player: int, owner: list, count: list,
+               into: list, outs: list, nq: int) -> set:
+    """region minus player's attractor of target within it."""
+    rest = region - target
+    left = {}  # opponent positions: moves into region not yet attracted
+    queue = list(target)
+    for v in queue:
+        w = v // nq
+        for q, bases in into[v - w * nq]:
+            for b in bases[w]:
+                u = b + q
+                if u not in rest:
+                    continue
+                # count[u] holds u's moves into the region _zielonka started
+                # from; with one, its count drops from 1 to 0
+                if owner[u] != player and count[u] > 1:
+                    c = left.get(u)
+                    if c is None:
+                        x = u // nq
+                        c = len([y for r, ys in outs[u - x * nq] for y in ys[x]
+                                 if y + r in region])
+                    if c > 1:
+                        left[u] = c - 1
+                        continue
+                rest.remove(u)
+                queue.append(u)
+    return rest
+
+
+def _zielonka(region: set, comp: list[int], prio: tuple[int, ...], owner: list, count: list,
+              into: list, outs: list, winner: list) -> None:
+    """Zielonka's loop over opponent attractors on region, the undecided
+    positions of one automaton component whose cycles disagree in
+    parity; every position of region keeps a move inside it, and count
+    holds how many.  Its nesting over priorities runs on an explicit
+    stack of frames, so any number of priorities is solved.  The winners
+    go into winner."""
+    size, nq = len(winner), len(outs)
     # every position of a priority, decided or not: tops are cut to the region
-    buckets: dict[int, set] = {}
-    for q, p in enumerate(apt.priority):
-        buckets.setdefault(p, set()).update(range(q, size, nq))
-    order = sorted(buckets, reverse=True)
+    order, buckets = [], []
+    for p, qs in groupby(sorted(comp, key=prio.__getitem__, reverse=True), key=prio.__getitem__):
+        order.append(p)
+        buckets.append({v for q in qs for v in range(q, size, nq)})
     # a frame solves region, whose priorities are at most order[k]; won[p]
     # gathers what p wins of it
     k, won = 0, [set(), set()]
     frames: list = []
     while True:
         if region:
-            top = buckets[order[k]] & region
+            top = buckets[k] & region
             while not top:
                 k += 1
-                top = buckets[order[k]] & region
+                top = buckets[k] & region
             sigma = order[k] % 2
             # a region all of top priority is its own attractor
-            inner = attractor(top, region, sigma) if len(top) < len(region) else None
+            inner = None
+            if len(top) < len(region):
+                inner = _attractor(top, region, sigma, owner, count, into, outs, nq)
             if inner:
                 frames.append((region, k, won))
                 region, k, won = inner, k + 1, [set(), set()]
@@ -533,17 +620,15 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
         region, k, won = frames.pop()
         opp = 1 - order[k] % 2
         if sub[opp]:
-            rest = attractor(sub[opp], region, opp)
+            rest = _attractor(sub[opp], region, opp, owner, count, into, outs, nq)
             won[opp] |= region - rest
             region = rest
         else:
             won[1 - opp] |= region
             region = set()
-    for v in won[EXISTS]:
-        winner[v] = EXISTS
-    for v in won[FORALL]:
-        winner[v] = FORALL
-    return tuple(winner)
+    for player in (EXISTS, FORALL):
+        for v in won[player]:
+            winner[v] = player
 
 
 def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) -> bool:
@@ -551,7 +636,7 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
     be closed under opponent moves and the strategy, the player never
     gets stuck, and the restricted graph has no cycle whose maximal
     priority favors the opponent."""
-    succ: dict[int, tuple[int, ...]] = {}
+    succ: list = [()] * len(game.labels)
     for v in win:
         if game.owner[v] == player:
             w = strat.get(v)
@@ -564,7 +649,7 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
             succ[v] = game.moves[v]
 
     # only positions on some cycle can lie on a losing one
-    cyclic = [c for c in _sccs(set(win), succ) if len(c) > 1 or any(v in succ[v] for v in c)]
+    cyclic = [c for c in _sccs(set(win), succ) if len(c) > 1 or c[0] in succ[c[0]]]
     on_cycle = set().union(*cyclic)
     bad = 1 - player % 2
     bad_prios = sorted({game.priority[v] for v in on_cycle if game.priority[v] % 2 == bad})
@@ -573,57 +658,51 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
         for comp in _sccs(sub, succ):
             if not any(game.priority[v] == p for v in comp):
                 continue
-            if len(comp) > 1 or any(v in succ[v] for v in comp):
+            if len(comp) > 1 or comp[0] in succ[comp[0]]:
                 return False
     return True
 
 
-def _sccs(nodes: set, succ: dict) -> list[set]:
-    """Tarjan, iterative."""
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set = set()
+def _sccs(nodes, succ) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph on nodes, a
+    collection of ints below len(succ), whose successors are succ[v];
+    edges that leave nodes are left out.  Iterative, and each component
+    comes after every component it reaches."""
+    done = len(succ) + 1
+    low = [0] * len(succ)  # 0 before v is met, done once v's component is out
     stack: list[int] = []
-    out: list[set] = []
-    counter = [0]
-
-    for root in sorted(nodes):
-        if root in order:
+    out: list[list[int]] = []
+    count = 0
+    for root in nodes:
+        if low[root]:
             continue
-        work = [(root, iter([w for w in succ.get(root, ()) if w in nodes]))]
-        order[root] = low[root] = counter[0]
-        counter[0] += 1
+        count += 1
+        low[root] = count
+        # a frame: node, its discovery number, the stack height below it, its moves
+        work = [(root, count, 0, iter(succ[root]))]
         stack.append(root)
-        on_stack.add(root)
         while work:
-            v, it = work[-1]
-            advanced = False
+            v, met, height, it = work[-1]
             for w in it:
-                if w not in order:
-                    order[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([u for u in succ.get(w, ()) if u in nodes])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == order[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
+                if w in nodes:
+                    if not low[w]:
+                        count += 1
+                        low[w] = count
+                        work.append((w, count, len(stack), iter(succ[w])))
+                        stack.append(w)
                         break
-                out.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                    if low[w] < low[v]:
+                        low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == met:
+                    comp = stack[height:]
+                    del stack[height:]
+                    for w in comp:
+                        low[w] = done
+                    out.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return out
 
 

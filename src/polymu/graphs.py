@@ -36,7 +36,9 @@ then walks the JSON shape item by item to report that fault first.  Graphs
 the library derives from graphs it already holds (product, unfold,
 bisim.quotient, bisim.component_view, pumping.pump) are built through
 LabeledGraph._trusted, which takes their position pairs and color masks
-ready-made and checks only that the ids are distinct.
+ready-made and checks only that the ids are distinct; unfold and pump,
+which build trees as trees, hand over their shape lists as well, so the
+tree shape check runs only on trees from other sources.
 """
 from __future__ import annotations
 
@@ -253,7 +255,7 @@ class LabeledGraph:
         self._check_shape()
 
     @classmethod
-    def _trusted(cls, signature, nodes, root, moves, colors):
+    def _trusted(cls, signature, nodes, root, moves, colors, shape=None):
         """Graph from parts the library derived from graphs it already holds.
 
         nodes: a tuple of ids; moves: action to distinct (source position,
@@ -261,7 +263,9 @@ class LabeledGraph:
         every signature color to its position mask, as _colors holds
         them.  Only distinct ids are checked, as building index finds a
         duplicate for free; derived ids such as "(u,v)" can collide when
-        the ids they are made of contain the separator.
+        the ids they are made of contain the separator.  shape: for a
+        tree its builder made as one, the _parent, _depth and _order
+        lists it knows by construction; the shape check runs without.
         """
         g = cls.__new__(cls)
         g.signature = signature
@@ -277,7 +281,10 @@ class LabeledGraph:
         g._moves = moves
         g._colors = colors
         g._edge_view = g._succ_view = None
-        g._check_shape()
+        if shape is None:
+            g._check_shape()
+        else:
+            g._parent, g._depth, g._order = shape
         return g
 
     def _check_shape(self) -> None:
@@ -498,9 +505,12 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
     nodes = [g.root]
     moves: dict[str, list[tuple[int, int]]] = {}
     ends = [g.index[g.root]]  # per tree position, the path's endpoint position
+    # the tree's shape: made level by level, so creation order is top-down
+    parent: list[tuple[int, str] | None] = [None]
+    depths = [0]
     frontier = [(0, g.root, g.root)]  # (position, path id, endpoint)
     chars = len(g.root)
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         width = 0
         for _, pid, v in frontier:
             for a in g.signature.actions:
@@ -520,8 +530,11 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
                     nxt.append((len(nodes), cid, w))
                     nodes.append(cid)
                     ends.append(g.index[w])
+                    parent.append((p, a))
+                    depths.append(level)
         frontier = nxt
-    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, g._colors_at(ends))
+    shape = parent, depths, list(range(len(nodes)))
+    return FiniteTree._trusted(g.signature, tuple(nodes), g.root, moves, g._colors_at(ends), shape)
 
 
 _ID = operator.itemgetter("id")

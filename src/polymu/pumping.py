@@ -61,7 +61,8 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     action, and k = 0 bridges v_{i-1} straight to v_j."""
     if k < 0:
         raise PolymuError("k must be >= 0")
-    in_seg = [z == 1 for z in _zones(tree, path, i, j)]
+    zone = _zones(tree, path, i, j)
+    in_seg = [z == 1 for z in zone]
     m = sum(in_seg)
     if len(tree.nodes) - m + k * m > _MAX_NODES:
         raise ResourceLimitError(f"pump: more than {_MAX_NODES} nodes")
@@ -102,7 +103,23 @@ def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> Finit
     last, first = tree.index[path[j - 1]], tree.index[path[i]]
     moves[exit_action] += [(at(last, c), at(first, c + 1)) for c in range(k - 1)]
 
-    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, colors)
+    # the shape, known by construction: each node's one incoming move, and
+    # top-down the nodes before the segment, its copies in turn, then v_j's
+    # subtree, each part in the tree's own top-down order
+    parent: list[tuple[int, str] | None] = [None] * len(nodes)
+    for a, pairs in moves.items():
+        for u, w in pairs:
+            parent[w] = (u, a)
+    parts: tuple[list, list, list] = ([], [], [])
+    for p in tree._order:
+        parts[zone[p]].append(p)
+    order = [to[p] for p in parts[0]] + [at(p, c) for c in range(k) for p in parts[1]]
+    order += [to[p] for p in parts[2]]
+    depth = [0] * len(nodes)
+    for p in order[1:]:
+        depth[p] = depth[parent[p][0]] + 1
+    shape = parent, depth, order
+    return FiniteTree._trusted(tree.signature, tuple(nodes), tree.root, moves, colors, shape)
 
 
 def _root_class(tree: FiniteTree, table: dict) -> int:

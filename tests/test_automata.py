@@ -7,6 +7,7 @@ import pytest
 
 from polymu import automata
 from polymu import FiniteTree, LabeledGraph, PolymuError, Signature
+from polymu.graphs import unfold
 from polymu.automata import (
     Apt,
     EXISTS,
@@ -225,7 +226,7 @@ def brute_exists_wins(g: ParityGame) -> set | None:
                 if any(g.priority[v] == p for v in comp) and (
                     len(comp) > 1 or any(v in succ[v] for v in comp)
                 ):
-                    bad |= comp
+                    bad.update(comp)
         blocked = set(bad)
         changed = True
         while changed:
@@ -473,7 +474,9 @@ def test_winners_match_zielonka_on_pattern_acceptance_games():
 def test_winners_need_no_recursion_for_a_thousand_priorities(monkeypatch):
     # a thousand alternating binders around a self-loop on the innermost
     # variable, on a one-node loop: the binder states carry the priorities
-    # 999 down to 0, and each opens one nested frame
+    # 999 down to 0; only the innermost one is on a cycle, so the others
+    # are decided one automaton component at a time, while the oracle
+    # opens one nested frame per priority
     n = 1000
     binders = "".join(f"{'nu' if (n - k) % 2 else 'mu'} X{k}. " for k in range(n))
     apt = formula_to_apt(parse_formula(binders + f"<a>X{n - 1}", SIG_AF, 1), SIG_AF)
@@ -489,6 +492,159 @@ def test_winners_need_no_recursion_for_a_thousand_priorities(monkeypatch):
         # the play loops on the innermost binder, a greatest fixpoint
         assert winner == (EXISTS,) * len(apt.states)
         assert winner == solve_parity(acceptance_game(apt, g)).winner
+
+
+def test_winners_on_one_component_of_two_hundred_priorities(monkeypatch):
+    # every binder is named in the innermost body, so all of them share one
+    # automaton component, whose cycles take every priority from 199 down to 0
+    n = 200
+    binders = "".join(f"{'nu' if (n - k) % 2 else 'mu'} X{k}. " for k in range(n))
+    # where the literal cannot settle the body, the owner of the body picks
+    # the binder to loop through, and the loop solves the whole component
+    for body, labels in ((" | ", {}), (" & ", {"0": ["f"]})):
+        text = binders + "(f" + "".join(f"{body}<a>X{k}" for k in range(n)) + ")"
+        apt = formula_to_apt(parse_formula(text, SIG_AF, 1), SIG_AF)
+        assert len(set(apt.priority)) == n
+        comps = cyclic_components(apt)
+        assert len(comps) == 1 and {apt.priority[q] for q in comps[0]} == set(range(n))
+        loop = LabeledGraph(SIG_AF, ["0"], "0", [("0", "a", "0")], labels)
+        two = LabeledGraph(SIG_AF, ["0", "1"], "0",
+                           [("0", "a", "1"), ("1", "a", "0"), ("1", "a", "1")], {"1": ["f"]})
+        calls = count_zielonka(monkeypatch)
+        for g in (loop, two):
+            assert acceptance_winners(apt, g) == solve_parity(acceptance_game(apt, g)).winner
+        assert calls[0] >= 1
+
+
+# ------------------------------------ one attractor per alternation-free component
+
+# mu Y. nu X. (f & <a>X) | <a>Y: the nu binder X gets priority 0, like the
+# states that bind nothing, and shares a component with the mu binder Y
+PITFALL = "mu Y. nu X. (f & <a>X) | <a>Y"
+
+
+def cyclic_components(apt):
+    """The components of apt's transition graph that hold a cycle."""
+    succ = [[t.target] if isinstance(t, TransMod) else
+            [t.left, t.right] if isinstance(t, TransBool) else [] for t in apt.delta]
+    return [c for c in _sccs(range(len(apt.states)), succ) if len(c) > 1 or c[0] in succ[c[0]]]
+
+
+def count_zielonka(monkeypatch):
+    """Count the calls of the Zielonka loop that only components whose
+    cycles mix parities run; returns the list its calls go into."""
+    calls = [0]
+    real = automata._zielonka
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(automata, "_zielonka", counted)
+    return calls
+
+
+def test_parity_of_a_component_is_read_off_its_cycles(monkeypatch):
+    apt = formula_to_apt(parse_formula(PITFALL, SIG_AF, 1), SIG_AF)
+    binders = [(name[:5], p) for name, p in zip(apt.states, apt.priority)
+               if name.startswith(("mu ", "nu "))]
+    assert binders == [("mu Y.", 1), ("nu X.", 0)]
+    loop = LabeledGraph(SIG_AF, ["0"], "0", [("0", "a", "0")], {"0": ["f"]})
+    assert models(loop, parse_formula(PITFALL, SIG_AF, 1))
+    calls = count_zielonka(monkeypatch)
+    winner = acceptance_winners(apt, loop)
+    assert winner == solve_parity(acceptance_game(apt, loop)).winner
+    assert winner[apt.initial] == EXISTS and calls == [1]
+
+    # parity read off the nonzero priorities takes the component for Forall
+    def nonzero_parity(comp, succ, prio):
+        parities = {prio[q] % 2 for q in comp if prio[q]}
+        return parities.pop() if len(parities) == 1 else None
+
+    monkeypatch.setattr(automata, "_cycle_parity", nonzero_parity)
+    assert not accepts(apt, loop)
+
+
+# Büchi, co-Büchi, 3- and 4-priority nests and the pitfall shape and its
+# dual; each C is drawn from the literals and each M from the modalities
+NESTS = (
+    "nu X. mu Y. (C & MX) | MY",
+    "mu X. nu Y. (C & MY) | MX",
+    "mu Z. nu X. mu Y. (C & MX) | (C & MZ) | MY",
+    "nu W. mu Z. nu X. mu Y. (C & MW) | (C & MX) | (C | MZ) & MY",
+    "mu Y. nu X. (C & MX) | MY",
+    "nu Y. mu X. (C | MX) & MY",
+)
+
+
+def draw_nest(rng, shape):
+    out = []
+    for ch in shape:
+        if ch == "C":
+            out.append(rng.choice(["f", "g", "~f", "~g"]))
+        elif ch == "M":
+            out.append(rng.choice(["<{}>", "[{}]"]).format(rng.choice(["a", "b"])))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_winners_on_alternating_nests_match_zielonka_at_every_position(monkeypatch):
+    sig = Signature(("a", "b"), ("f", "g"))
+    calls = count_zielonka(monkeypatch)
+    verdicts, tops, trees = set(), set(), 0
+    for k in range(240):
+        rng = Xorshift.substream(4477, k)
+        shape = NESTS[k % len(NESTS)]
+        text = draw_nest(rng, shape)
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        g = rand_graph(rng, sig, 10, min_nodes=2, edge_den=rng.randint(3, 8))
+        if k % 4 == 0:
+            g = unfold(g, 3)
+            trees += 1
+        winner = acceptance_winners(apt, g)
+        assert winner == solve_parity(acceptance_game(apt, g)).winner, (k, text)
+        want = models(g, parse_formula(text, sig, 1))
+        assert (winner[g.index[g.root] * len(apt.states) + apt.initial] == EXISTS) == want, k
+        verdicts.add((shape, want))
+        tops.add(max(apt.priority))
+    assert len(verdicts) == 2 * len(NESTS)
+    assert {2, 3, 4} <= tops and trees == 60 and calls[0] >= 100
+
+
+def alternation_free(apt):
+    """Whether every binder state of apt is a least or every one a
+    greatest fixpoint, read off the state names."""
+    return len({name[:3] for name in apt.states if name.startswith(("mu ", "nu "))}) <= 1
+
+
+def test_zielonka_runs_only_where_cycle_parities_mix(monkeypatch):
+    sig = Signature(("a", "b"), ("f", "g"))
+    graphs = [rand_graph(Xorshift.substream(4478, k), sig, 30, min_nodes=10, edge_den=8)
+              for k in range(4)]
+    free = [text for text in PATTERNS if text.startswith(("mu X. f |", "nu X. ~f", "nu X. (mu"))]
+    assert len(free) == 4  # reach, until, safety, nested
+    cyclic = 0
+    for k in range(600):
+        rng = Xorshift.substream(4479, k)
+        text = print_formula(rand_formula(rng, sig, 1, 14))
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        if alternation_free(apt):
+            free.append(text)
+            cyclic += bool(cyclic_components(apt))
+    assert len(free) >= 400 and cyclic >= 100
+    calls = count_zielonka(monkeypatch)
+    for text in free:
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        for g in graphs:
+            assert acceptance_winners(apt, g) == solve_parity(acceptance_game(apt, g)).winner
+    assert calls == [0]
+    for text in PATTERNS[2:4]:  # Büchi and co-Büchi
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        calls[0] = 0
+        for g in graphs:
+            acceptance_winners(apt, g)
+        assert calls[0] >= 1, text
 
 
 # ------------------------------------------ the per-position game construction

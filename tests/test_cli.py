@@ -204,6 +204,23 @@ def test_builder_output_is_stable(capsys, ex1, pow2, tmp_path):
         assert out == (DATA / golden).read_text(), golden
 
 
+def test_apt_and_mc_verdicts_are_stable(capsys, tmp_path):
+    # apt_verdicts.txt holds a "# fixture command formula" line before each
+    # verdict: the modelcheck pattern shapes and a nu binder of priority 0
+    # under a mu, on both gen fixtures, through the automaton and the evaluator
+    lines = (DATA / "apt_verdicts.txt").read_text().splitlines()
+    graphs = {}
+    for name in ("ex1", "power-ex1"):
+        graphs[name] = tmp_path / f"{name}.json"
+        graphs[name].write_text(run(capsys, "gen", name)[1])
+    for head, want in zip(lines[::2], lines[1::2]):
+        _, name, cmd, phi = head.split(" ", 3)
+        assert run(capsys, cmd, "--graph", str(graphs[name]), "--formula", phi) == \
+            (0, want + "\n", ""), head
+    assert len(lines) == 2 * 2 * 2 * 7
+    assert {"true", "false"} == set(lines[1::2])
+
+
 def test_detect_power_and_factor(capsys, ex1, pow2, tmp_path):
     code, out, _ = run(capsys, "detect-power", "--graph", pow2, "-d", "2",
                        "--method", "both")

@@ -423,3 +423,35 @@ def test_is_isomorphic_answers_on_deep_chains():
     bare = FiniteTree(SIG_AF, t.nodes, t.root, t.edges, {})
     assert not is_isomorphic(t, bare)
     assert not is_isomorphic(bare, t)
+
+
+def test_builders_hand_over_the_shape_the_check_finds():
+    # unfold and pump hand their trees' parents, depths and top-down order
+    # to the trusted constructor; a fresh shape check on the same parts
+    # finds the same parents and depths, and the handed order is one of its
+    # kind: every position once, the root first, each after its parent
+    checked = pumped = 0
+    for k in range(80):
+        rng = Xorshift.substream(60719, k)
+        t = unfold(rand_graph(rng, SIG_ABF, 5, min_nodes=2, edge_den=2), rng.randint(1, 4))
+        trees = [t]
+        path = root_path(t, max(t.nodes, key=t.depth_of))
+        if len(path) >= 3:
+            j = rng.randint(2, len(path) - 1)
+            i = rng.randint(1, j - 1)
+            trees += [pump(t, path, i, j, c) for c in (0, 1, 2, 3)]
+            chain = _rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 7)
+            twice = pump(chain, [f"s{m}" for m in range(7)], 1, 3, 3)
+            trees += [twice, pump(twice, root_path(twice, "s6"), 2, 5, rng.randint(0, 3))]
+            pumped += 1
+        for u in trees:
+            fresh = FiniteTree.from_graph(u)
+            assert (u._parent, u._depth) == (fresh._parent, fresh._depth)
+            assert sorted(u._order) == sorted(fresh._order) == list(range(len(u.nodes)))
+            assert u._order[0] == u.index[u.root]
+            seen = {u._order[0]}
+            for p in u._order[1:]:
+                assert u._parent[p][0] in seen
+                seen.add(p)
+            checked += 1
+    assert pumped >= 50 and checked >= 400
