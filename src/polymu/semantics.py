@@ -26,10 +26,18 @@ only the added tuples are mapped, as in semi-naive evaluation; any
 other change is recomputed in full.  Under mu the arguments of <a@i>
 only grow, and under nu so do the complements taken by [a@i].
 
-The pre-image of one action in one component is driven by a table (per
-node offsets for sparse sets, mask/shift groups for dense ones) built
-from the graph's edges grouped by action (LabeledGraph._moves), once per
-evaluation, when the modality first runs.
+The pre-image of one action in one component is driven by a table
+built from the graph's edges grouped by action (LabeledGraph._moves),
+once per evaluation, when the modality first runs.  An argument with at
+most as many members as the action has distinct shifts w - u takes the
+sparse form.  At arity 1 with at most _MASK_NODES nodes that form is one
+predecessor mask per target position w (bit u for each edge u -> w, row
+w of the transposed adjacency matrix), and the pre-image ORs the masks of
+the members; the masks take up to n * n bits, so larger graphs and
+higher arities map each member through per-node offset lists instead.
+Larger arguments move every target digit at once through one mask and
+one shift per distinct w - u; those groups are built on the first such
+call, so until then the table holds only the number of shifts.
 """
 from __future__ import annotations
 
@@ -57,6 +65,41 @@ from .logic import (
 )
 
 DEFAULT_TUPLE_CAP = 2**20
+# the most nodes on which arity-1 tables hold predecessor masks: they take
+# up to n * n bits, 2 MB per action at this bound
+_MASK_NODES = 4096
+
+
+def _pred_masks(moves, n: int) -> list[int]:
+    """Per target position w, the bitmask of the sources u of the edges u -> w."""
+    masks = [0] * n
+    for u, w in moves:
+        masks[w] |= 1 << u
+    return masks
+
+
+def _or_masks(masks: list[int], s: int) -> int:
+    """Union of masks[i] over the set bits i of s."""
+    res = 0
+    while s:
+        low = s & -s
+        res |= masks[low.bit_length() - 1]
+        s ^= low
+    return res
+
+
+def _shift_groups(moves, unit: int, sk: int) -> list[tuple[int, int]]:
+    """The dense pre-image's (mask, shift) pairs for one action in one component.
+
+    For each distinct w - u over the edges u -> w: the tuples whose
+    component holds such a w (unit is that component's digit-0 mask and
+    sk its stride), and the shift (w - u) * sk that takes them to u.
+    """
+    by_shift: dict[int, int] = {}
+    for u, w in moves:
+        sh = (w - u) * sk
+        by_shift[sh] = by_shift.get(sh, 0) | unit << (w * sk)
+    return [(mask, sh) for sh, mask in by_shift.items()]
 
 
 @dataclass(frozen=True)
@@ -126,31 +169,41 @@ def _evaluate_bits(
             res |= unit[k] << (v * stride[k])
         return res
 
-    # (action, comp) -> (per-node offsets to predecessor tuples, (mask, shift) groups)
-    pre_tables: dict[tuple[str, int], tuple[list, list]] = {}
+    # (action, comp) -> [sparse form, number of distinct shifts, (mask, shift)
+    # groups or None until the first dense call]; the sparse form is one
+    # predecessor mask per target position at arity 1 while n <= _MASK_NODES,
+    # else per-node offsets to predecessor tuples
+    pre_tables: dict[tuple[str, int], list] = {}
+    masked = arity == 1 and n <= _MASK_NODES
 
-    def pre_table(a: str, k: int) -> tuple[list, list]:
-        sk = stride[k]
-        offs: list[list[int]] = [[] for _ in range(n)]
-        by_shift: dict[int, list[int]] = {}
-        for u, w in g._moves.get(a, ()):
-            offs[w].append((u - w) * sk)
-            by_shift.setdefault((w - u) * sk, []).append(w)
-        groups = [(digit_mask(k, ws), sh) for sh, ws in by_shift.items()]
-        pre_tables[(a, k)] = tab = (offs, groups)
+    def pre_table(a: str, k: int) -> list:
+        moves = g._moves.get(a, ())
+        if masked:
+            sparse = _pred_masks(moves, n)
+        else:
+            sk = stride[k]
+            sparse = [[] for _ in range(n)]
+            for u, w in moves:
+                sparse[w].append((u - w) * sk)
+        pre_tables[(a, k)] = tab = [sparse, len({w - u for u, w in moves}), None]
         return tab
 
     def pre(a: str, k: int, s: int) -> int:
         """Tuples with an a-successor in component k that lands in s."""
         if not s:
             return 0
-        offs, groups = pre_tables.get((a, k)) or pre_table(a, k)
-        if s.bit_count() <= len(groups):
+        tab = pre_tables.get((a, k)) or pre_table(a, k)
+        if s.bit_count() <= tab[1]:
             # sparse: map each member to its predecessors
-            sk = stride[k]
+            if masked:
+                return _or_masks(tab[0], s)
+            sk, offs = stride[k], tab[0]
             return _to_bits((i + off for i in _set_bits(s) for off in offs[i // sk % n]), size)
         # dense: move every target digit w to the source digit u at once;
         # edges with equal w - u share one mask and one shift
+        groups = tab[2]
+        if groups is None:
+            groups = tab[2] = _shift_groups(g._moves.get(a, ()), unit[k], stride[k])
         res = 0
         for mask, sh in groups:
             part = s & mask

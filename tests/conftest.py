@@ -6,6 +6,16 @@ from polymu.graphs import LabeledGraph, Signature
 SIG_AF = Signature(["a"], ["f"])
 SIG_ABF = Signature(["a", "b"], ["f"])
 
+# the formula shapes of the benchmark's modelcheck workload, over a, b, f, g
+PATTERNS = (
+    "mu X. f | <a>X | <b>X",  # reach
+    "nu X. ~f & [a]X & [b]X",  # safety
+    "nu X. mu Y. (f & (<a>X | <b>X)) | <a>Y | <b>Y",  # Büchi
+    "mu X. nu Y. (g & (<a>Y | <b>Y)) | <a>X | <b>X",  # co-Büchi
+    "nu X. (mu Y. f | <a>Y | <b>Y) & [a]X & [b]X",  # nested
+    "mu X. f | g & (<a>X | <b>X)",  # until
+)
+
 
 def make_loop3():
     """Three nodes on an a-cycle tail, f on the middle node.

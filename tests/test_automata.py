@@ -33,7 +33,7 @@ from polymu.logic import Formula, Var, parse_formula, print_formula
 from polymu.randgen import Xorshift, rand_base_signature, rand_formula, rand_graph
 from polymu.semantics import models
 
-from conftest import SIG_AF, SIG_ABF, make_graph, make_loop3
+from conftest import PATTERNS, SIG_AF, SIG_ABF, make_graph, make_loop3
 
 
 def pnf_text(text, sig, arity=1):
@@ -441,17 +441,6 @@ def test_solver_leaves_out_the_sink_no_dead_end_reaches():
 # solve_parity on the built game is the oracle: acceptance_winners must give
 # the same winner at every position, here and in the reference tests above
 # and below.
-
-
-# the formula shapes of the benchmark's modelcheck workload
-PATTERNS = (
-    "mu X. f | <a>X | <b>X",  # reach
-    "nu X. ~f & [a]X & [b]X",  # safety
-    "nu X. mu Y. (f & (<a>X | <b>X)) | <a>Y | <b>Y",  # Büchi
-    "mu X. nu Y. (g & (<a>Y | <b>Y)) | <a>X | <b>X",  # co-Büchi
-    "nu X. (mu Y. f | <a>Y | <b>Y) & [a]X & [b]X",  # nested
-    "mu X. f | g & (<a>X | <b>X)",  # until
-)
 
 
 def test_winners_match_zielonka_on_pattern_acceptance_games():

@@ -207,17 +207,24 @@ def test_builder_output_is_stable(capsys, ex1, pow2, tmp_path):
 def test_apt_and_mc_verdicts_are_stable(capsys, tmp_path):
     # apt_verdicts.txt holds a "# fixture command formula" line before each
     # verdict: the modelcheck pattern shapes and a nu binder of priority 0
-    # under a mu, on both gen fixtures, through the automaton and the evaluator
+    # under a mu, on both gen fixtures and on the unfoldings of power-ex1 at
+    # depths 5 and 6 (1,365 and 5,461 nodes, on both sides of the evaluator's
+    # mask bound), through the automaton and the evaluator
     lines = (DATA / "apt_verdicts.txt").read_text().splitlines()
     graphs = {}
     for name in ("ex1", "power-ex1"):
         graphs[name] = tmp_path / f"{name}.json"
         graphs[name].write_text(run(capsys, "gen", name)[1])
+    for depth in (5, 6):
+        name = f"power-ex1-depth{depth}"
+        graphs[name] = tmp_path / f"{name}.json"
+        graphs[name].write_text(run(capsys, "unfold", "--graph", str(graphs["power-ex1"]),
+                                    "--depth", str(depth))[1])
     for head, want in zip(lines[::2], lines[1::2]):
         _, name, cmd, phi = head.split(" ", 3)
         assert run(capsys, cmd, "--graph", str(graphs[name]), "--formula", phi) == \
             (0, want + "\n", ""), head
-    assert len(lines) == 2 * 2 * 2 * 7
+    assert len(lines) == 4 * 2 * 2 * 7
     assert {"true", "false"} == set(lines[1::2])
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polymu.automata import accepts, formula_to_apt
+from polymu.automata import EXISTS, acceptance_winners, accepts, formula_to_apt
 from polymu.errors import FormulaError, ResourceLimitError
 from polymu.graphs import LabeledGraph, Signature, power, read_graph, write_graph
 from polymu.logic import (
@@ -14,7 +14,7 @@ from polymu.logic import (
 from polymu.randgen import Xorshift, rand_formula, rand_graph
 from polymu.semantics import TupleSet, evaluate, models
 
-from conftest import SIG_AF, make_loop3
+from conftest import PATTERNS, SIG_AF, make_loop3
 
 
 def ev(g, text, arity, env=None, **kw):
@@ -347,9 +347,10 @@ def test_twin_binders_are_not_run(monkeypatch):
     never run."""
     from polymu import semantics
 
+    # at arity 1 on a small graph every sparse pre-image is one _or_masks call
     calls = []
-    real = semantics._to_bits
-    monkeypatch.setattr(semantics, "_to_bits", lambda bits, size: calls.append(size) or real(bits, size))
+    real = semantics._or_masks
+    monkeypatch.setattr(semantics, "_or_masks", lambda masks, s: calls.append(s) or real(masks, s))
     nodes = [str(i) for i in range(6)]
     g = LabeledGraph(SIG_AF, nodes, "0", [(u, "a", w) for u, w in zip(nodes, nodes[1:])], {"5": ["f"]})
     counts = []
@@ -366,3 +367,75 @@ def test_twin_binders_are_not_run(monkeypatch):
         assert tset(g, text, 1) == {("4",)}, text
         counts.append(len(calls))
     assert counts == [7] * 2, counts
+
+
+SIG_AB_FG = Signature(("a", "b"), ("f", "g"))
+
+
+def ab_graph(rng, n, edges, f_nodes):
+    """Graph on nodes 0..n-1 with the given (u, action, w) position edges, f on
+    f_nodes and g on about half the nodes."""
+    nodes = [str(i) for i in range(n)]
+    labels = {v: ["g"] for v in nodes if rng.chance(1, 2)}
+    for i in f_nodes:
+        labels[nodes[i]] = labels.get(nodes[i], []) + ["f"]
+    return LabeledGraph(SIG_AB_FG, nodes, "0", [(nodes[u], a, nodes[w]) for u, a, w in edges], labels)
+
+
+def test_arity_one_agrees_with_acceptance_winners_at_every_node(monkeypatch):
+    """Arity-1 evaluation against the automaton route on both sides of the
+    mask bound: sparse random graphs, where most pre-images OR predecessor
+    masks; a chain, whose single shift sends them to the dense groups; and
+    a chorded ring past the bound, which keeps the per-node offsets."""
+    from polymu import semantics
+
+    built = {"masks": 0, "groups": 0, "sparse": 0}
+
+    def counting(key, real):
+        def wrapped(*args):
+            built[key] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(semantics, "_pred_masks", counting("masks", semantics._pred_masks))
+    monkeypatch.setattr(semantics, "_shift_groups", counting("groups", semantics._shift_groups))
+    monkeypatch.setattr(semantics, "_or_masks", counting("sparse", semantics._or_masks))
+
+    graphs = []
+    for k in range(3):
+        rng = Xorshift.substream(2417, k)
+        n = rng.randint(200, 400)
+        # two random out-edges per node, each on a or b
+        edges = {(u, rng.choice("ab"), rng.below(n)) for u in range(n) for _ in range(2)}
+        graphs.append(ab_graph(rng, n, edges, [rng.below(n), rng.below(n)]))
+    rng = Xorshift.substream(2417, 3)
+    graphs.append(ab_graph(rng, 300, [(i, "a", i + 1) for i in range(299)], [299]))
+    n = semantics._MASK_NODES + 3
+    edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(rng.below(n), "b", rng.below(n)) for _ in range(n // 8)]
+    ring = ab_graph(rng, n, edges, [n // 2])
+
+    texts = list(PATTERNS)
+    rng = Xorshift.substream(2418, 0)
+    texts += [print_formula(rand_formula(rng, SIG_AB_FG, 1, 12)) for _ in range(10)]
+    verdicts = set()
+    probes = {}  # (graph number, text) -> built during its evaluation
+    for k, g in enumerate(graphs + [ring]):
+        for text in texts:
+            phi = parse_formula(text, SIG_AB_FG, 1)
+            apt = formula_to_apt(phi, SIG_AB_FG)
+            winner = acceptance_winners(apt, g)
+            nq = len(apt.states)
+            want = {(v,) for i, v in enumerate(g.nodes) if winner[i * nq + apt.initial] == EXISTS}
+            built.update(dict.fromkeys(built, 0))
+            got = set(evaluate(g, phi, 1).tuples)
+            assert got == want, (k, text)
+            probes[(k, text)] = dict(built)
+            verdicts.add((g is ring, 0 < len(got) < len(g.nodes)))
+    assert len(verdicts) == 4
+    # masks below the bound on every graph, none above it
+    assert all(sum(probes[(k, text)]["masks"] for text in texts) for k in range(len(graphs)))
+    assert not any(probes[(len(graphs), text)]["masks"] for text in texts)
+    # reach on a random graph: every pre-image is sparse, and no dense group is built
+    assert probes[(0, PATTERNS[0])]["sparse"] > 0 and probes[(0, PATTERNS[0])]["groups"] == 0
+    # on the chain the dense branch runs, and builds its groups
+    assert probes[(len(graphs) - 1, PATTERNS[0])]["groups"] > 0
