@@ -96,12 +96,12 @@ class Apt:
 # ------------------------------------------------------------ normal form
 
 
-_DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, Mu: Nu, Nu: Mu, Replace: Replace}
+_DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, Mu: Nu, Nu: Mu}
 
 
-def _pnf(root: Node, strip: bool = False) -> Node:
-    """Negations pushed onto colors in one pre-order pass; with strip,
-    replacements go (at arity 1 the only mapping is the identity)."""
+def _pnf(root: Node) -> Node:
+    """Negations pushed onto colors in one pre-order pass, and replacements
+    stripped (at arity 1 the only mapping is the identity)."""
     flipped: set[str] = set()
     done: list[Node] = []  # results of finished subtrees awaiting their parent
     # (node, polarity, False) enters a node, (node, polarity, True) builds it
@@ -123,7 +123,7 @@ def _pnf(root: Node, strip: bool = False) -> Node:
             if pos == (n.name in flipped):
                 raise FormulaError(f"variable {n.name} survives negatively")
             done.append(n)
-        elif cls is Neg or (strip and cls is Replace):
+        elif cls is Neg or cls is Replace:
             todo.append((n.sub, pos != (cls is Neg), False))
         elif cls in _DUAL:
             if not pos and (cls is Mu or cls is Nu):
@@ -150,7 +150,7 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
         raise FormulaError("automaton translation needs an arity-1 formula")
     if free_vars(phi):
         raise FormulaError("automaton translation needs a closed formula")
-    t = Formula(1, _pnf(phi.root, strip=True))._table
+    t = Formula(1, _pnf(phi.root))._table
     node, kids = t.node, t.kids
     c0 = sig.colors[0]
 

@@ -20,6 +20,11 @@ over the lifted signature: action x@i moves component i along an
 x-edge of factor i, action rst@i resets component i to the root of
 factor i, and color c@i holds where component i carries c.
 
+One bitmask kernel serves every layer: _image and _closure walk a
+relation held as one row mask per position, and _digit_zero and _spread
+lay out the digits of a tuple space.  product, the evaluator, the subset
+search and the squaring replay of queries all use them.
+
 LabeledGraph(...), and read_graph with it, is the validating boundary:
 it checks every node id, edge, action and color it is given.  read_graph
 checks only what the constructor cannot see: the top-level fields, the
@@ -57,7 +62,8 @@ _LIFTED_RE = re.compile(r"([a-z0-9_]+)@(\d+)\Z")
 
 RESET = "rst"
 
-# product, unfold and pumping.pump refuse to build graphs with more nodes than this
+# product, unfold, pumping.pump and pumping.gen_rword_tree refuse to build
+# graphs with more nodes than this
 _MAX_NODES = 1 << 20
 # unfold ids are whole paths, so their total length has a budget of its own
 _MAX_ID_CHARS = 1 << 24
@@ -117,6 +123,45 @@ def _to_bits(indices, size: int) -> int:
     for j in indices:
         out[j >> 3] |= 1 << (j & 7)
     return int.from_bytes(out, "little")
+
+
+def _image(rows: Sequence[int], s: int) -> int:
+    """Union of rows[i] over the set bits i of s: the image of s under the
+    relation whose row i is the bitmask of the positions i relates to."""
+    out = 0
+    while s:
+        low = s & -s
+        out |= rows[low.bit_length() - 1]
+        s ^= low
+    return out
+
+
+def _closure(rows: Sequence[int], s: int) -> int:
+    """Least superset of s that contains rows[i] for each of its bits i."""
+    todo = s
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = rows[low.bit_length() - 1] & ~s
+        s |= new
+        todo |= new
+    return s
+
+
+def _digit_zero(size: int, n: int, stride: int) -> int:
+    """Among size positions read as mixed-radix tuples, those whose digit
+    of weight stride (base n) is 0: a run of stride ones repeated every
+    n * stride bits, made by multiplying the run with a repunit."""
+    return ((1 << stride) - 1) * (((1 << size) - 1) // ((1 << (n * stride)) - 1))
+
+
+def _spread(zero: int, stride: int, digits: Iterable[int]) -> int:
+    """Positions whose digit of weight stride is one of digits, given zero,
+    the positions where that digit is 0."""
+    out = 0
+    for p in digits:
+        out |= zero << p * stride
+    return out
 
 
 @functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
@@ -477,10 +522,9 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
         for a, pairs in [*g._moves.items(), (RESET, [(k, r) for k in range(n)])]:
             shifted = [(u * stride, w * stride) for u, w in pairs]
             moves[f"{a}@{i}"] = [(b + u, b + w) for b in bases for u, w in shifted]
-        # the positions whose component i is 0, by multiplying with a repunit
-        unit = ((1 << stride) - 1) * (((1 << size) - 1) // ((1 << (n * stride)) - 1))
+        zero = _digit_zero(size, n, stride)
         for c, mask in g._colors.items():
-            colors[f"{c}@{i}"] = sum([unit << p * stride for p in _set_bits(mask)])
+            colors[f"{c}@{i}"] = _spread(zero, stride, _set_bits(mask))
     ids = tuple(map(tuple_id, itertools.product(*[g.nodes for g in graphs])))
     return LabeledGraph._trusted(lifted, ids, ids[root], moves, colors)
 

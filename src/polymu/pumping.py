@@ -151,21 +151,24 @@ DEFAULT_WORD_SIG = Signature(("a", "b"), ("f",))
 Word = Sequence[tuple[Iterable[str], str]]
 
 
-def gen_rword_tree(word: Word, branching: int, depth: int,
-                   sig: Signature = DEFAULT_WORD_SIG) -> FiniteTree:
-    """Full branching-ary tree of the given depth: level-l nodes carry the
-    l-th label set of the word and their outgoing edges the l-th action.
-    When depth equals the word length the deepest level stays unlabeled."""
+def gen_rword_tree(word: Word, branching: int, depth: int) -> FiniteTree:
+    """Full branching-ary tree of the given depth over DEFAULT_WORD_SIG:
+    level-l nodes carry the l-th label set of the word and their outgoing
+    edges the l-th action.  When depth equals the word length the deepest
+    level stays unlabeled.  A tree of more than _MAX_NODES nodes is
+    refused before any of it is built."""
     if branching < 1:
         raise PolymuError("branching must be >= 1")
     if not 0 <= depth <= len(word):
         raise PolymuError("need 0 <= depth <= word length")
     for lv, (cols, act) in enumerate(word):
-        if act not in sig.actions:
+        if act not in DEFAULT_WORD_SIG.actions:
             raise PolymuError(f"word action {act} not in the signature")
         for c in cols:
-            if c not in sig.colors:
+            if c not in DEFAULT_WORD_SIG.colors:
                 raise PolymuError(f"word color {c} not in the signature")
+    if sum(branching**lv for lv in range(depth + 1)) > _MAX_NODES:
+        raise ResourceLimitError(f"gen_rword_tree: more than {_MAX_NODES} nodes")
     nodes, edges, labels = ["n"], [], {}
     level = ["n"]
     for lv in range(depth + 1):
@@ -183,7 +186,7 @@ def gen_rword_tree(word: Word, branching: int, depth: int,
                 edges.append((v, act, w))
                 nxt.append(w)
         level = nxt
-    return FiniteTree(sig, nodes, "n", edges, labels)
+    return FiniteTree(DEFAULT_WORD_SIG, nodes, "n", edges, labels)
 
 
 def is_rword(tree: FiniteTree) -> bool:

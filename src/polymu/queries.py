@@ -7,10 +7,12 @@ actions.  The lifted variants pose the same questions per component on
 a graph over a lifted signature, counting only that component's actions
 since its last reset; one shared witness must work for all components.
 
-All four queries are one breadth-first subset search, _least_word.
+All four queries are one breadth-first subset search, _least_word,
+whose steps are graphs._image and graphs._closure over bit rows.
 Every positive verdict is replayed by an independent check before it is
-returned: matrix squaring (plain one-letter), a subset replay of the
-word (plain two-letter), or, per component, a walk over paths with a
+returned: iterated squaring of the step matrix, carrying only the
+root's row (plain one-letter), a subset replay of the word over succ()
+(plain two-letter), or, per component, a walk over paths with a
 progress counter (lifted).
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, Signature, split_lifted, unlift
+from .graphs import LabeledGraph, RESET, Signature, _closure, _image, split_lifted, unlift
 
 
 @dataclass(frozen=True)
@@ -58,28 +60,6 @@ def _lifted_base(g: LabeledGraph, d: int, n_actions: int, what: str) -> Signatur
             f"{what} needs a lifted signature over {n_actions} action(s) and one color"
         )
     return base
-
-
-def _image(sub: int, targets: list[int]) -> int:
-    """Union of targets[k] over the bits k of sub."""
-    out = 0
-    while sub:
-        low = sub & -sub
-        sub ^= low
-        out |= targets[low.bit_length() - 1]
-    return out
-
-
-def _closure(sub: int, targets: list[int]) -> int:
-    """Least superset of sub that contains targets[k] for each of its bits k."""
-    todo = sub
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = targets[low.bit_length() - 1] & ~sub
-        sub |= new
-        todo |= new
-    return sub
 
 
 def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
@@ -120,14 +100,14 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
             for j in range(d):
                 if j != i:
                     silent[j][k] |= t
-    reach = _closure(root, out)
+    reach = _closure(out, root)
     for i, k, t in resets:
         if reach >> k & 1:
             start[i] |= t
     f = base.colors[0]
     colors = [f"{f}@{i}" for i in range(d)] if lifted else [f]
     accept = [g._colors[c] for c in colors]
-    first = tuple(map(_closure, start, silent))
+    first = tuple(map(_closure, silent, start))
     seen = {first}
     # the trail in order of discovery is the breadth-first queue
     trail = [(first, -1, None, 0)]
@@ -144,7 +124,7 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
             continue
         for x in sorted(base.actions):
             nxt = tuple(
-                _closure(_image(sub, st[x]), sil) for sub, st, sil in zip(cur, step, silent)
+                _closure(sil, _image(st[x], sub)) for sub, st, sil in zip(cur, step, silent)
             )
             if nxt not in seen:
                 seen.add(nxt)
@@ -176,36 +156,21 @@ def one_letter_non_universal(g: LabeledGraph) -> NonUnivVerdict:
 
 
 def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
-    """Image of the root under n steps of the single action, by binary
-    decomposition with boolean matrix squaring."""
+    """Image of the root under n steps of the single action, by iterated
+    squaring of the boolean step matrix: only the root's row is carried,
+    stepped by the current power at each set bit of n."""
     if n < 0:
         raise PolymuError("n must be >= 0")
     _require_plain(g, 1, "reach_by_squaring")
-    size = len(g.nodes)
-    mat = [0] * size
+    mat = [0] * len(g.nodes)
     for u, w in g._moves.get(g.signature.actions[0], ()):
         mat[u] |= 1 << w
-
-    def mul(x: list[int], y: list[int]) -> list[int]:
-        out = [0] * size
-        for i in range(size):
-            row, bits = 0, x[i]
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                row |= y[j]
-                bits &= bits - 1
-            out[i] = row
-        return out
-
-    acc = [1 << i for i in range(size)]
-    base = mat
-    e = n
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
-    row = acc[g.index[g.root]]
+    row = 1 << g.index[g.root]
+    while n:
+        if n & 1:
+            row = _image(mat, row)
+        mat = [_image(mat, r) for r in mat]
+        n >>= 1
     return frozenset(v for k, v in enumerate(g.nodes) if row >> k & 1)
 
 

@@ -4,7 +4,8 @@ The denotation of an arity-d formula is a set of d-tuples of nodes.
 Inside the evaluator a tuple set is a bitset held in a Python int: with
 n = |V| and nodes numbered in g.nodes order, bit sum(t[k] * n**(d-1-k))
 stands for the tuple t, the order of itertools.product.  Connectives
-are single int operations, colors are digit masks, and the bitsets are
+are single int operations, colors are digit masks (the graph's color
+mask spread over one component by graphs._spread), and the bitsets are
 decoded into node-name tuples only on the way out.  A bitset is n**d
 bits wide, so evaluation refuses to start when that exceeds tuple_cap.
 
@@ -32,12 +33,13 @@ once per evaluation, when the modality first runs.  An argument with at
 most as many members as the action has distinct shifts w - u takes the
 sparse form.  At arity 1 with at most _MASK_NODES nodes that form is one
 predecessor mask per target position w (bit u for each edge u -> w, row
-w of the transposed adjacency matrix), and the pre-image ORs the masks of
-the members; the masks take up to n * n bits, so larger graphs and
-higher arities map each member through per-node offset lists instead.
-Larger arguments move every target digit at once through one mask and
-one shift per distinct w - u; those groups are built on the first such
-call, so until then the table holds only the number of shifts.
+w of the transposed adjacency matrix), and the pre-image is the image
+of the members under them (graphs._image); the masks take up to n * n
+bits, so larger graphs and higher arities map each member through
+per-node offset lists instead.  Larger arguments move every target
+digit at once through one mask and one shift per distinct w - u; those
+groups are built on the first such call, so until then the table holds
+only the number of shifts.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import LabeledGraph, _set_bits, _to_bits
+from .graphs import LabeledGraph, _digit_zero, _image, _set_bits, _spread, _to_bits
 from .logic import (
     And,
     Box,
@@ -78,16 +80,6 @@ def _pred_masks(moves, n: int) -> list[int]:
     return masks
 
 
-def _or_masks(masks: list[int], s: int) -> int:
-    """Union of masks[i] over the set bits i of s."""
-    res = 0
-    while s:
-        low = s & -s
-        res |= masks[low.bit_length() - 1]
-        s ^= low
-    return res
-
-
 def _shift_groups(moves, unit: int, sk: int) -> list[tuple[int, int]]:
     """The dense pre-image's (mask, shift) pairs for one action in one component.
 
@@ -95,11 +87,10 @@ def _shift_groups(moves, unit: int, sk: int) -> list[tuple[int, int]]:
     component holds such a w (unit is that component's digit-0 mask and
     sk its stride), and the shift (w - u) * sk that takes them to u.
     """
-    by_shift: dict[int, int] = {}
+    targets: dict[int, list[int]] = {}  # w - u to its targets w
     for u, w in moves:
-        sh = (w - u) * sk
-        by_shift[sh] = by_shift.get(sh, 0) | unit << (w * sk)
-    return [(mask, sh) for sh, mask in by_shift.items()]
+        targets.setdefault(w - u, []).append(w)
+    return [(_spread(unit, sk, ws), sh * sk) for sh, ws in targets.items()]
 
 
 @dataclass(frozen=True)
@@ -147,9 +138,8 @@ def _evaluate_bits(
     max_rounds = size + 1
     # stride[k] is the bit distance between tuples differing by one in component k
     stride = [n ** (arity - 1 - k) for k in range(arity)]
-    # unit[k]: the tuples whose component k is 0, a run of stride[k] ones
-    # repeated every n * stride[k] bits by multiplying with a repunit
-    unit = [((1 << sk) - 1) * (full // ((1 << (n * sk)) - 1)) for sk in stride]
+    # unit[k]: the tuples whose component k is 0
+    unit = [_digit_zero(size, n, sk) for sk in stride]
 
     base_env: dict[str, int] = {}
     for name, ts in env.items():
@@ -161,13 +151,6 @@ def _evaluate_bits(
                 raise FormulaError(f"environment entry {name!r} contains a bad tuple {tup!r}")
             members.append(sum(idx[v] * s for v, s in zip(tup, stride)))
         base_env[name] = _to_bits(members, size)
-
-    def digit_mask(k: int, values) -> int:
-        """All tuples whose component k is one of values."""
-        res = 0
-        for v in values:
-            res |= unit[k] << (v * stride[k])
-        return res
 
     # (action, comp) -> [sparse form, number of distinct shifts, (mask, shift)
     # groups or None until the first dense call]; the sparse form is one
@@ -196,7 +179,7 @@ def _evaluate_bits(
         if s.bit_count() <= tab[1]:
             # sparse: map each member to its predecessors
             if masked:
-                return _or_masks(tab[0], s)
+                return _image(tab[0], s)
             sk, offs = stride[k], tab[0]
             return _to_bits((i + off for i in _set_bits(s) for off in offs[i // sk % n]), size)
         # dense: move every target digit w to the source digit u at once;
@@ -287,7 +270,8 @@ def _evaluate_bits(
             if not free[e]:
                 jump[start[e]] = e + 1
         elif op is Color:
-            res = digit_mask(nodes[e].comp, _set_bits(g._colors[nodes[e].color]))
+            k = nodes[e].comp
+            res = _spread(unit[k], stride[k], _set_bits(g._colors[nodes[e].color]))
         elif op is TT:
             res = full
         elif op is Replace:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import sys
 import tracemalloc
@@ -634,6 +635,44 @@ def test_zielonka_runs_only_where_cycle_parities_mix(monkeypatch):
         for g in graphs:
             acceptance_winners(apt, g)
         assert calls[0] >= 1, text
+
+
+# seeded cases of substream 777 on which a frame of the Zielonka loop finds
+# no position of its next priority left in its region and moves past it
+SKIPPED_PRIORITY_CASES = (1701, 6599, 7812, 9423, 12424, 16698, 21843, 22203, 26386, 29148)
+
+
+def test_zielonka_skips_priorities_its_region_has_lost():
+    """The `while not top` step of _zielonka, which moves a frame past a
+    priority whose positions have all left its region, runs on every case,
+    and the winners match solve_parity at every position."""
+    code = automata._zielonka.__code__
+    lines, first = inspect.getsourcelines(automata._zielonka)
+    skip = first + [line.strip() for line in lines].index("k += 1")
+    hits = [0]
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            hits[0] += event == "line" and frame.f_lineno == skip
+            return line
+        return line
+
+    sig = Signature(("a", "b"), ("f", "g"))
+    for case in SKIPPED_PRIORITY_CASES:
+        rng = Xorshift.substream(777, case)
+        g = rand_graph(rng, sig, 8, min_nodes=3)
+        apt = formula_to_apt(rand_formula(rng, sig, 1, 16), sig)
+        hits[0] = 0
+        sys.settrace(trace)
+        try:
+            winner = acceptance_winners(apt, g)
+        finally:
+            sys.settrace(None)
+        assert hits[0] >= 1, case
+        assert winner == solve_parity(acceptance_game(apt, g)).winner, case
 
 
 # ------------------------------------------ the per-position game construction

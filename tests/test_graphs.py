@@ -9,6 +9,10 @@ import pytest
 from polymu.errors import GraphFormatError, ResourceLimitError
 from polymu.graphs import (
     FiniteTree,
+    _closure,
+    _digit_zero,
+    _image,
+    _spread,
     LabeledGraph,
     RESET,
     Signature,
@@ -958,3 +962,62 @@ def test_constructor_matches_the_reference_on_edge_forms():
                      (e for e in edges), (iter(e) for e in edges)):
             got = _outcome(LabeledGraph, sig, ids, "0", form, labels)
             assert got == want, (edges, labels)
+
+
+# ------------------------------------------------------- the bitmask kernel
+
+
+def _bits(x):
+    return {i for i in range(x.bit_length()) if x >> i & 1}
+
+
+def _mask(positions):
+    return sum(1 << i for i in set(positions))
+
+
+def _rand_rows(rng, n):
+    """Rows of a random relation on n positions, with about a third of the
+    positions related to themselves."""
+    return [_mask([rng.below(n) for _ in range(rng.below(4))] + ([i] if rng.chance(1, 3) else []))
+            for i in range(n)]
+
+
+def test_image_and_closure_match_set_references():
+    loops = 0
+    for k in range(300):
+        rng = Xorshift.substream(2511, k)
+        n = 1 if k % 10 == 0 else rng.randint(1, 40)
+        rows = _rand_rows(rng, n)
+        loops += sum(rows[i] >> i & 1 for i in range(n))
+        s = 0 if k % 7 == 0 else _mask(rng.below(n) for _ in range(rng.below(n + 1)))
+        image = set().union(*(_bits(rows[i]) for i in _bits(s)))
+        assert _bits(_image(rows, s)) == image, k
+        reach, todo = _bits(s), list(_bits(s))
+        while todo:
+            for j in _bits(rows[todo.pop()]) - reach:
+                reach.add(j)
+                todo.append(j)
+        assert _bits(_closure(rows, s)) == reach, k
+    assert _image([0], 0) == _closure([1], 0) == 0
+    assert _image([1], 1) == _closure([1], 1) == 1
+    assert loops > 0
+
+
+def test_digit_helpers_match_set_references():
+    """Over the positions of a product of factors of unequal sizes, ones
+    included, the zero mask of each digit and its spread over a random set
+    of digit values match a digit-by-digit reading of every position."""
+    for k in range(60):
+        rng = Xorshift.substream(2512, k)
+        sizes = [1 if rng.chance(1, 5) else rng.randint(2, 5) for _ in range(rng.randint(1, 4))]
+        size = 1
+        for n in sizes:
+            size *= n
+        stride = size
+        for n in sizes:
+            stride //= n
+            zero = _digit_zero(size, n, stride)
+            assert _bits(zero) == {p for p in range(size) if p // stride % n == 0}, (sizes, n)
+            digits = set() if k % 6 == 0 else {rng.below(n) for _ in range(rng.below(n + 1))}
+            want = {p for p in range(size) if p // stride % n in digits}
+            assert _bits(_spread(zero, stride, sorted(digits))) == want, (sizes, n, digits)

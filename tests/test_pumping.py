@@ -267,6 +267,29 @@ def test_gen_rword_depth_zero_and_errors():
         gen_rword_tree([(("g",), "a")], 2, 1)
 
 
+def test_gen_rword_refuses_past_the_node_bound_before_building(monkeypatch):
+    """2 + 4 + ... + 2^20 nodes below the root make 2,097,151 in all, past
+    _MAX_NODES: refused before any node list or tree is made, as is one
+    level of _MAX_NODES children."""
+    from polymu import pumping
+
+    def built(*args):
+        raise AssertionError("a FiniteTree was constructed")
+
+    monkeypatch.setattr(pumping, "FiniteTree", built)
+    word = [(("f",), "a")] * 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="gen_rword_tree"):
+            gen_rword_tree(word, 2, 20)
+        with pytest.raises(ResourceLimitError, match="gen_rword_tree"):
+            gen_rword_tree(word, pumping._MAX_NODES, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_is_rword_mismatch_and_truncation():
     sig = DEFAULT_WORD_SIG
     # f on only one of two level-1 siblings

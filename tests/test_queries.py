@@ -50,18 +50,26 @@ def test_one_letter_least_witness_and_empty_level():
     assert one_letter_non_universal(g) == NonUnivVerdict(False, None)
 
 
-def test_one_letter_least_word_on_six_prime_cycles():
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def six_prime_cycles():
     """The root reaches position 1 of one a-cycle per prime, and only the
-    cycles' positions 0 lack f, so the least n is the product of the
-    primes.  Breadth-first search explores one state per level."""
+    cycles' positions 0 lack f."""
     nodes, edges, accepting = ["r"], [], ["r"]
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in PRIMES:
         cycle = [f"c{p}.{k}" for k in range(p)]
         nodes += cycle
         accepting += cycle[1:]
         edges.append(("r", "a", cycle[1]))
         edges += [(v, "a", cycle[(k + 1) % p]) for k, v in enumerate(cycle)]
-    assert one_letter_non_universal(nfa1(nodes, "r", edges, accepting)) == NonUnivVerdict(True, 30030)
+    return nfa1(nodes, "r", edges, accepting)
+
+
+def test_one_letter_least_word_on_six_prime_cycles():
+    """The least n is the product of the primes.  Breadth-first search
+    explores one state per level."""
+    assert one_letter_non_universal(six_prime_cycles()) == NonUnivVerdict(True, 30030)
 
 
 def test_reach_by_squaring_pins():
@@ -72,6 +80,17 @@ def test_reach_by_squaring_pins():
     assert reach_by_squaring(g, 4) == {"2"}
     with pytest.raises(PolymuError, match=">= 0"):
         reach_by_squaring(g, -1)
+
+
+def test_reach_by_squaring_on_six_prime_cycles_matches_the_closed_form():
+    """n steps from the root reach position n mod p of each p-cycle, for n
+    around every power of two up to 2^60, around the least word 30030, and
+    at 10^18."""
+    g = six_prime_cycles()
+    ns = {m for k in range(61) for m in (2**k - 1, 2**k, 2**k + 1)} | {30029, 30030, 30031, 10**18}
+    for n in sorted(ns):
+        want = {f"c{p}.{n % p}" for p in PRIMES} if n else {"r"}
+        assert reach_by_squaring(g, n) == want, n
 
 
 def test_reach_by_squaring_matches_bfs_levels():

@@ -347,10 +347,11 @@ def test_twin_binders_are_not_run(monkeypatch):
     never run."""
     from polymu import semantics
 
-    # at arity 1 on a small graph every sparse pre-image is one _or_masks call
+    # at arity 1 on a small graph every sparse pre-image is one call of
+    # graphs._image, which the evaluator imports under that name
     calls = []
-    real = semantics._or_masks
-    monkeypatch.setattr(semantics, "_or_masks", lambda masks, s: calls.append(s) or real(masks, s))
+    real = semantics._image
+    monkeypatch.setattr(semantics, "_image", lambda masks, s: calls.append(s) or real(masks, s))
     nodes = [str(i) for i in range(6)]
     g = LabeledGraph(SIG_AF, nodes, "0", [(u, "a", w) for u, w in zip(nodes, nodes[1:])], {"5": ["f"]})
     counts = []
@@ -399,7 +400,7 @@ def test_arity_one_agrees_with_acceptance_winners_at_every_node(monkeypatch):
 
     monkeypatch.setattr(semantics, "_pred_masks", counting("masks", semantics._pred_masks))
     monkeypatch.setattr(semantics, "_shift_groups", counting("groups", semantics._shift_groups))
-    monkeypatch.setattr(semantics, "_or_masks", counting("sparse", semantics._or_masks))
+    monkeypatch.setattr(semantics, "_image", counting("sparse", semantics._image))
 
     graphs = []
     for k in range(3):

@@ -6,8 +6,9 @@ derived-graph builders read a graph's edges only as the position pairs
 it stores, and their colors only as the position masks it stores, trees
 are read by position, not through per-node successor views, the
 trusted constructor is not exported, acceptance builds no game and keeps
-off the Zielonka solver that checks it, and graphs hold no
-cached_property."""
+off the Zielonka solver that checks it, graphs hold no cached_property,
+and the bitmask kernel (the lowest-set-bit walk, the repunit and the
+digit spread) is written once, in graphs.py."""
 import ast
 import importlib
 import importlib.util
@@ -258,3 +259,44 @@ def test_graphs_hold_no_cached_property():
         or (isinstance(node, ast.alias) and node.name == "cached_property")
     ]
     assert found == []
+
+
+def _kernel_kind(node):
+    """Which bitmask-kernel idiom an expression is, if any: a lowest-set-bit
+    step x & -x, a repunit division by (1 << e) - 1, or a digit spread, a
+    mask shifted by a product."""
+    if not isinstance(node, ast.BinOp):
+        return None
+    op, right = type(node.op), node.right
+    if op is ast.BitAnd and isinstance(right, ast.UnaryOp) and isinstance(right.op, ast.USub):
+        return "lowest bit"
+    if op is ast.FloorDiv and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Sub) \
+            and isinstance(right.left, ast.BinOp) and isinstance(right.left.op, ast.LShift):
+        return "repunit"
+    if op is ast.LShift and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult) \
+            and not isinstance(node.left, ast.Constant):
+        return "spread"
+    return None
+
+
+def test_bitmask_kernel_is_written_once():
+    """The image and closure walks, the digit-zero repunit and the digit
+    spread live in graphs.py, each in one helper, which the evaluator, the
+    subset search, the squaring replay and product call instead of
+    spelling them out."""
+    found = []
+    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            kind = _kernel_kind(node)
+            if kind:
+                around = [fn for fn in fns if fn.lineno <= node.lineno <= fn.end_lineno]
+                fn = max(around, key=lambda fn: fn.lineno).name if around else None
+                found.append((path.name, fn, kind))
+    assert sorted(found) == [
+        ("graphs.py", "_closure", "lowest bit"),
+        ("graphs.py", "_digit_zero", "repunit"),
+        ("graphs.py", "_image", "lowest bit"),
+        ("graphs.py", "_spread", "spread"),
+    ]
