@@ -13,7 +13,13 @@ have a top priority of one parity takes one attractor, as an
 alternation-free formula always does, so those are solved in linear
 time; only a component whose cycles mix parities runs Zielonka's loop
 over opponent attractors, on its own positions, nested on an explicit
-stack, with no strategies.  ``acceptance_game`` builds the same game
+stack, with no strategies.  That loop keeps no set of positions: its
+regions, tops and won sides are position lists, a region's membership is
+one frame depth per position (v is in frame f's region when its depth is
+at least f; a finished frame's positions return to its parent's depth,
+and what an opponent attractor takes from frame f drops to f - 1), and
+each attractor marks what it takes with a stamp of its own.
+``acceptance_game`` builds the same game
 explicitly, as a ``ParityGame``, and ``solve_parity``, Zielonka's
 algorithm with positional strategies for both players on the same kind
 of stack, solves it; the pair stays for strategies and as the oracle
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import _MAX_ID_CHARS, _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
+from .graphs import _MAX_ID_CHARS, _MAX_MOVES, _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
 from .logic import (
     And,
     Box,
@@ -281,9 +287,15 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     Literal positions are terminal and owned by whoever loses there;
     modal and boolean positions are owned by Exists on disjunctive
     transitions, Forall on conjunctive.  The game is filled one state at
-    a time over all nodes."""
+    a time over all nodes.  Past _MAX_MOVES moves it is refused before
+    anything is allocated."""
     size = _game_size(apt, g)
     nodes = g.nodes
+    pairs = sum([len(g._moves.get(t.action, ())) if type(t) is TransMod else
+                 len(nodes) * len({t.left, t.right}) if type(t) is TransBool else 0
+                 for t in apt.delta])
+    if pairs > _MAX_MOVES:
+        raise ResourceLimitError(f"acceptance_game: more than {_MAX_MOVES} moves")
     nq = len(apt.states)
     heads = ["(" + v + ",q" for v in nodes]
     labels: list = [None] * size
@@ -506,7 +518,7 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
         if sigma is None:
             for player in (EXISTS, FORALL):
                 _attract(won[player], player, winner, owner, count, into, nq)
-            region = {v for q in comp for v in range(q, size, nq) if winner[v] is None}
+            region = [v for q in comp for v in range(q, size, nq) if winner[v] is None]
             if region:
                 _zielonka(region, comp, prio, owner, count, into, outs, winner)
         else:
@@ -551,81 +563,109 @@ def _attract(queue: list, player: int, winner: list, owner: list, count: list,
                     queue.append(u)
 
 
-def _attractor(target: set, region: set, player: int, owner: list, count: list,
-               into: list, outs: list, nq: int) -> set:
-    """region minus player's attractor of target within it."""
-    rest = region - target
-    left = {}  # opponent positions: moves into region not yet attracted
-    queue = list(target)
+def _attractor(queue: list, f: int, stamp: int, player: int, depth: list, mark: list,
+               left: list, owner: list, count: list, into: list, outs: list, nq: int) -> None:
+    """Extend queue, the target, to player's attractor of it within frame
+    f's region, the positions of depth at least f, and mark every position
+    of the attractor with stamp.  An opponent position u marked -stamp has
+    left[u] moves into the region not yet attracted."""
     for v in queue:
+        mark[v] = stamp
+    for v in queue:  # grows while iterated
         w = v // nq
         for q, bases in into[v - w * nq]:
             for b in bases[w]:
                 u = b + q
-                if u not in rest:
+                if depth[u] < f or mark[u] == stamp:
                     continue
                 # count[u] holds u's moves into the region _zielonka started
                 # from; with one, its count drops from 1 to 0
                 if owner[u] != player and count[u] > 1:
-                    c = left.get(u)
-                    if c is None:
+                    if mark[u] == -stamp:
+                        c = left[u]
+                    else:
+                        mark[u] = -stamp
                         x = u // nq
                         c = len([y for r, ys in outs[u - x * nq] for y in ys[x]
-                                 if y + r in region])
+                                 if depth[y + r] >= f])
                     if c > 1:
                         left[u] = c - 1
                         continue
-                rest.remove(u)
+                mark[u] = stamp
                 queue.append(u)
-    return rest
 
 
-def _zielonka(region: set, comp: list[int], prio: tuple[int, ...], owner: list, count: list,
+def _zielonka(region: list, comp: list[int], prio: tuple[int, ...], owner: list, count: list,
               into: list, outs: list, winner: list) -> None:
     """Zielonka's loop over opponent attractors on region, the undecided
     positions of one automaton component whose cycles disagree in
     parity; every position of region keeps a move inside it, and count
     holds how many.  Its nesting over priorities runs on an explicit
     stack of frames, so any number of priorities is solved.  The winners
-    go into winner."""
+    go into winner.
+
+    Regions are position lists, and membership is one depth per position:
+    v is in the region of frame f, the frame with f parents, exactly when
+    depth[v] >= f.  Two invariants keep that true.  A finished frame's
+    positions return to its parent's depth, so no stale deeper mark lets
+    them into the parent's next sub-region; and what an opponent attractor
+    takes from frame f drops to depth f - 1, out of f's region but still
+    in its parent's.  Each attractor marks what it takes with its own
+    stamp."""
     size, nq = len(winner), len(outs)
-    # every position of a priority, decided or not: tops are cut to the region
-    order, buckets = [], []
-    for p, qs in groupby(sorted(comp, key=prio.__getitem__, reverse=True), key=prio.__getitem__):
-        order.append(p)
-        buckets.append({v for q in qs for v in range(q, size, nq)})
+    order = sorted({prio[q] for q in comp}, reverse=True)
+    depth = [-1] * size
+    for v in region:
+        depth[v] = 0
+    mark, left = [0] * size, [0] * size
+    stamp = 0
     # a frame solves region, whose priorities are at most order[k]; won[p]
-    # gathers what p wins of it
-    k, won = 0, [set(), set()]
+    # gathers what p wins of it; frames holds its parents
+    k, won = 0, ([], [])
     frames: list = []
     while True:
+        f = len(frames)
         if region:
-            top = buckets[k] & region
+            p = order[k]
+            top = [v for v in region if prio[v % nq] == p]
             while not top:
                 k += 1
-                top = buckets[k] & region
-            sigma = order[k] % 2
+                p = order[k]
+                top = [v for v in region if prio[v % nq] == p]
+            sigma = p % 2
             # a region all of top priority is its own attractor
-            inner = None
             if len(top) < len(region):
-                inner = _attractor(top, region, sigma, owner, count, into, outs, nq)
-            if inner:
-                frames.append((region, k, won))
-                region, k, won = inner, k + 1, [set(), set()]
-                continue
-            won[sigma] |= region
+                stamp += 1
+                _attractor(top, f, stamp, sigma, depth, mark, left, owner, count, into, outs, nq)
+                inner = [v for v in region if mark[v] != stamp]
+                if inner:
+                    for v in inner:
+                        depth[v] = f + 1
+                    frames.append((region, k, won))
+                    region, k, won = inner, k + 1, ([], [])
+                    continue
+            won[sigma].extend(region)
+            for v in region:
+                depth[v] = f - 1
         if not frames:
             break
         sub = won
         region, k, won = frames.pop()
+        f -= 1
         opp = 1 - order[k] % 2
-        if sub[opp]:
-            rest = _attractor(sub[opp], region, opp, owner, count, into, outs, nq)
-            won[opp] |= region - rest
-            region = rest
+        taken = sub[opp]
+        if taken:
+            stamp += 1
+            _attractor(taken, f, stamp, opp, depth, mark, left, owner, count, into, outs, nq)
+            for v in taken:
+                depth[v] = f - 1
+            won[opp].extend(taken)
+            region = [v for v in region if depth[v] >= f]
         else:
-            won[1 - opp] |= region
-            region = set()
+            won[1 - opp].extend(region)
+            for v in region:
+                depth[v] = f - 1
+            region = []
     for player in (EXISTS, FORALL):
         for v in won[player]:
             winner[v] = player

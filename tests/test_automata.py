@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import itertools
 import sys
@@ -637,6 +638,51 @@ def test_zielonka_runs_only_where_cycle_parities_mix(monkeypatch):
         assert calls[0] >= 1, text
 
 
+@contextlib.contextmanager
+def zielonka_lines(seen):
+    """Call seen(frame) on every line of _zielonka that runs in the block.
+    The tracer that was active before, such as a coverage tool's or a
+    debugger's, is restored after it."""
+    code = automata._zielonka.__code__
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                seen(frame)
+            return line
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(outer)
+
+
+def zielonka_line(prefix):
+    """The number of the first line of _zielonka that starts with prefix."""
+    lines, first = inspect.getsourcelines(automata._zielonka)
+    return first + next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+
+
+def test_zielonka_line_probe_restores_the_outer_tracer():
+    def outer(frame, event, arg):
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        with zielonka_lines(lambda frame: None):
+            assert sys.gettrace() is not outer
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(before)
+
+
 # seeded cases of substream 777 on which a frame of the Zielonka loop finds
 # no position of its next priority left in its region and moves past it
 SKIPPED_PRIORITY_CASES = (1701, 6599, 7812, 9423, 12424, 16698, 21843, 22203, 26386, 29148)
@@ -646,19 +692,11 @@ def test_zielonka_skips_priorities_its_region_has_lost():
     """The `while not top` step of _zielonka, which moves a frame past a
     priority whose positions have all left its region, runs on every case,
     and the winners match solve_parity at every position."""
-    code = automata._zielonka.__code__
-    lines, first = inspect.getsourcelines(automata._zielonka)
-    skip = first + [line.strip() for line in lines].index("k += 1")
+    skip = zielonka_line("k += 1")
     hits = [0]
 
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-
-        def line(frame, event, arg):
-            hits[0] += event == "line" and frame.f_lineno == skip
-            return line
-        return line
+    def seen(frame):
+        hits[0] += frame.f_lineno == skip
 
     sig = Signature(("a", "b"), ("f", "g"))
     for case in SKIPPED_PRIORITY_CASES:
@@ -666,13 +704,114 @@ def test_zielonka_skips_priorities_its_region_has_lost():
         g = rand_graph(rng, sig, 8, min_nodes=3)
         apt = formula_to_apt(rand_formula(rng, sig, 1, 16), sig)
         hits[0] = 0
-        sys.settrace(trace)
-        try:
+        with zielonka_lines(seen):
             winner = acceptance_winners(apt, g)
-        finally:
-            sys.settrace(None)
         assert hits[0] >= 1, case
         assert winner == solve_parity(acceptance_game(apt, g)).winner, case
+
+
+# seeded cases of substream 779, an alternating nest on a random graph each,
+# on which a frame of the Zielonka loop resumes after a sub-frame left the
+# opponent a win, the opponent attracts it, and the frame descends again
+REENTERED_FRAME_CASES = (14, 56, 57, 84, 128, 145, 159, 176, 210, 236)
+
+
+def test_zielonka_frames_descend_again_after_an_opponent_attractor():
+    """The path where a stale depth would leak positions into the next
+    sub-region: a frame resumes after a sub-frame that left the opponent a
+    non-empty win, the opponent's attractor takes it, and the frame
+    descends again without resuming first.  It runs on every case, and the
+    winners match solve_parity at every position.  The depths are read at
+    every descent and resumption of a frame f, here and on the skipped
+    priority cases: the positions of depth above f are exactly the new
+    sub-region when f descends, and when f resumes, its region is exactly
+    the positions of depth f or above, all of them at depth f."""
+    attract, descend = zielonka_line("_attractor(taken"), zielonka_line("frames.append(")
+    resume = zielonka_line("opp = 1 - order[k] % 2")
+    armed, hits, checks = [False], [0], [0]
+
+    def seen(frame):
+        lineno = frame.f_lineno
+        if lineno == attract:
+            armed[0] = True
+        elif lineno in (descend, resume):
+            hits[0] += armed[0] and lineno == descend
+            armed[0] = False
+            local = frame.f_locals
+            depth, f, region = local["depth"], local["f"], local["region"]
+            assert {v for v, d in enumerate(depth) if d >= f} == set(region)
+            if lineno == descend:
+                assert {v for v, d in enumerate(depth) if d > f} == set(local["inner"])
+            else:
+                assert {depth[v] for v in region} == {f}
+            checks[0] += 1
+
+    sig = Signature(("a", "b"), ("f", "g"))
+    for case in REENTERED_FRAME_CASES:
+        rng = Xorshift.substream(779, case)
+        text = draw_nest(rng, NESTS[case % len(NESTS)])
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        g = rand_graph(rng, sig, 8, min_nodes=3)
+        hits[0] = 0
+        with zielonka_lines(seen):
+            winner = acceptance_winners(apt, g)
+        assert hits[0] >= 1, case
+        assert winner == solve_parity(acceptance_game(apt, g)).winner, case
+    for case in SKIPPED_PRIORITY_CASES:
+        rng = Xorshift.substream(777, case)
+        g = rand_graph(rng, sig, 8, min_nodes=3)
+        with zielonka_lines(seen):
+            acceptance_winners(formula_to_apt(rand_formula(rng, sig, 1, 16), sig), g)
+    assert checks[0] >= 80
+
+
+def test_winners_match_zielonka_on_buchi_patterns_over_hundreds_of_nodes(monkeypatch):
+    sig = Signature(("a", "b"), ("f", "g"))
+    apts = [formula_to_apt(parse_formula(text, sig, 1), sig) for text in PATTERNS[2:4]]
+    calls = count_zielonka(monkeypatch)
+    sizes, verdicts = set(), set()
+    for k in range(4):
+        g = rand_graph(Xorshift.substream(4480, k), sig, 500, min_nodes=300, edge_den=300)
+        sizes.add(len(g.nodes))
+        for text, apt in zip(PATTERNS[2:4], apts):
+            winner = acceptance_winners(apt, g)
+            assert winner == solve_parity(acceptance_game(apt, g)).winner, (k, text)
+            # who wins the formula at each node
+            verdicts |= {(text, x) for x in winner[apt.initial::len(apt.states)]}
+    assert min(sizes) >= 300 and len(sizes) == 4
+    assert len(verdicts) == 4 and calls[0] == 8
+
+
+def test_zielonka_holds_its_regions_in_per_position_lists(monkeypatch):
+    """The memory one mixed-parity solve adds above what is live when it
+    starts, per position of its region, on the Büchi and co-Büchi patterns
+    over a 512-node random graph: about 85 bytes with one depth and one
+    stamp per position, about 200 when every region, top and won side was
+    a set."""
+    sig = Signature(("a", "b"), ("f", "g"))
+    g = rand_graph(Xorshift.substream(5, 512), sig, 512, min_nodes=512, edge_den=512)
+    real = automata._zielonka
+    added = []
+
+    def measured(region, *args):
+        positions = len(region)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real(region, *args)
+        added.append((tracemalloc.get_traced_memory()[1] - live, positions))
+
+    monkeypatch.setattr(automata, "_zielonka", measured)
+    for text in PATTERNS[2:4]:
+        apt = formula_to_apt(parse_formula(text, sig, 1), sig)
+        added.clear()
+        tracemalloc.start()
+        try:
+            acceptance_winners(apt, g)
+        finally:
+            tracemalloc.stop()
+        assert added, text
+        for peak, positions in added:
+            assert positions > 3000 and peak < 150 * positions, (text, peak, positions)
 
 
 # ------------------------------------------ the per-position game construction
@@ -839,6 +978,44 @@ def test_acceptance_refuses_the_game_budget_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert str(exc.value) == "acceptance_game: more than 48 positions"
     assert peak < 1 << 20
+
+
+def test_acceptance_game_refuses_too_many_moves_before_allocating():
+    # 190 modal states on the complete a-graph of 300 nodes: 57,300
+    # positions, under the position cap, and 190 * 90,000 = 17,100,000 moves
+    n = 300
+    g = LabeledGraph(SIG_AF, [str(v) for v in range(n)], "0",
+                     [(str(u), "a", str(w)) for u in range(n) for w in range(n)], {})
+    apt = formula_to_apt(parse_formula("<a>" * 190 + "f", SIG_AF, 1), SIG_AF)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            acceptance_game(apt, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "acceptance_game: more than 16777216 moves"
+    assert peak < 1 << 20, peak
+
+
+def test_acceptance_game_move_budget_admits_exactly_the_limit(monkeypatch):
+    # modal, boolean and literal states, and a conjunction of one state with
+    # itself, which moves once; acceptance_winners builds no moves, so the
+    # budget leaves it alone
+    sig = Signature(("a", "b"), ("f", "g"))
+    g = rand_graph(Xorshift.substream(4481, 0), sig, 12, min_nodes=12, edge_den=4)
+    apts = [formula_to_apt(parse_formula(text, sig, 1), sig)
+            for text in PATTERNS + ("mu X. (f | <a>X) & (f | <a>X)",)]
+    games = [acceptance_game(apt, g) for apt in apts]
+    for apt, game in zip(apts, games):
+        winner, moves = solve_parity(game).winner, sum(map(len, game.moves))
+        monkeypatch.setattr(automata, "_MAX_MOVES", moves)
+        assert sum(map(len, acceptance_game(apt, g).moves)) == moves
+        monkeypatch.setattr(automata, "_MAX_MOVES", moves - 1)
+        with pytest.raises(ResourceLimitError, match=f"^acceptance_game: more than {moves - 1} moves$"):
+            acceptance_game(apt, g)
+        monkeypatch.setattr(automata, "_MAX_MOVES", 0)
+        assert acceptance_winners(apt, g) == winner, apt.states[apt.initial]
 
 
 # ------------------------------------------------------------- runs on trees

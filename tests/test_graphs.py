@@ -3,9 +3,11 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
+from polymu import graphs as graphs_module
 from polymu.errors import GraphFormatError, ResourceLimitError
 from polymu.graphs import (
     FiniteTree,
@@ -523,6 +525,56 @@ def test_product_keeps_the_duplicate_id_check():
     with pytest.raises(GraphFormatError) as got:
         product(factors)
     assert str(got.value) == str(want.value) == "nodes[3]: duplicate id '(a,b,c)'"
+
+
+def test_product_refuses_too_many_moves_before_building():
+    # 512 nodes and 174,686 edges: the square has 262,144 nodes, under the
+    # node cap, and 2 * 512 * (174,686 + 512) = 179,402,752 moves
+    g = rand_graph(Xorshift.substream(5, 512), Signature(("a", "b"), ("f", "g")), 512, min_nodes=512)
+    assert len(g.nodes) == 512 and sum(map(len, g._moves.values())) == 174_686
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            power(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "product: more than 16777216 moves"
+    assert peak < 1 << 20, peak
+
+
+def test_product_move_budget_admits_exactly_the_limit(monkeypatch):
+    # the budget counts every move of every component, resets included, so
+    # the product's own edge count is the least budget that admits it
+    cases = [[make_loop3()] * 2, [make_loop3_ab()] * 3,
+             [make_loop3_ab(), LabeledGraph(SIG_ABF, ["0", "1"], "0", [("0", "b", "1")], {}),
+              LabeledGraph(SIG_ABF, ["0"], "0", [("0", "a", "0")], {})]]
+    for factors, moves in [(factors, len(product(factors).edges)) for factors in cases]:
+        monkeypatch.setattr(graphs_module, "_MAX_MOVES", moves)
+        assert len(product(factors).edges) == moves
+        monkeypatch.setattr(graphs_module, "_MAX_MOVES", moves - 1)
+        with pytest.raises(ResourceLimitError, match=f"^product: more than {moves - 1} moves$"):
+            product(factors)
+
+
+def test_product_move_budget_admits_the_square_of_a_thousand_nodes(monkeypatch):
+    # 1,024 nodes with two a-edges each: the square has 1,048,576 nodes, at
+    # the node cap, and 2 * 1,024 * (2,048 + 1,024) = 6,291,456 moves, under
+    # the budget.  Building it takes about 1 GB, so the test stops at the
+    # first step after the checks.
+    n = 1024
+    g = LabeledGraph(SIG_AF, [str(v) for v in range(n)], "0",
+                     [(str(v), "a", str((2 * v + k) % n)) for v in range(n) for k in (0, 1)], {})
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(graphs_module, "lift_signature", admitted)
+    with pytest.raises(Admitted):
+        power(g, 2)
 
 
 def test_unfold_keeps_the_duplicate_id_check():
