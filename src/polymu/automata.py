@@ -18,7 +18,8 @@ regions, tops and won sides are position lists, a region's membership is
 one frame depth per position (v is in frame f's region when its depth is
 at least f; a finished frame's positions return to its parent's depth,
 and what an opponent attractor takes from frame f drops to f - 1), and
-each attractor marks what it takes with a stamp of its own.
+each attractor marks what it takes with a stamp of its own; the depth
+and stamp lists are allocated once per game and shared by its components.
 ``acceptance_game`` builds the same game
 explicitly, as a ``ParityGame``, and ``solve_parity``, Zielonka's
 algorithm with positional strategies for both players on the same kind
@@ -459,6 +460,7 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
                 inn[w].append(u * nq)
             adjacency[t.action] = out, inn, [v * nq for v in range(n) if not out[v]]
     owner: list = []  # allocated with the first component that has a cycle
+    depth: list = []  # allocated with the first component _zielonka solves
     for comp in _sccs(range(nq), succ):
         q = comp[0]
         t = delta[q]
@@ -520,7 +522,11 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
                 _attract(won[player], player, winner, owner, count, into, nq)
             region = [v for q in comp for v in range(q, size, nq) if winner[v] is None]
             if region:
-                _zielonka(region, comp, prio, owner, count, into, outs, winner)
+                if not depth:
+                    # each call returns its region to depth -1 and marks only
+                    # positions of its region, and components share none
+                    depth, mark, left = [-1] * size, [0] * size, [0] * size
+                _zielonka(region, comp, prio, owner, count, into, outs, winner, depth, mark, left)
         else:
             _attract(won[1 - sigma], 1 - sigma, winner, owner, count, into, nq)
             for q in comp:
@@ -596,7 +602,7 @@ def _attractor(queue: list, f: int, stamp: int, player: int, depth: list, mark: 
 
 
 def _zielonka(region: list, comp: list[int], prio: tuple[int, ...], owner: list, count: list,
-              into: list, outs: list, winner: list) -> None:
+              into: list, outs: list, winner: list, depth: list, mark: list, left: list) -> None:
     """Zielonka's loop over opponent attractors on region, the undecided
     positions of one automaton component whose cycles disagree in
     parity; every position of region keeps a move inside it, and count
@@ -611,13 +617,16 @@ def _zielonka(region: list, comp: list[int], prio: tuple[int, ...], owner: list,
     them into the parent's next sub-region; and what an opponent attractor
     takes from frame f drops to depth f - 1, out of f's region but still
     in its parent's.  Each attractor marks what it takes with its own
-    stamp."""
-    size, nq = len(winner), len(outs)
+    stamp.
+
+    depth, mark and left span the whole game and are shared by every call
+    on one game: depth is -1 outside region and again -1 on all of region
+    when the call returns, and mark and left are read and written only
+    inside region, where mark is 0 on entry."""
+    nq = len(outs)
     order = sorted({prio[q] for q in comp}, reverse=True)
-    depth = [-1] * size
     for v in region:
         depth[v] = 0
-    mark, left = [0] * size, [0] * size
     stamp = 0
     # a frame solves region, whose priorities are at most order[k]; won[p]
     # gathers what p wins of it; frames holds its parents

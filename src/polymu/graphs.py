@@ -507,14 +507,11 @@ def product(graphs: Sequence[LabeledGraph]) -> LabeledGraph:
         size *= len(g.nodes)
         if size > _MAX_NODES:
             raise ResourceLimitError(f"product: more than {_MAX_NODES} nodes")
-    # component i moves every position by one of its factor's edges or its
-    # reset; a factor has at most one edge per action and node pair, so the
-    # edges are counted only for products large enough to pass the budget
-    if len(graphs) * size * (len(sig.actions) * size + 1) > _MAX_MOVES:
-        pairs = sum([size // len(g.nodes) * (sum(map(len, g._moves.values())) + len(g.nodes))
-                     for g in graphs])
-        if pairs > _MAX_MOVES:
-            raise ResourceLimitError(f"product: more than {_MAX_MOVES} moves")
+    # component i moves every position by one of its factor's edges or its reset
+    pairs = sum([size // len(g.nodes) * (sum(map(len, g._moves.values())) + len(g.nodes))
+                 for g in graphs])
+    if pairs > _MAX_MOVES:
+        raise ResourceLimitError(f"product: more than {_MAX_MOVES} moves")
     lifted = lift_signature(sig, len(graphs))
     # component i steps a product position by the node counts of the factors
     # after i, so each of its moves is a factor pair shifted onto every

@@ -782,36 +782,86 @@ def test_winners_match_zielonka_on_buchi_patterns_over_hundreds_of_nodes(monkeyp
     assert len(verdicts) == 4 and calls[0] == 8
 
 
-def test_zielonka_holds_its_regions_in_per_position_lists(monkeypatch):
-    """The memory one mixed-parity solve adds above what is live when it
-    starts, per position of its region, on the Büchi and co-Büchi patterns
-    over a 512-node random graph: about 85 bytes with one depth and one
-    stamp per position, about 200 when every region, top and won side was
-    a set."""
-    sig = Signature(("a", "b"), ("f", "g"))
-    g = rand_graph(Xorshift.substream(5, 512), sig, 512, min_nodes=512, edge_den=512)
+def measure_zielonka(monkeypatch):
+    """Record, for each call of the Zielonka loop under tracemalloc, the
+    memory it adds above what is live when it starts, its region's size
+    and the depth, mark and left lists it was given; checks that it
+    leaves every position at depth -1."""
     real = automata._zielonka
-    added = []
+    calls = []
 
     def measured(region, *args):
         positions = len(region)
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         real(region, *args)
-        added.append((tracemalloc.get_traced_memory()[1] - live, positions))
+        peak = tracemalloc.get_traced_memory()[1] - live
+        depth = args[-3]
+        assert depth.count(-1) == len(depth)
+        calls.append((peak, positions, args[-3:]))
 
     monkeypatch.setattr(automata, "_zielonka", measured)
+    return calls
+
+
+def traced_winners(apt, g):
+    tracemalloc.start()
+    try:
+        return acceptance_winners(apt, g)
+    finally:
+        tracemalloc.stop()
+
+
+def test_zielonka_holds_its_regions_in_per_position_lists(monkeypatch):
+    """The memory one mixed-parity solve adds, per position of its region,
+    on the Büchi and co-Büchi patterns over a 512-node random graph,
+    counting the depth, mark and left lists it shares with later solves
+    on the same game: about 85 bytes with one depth and one stamp per
+    position, about 200 when every region, top and won side was a set."""
+    sig = Signature(("a", "b"), ("f", "g"))
+    g = rand_graph(Xorshift.substream(5, 512), sig, 512, min_nodes=512, edge_den=512)
+    calls = measure_zielonka(monkeypatch)
     for text in PATTERNS[2:4]:
         apt = formula_to_apt(parse_formula(text, sig, 1), sig)
-        added.clear()
-        tracemalloc.start()
-        try:
-            acceptance_winners(apt, g)
-        finally:
-            tracemalloc.stop()
-        assert added, text
-        for peak, positions in added:
-            assert positions > 3000 and peak < 150 * positions, (text, peak, positions)
+        calls.clear()
+        traced_winners(apt, g)
+        assert len(calls) == 1, text
+        peak, positions, shared = calls[0]
+        peak += sum(map(sys.getsizeof, shared))
+        assert positions > 3000 and peak < 150 * positions, (text, peak, positions)
+
+
+# two Büchi and two co-Büchi patterns, each a mixed-parity component of its own
+CONJUNCTION = " & ".join(
+    "(" + part.format(i=i, c=c) + ")" for i, (part, c) in enumerate([
+        ("nu X{i}. mu Y{i}. ({c} & (<a>X{i} | <b>X{i})) | <a>Y{i} | <b>Y{i}", "f"),
+        ("nu X{i}. mu Y{i}. ({c} & (<a>X{i} | <b>X{i})) | <a>Y{i} | <b>Y{i}", "g"),
+        ("mu X{i}. nu Y{i}. ({c} & (<a>Y{i} | <b>Y{i})) | <a>X{i} | <b>X{i}", "f"),
+        ("mu X{i}. nu Y{i}. ({c} & (<a>Y{i} | <b>Y{i})) | <a>X{i} | <b>X{i}", "~g"),
+    ]))
+
+
+def test_zielonka_solves_on_one_game_share_their_lists(monkeypatch):
+    """A conjunction of four Büchi and co-Büchi patterns runs the loop on
+    four components, each a small part of the game.  The calls share one
+    depth, mark and left list, and each adds memory for its own region
+    only, not for the game's positions (about 45 bytes per region
+    position on a 512-node graph, where the region is a seventh of the
+    game; about 215 if each call allocated the three lists)."""
+    sig = Signature(("a", "b"), ("f", "g"))
+    apt = formula_to_apt(parse_formula(CONJUNCTION, sig, 1), sig)
+    calls = measure_zielonka(monkeypatch)
+    small = rand_graph(Xorshift.substream(5, 12), sig, 12, min_nodes=12, edge_den=12)
+    assert traced_winners(apt, small) == solve_parity(acceptance_game(apt, small)).winner
+    assert len(calls) == 4
+    g = rand_graph(Xorshift.substream(5, 512), sig, 512, min_nodes=512, edge_den=512)
+    calls.clear()
+    traced_winners(apt, g)
+    assert len(calls) == 4
+    size = len(g.nodes) * len(apt.states)
+    for peak, positions, shared in calls:
+        assert [id(x) for x in shared] == [id(x) for x in calls[0][2]]
+        assert 3000 < positions < size // 5 and peak < 150 * positions, (peak, positions)
 
 
 # ------------------------------------------ the per-position game construction
