@@ -26,24 +26,35 @@ lay out the digits of a tuple space.  product, the evaluator, the subset
 search and the squaring replay of queries all use them.
 
 LabeledGraph(...), and read_graph with it, is the validating boundary:
-it checks every node id, edge, action and color it is given.  read_graph
-checks only what the constructor cannot see: the top-level fields, the
-signature, and, over whole lists, that every node entry is a dict with
-exactly the keys id and colors and that every colors value and every
-edge is a list.  It hands the edge lists to the constructor uncopied;
-the constructor checks ids (non-empty strings, distinct), the root,
-each edge (length, source, target, action, duplicate) and each label
-color.  Faults are reported in one order: the JSON shape of every node
-entry (id a string, colors a list of strings), then of every edge
-(three strings), then the constructor's checks in the order above.  A
-non-string id, color or edge field trips the constructor, and read_graph
-then walks the JSON shape item by item to report that fault first.  Graphs
-the library derives from graphs it already holds (product, unfold,
-bisim.quotient, bisim.component_view, pumping.pump) are built through
-LabeledGraph._trusted, which takes their position pairs and color masks
-ready-made and checks only that the ids are distinct; unfold and pump,
-which build trees as trees, hand over their shape lists as well, so the
-tree shape check runs only on trees from other sources.
+it checks every node id, edge, action and color it is given: ids
+(non-empty strings, distinct), the root, each edge (length, source,
+target, action, duplicate) and each label color.  The constructor checks
+in two passes.  A lean pass makes every check over whole lists (one type
+pass over the ids, then the index at once; one loop that files each edge
+under its action with unchecked lookups, then duplicates by set size per
+action; one loop over the label lists) and names no fault.  Only when it
+finds a fault, or meets a form it does not take, does the walk run: item
+by item, it raises the first fault in the order above.  The lean pass
+takes edges and label values only as lists or tuples, and refuses others
+before reading any, so a one-shot item reaches the walk unspent; an edge
+iterable other than a list or tuple is made a list once, for both
+passes.  read_graph checks only what the constructor cannot see: the
+top-level fields, the signature, and, over whole lists, that every node
+entry is a dict with exactly the keys id and colors and that every
+colors value and every edge is a list.  It builds the labels once, and
+hands them and the edge lists to the constructor uncopied.  Faults are
+reported in one order: the JSON shape of every node entry (id a string,
+colors a list of strings), then of every edge (three strings), then the
+constructor's checks in the order above.  A non-string id, color or edge
+field trips the constructor, and read_graph then walks the JSON shape
+item by item to report that fault first.
+
+Graphs the library derives from graphs it already holds (product,
+unfold, bisim.quotient, bisim.component_view, pumping.pump) are built
+through LabeledGraph._trusted, which takes their position pairs and
+color masks ready-made and checks only that the ids are distinct; unfold
+and pump, which build trees as trees, hand over their shape lists as
+well, so the tree shape check runs only on trees from other sources.
 """
 from __future__ import annotations
 
@@ -216,6 +227,104 @@ def split_lifted(sig: Signature) -> tuple[Signature, int]:
     return base, d
 
 
+def _lean_parts(signature, nodes, root, edges, labels):
+    """(index, _moves, _colors) of valid constructor input, or None on
+    any fault or unexpected form, unnamed.  Whole-list passes check the
+    ids and the edge forms; the edge and label loops then index without
+    checking, and a failed lookup means a fault.  Edges and label values
+    other than lists and tuples are refused before anything reads them,
+    so a one-shot item reaches the walk whole."""
+    try:
+        "".join(nodes)  # every id is a str
+        n = len(nodes)
+        index = dict(zip(nodes, range(n)))
+        if len(index) != n or not all(nodes) or root not in index:
+            return None
+        if not {list, tuple}.issuperset(map(type, edges)):
+            return None
+        number = signature._action_number
+        moves: dict[str, list[tuple[int, int]]] = {}
+        pairs_of = moves.get
+        for src, a, dst in edges:
+            pairs = pairs_of(a)
+            if pairs is None:
+                if a not in number:
+                    return None
+                pairs = moves[a] = []
+            pairs.append((index[src], index[dst]))
+        for pairs in moves.values():
+            if len(set(pairs)) != len(pairs):
+                return None
+        holders: dict[str, list[int]] = {c: [] for c in signature.colors}
+        for v, cs in labels.items():
+            if type(cs) is not list and type(cs) is not tuple:
+                return None
+            p = index[v]
+            for c in cs:
+                holders[c].append(p)
+    # an unknown id or color (KeyError), an unhashable id, action or color
+    # (TypeError), an edge of another length (ValueError)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return index, moves, {c: _to_bits(ps, n) for c, ps in holders.items()}
+
+
+def _walk_parts(signature, nodes, root, edges, labels):
+    """(index, _moves, _colors) checked item by item: raises the first
+    fault, in the order the module docstring gives."""
+    index: dict[str, int] = {}
+    for i, v in enumerate(nodes):
+        if not isinstance(v, str) or not v:
+            raise GraphFormatError(f"nodes[{i}]: id must be a non-empty string")
+        if v in index:
+            raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
+        index[v] = i
+    if root not in index:
+        raise GraphFormatError(f"root: {root!r} is not a node")
+    position = index.get
+    number = signature._action_number.get
+    n, n_actions = len(nodes), len(signature.actions)
+    moves: dict[str, list[tuple[int, int]]] = {}
+    seen: set[int] = set()  # edge (u, a, w) as (u * n + w) * n_actions + number(a)
+    for i, e in enumerate(edges):
+        try:
+            src, a, dst = e
+        except ValueError:
+            raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]") from None
+        u = position(src)
+        if u is None:
+            raise GraphFormatError(f"edges[{i}]: unknown source {src!r}")
+        w = position(dst)
+        if w is None:
+            raise GraphFormatError(f"edges[{i}]: unknown target {dst!r}")
+        k = number(a)
+        if k is None:
+            raise GraphFormatError(f"edges[{i}]: unknown action {a!r}")
+        key = (u * n + w) * n_actions + k
+        if key in seen:
+            raise GraphFormatError(f"edges[{i}]: duplicate edge {(src, a, dst)!r}")
+        seen.add(key)
+        pairs = moves.get(a)
+        if pairs is None:  # setdefault would build a list per edge
+            pairs = moves[a] = []
+        pairs.append((u, w))
+    color_set = signature._color_set
+    holders: dict[str, list[int]] = {c: [] for c in signature.colors}
+    for v, cs in labels.items():
+        p = position(v)
+        if p is None:
+            raise GraphFormatError(f"labels: unknown node {v!r}")
+        cs = tuple(cs)
+        # issuperset meets the colors in order and stops at the first it
+        # lacks, so an unhashable color raises only where a loop would
+        if not color_set.issuperset(cs):
+            c = next(c for c in cs if c not in color_set)
+            raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
+        for c in cs:
+            holders[c].append(p)
+    return index, moves, {c: _to_bits(ps, n) for c, ps in holders.items()}
+
+
 class LabeledGraph:
     """Finite rooted graph over a signature.
 
@@ -228,6 +337,10 @@ class LabeledGraph:
     _colors: the stored colors, every signature color to its position
     mask: bit p set when nodes[p] carries the color.  label() and
     has_color() read it.
+
+    The constructor validates its input in a lean pass over whole lists
+    and runs the per-item walk that names a fault only when that pass
+    fails (see the module docstring); valid input never meets the walk.
 
     The edges and succ() views are held in _edge_view and _succ_view,
     which both constructors set to None and the accessors fill by plain
@@ -246,59 +359,12 @@ class LabeledGraph:
         self.signature = signature
         self.nodes = nodes = tuple(nodes)
         self.root = root
-        index: dict[str, int] = {}
-        for i, v in enumerate(nodes):
-            if not isinstance(v, str) or not v:
-                raise GraphFormatError(f"nodes[{i}]: id must be a non-empty string")
-            if v in index:
-                raise GraphFormatError(f"nodes[{i}]: duplicate id {v!r}")
-            index[v] = i
-        self.index = index
-        if root not in index:
-            raise GraphFormatError(f"root: {root!r} is not a node")
-        position = index.get
-        number = signature._action_number.get
-        n, n_actions = len(nodes), len(signature.actions)
-        moves: dict[str, list[tuple[int, int]]] = {}
-        seen: set[int] = set()  # edge (u, a, w) as (u * n + w) * n_actions + number(a)
-        for i, e in enumerate(edges):
-            try:
-                src, a, dst = e
-            except ValueError:
-                raise GraphFormatError(f"edges[{i}]: expected [src, action, dst]") from None
-            u = position(src)
-            if u is None:
-                raise GraphFormatError(f"edges[{i}]: unknown source {src!r}")
-            w = position(dst)
-            if w is None:
-                raise GraphFormatError(f"edges[{i}]: unknown target {dst!r}")
-            k = number(a)
-            if k is None:
-                raise GraphFormatError(f"edges[{i}]: unknown action {a!r}")
-            key = (u * n + w) * n_actions + k
-            if key in seen:
-                raise GraphFormatError(f"edges[{i}]: duplicate edge {(src, a, dst)!r}")
-            seen.add(key)
-            pairs = moves.get(a)
-            if pairs is None:  # setdefault would build a list per edge
-                pairs = moves[a] = []
-            pairs.append((u, w))
-        self._moves = moves
-        color_set = signature._color_set
-        holders: dict[str, list[int]] = {c: [] for c in signature.colors}
-        for v, cs in labels.items():
-            p = position(v)
-            if p is None:
-                raise GraphFormatError(f"labels: unknown node {v!r}")
-            cs = tuple(cs)
-            # issuperset meets the colors in order and stops at the first it
-            # lacks, so an unhashable color raises only where a loop would
-            if not color_set.issuperset(cs):
-                c = next(c for c in cs if c not in color_set)
-                raise GraphFormatError(f"labels[{v!r}]: unknown color {c!r}")
-            for c in cs:
-                holders[c].append(p)
-        self._colors = {c: _to_bits(ps, n) for c, ps in holders.items()}
+        if type(edges) is not list and type(edges) is not tuple:
+            edges = list(edges)  # both passes read them
+        parts = _lean_parts(signature, nodes, root, edges, labels)
+        if parts is None:
+            parts = _walk_parts(signature, nodes, root, edges, labels)
+        self.index, self._moves, self._colors = parts
         self._edge_view = self._succ_view = None
         self._check_shape()
 
@@ -590,21 +656,23 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
 
 
 _ID = operator.itemgetter("id")
-_COLORS = operator.itemgetter("colors")
+_ID_COLORS = operator.itemgetter("id", "colors")
 
 
-def _json_shape_ok(entries: list, edges: list) -> bool:
-    """The JSON shape the constructor cannot see, checked over whole
-    lists: every node entry is a dict with exactly the keys id and
-    colors, and every colors value and every edge is a list."""
-    return (
-        set(map(type, entries)) <= {dict}
-        and set(map(len, entries)) <= {2}
-        and all(map(dict.__contains__, entries, itertools.repeat("id")))
-        and all(map(dict.__contains__, entries, itertools.repeat("colors")))
-        and set(map(type, map(_COLORS, entries))) <= {list}
-        and set(map(type, edges)) <= {list}
-    )
+def _json_colors(entries: list, edges: list) -> dict | None:
+    """Node id to colors list, or None unless the JSON shape the
+    constructor cannot see holds, checked over whole lists: every node
+    entry is a dict with exactly the keys id and colors, and every colors
+    value and every edge is a list.  A colors value that a repeated id
+    drops goes unchecked, as the constructor then fails on the id."""
+    if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}
+            and set(map(type, edges)) <= {list}):
+        return None
+    try:
+        labels = dict(map(_ID_COLORS, entries))
+    except (KeyError, TypeError):  # a key other than id and colors, or an unhashable id
+        return None
+    return labels if set(map(type, labels.values())) <= {list} else None
 
 
 def _check_json_shape(entries: list, edges: list) -> None:
@@ -652,11 +720,13 @@ def read_graph(data) -> LabeledGraph:
         raise GraphFormatError("root: expected a string")
     sig = Signature(obj["actions"], obj["colors"])
     entries, edges = obj["nodes"], obj["edges"]
-    if not _json_shape_ok(entries, edges):
+    labels = _json_colors(entries, edges)
+    if labels is None:
         _check_json_shape(entries, edges)  # raises: the walk meets the fault found above
-    ids = list(map(_ID, entries))
+    # without a repeated id the labels hold the ids in entry order
+    ids = labels if len(labels) == len(entries) else list(map(_ID, entries))
     try:
-        return LabeledGraph(sig, ids, obj["root"], edges, dict(zip(ids, map(_COLORS, entries))))
+        return LabeledGraph(sig, ids, obj["root"], edges, labels)
     except (GraphFormatError, TypeError):
         # a non-string id, color or edge field trips the constructor (or
         # hashing); the walk reports the first shape fault ahead of it

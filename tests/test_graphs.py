@@ -4,6 +4,8 @@ import json
 import random
 import re
 import tracemalloc
+import types
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +30,11 @@ from polymu.graphs import (
     unlift,
     write_graph,
 )
-from polymu.randgen import Xorshift, rand_graph
+from polymu.randgen import Xorshift, rand_graph, rand_lifted_graph
 
 from conftest import SIG_AF, SIG_ABF, make_loop3, root_path
+
+DATA = Path(__file__).parent / "data"
 
 
 def _index_ok(g):
@@ -1014,6 +1018,111 @@ def test_constructor_matches_the_reference_on_edge_forms():
                      (e for e in edges), (iter(e) for e in edges)):
             got = _outcome(LabeledGraph, sig, ids, "0", form, labels)
             assert got == want, (edges, labels)
+
+
+class _Id(str):
+    """A str subclass as a node id."""
+
+
+def _labels_as(form, labels):
+    """labels (node to a color list) in the given form, made afresh, as
+    one-shot values are spent by one reading."""
+    if form == "proxy":
+        return types.MappingProxyType({v: list(cs) for v, cs in labels.items()})
+    if form == "tuple":
+        return {v: tuple(cs) for v, cs in labels.items()}
+    if form == "str":  # "fg" reads as the two colors f and g
+        return {v: "".join(cs) for v, cs in labels.items()}
+    if form == "generator":
+        return {v: (c for c in cs) for v, cs in labels.items()}
+    return {v: list(cs) for v, cs in labels.items()}
+
+
+NODE_AND_LABEL_FAULTS = (
+    "str subclass id", "empty id", "duplicate id", "unhashable id", "unhashable root",
+    "unknown node", "unknown color", "unhashable color", "fault after a second action",
+)
+
+
+def test_constructor_matches_the_reference_on_label_and_node_forms():
+    rng = random.Random(23)
+    sig = Signature(("a", "b"), ("f", "g"))
+    seen = dict.fromkeys(NODE_AND_LABEL_FAULTS, 0)
+    outcomes = {"graph": 0, "fault": 0}
+    for _ in range(1500):
+        ids = [str(i) for i in range(rng.randint(1, 4))]
+        root = "0"
+        pairs = [(u, a, w) for u in ids for a in sig.actions for w in ids]
+        edges = rng.sample(pairs, rng.randint(0, min(3, len(pairs))))
+        labels = {v: rng.sample(["f", "g"], rng.randint(0, 2)) for v in ids if rng.random() < 0.6}
+        forms = ["list", "tuple", "str", "generator", "proxy"]
+        for kind in rng.sample(NODE_AND_LABEL_FAULTS, rng.randint(0, 2)):
+            seen[kind] += 1
+            j = rng.randrange(len(ids))
+            if kind == "str subclass id":
+                ids[j] = _Id(ids[j])
+            elif kind == "empty id":
+                ids[j] = ""
+            elif kind == "duplicate id":
+                ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
+            elif kind == "unhashable id":
+                ids[j] = [ids[j]]
+            elif kind == "unhashable root":
+                root = ["0"]
+            elif kind == "unknown node":
+                labels["9"] = ["f"]
+            elif kind == "unknown color":
+                labels.setdefault("0", []).append("h")
+            elif kind == "unhashable color":
+                labels.setdefault("0", []).insert(0, ["f"])
+                forms.remove("str")
+            else:
+                firsts = [("0", "a", "0"), ("0", "b", "0")]
+                bad = rng.choice([("0", "a", "0"), ("0", "z", "0"), ("9", "b", "0"), ("0", "b")])
+                edges = firsts + [bad] + [e for e in edges if e not in firsts]
+        for form in forms:
+            want = _outcome(ref_construct, sig, ids, root, edges, _labels_as(form, labels))
+            got = _outcome(LabeledGraph, sig, ids, root, edges, _labels_as(form, labels))
+            assert got == want, (form, ids, root, edges, labels)
+            outcomes["fault" if isinstance(want[0], type) else "graph"] += 1
+    assert all(seen.values()), seen
+    assert min(outcomes.values()) > 1500, outcomes
+
+
+def _is_graph_json(text):
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return False
+    return isinstance(obj, dict) and "nodes" in obj
+
+
+def test_valid_input_takes_the_lean_pass(monkeypatch):
+    # the per-item walk only names faults; valid input never needs it, and
+    # a change that sent it there would still pass every other test
+    def walk(*args):
+        raise AssertionError("valid input reached the per-item walk")
+
+    monkeypatch.setattr(graphs_module, "_walk_parts", walk)
+    fixtures = [p.read_text() for p in sorted(DATA.glob("*.txt")) if _is_graph_json(p.read_text())]
+    assert len(fixtures) >= 8
+    for text in fixtures:
+        assert write_graph(read_graph(text)) == text.strip()
+    built = [make_loop3()]
+    for seed in range(6):
+        sig = Signature(("a", "b"), ("f", "g"))
+        built.append(rand_graph(Xorshift.substream(2707, seed), sig, 9))
+        built.append(rand_lifted_graph(Xorshift.substream(2708, seed), sig, 1 + seed % 3, 9))
+    n = 2048
+    ids = [str(i) for i in range(n)]
+    big = LabeledGraph(SIG_ABF, ids, "0",
+                       [(ids[i], "a", ids[(i + 1) % n]) for i in range(n)]
+                       + [(ids[i], "b", ids[i * 7 % n]) for i in range(0, n, 3)],
+                       {v: ["f"] for v in ids[::8]})
+    built.append(big)
+    assert len(big.nodes) == n and len(big.edges) == n + len(range(0, n, 3))
+    for g in built:
+        assert read_graph(write_graph(g)) == g
 
 
 # ------------------------------------------------------- the bitmask kernel

@@ -1,6 +1,7 @@
 import pytest
 
 from polymu.errors import PolymuError
+from polymu.pumping import check_luni
 from polymu.xcheck import (
     CheckResult,
     RunConfig,
@@ -97,3 +98,39 @@ def test_apt_suite_catches_one_flipped_winner(monkeypatch):
     r = run_check(9, cfg)
     assert not r.ok
     assert r.detail.startswith("0/20 agree")
+
+
+def test_word_tree_suite_catches_one_recolored_node(monkeypatch):
+    from polymu import xcheck
+    from polymu.graphs import FiniteTree
+
+    real = xcheck.gen_rword_tree
+    recolored = []
+
+    def recolor_one(word, branching, depth):
+        # f onto one node of a level without f, in a tree that has a level
+        # all f elsewhere: the formula and check_luni still agree, so only
+        # the r-word shape check can see it
+        tree = real(word, branching, depth)
+        if tree.has_color(tree.root, "f") or check_luni(tree) is None:
+            return tree
+        levels = tree.levels()
+        for level in levels[1:]:
+            if len(level) > 1 and not tree.has_color(level[0], "f"):
+                break
+        else:
+            return tree
+        recolored.append(level[0])
+        labels = {v: sorted(tree.label(v) | {"f"} if v == level[0] else tree.label(v))
+                  for v in tree.nodes}
+        return FiniteTree(tree.signature, tree.nodes, tree.root, tree.edges, labels)
+
+    cfg = RunConfig(seed=7)
+    assert run_check(11, cfg) == CheckResult(11, "word-tree regularity", True, "50/50 agree")
+    monkeypatch.setattr(xcheck, "gen_rword_tree", recolor_one)
+    r = run_check(11, cfg)
+    assert recolored and not r.ok
+    assert r.detail == f"{50 - len(recolored)}/50 agree"
+    # the shape check is what fails them
+    monkeypatch.setattr(xcheck, "is_rword", lambda tree: True)
+    assert run_check(11, cfg).ok
