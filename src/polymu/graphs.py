@@ -723,10 +723,8 @@ def read_graph(data) -> LabeledGraph:
     labels = _json_colors(entries, edges)
     if labels is None:
         _check_json_shape(entries, edges)  # raises: the walk meets the fault found above
-    # without a repeated id the labels hold the ids in entry order
-    ids = labels if len(labels) == len(entries) else list(map(_ID, entries))
     try:
-        return LabeledGraph(sig, ids, obj["root"], edges, labels)
+        return LabeledGraph(sig, list(map(_ID, entries)), obj["root"], edges, labels)
     except (GraphFormatError, TypeError):
         # a non-string id, color or edge field trips the constructor (or
         # hashing); the walk reports the first shape fault ahead of it
