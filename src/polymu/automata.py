@@ -33,7 +33,17 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import _MAX_ID_CHARS, _MAX_MOVES, _MAX_NODES, FiniteTree, LabeledGraph, Signature, _check_root_path
+from .graphs import (
+    _MAX_ID_CHARS,
+    _MAX_MOVES,
+    _MAX_NODES,
+    FiniteTree,
+    LabeledGraph,
+    Signature,
+    _check_root_path,
+    _pred_lists,
+    _succ_lists,
+)
 from .logic import (
     And,
     Box,
@@ -313,9 +323,8 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
         elif isinstance(t, TransMod):
             outs = succ_bases.get(t.action)
             if outs is None:
-                outs = succ_bases[t.action] = [[] for _ in nodes]
-                for u, w in sorted(g._moves.get(t.action, ()), key=lambda uw: nodes[uw[1]]):
-                    outs[u].append(w * nq)
+                outs = succ_bases[t.action] = [sorted(bs, key=lambda b: nodes[b // nq])
+                                               for bs in _succ_lists(g, t.action, nq)]
             target = t.target
             owner[q::nq] = [EXISTS if t.existential else FORALL] * len(nodes)
             moves[q::nq] = [tuple([b + target for b in out]) for out in outs]
@@ -454,11 +463,9 @@ def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
     adjacency: dict[str, tuple[list, list, list]] = {}
     for t in delta:
         if type(t) is TransMod and t.action not in adjacency:
-            out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
-            for u, w in g._moves.get(t.action, ()):
-                out[u].append(w * nq)
-                inn[w].append(u * nq)
-            adjacency[t.action] = out, inn, [v * nq for v in range(n) if not out[v]]
+            out = _succ_lists(g, t.action, nq)
+            dead = [v * nq for v in range(n) if not out[v]]
+            adjacency[t.action] = out, _pred_lists(g, t.action, nq), dead
     owner: list = []  # allocated with the first component that has a cycle
     depth: list = []  # allocated with the first component _zielonka solves
     for comp in _sccs(range(nq), succ):

@@ -10,8 +10,9 @@ in g.index.  It runs in rounds, and every round deletes at once the pairs
 whose matching obligations fail against the relation at its start.  The
 first round checks every label-consistent pair; a later round checks
 only the live pairs with an a-successor pair deleted in the round before,
-since no other pair can have lost a witness.  So after k rounds the
-relation is exactly k-step bisimilarity, as bounded_bisimilar needs.
+since no other pair can have lost a witness.  It stops at the first
+round that deletes nothing.  Successor and predecessor positions come
+from graphs._succ_lists and _pred_lists, per action.
 
 Over a lifted signature, the family rel(i, j) relates nodes whose
 component-i behavior (actions x@i, colors c@i) matches the component-j
@@ -23,50 +24,41 @@ the persistence and reset conditions checked on top of it.
 """
 from __future__ import annotations
 
-import itertools
-from types import MappingProxyType
-from typing import Mapping
-
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, split_lifted, tuple_id, unlift
+from .graphs import LabeledGraph, RESET, _pred_lists, _succ_lists, split_lifted, tuple_id, unlift
 from .logic import gen_is_power_formula, gen_per_formula, gen_pow_formula, gen_rst_formula
 from .semantics import models
 
 Relation = frozenset  # of (node, node) pairs
 
 
-def _int_adjacency(g: LabeledGraph) -> tuple[list[tuple], list[tuple], list[dict]]:
-    """Per node position, read off g._moves: its enabled actions in sorted
-    order, a tuple of successor positions for each of them, and action ->
-    predecessor positions; both position lists keep edge order."""
-    succ: list[dict[str, list[int]]] = [{} for _ in g.nodes]
-    pred: list[dict[str, list[int]]] = [{} for _ in g.nodes]
-    for a, pairs in g._moves.items():
-        for s, t in pairs:
-            succ[s].setdefault(a, []).append(t)
-            pred[t].setdefault(a, []).append(s)
-    enabled = [tuple(sorted(by_a)) for by_a in succ]
-    succs = [tuple(by_a[a] for a in acts) for by_a, acts in zip(succ, enabled)]
-    return enabled, succs, pred
+def _int_adjacency(g: LabeledGraph) -> tuple[list[tuple], list[tuple]]:
+    """Per node position: its enabled actions in sorted order, and a tuple
+    of its successor positions for each of them, in edge order."""
+    lists = [(a, _succ_lists(g, a)) for a in sorted(g.signature.actions)]
+    enabled = [tuple([a for a, succ in lists if succ[u]]) for u in range(len(g.nodes))]
+    succs = [tuple([succ[u] for _, succ in lists if succ[u]]) for u in range(len(g.nodes))]
+    return enabled, succs
 
 
-def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set[int]:
-    """Pairs u * |V2| + v left after at most rounds deletion rounds (None:
-    until stable), starting from the label-consistent pairs.
+def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph) -> set[int]:
+    """Pairs u * |V2| + v left once deletion rounds, starting from the
+    label-consistent pairs, delete nothing more.
 
     A round deletes, all at once, every checked pair whose matching
     obligations fail against the relation at the round's start.  Round 1
     checks every pair.  A pair that passed round r can fail round r + 1
     only if a witness (u', v') of it died in round r, and then
     u in pred1(u', a) and v in pred2(v', a); so round r + 1 checks just
-    the live pairs found that way from the pairs round r deleted, and the
-    relation after k rounds is the same as when every round checks all.
+    the live pairs found that way from the pairs round r deleted.
     """
     if g1.signature != g2.signature:
         raise GraphFormatError("signature: graphs must share a signature")
     n2 = len(g2.nodes)
-    enabled1, succ1, pred1 = _int_adjacency(g1)
-    enabled2, succ2, pred2 = _int_adjacency(g2)
+    enabled1, succ1 = _int_adjacency(g1)
+    enabled2, succ2 = _int_adjacency(g2)
+    # per action, each side's predecessor positions per node position
+    preds = [(_pred_lists(g1, a), _pred_lists(g2, a)) for a in g1.signature.actions]
     by_label: dict[int, list[int]] = {}
     for v, code in enumerate(g2._codes()):
         by_label.setdefault(code, []).append(v)
@@ -94,22 +86,21 @@ def _delete_pairs(g1: LabeledGraph, g2: LabeledGraph, rounds: int | None) -> set
                     return False
         return True
 
-    for _ in itertools.count() if rounds is None else range(rounds):
+    while True:
         dead = [p for p in check if not pair_ok(p)]
         if not dead:
-            break
+            return rel
         rel.difference_update(dead)
         check = set()
         for p in dead:
             u2, v2 = divmod(p, n2)
-            pv = pred2[v2]
-            for a, us in pred1[u2].items():
-                for u in us:
+            for pred1, pred2 in preds:
+                vs = pred2[v2]
+                for u in pred1[u2]:
                     base = u * n2
-                    for v in pv.get(a, ()):
+                    for v in vs:
                         if base + v in rel:
                             check.add(base + v)
-    return rel
 
 
 def largest_bisimulation(g1: LabeledGraph, g2: LabeledGraph) -> Relation:
@@ -120,20 +111,12 @@ def largest_bisimulation(g1: LabeledGraph, g2: LabeledGraph) -> Relation:
     """
     n2 = len(g2.nodes)
     return frozenset(
-        (g1.nodes[p // n2], g2.nodes[p % n2]) for p in _delete_pairs(g1, g2, None)
+        (g1.nodes[p // n2], g2.nodes[p % n2]) for p in _delete_pairs(g1, g2)
     )
 
 
 def bisimilar(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return (g1.root, g2.root) in largest_bisimulation(g1, g2)
-
-
-def bounded_bisimilar(g1: LabeledGraph, g2: LabeledGraph, k: int) -> bool:
-    """Roots indistinguishable for k rounds of the bisimulation game."""
-    if k < 0:
-        raise GraphFormatError(f"k: must be >= 0, got {k}")
-    root = g1.index[g1.root] * len(g2.nodes) + g2.index[g2.root]
-    return root in _delete_pairs(g1, g2, k)
 
 
 def _refine(labels: list, enabled: list, succs: list) -> list[int]:
@@ -169,7 +152,7 @@ def _classes(g: LabeledGraph, ids: list[int]) -> list[tuple[str, ...]]:
 
 def bisimulation_partition(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Bisimilarity classes of g by partition refinement, sorted."""
-    enabled, succs, _ = _int_adjacency(g)
+    enabled, succs = _int_adjacency(g)
     return _classes(g, _refine(g._codes(), enabled, succs))
 
 
@@ -222,7 +205,7 @@ class DBisimFamily:
         labels, enabled, succs = [], [], []
         for view in self.views:  # view k's positions follow those of views 0..k-1
             off = len(labels)
-            acts, ws, _ = _int_adjacency(view)
+            acts, ws = _int_adjacency(view)
             labels += view._codes()
             enabled += acts
             succs += [[[w + off for w in by_a] for by_a in s] for s in ws]
@@ -241,13 +224,6 @@ class DBisimFamily:
             members.setdefault(c, []).append(v)
         return frozenset(
             (u, v) for u, c in zip(self.views[i].nodes, self._cls[i]) for v in members.get(c, ())
-        )
-
-    @property
-    def relations(self) -> Mapping[tuple[int, int], Relation]:
-        """Every rel(i, j)."""
-        return MappingProxyType(
-            {(i, j): self.rel(i, j) for i in range(self.d) for j in range(self.d)}
         )
 
 

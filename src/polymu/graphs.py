@@ -5,8 +5,14 @@ accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
 construction.  A graph stores its edges once, as LabeledGraph._moves:
 per action, (source position, target position) pairs over the node
-order.  Every analysis, succ() and the tree shape check included, reads
-them there, and derived graphs are built from positions; the (src,
+order.  Only this module knows that form: the analyses and succ() read
+adjacency through _succ_rows (per source, its target mask over the union
+of some actions), _pred_rows (per target, its source mask), _succ_lists
+and _pred_lists (per position, the other ends in edge order, times a
+scale), _shifts (the distinct differences w - u of an action's edges
+u -> w) and _shift_targets (their targets w grouped by w - u).
+Builders of derived graphs map the pairs themselves, and the tree shape
+check walks them in edge order, so it names the first fault.  The (src,
 action, dst) id triples of LabeledGraph.edges are read off _moves on
 demand, for the writer, equality and hashing.  A tree keeps its shape by
 position too: FiniteTree._parent and _depth per position, and _order,
@@ -21,9 +27,10 @@ x-edge of factor i, action rst@i resets component i to the root of
 factor i, and color c@i holds where component i carries c.
 
 One bitmask kernel serves every layer: _image and _closure walk a
-relation held as one row mask per position, and _digit_zero and _spread
-lay out the digits of a tuple space.  product, the evaluator, the subset
-search and the squaring replay of queries all use them.
+relation held as one row mask per position, as _succ_rows and _pred_rows
+build them, and _digit_zero and _spread lay out the digits of a tuple
+space.  product, the evaluator, the subset search and the squaring
+replay of queries all use them.
 
 LabeledGraph(...), and read_graph with it, is the validating boundary:
 it checks every node id, edge, action and color it is given: ids
@@ -176,6 +183,56 @@ def _spread(zero: int, stride: int, digits: Iterable[int]) -> int:
     for p in digits:
         out |= zero << p * stride
     return out
+
+
+def _succ_rows(g: LabeledGraph, actions: Iterable[str]) -> list[int]:
+    """Per source position, the mask of its targets over the union of the
+    given actions' edges: a relation in the form _image and _closure walk."""
+    rows = [0] * len(g.nodes)
+    for a in actions:
+        for u, w in g._moves.get(a, ()):
+            rows[u] |= 1 << w
+    return rows
+
+
+def _pred_rows(g: LabeledGraph, a: str) -> list[int]:
+    """Per target position w, the mask of the sources u of the a-edges u -> w."""
+    rows = [0] * len(g.nodes)
+    for u, w in g._moves.get(a, ()):
+        rows[w] |= 1 << u
+    return rows
+
+
+def _succ_lists(g: LabeledGraph, a: str, scale: int = 1) -> list[list[int]]:
+    """Per source position, its a-targets times scale, in edge order."""
+    lists: list[list[int]] = [[] for _ in g.nodes]
+    for u, w in g._moves.get(a, ()):
+        lists[u].append(w * scale)
+    return lists
+
+
+def _pred_lists(g: LabeledGraph, a: str, scale: int = 1) -> list[list[int]]:
+    """Per target position, its a-sources times scale, in edge order."""
+    lists: list[list[int]] = [[] for _ in g.nodes]
+    for u, w in g._moves.get(a, ()):
+        lists[w].append(u * scale)
+    return lists
+
+
+def _shifts(g: LabeledGraph, a: str) -> set[int]:
+    """The distinct differences w - u over the a-edges u -> w; a set, as the
+    evaluator needs their number for every table and the grouped targets
+    of _shift_targets only on its first dense pre-image."""
+    return {w - u for u, w in g._moves.get(a, ())}
+
+
+def _shift_targets(g: LabeledGraph, a: str) -> dict[int, list[int]]:
+    """Per distinct difference w - u over the a-edges u -> w, the targets
+    w of those edges, in edge order."""
+    targets: dict[int, list[int]] = {}
+    for u, w in g._moves.get(a, ()):
+        targets.setdefault(w - u, []).append(w)
+    return targets
 
 
 @functools.lru_cache(maxsize=4096)  # called once per edge; signatures repeat few names
@@ -423,11 +480,11 @@ class LabeledGraph:
         view = self._succ_view
         if view is None:
             nodes = self.nodes
-            succ: dict[tuple[str, str], list[str]] = {}
-            for a, pairs in self._moves.items():
-                for u, w in pairs:
-                    succ.setdefault((nodes[u], a), []).append(nodes[w])
-            view = self._succ_view = {k: tuple(sorted(v)) for k, v in succ.items()}
+            view = self._succ_view = {
+                (nodes[u], a): tuple(sorted([nodes[w] for w in ws]))
+                for a in self.signature.actions
+                for u, ws in enumerate(_succ_lists(self, a)) if ws
+            }
         return view
 
     def succ(self, v: str, a: str) -> tuple[str, ...]:

@@ -11,22 +11,10 @@ classes bottom-up, so no depth recurses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PolymuError, ResourceLimitError
 from .graphs import _MAX_NODES, FiniteTree, Signature, _check_root_path, _set_bits
-from .logic import Formula
-from .semantics import models
-
-
-@dataclass(frozen=True)
-class PumpPartition:
-    """Nodes strictly before the segment, in it, and at or below v_j."""
-
-    before: frozenset
-    segment: frozenset
-    after: frozenset
 
 
 def _zones(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> list[int]:
@@ -44,15 +32,6 @@ def _zones(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> list[int]:
         if not zone[p]:
             zone[p] = zone[parent[p][0]]
     return zone
-
-
-def partition_nodes(tree: FiniteTree, path: Sequence[str], i: int, j: int) -> PumpPartition:
-    """Split the nodes by subtrees: after is v_j's subtree, the segment is
-    the rest of v_i's subtree, before is everything else."""
-    parts: tuple[list, list, list] = ([], [], [])
-    for v, z in zip(tree.nodes, _zones(tree, path, i, j)):
-        parts[z].append(v)
-    return PumpPartition(*map(frozenset, parts))
 
 
 def pump(tree: FiniteTree, path: Sequence[str], i: int, j: int, k: int) -> FiniteTree:
@@ -206,17 +185,3 @@ def check_luni(tree: FiniteTree, color: Optional[str] = None) -> Optional[int]:
     lacking = ~tree._colors.get(color, 0) & ((1 << len(depth)) - 1)
     missed = {depth[p] for p in _set_bits(lacking)}
     return next((d for d in range(max(depth) + 1) if d not in missed), None)
-
-
-def check_relative_membership(
-    phi: Formula,
-    r_oracle: Callable[[FiniteTree], bool],
-    trees: Iterable[FiniteTree],
-) -> list[dict]:
-    """Evaluate the formula only on trees inside the context language; a
-    tree outside it gets no membership claim."""
-    report = []
-    for t in trees:
-        in_r = bool(r_oracle(t))
-        report.append({"in_r": in_r, "models": models(t, phi) if in_r else None})
-    return report

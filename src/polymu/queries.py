@@ -8,7 +8,8 @@ a graph over a lifted signature, counting only that component's actions
 since its last reset; one shared witness must work for all components.
 
 All four queries are one breadth-first subset search, _least_word,
-whose steps are graphs._image and graphs._closure over bit rows.
+whose steps are graphs._image and graphs._closure over the bit rows of
+graphs._succ_rows.
 Every positive verdict is replayed by an independent check before it is
 returned: iterated squaring of the step matrix, carrying only the
 root's row (plain one-letter), a subset replay of the word over succ()
@@ -19,10 +20,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
-from .graphs import LabeledGraph, RESET, Signature, _closure, _image, split_lifted, unlift
+from .graphs import (
+    LabeledGraph,
+    RESET,
+    Signature,
+    _closure,
+    _image,
+    _succ_lists,
+    _succ_rows,
+    split_lifted,
+    unlift,
+)
 
 
 @dataclass(frozen=True)
@@ -80,30 +92,21 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
     such word, and exhausted says whether the cap cut the search short.
     """
     lifted = base != g.signature
-    size = len(g.nodes)
     root = 1 << g.index[g.root]
-    out = [0] * size
-    step = [{x: [0] * size for x in base.actions} for _ in range(d)]
-    silent = [[0] * size for _ in range(d)]
-    start = [root] * d
-    resets = []
-    for act, pairs in g._moves.items():
-        x, i = unlift(act) if lifted else (act, 0)
-        row = step[i].get(x)  # None for rst@i
-        for k, w in pairs:
-            t = 1 << w
-            out[k] |= t
-            if row is None:
-                resets.append((i, k, t))
-            else:
-                row[k] |= t
-            for j in range(d):
-                if j != i:
-                    silent[j][k] |= t
-    reach = _closure(out, root)
-    for i, k, t in resets:
-        if reach >> k & 1:
-            start[i] |= t
+    if not lifted:
+        step = [{x: _succ_rows(g, [x]) for x in base.actions}]
+        silent = [[0] * len(g.nodes)]
+        start = [root]
+    else:
+        # own[i]: component i's counted action per letter, then rst@i
+        own = [[f"{x}@{i}" for x in (*base.actions, RESET)] for i in range(d)]
+        step = [{x: _succ_rows(g, [a]) for x, a in zip(base.actions, acts)} for acts in own]
+        silent = [_succ_rows(g, [a for j, acts in enumerate(own) if j != i for a in acts])
+                  for i in range(d)]
+        # silent[0] and silent[1] hold every move between them
+        out = list(map(or_, silent[0], silent[1])) if d > 1 else _succ_rows(g, own[0])
+        reach = _closure(out, root)
+        start = [root | _image(_succ_rows(g, acts[-1:]), reach) for acts in own]
     f = base.colors[0]
     colors = [f"{f}@{i}" for i in range(d)] if lifted else [f]
     accept = [g._colors[c] for c in colors]
@@ -162,9 +165,7 @@ def reach_by_squaring(g: LabeledGraph, n: int) -> frozenset:
     if n < 0:
         raise PolymuError("n must be >= 0")
     _require_plain(g, 1, "reach_by_squaring")
-    mat = [0] * len(g.nodes)
-    for u, w in g._moves.get(g.signature.actions[0], ()):
-        mat[u] |= 1 << w
+    mat = _succ_rows(g, g.signature.actions)
     row = 1 << g.index[g.root]
     while n:
         if n & 1:
@@ -234,11 +235,8 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
     counter at once reaches it with count in place i."""
     width = len(letters) + 2  # counts 0..full, then dead
     full, dead = width - 2, width - 1
-    out: list[list[tuple[str, int, int]]] = [[] for _ in g.nodes]
-    for act, pairs in g._moves.items():
-        x, i = unlift(act)
-        for u, w in pairs:
-            out[u].append((x, i, w * width))
+    # per action: its base name, its component and its successor lists of states
+    moves = [(*unlift(a), _succ_lists(g, a, width)) for a in g.signature.actions]
     for i in range(d):
         accepting = g._colors[f"{f}@{i}"]
         start = g.index[g.root] * width  # count 0 at the root
@@ -248,18 +246,20 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
             v, p = divmod(todo.pop(), width)
             if p == full and accepting >> v & 1:
                 return False
-            for x, j, w in out[v]:
+            for x, j, succ in moves:
                 if j != i:
-                    state = w + p
+                    off = p
                 elif x == RESET:
-                    state = w
+                    off = 0
                 elif p < full and letters[p] == x:
-                    state = w + p + 1
+                    off = p + 1
                 else:
-                    state = w + dead
-                if state not in seen:
-                    seen.add(state)
-                    todo.append(state)
+                    off = dead
+                for w in succ[v]:
+                    state = w + off
+                    if state not in seen:
+                        seen.add(state)
+                        todo.append(state)
     return True
 
 

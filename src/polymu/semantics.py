@@ -28,18 +28,21 @@ other change is recomputed in full.  Under mu the arguments of <a@i>
 only grow, and under nu so do the complements taken by [a@i].
 
 The pre-image of one action in one component is driven by a table
-built from the graph's edges grouped by action (LabeledGraph._moves),
-once per evaluation, when the modality first runs.  An argument with at
-most as many members as the action has distinct shifts w - u takes the
-sparse form.  At arity 1 with at most _MASK_NODES nodes that form is one
-predecessor mask per target position w (bit u for each edge u -> w, row
-w of the transposed adjacency matrix), and the pre-image is the image
-of the members under them (graphs._image); the masks take up to n * n
-bits, so larger graphs and higher arities map each member through
-per-node offset lists instead.  Larger arguments move every target
-digit at once through one mask and one shift per distinct w - u; those
-groups are built on the first such call, so until then the table holds
-only the number of shifts.
+built once per evaluation, when the modality first runs, from the
+graph's moves as the graphs.py helpers give them: predecessor rows or
+lists per target position and the number of distinct shifts w - u of
+the edges u -> w (graphs._pred_rows, _pred_lists, _shifts).  An
+argument with at most as many members as the action has distinct shifts
+takes the sparse form.  At arity 1 with at most _MASK_NODES nodes that
+form is one predecessor mask per target position w (bit u for each edge
+u -> w, row w of the transposed adjacency matrix), and the pre-image is
+the image of the members under them (graphs._image); the masks take up
+to n * n bits, so larger graphs and higher arities map each member
+through per-node predecessor lists instead.  Larger arguments move
+every target digit at once through one mask and one shift per distinct
+w - u; those groups are built on the first such call from the targets
+per shift (graphs._shift_targets), so until then the table holds only
+the number of shifts.
 """
 from __future__ import annotations
 
@@ -48,7 +51,18 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
-from .graphs import LabeledGraph, _digit_zero, _image, _set_bits, _spread, _to_bits
+from .graphs import (
+    LabeledGraph,
+    _digit_zero,
+    _image,
+    _pred_lists,
+    _pred_rows,
+    _set_bits,
+    _shift_targets,
+    _shifts,
+    _spread,
+    _to_bits,
+)
 from .logic import (
     And,
     Box,
@@ -72,25 +86,14 @@ DEFAULT_TUPLE_CAP = 2**20
 _MASK_NODES = 4096
 
 
-def _pred_masks(moves, n: int) -> list[int]:
-    """Per target position w, the bitmask of the sources u of the edges u -> w."""
-    masks = [0] * n
-    for u, w in moves:
-        masks[w] |= 1 << u
-    return masks
+def _shift_groups(g: LabeledGraph, a: str, unit: int, sk: int) -> list[tuple[int, int]]:
+    """The dense pre-image's (mask, shift) pairs for action a in one component.
 
-
-def _shift_groups(moves, unit: int, sk: int) -> list[tuple[int, int]]:
-    """The dense pre-image's (mask, shift) pairs for one action in one component.
-
-    For each distinct w - u over the edges u -> w: the tuples whose
+    For each distinct w - u over the a-edges u -> w: the tuples whose
     component holds such a w (unit is that component's digit-0 mask and
     sk its stride), and the shift (w - u) * sk that takes them to u.
     """
-    targets: dict[int, list[int]] = {}  # w - u to its targets w
-    for u, w in moves:
-        targets.setdefault(w - u, []).append(w)
-    return [(_spread(unit, sk, ws), sh * sk) for sh, ws in targets.items()]
+    return [(_spread(unit, sk, ws), sh * sk) for sh, ws in _shift_targets(g, a).items()]
 
 
 @dataclass(frozen=True)
@@ -155,20 +158,13 @@ def _evaluate_bits(
     # (action, comp) -> [sparse form, number of distinct shifts, (mask, shift)
     # groups or None until the first dense call]; the sparse form is one
     # predecessor mask per target position at arity 1 while n <= _MASK_NODES,
-    # else per-node offsets to predecessor tuples
+    # else per target position its predecessors' digits times the stride
     pre_tables: dict[tuple[str, int], list] = {}
     masked = arity == 1 and n <= _MASK_NODES
 
     def pre_table(a: str, k: int) -> list:
-        moves = g._moves.get(a, ())
-        if masked:
-            sparse = _pred_masks(moves, n)
-        else:
-            sk = stride[k]
-            sparse = [[] for _ in range(n)]
-            for u, w in moves:
-                sparse[w].append((u - w) * sk)
-        pre_tables[(a, k)] = tab = [sparse, len({w - u for u, w in moves}), None]
+        sparse = _pred_rows(g, a) if masked else _pred_lists(g, a, stride[k])
+        pre_tables[(a, k)] = tab = [sparse, len(_shifts(g, a)), None]
         return tab
 
     def pre(a: str, k: int, s: int) -> int:
@@ -180,13 +176,16 @@ def _evaluate_bits(
             # sparse: map each member to its predecessors
             if masked:
                 return _image(tab[0], s)
-            sk, offs = stride[k], tab[0]
-            return _to_bits((i + off for i in _set_bits(s) for off in offs[i // sk % n]), size)
+            # a member i with digit w in component k goes to i - w * sk + u * sk
+            # for each predecessor u of w, listed as u * sk
+            sk, preds = stride[k], tab[0]
+            return _to_bits((i - w * sk + b for i in _set_bits(s) for w in (i // sk % n,)
+                             for b in preds[w]), size)
         # dense: move every target digit w to the source digit u at once;
         # edges with equal w - u share one mask and one shift
         groups = tab[2]
         if groups is None:
-            groups = tab[2] = _shift_groups(g._moves.get(a, ()), unit[k], stride[k])
+            groups = tab[2] = _shift_groups(g, a, unit[k], stride[k])
         res = 0
         for mask, sh in groups:
             part = s & mask

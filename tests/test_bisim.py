@@ -7,7 +7,6 @@ from polymu import bisim
 from polymu.bisim import (
     bisimilar,
     bisimulation_partition,
-    bounded_bisimilar,
     component_view,
     detect_power,
     factor,
@@ -109,28 +108,6 @@ def test_quotient(loop3):
     assert largest_bisimulation(q, q) == diag
 
 
-def test_bounded_bisimilar(loop3):
-    for k in range(5):
-        assert bounded_bisimilar(loop3, unfold(loop3, k), k)
-    # depth-2 unfolding stops; the graph can still move afterwards
-    assert not bounded_bisimilar(loop3, unfold(loop3, 2), 3)
-    assert bounded_bisimilar(loop3, unfold(loop3, 2), 2)
-
-
-def test_bounded_bisimilar_limits_on_random_pairs():
-    # enough rounds reach the greatest fixpoint; zero rounds compare root labels only
-    sig = Signature(("a",), ("f",))
-    verdicts = []
-    for k in range(20):
-        g1 = rand_graph(Xorshift.substream(2, 2 * k), sig, 6)
-        g2 = rand_graph(Xorshift.substream(2, 2 * k + 1), sig, 6)
-        full = bisimilar(g1, g2)
-        verdicts.append(full)
-        assert bounded_bisimilar(g1, g2, len(g1.nodes) * len(g2.nodes)) == full, k
-        assert bounded_bisimilar(g1, g2, 0) == (g1.label(g1.root) == g2.label(g2.root)), k
-    assert any(verdicts) and not all(verdicts)
-
-
 def _reference_pair_ok(g1, g2, u, v, rel, acts):
     for a in acts:
         su = g1.succ(u, a)
@@ -190,11 +167,7 @@ def test_worklist_matches_jacobi_rounds():
         g1 = rand_graph(rng, sig, 8, min_nodes=4, edge_den=6, color_den=4)
         g2 = unfold(g1, 3) if t % 3 == 0 else _grown_copy(g1, rng, rng.randint(2, 4))
         assert len(g1.nodes) != len(g2.nodes), t
-        stable = _reference_stable_round(g1, g2)
-        depths.append(stable)
-        for k in range(stable + 2):
-            want = _reference_delete_pairs(g1, g2, k)
-            assert bounded_bisimilar(g1, g2, k) == ((g1.root, g2.root) in want), (t, k)
+        depths.append(_reference_stable_round(g1, g2))
         ref = frozenset(_reference_delete_pairs(g1, g2, None))
         assert largest_bisimulation(g1, g2) == ref, t
         verdicts.append((g1.root, g2.root) in ref)
@@ -380,7 +353,6 @@ def test_family_builds_only_the_relations_asked_for(monkeypatch, loop3):
     fam = largest_d_bisimulation(p3)
     with pytest.raises(GraphFormatError, match="component -1 out of range"):
         fam.rel(0, -1)
-    assert len(fam.relations) == 9
     assert calls == []
 
 

@@ -16,7 +16,13 @@ from polymu.graphs import (
     _closure,
     _digit_zero,
     _image,
+    _pred_lists,
+    _pred_rows,
+    _shift_targets,
+    _shifts,
     _spread,
+    _succ_lists,
+    _succ_rows,
     LabeledGraph,
     RESET,
     Signature,
@@ -1182,3 +1188,63 @@ def test_digit_helpers_match_set_references():
             digits = set() if k % 6 == 0 else {rng.below(n) for _ in range(rng.below(n + 1))}
             want = {p for p in range(size) if p // stride % n in digits}
             assert _bits(_spread(zero, stride, sorted(digits))) == want, (sizes, n, digits)
+
+
+def _adjacency_cases():
+    """Seeded random plain and lifted graphs, each with its edges handed
+    over in shuffled order, a self-loop on every third node and its last
+    action left without edges."""
+    plain = Signature(("a", "b", "c"), ("f",))
+    for k in range(12):
+        rng = Xorshift.substream(2816, k)
+        if k % 2:
+            g = rand_lifted_graph(rng, Signature(("a", "b"), ("f",)), 2, 8, min_nodes=2)
+        else:
+            g = rand_graph(rng, plain, 8, min_nodes=2)
+        empty = g.signature.actions[-1]
+        edges = {e for e in g.edges if e[1] != empty}
+        edges = sorted(edges | {(v, g.signature.actions[0], v) for v in g.nodes[::3]})
+        for i in range(len(edges) - 1, 0, -1):
+            j = rng.below(i + 1)
+            edges[i], edges[j] = edges[j], edges[i]
+        yield LabeledGraph(g.signature, g.nodes, g.root, edges, {}), edges, empty
+
+
+def test_move_helpers_match_a_build_from_the_edges():
+    """Successor and predecessor rows and lists, the distinct shifts and
+    the targets per shift, read through the graphs.py helpers, match a
+    brute-force build from the id triples of edges; the lists follow the
+    order the edges were given in, an action without edges gives empty
+    rows and lists, and the rows of several actions are the union of
+    theirs."""
+    for case, (g, given, empty) in enumerate(_adjacency_cases()):
+        at, n = g.index, len(g.nodes)
+        actions = g.signature.actions
+        rows = {}
+        for a in actions:
+            pairs = [(at[u], at[w]) for u, b, w in g.edges if b == a]
+            assert pairs == [(at[u], at[w]) for u, b, w in given if b == a], case
+            assert not pairs or a != empty, case
+            scale = 3 + case
+            for p in range(n):
+                targets = [w for u, w in pairs if u == p]
+                sources = [u for u, w in pairs if w == p]
+                assert _succ_lists(g, a)[p] == targets, (case, a, p)
+                assert _succ_lists(g, a, scale)[p] == [w * scale for w in targets], (case, a, p)
+                assert _pred_lists(g, a)[p] == sources, (case, a, p)
+                assert _pred_lists(g, a, scale)[p] == [u * scale for u in sources], (case, a, p)
+                assert _pred_rows(g, a)[p] == sum(1 << u for u in sources), (case, a, p)
+            rows[a] = [sum(1 << w for u, w in pairs if u == p) for p in range(n)]
+            assert _succ_rows(g, [a]) == rows[a], (case, a)
+            assert _shifts(g, a) == {w - u for u, w in pairs}, (case, a)
+            by_shift = {}
+            for u, w in pairs:
+                by_shift.setdefault(w - u, []).append(w)
+            assert _shift_targets(g, a) == by_shift, (case, a)
+        assert 0 in _shifts(g, actions[0]), case  # the self-loops
+        for r in (0, 2, len(actions)):
+            for some in itertools.combinations(actions, r):
+                want = [0] * n
+                for a in some:
+                    want = [x | y for x, y in zip(want, rows[a])]
+                assert _succ_rows(g, some) == want, (case, some)

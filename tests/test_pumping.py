@@ -8,12 +8,11 @@ from polymu.automata import find_pumping_pair, formula_to_apt, accepts, winning_
 from polymu.logic import parse_formula
 from polymu.pumping import (
     DEFAULT_WORD_SIG,
+    _zones,
     check_luni,
-    check_relative_membership,
     gen_rword_tree,
     is_isomorphic,
     is_rword,
-    partition_nodes,
     pump,
 )
 from polymu.graphs import unfold
@@ -43,38 +42,41 @@ def branchy():
     return FiniteTree(SIG_AF, nodes, "v0", edges, {"v3": ["f"], "u": ["f"]})
 
 
+def zones(tree, path, i, j):
+    """The node ids before the segment, in it, and at or below v_j, as
+    pump reads them from _zones."""
+    parts = (set(), set(), set())
+    for v, z in zip(tree.nodes, _zones(tree, path, i, j)):
+        parts[z].add(v)
+    return parts
+
+
 def test_partition_chain():
     t = a_chain(6)
-    part = partition_nodes(t, [f"v{i}" for i in range(6)], 1, 3)
-    assert part.before == {"v0"}
-    assert part.segment == {"v1", "v2"}
-    assert part.after == {"v3", "v4", "v5"}
+    want = ({"v0"}, {"v1", "v2"}, {"v3", "v4", "v5"})
+    assert zones(t, [f"v{i}" for i in range(6)], 1, 3) == want
 
 
 def test_partition_branches_join_segment():
     t = branchy()
-    part = partition_nodes(t, ["v0", "v1", "v2", "v3"], 1, 3)
-    assert part.segment == {"v1", "v2", "u", "w"}
-    assert part.before == {"v0"}
-    assert part.after == {"v3"}
-    part = partition_nodes(t, ["v0", "v1", "v2", "v3"], 1, 2)
-    assert part.segment == {"v1", "u"}
-    assert part.after == {"v2", "v3", "w"}
+    path = ["v0", "v1", "v2", "v3"]
+    assert zones(t, path, 1, 3) == ({"v0"}, {"v1", "v2", "u", "w"}, {"v3"})
+    assert zones(t, path, 1, 2) == ({"v0"}, {"v1", "u"}, {"v2", "v3", "w"})
 
 
 def test_partition_errors():
     t = a_chain(4)
     path = [f"v{i}" for i in range(4)]
     with pytest.raises(PolymuError, match="0 < i < j"):
-        partition_nodes(t, path, 0, 2)
+        _zones(t, path, 0, 2)
     with pytest.raises(PolymuError, match="0 < i < j"):
-        partition_nodes(t, path, 2, 2)
+        _zones(t, path, 2, 2)
     with pytest.raises(PolymuError, match="0 < i < j"):
-        partition_nodes(t, path, 1, 4)
+        _zones(t, path, 1, 4)
     with pytest.raises(PolymuError, match="not a root path"):
-        partition_nodes(t, ["v1", "v2"], 1, 1)
+        _zones(t, ["v1", "v2"], 1, 1)
     with pytest.raises(PolymuError, match="not in the tree"):
-        partition_nodes(t, ["v0", "x9"], 1, 1)
+        _zones(t, ["v0", "x9"], 1, 1)
 
 
 _APT_F = formula_to_apt(parse_formula("f", SIG_AF, 1), SIG_AF)
@@ -82,7 +84,7 @@ _APT_F = formula_to_apt(parse_formula("f", SIG_AF, 1), SIG_AF)
 PATH_USERS = {
     "winning_state_sets": lambda t, path: winning_state_sets(_APT_F, t, path),
     "find_pumping_pair": lambda t, path: find_pumping_pair(_APT_F, t, path),
-    "partition_nodes": lambda t, path: partition_nodes(t, path, 1, 2),
+    "_zones": lambda t, path: _zones(t, path, 1, 2),
     "pump": lambda t, path: pump(t, path, 1, 2, 2),
 }
 
@@ -130,8 +132,7 @@ def test_partition_matches_root_path_prefixes():
     for t, path in cases:
         for j in range(2, len(path)):
             for i in range(1, j):
-                part = partition_nodes(t, path, i, j)
-                assert (part.before, part.segment, part.after) == ref_partition_nodes(t, path, i, j)
+                assert zones(t, path, i, j) == ref_partition_nodes(t, path, i, j)
                 pairs += 1
     assert pairs > 500
 
@@ -149,8 +150,7 @@ def test_deep_chain_keeps_linear_state():
     assert peak < 32 * 2**20
     assert t.depth_of(nodes[-1]) == n - 1
     assert root_path(t, nodes[-1]) == tuple(nodes)
-    part = partition_nodes(t, nodes, 1000, 3000)
-    assert (len(part.before), len(part.segment), len(part.after)) == (1000, 2000, 5000)
+    assert tuple(map(len, zones(t, nodes, 1000, 3000))) == (1000, 2000, 5000)
     assert len(pump(t, nodes, 1000, 3000, 0).nodes) == n - 2000
     assert len(pump(t, nodes, 1000, 3000, 2).nodes) == n + 2000
 
@@ -315,20 +315,11 @@ def test_check_luni_prefers_least_level():
     assert check_luni(t) == 0
 
 
-def test_relative_membership_report():
+def test_reach_formula_agrees_with_check_luni():
     sig = DEFAULT_WORD_SIG
     phi = parse_formula("mu X. f | <a>X | <b>X", sig, 1)
     inside_hit = gen_rword_tree([((), "a"), (("f",), "b"), ((), "a")], 2, 2)
     inside_miss = gen_rword_tree([((), "a"), ((), "b"), ((), "a")], 2, 2)
-    outside = FiniteTree(sig, ["r", "x", "y"], "r",
-                         [("r", "a", "x"), ("r", "a", "y")], {"x": ["f"]})
-    report = check_relative_membership(phi, is_rword, [inside_hit, inside_miss, outside])
-    assert report == [
-        {"in_r": True, "models": True},
-        {"in_r": True, "models": False},
-        {"in_r": False, "models": None},
-    ]
-    assert check_relative_membership(phi, is_rword, []) == []
     # the formula agrees with the level check on word-shaped trees
     for t in (inside_hit, inside_miss):
         assert models(t, phi) == (check_luni(t) is not None)

@@ -398,7 +398,7 @@ def test_arity_one_agrees_with_acceptance_winners_at_every_node(monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(semantics, "_pred_masks", counting("masks", semantics._pred_masks))
+    monkeypatch.setattr(semantics, "_pred_rows", counting("masks", semantics._pred_rows))
     monkeypatch.setattr(semantics, "_shift_groups", counting("groups", semantics._shift_groups))
     monkeypatch.setattr(semantics, "_image", counting("sparse", semantics._image))
 

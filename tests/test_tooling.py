@@ -7,8 +7,10 @@ it stores, and their colors only as the position masks it stores, trees
 are read by position, not through per-node successor views, the
 trusted constructor is not exported, acceptance builds no game and keeps
 off the Zielonka solver that checks it, graphs hold no cached_property,
-and the bitmask kernel (the lowest-set-bit walk, the repunit and the
-digit spread) is written once, in graphs.py."""
+the bitmask kernel (the lowest-set-bit walk, the repunit and the digit
+spread) is written once, in graphs.py, and so is the reading of a
+graph's moves into rows and lists, and every exported name has a reader
+in the library."""
 import ast
 import importlib
 import importlib.util
@@ -300,3 +302,48 @@ def test_bitmask_kernel_is_written_once():
         ("graphs.py", "_image", "lowest bit"),
         ("graphs.py", "_spread", "spread"),
     ]
+
+
+def test_moves_are_read_through_the_graphs_helpers():
+    """Adjacency in every form comes from the graphs.py helpers
+    (_succ_rows, _pred_rows, _succ_lists, _pred_lists, _shifts,
+    _shift_targets), so only
+    graphs.py knows how LabeledGraph._moves stores the edges.  Elsewhere
+    _moves is read once by each builder of a derived graph (quotients,
+    component views, pumps, suite 3's toggled copy), by the power
+    conditions and by the move budget of acceptance_game.  In graphs.py
+    the constructors store it (__init__, _trusted), and the helpers, the
+    edges view, __repr__'s count, the tree shape check, from_graph and
+    product read it."""
+    readers = {}
+    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
+        found = _attr_readers(path.name, ("_moves",))
+        if found:
+            readers[path.name] = sorted(found) if path.name != "graphs.py" else sorted(set(found))
+    assert readers == {
+        "automata.py": ["acceptance_game"],
+        "bisim.py": ["_conditions", "_quotient_by", "component_view"],
+        "graphs.py": ["__init__", "__repr__", "_check_shape", "_pred_lists", "_pred_rows",
+                      "_shift_targets", "_shifts", "_succ_lists", "_succ_rows", "_trusted", "edges",
+                      "from_graph", "product"],
+        "pumping.py": ["pump"],
+        "xcheck.py": ["_toggle_root_color"],
+    }
+
+
+def test_every_exported_name_has_a_library_reader():
+    """Each name in polymu.__all__ is loaded, as a name or an attribute,
+    somewhere in src/polymu/ outside __init__.py: by the CLI, a suite or
+    another library function, its own module included."""
+    import polymu
+
+    loaded = set()
+    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(polymu.__all__) - loaded) == []
