@@ -6,11 +6,9 @@ tree shaped.  Node ids are opaque strings.  Graphs are immutable after
 construction.  A graph stores its edges once, as LabeledGraph._moves:
 per action, (source position, target position) pairs over the node
 order.  Only this module knows that form: the analyses and succ() read
-adjacency through _succ_rows (per source, its target mask over the union
-of some actions), _pred_rows (per target, its source mask), _succ_lists
-and _pred_lists (per position, the other ends in edge order, times a
-scale), _shifts (the distinct differences w - u of an action's edges
-u -> w) and _shift_targets (their targets w grouped by w - u).
+adjacency through its helpers, _succ_rows and _pred_rows (position
+masks), _succ_lists, _pred_lists and _tagged_succ_lists (position lists),
+and _shifts and _shift_targets (the differences w - u of the edges u -> w).
 Builders of derived graphs map the pairs themselves, and the tree shape
 check walks them in edge order, so it names the first fault.  The (src,
 action, dst) id triples of LabeledGraph.edges are read off _moves on
@@ -71,7 +69,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError, PolymuError, ResourceLimitError
 
@@ -211,6 +209,17 @@ def _succ_lists(g: LabeledGraph, a: str, scale: int = 1) -> list[list[int]]:
     return lists
 
 
+def _tagged_succ_lists(g: LabeledGraph, tag: Callable[[str], object], scale: int = 1) -> list[list]:
+    """Per source position, a (tag(a), w * scale) pair for each a-edge u -> w
+    of every action, grouped by action, in edge order; tag runs once per action."""
+    lists: list[list] = [[] for _ in g.nodes]
+    for a, pairs in g._moves.items():
+        t = tag(a)
+        for u, w in pairs:
+            lists[u].append((t, w * scale))
+    return lists
+
+
 def _pred_lists(g: LabeledGraph, a: str, scale: int = 1) -> list[list[int]]:
     """Per target position, its a-sources times scale, in edge order."""
     lists: list[list[int]] = [[] for _ in g.nodes]
@@ -220,9 +229,8 @@ def _pred_lists(g: LabeledGraph, a: str, scale: int = 1) -> list[list[int]]:
 
 
 def _shifts(g: LabeledGraph, a: str) -> set[int]:
-    """The distinct differences w - u over the a-edges u -> w; a set, as the
-    evaluator needs their number for every table and the grouped targets
-    of _shift_targets only on its first dense pre-image."""
+    """The distinct differences w - u over the a-edges u -> w: the evaluator's
+    count for every table, at half the cost of grouping them as _shift_targets does."""
     return {w - u for u, w in g._moves.get(a, ())}
 
 

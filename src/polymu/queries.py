@@ -14,13 +14,12 @@ Every positive verdict is replayed by an independent check before it is
 returned: iterated squaring of the step matrix, carrying only the
 root's row (plain one-letter), a subset replay of the word over succ()
 (plain two-letter), or, per component, a walk over paths with a
-progress counter (lifted).
+progress counter, over graphs._tagged_succ_lists (lifted).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import CrossCheckError, GraphFormatError, PolymuError
@@ -30,8 +29,8 @@ from .graphs import (
     Signature,
     _closure,
     _image,
-    _succ_lists,
     _succ_rows,
+    _tagged_succ_lists,
     split_lifted,
     unlift,
 )
@@ -103,9 +102,7 @@ def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
         step = [{x: _succ_rows(g, [a]) for x, a in zip(base.actions, acts)} for acts in own]
         silent = [_succ_rows(g, [a for j, acts in enumerate(own) if j != i for a in acts])
                   for i in range(d)]
-        # silent[0] and silent[1] hold every move between them
-        out = list(map(or_, silent[0], silent[1])) if d > 1 else _succ_rows(g, own[0])
-        reach = _closure(out, root)
+        reach = _closure(_succ_rows(g, g.signature.actions), root)
         start = [root | _image(_succ_rows(g, acts[-1:]), reach) for acts in own]
     f = base.colors[0]
     colors = [f"{f}@{i}" for i in range(d)] if lifted else [f]
@@ -235,8 +232,8 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
     counter at once reaches it with count in place i."""
     width = len(letters) + 2  # counts 0..full, then dead
     full, dead = width - 2, width - 1
-    # per action: its base name, its component and its successor lists of states
-    moves = [(*unlift(a), _succ_lists(g, a, width)) for a in g.signature.actions]
+    # per source, its moves as ((base action, component), target state base)
+    out = _tagged_succ_lists(g, unlift, width)
     for i in range(d):
         accepting = g._colors[f"{f}@{i}"]
         start = g.index[g.root] * width  # count 0 at the root
@@ -246,20 +243,18 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
             v, p = divmod(todo.pop(), width)
             if p == full and accepting >> v & 1:
                 return False
-            for x, j, succ in moves:
+            for (x, j), w in out[v]:
                 if j != i:
-                    off = p
+                    state = w + p
                 elif x == RESET:
-                    off = 0
+                    state = w
                 elif p < full and letters[p] == x:
-                    off = p + 1
+                    state = w + p + 1
                 else:
-                    off = dead
-                for w in succ[v]:
-                    state = w + off
-                    if state not in seen:
-                        seen.add(state)
-                        todo.append(state)
+                    state = w + dead
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
     return True
 
 

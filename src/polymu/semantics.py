@@ -29,20 +29,18 @@ only grow, and under nu so do the complements taken by [a@i].
 
 The pre-image of one action in one component is driven by a table
 built once per evaluation, when the modality first runs, from the
-graph's moves as the graphs.py helpers give them: predecessor rows or
-lists per target position and the number of distinct shifts w - u of
-the edges u -> w (graphs._pred_rows, _pred_lists, _shifts).  An
-argument with at most as many members as the action has distinct shifts
-takes the sparse form.  At arity 1 with at most _MASK_NODES nodes that
-form is one predecessor mask per target position w (bit u for each edge
-u -> w, row w of the transposed adjacency matrix), and the pre-image is
-the image of the members under them (graphs._image); the masks take up
-to n * n bits, so larger graphs and higher arities map each member
-through per-node predecessor lists instead.  Larger arguments move
-every target digit at once through one mask and one shift per distinct
-w - u; those groups are built on the first such call from the targets
-per shift (graphs._shift_targets), so until then the table holds only
-the number of shifts.
+graphs.py helpers that read the moves (_pred_rows, _pred_lists, _shifts).
+An argument with at most as many members as the action has distinct
+shifts w - u of its edges u -> w takes the sparse form.  At arity 1 with
+at most _MASK_NODES nodes that form is one predecessor mask per target
+position w (bit u for each edge u -> w, row w of the transposed
+adjacency matrix), and the pre-image is the image of the members under
+them (graphs._image); the masks take up to n * n bits, so larger graphs
+and higher arities map each member through per-node predecessor lists
+instead.  Larger arguments move every target digit at once through one
+mask and one shift per distinct w - u; those groups are built on the
+first such call from graphs._shift_targets, so until then the table
+holds only the number of shifts.
 """
 from __future__ import annotations
 

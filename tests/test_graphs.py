@@ -23,6 +23,7 @@ from polymu.graphs import (
     _spread,
     _succ_lists,
     _succ_rows,
+    _tagged_succ_lists,
     LabeledGraph,
     RESET,
     Signature,
@@ -1211,21 +1212,28 @@ def _adjacency_cases():
 
 
 def test_move_helpers_match_a_build_from_the_edges():
-    """Successor and predecessor rows and lists, the distinct shifts and
-    the targets per shift, read through the graphs.py helpers, match a
-    brute-force build from the id triples of edges; the lists follow the
-    order the edges were given in, an action without edges gives empty
-    rows and lists, and the rows of several actions are the union of
-    theirs."""
+    """Successor and predecessor rows and lists, the tagged successor
+    lists, the distinct shifts and the targets per shift, read through the
+    graphs.py helpers, match a brute-force build from the id triples of
+    edges; the lists follow the order the edges were given in, an action
+    without edges gives empty rows and lists, and the rows of several
+    actions are the union of theirs."""
     for case, (g, given, empty) in enumerate(_adjacency_cases()):
         at, n = g.index, len(g.nodes)
         actions = g.signature.actions
+        scale = 3 + case
+        tagged_by = []
+        tagged = _tagged_succ_lists(g, lambda a: tagged_by.append(a) or ("tag", a), scale)
+        assert len(tagged) == n and len(set(tagged_by)) == len(tagged_by), case
+        for p in range(n):
+            tags = [t for t, _ in tagged[p]]
+            assert len(list(itertools.groupby(tags))) == len(set(tags)), (case, p)  # grouped
         rows = {}
         for a in actions:
             pairs = [(at[u], at[w]) for u, b, w in g.edges if b == a]
             assert pairs == [(at[u], at[w]) for u, b, w in given if b == a], case
             assert not pairs or a != empty, case
-            scale = 3 + case
+            assert not pairs or a in tagged_by, (case, a)
             for p in range(n):
                 targets = [w for u, w in pairs if u == p]
                 sources = [u for u, w in pairs if w == p]
@@ -1234,6 +1242,7 @@ def test_move_helpers_match_a_build_from_the_edges():
                 assert _pred_lists(g, a)[p] == sources, (case, a, p)
                 assert _pred_lists(g, a, scale)[p] == [u * scale for u in sources], (case, a, p)
                 assert _pred_rows(g, a)[p] == sum(1 << u for u in sources), (case, a, p)
+                assert [w for t, w in tagged[p] if t == ("tag", a)] == [w * scale for w in targets]
             rows[a] = [sum(1 << w for u, w in pairs if u == p) for p in range(n)]
             assert _succ_rows(g, [a]) == rows[a], (case, a)
             assert _shifts(g, a) == {w - u for u, w in pairs}, (case, a)

@@ -306,8 +306,8 @@ def test_bitmask_kernel_is_written_once():
 
 def test_moves_are_read_through_the_graphs_helpers():
     """Adjacency in every form comes from the graphs.py helpers
-    (_succ_rows, _pred_rows, _succ_lists, _pred_lists, _shifts,
-    _shift_targets), so only
+    (_succ_rows, _pred_rows, _succ_lists, _pred_lists, _tagged_succ_lists,
+    _shifts, _shift_targets), so only
     graphs.py knows how LabeledGraph._moves stores the edges.  Elsewhere
     _moves is read once by each builder of a derived graph (quotients,
     component views, pumps, suite 3's toggled copy), by the power
@@ -324,26 +324,61 @@ def test_moves_are_read_through_the_graphs_helpers():
         "automata.py": ["acceptance_game"],
         "bisim.py": ["_conditions", "_quotient_by", "component_view"],
         "graphs.py": ["__init__", "__repr__", "_check_shape", "_pred_lists", "_pred_rows",
-                      "_shift_targets", "_shifts", "_succ_lists", "_succ_rows", "_trusted", "edges",
-                      "from_graph", "product"],
+                      "_shift_targets", "_shifts", "_succ_lists", "_succ_rows",
+                      "_tagged_succ_lists", "_trusted", "edges", "from_graph", "product"],
         "pumping.py": ["pump"],
         "xcheck.py": ["_toggle_root_color"],
     }
 
 
+def _bound_names(fn):
+    """Names a function or lambda binds: its parameters and every name
+    stored in its body, nested scopes included."""
+    a = fn.args
+    names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x}
+    names.update(n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
 def test_every_exported_name_has_a_library_reader():
-    """Each name in polymu.__all__ is loaded, as a name or an attribute,
-    somewhere in src/polymu/ outside __init__.py: by the CLI, a suite or
-    another library function, its own module included."""
+    """Each name in polymu.__all__ is read somewhere in src/polymu/
+    outside __init__.py: by the CLI, a suite or another library function,
+    its own module included.  A load counts only where it resolves to the
+    export: a name in the module that defines it, or one bound to it by
+    `from .module import name [as alias]`, and in either case not
+    shadowed by a parameter or an assignment of an enclosing function."""
     import polymu
 
-    loaded = set()
-    for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    assert sorted(set(polymu.__all__) - loaded) == []
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "polymu").glob("*.py"))}
+    # (module, name) of each top-level binding -> (module, name) it is imported from
+    origin = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    origin[mod, alias.asname or alias.name] = (node.module, alias.name)
+
+    def resolve(key):
+        while key in origin:
+            key = origin[key]
+        return key
+
+    read = set()
+
+    def walk(node, mod, local, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                walk(child, mod, local, bound | _bound_names(child))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id not in bound:
+                read.add(local.get(child.id) or resolve((mod, child.id)))
+            walk(child, mod, local, bound)
+
+    for mod, tree in trees.items():
+        if mod != "__init__":
+            local = {alias.asname or alias.name: resolve((node.module, alias.name))
+                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     and node.level == 1 and node.module for alias in node.names}
+            walk(tree, mod, local, frozenset())
+    exports = {name: resolve(("__init__", name)) for name in polymu.__all__}
+    assert sorted(name for name, key in exports.items() if key not in read) == []
