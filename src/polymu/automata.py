@@ -59,7 +59,7 @@ from .logic import (
     Replace,
     TT,
     Var,
-    _KIDS,
+    _Table,
     _rebuild,
     free_vars,
     print_formula,
@@ -116,40 +116,29 @@ class Apt:
 _DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, Mu: Nu, Nu: Mu}
 
 
-def _pnf(root: Node) -> Node:
-    """Negations pushed onto colors in one pre-order pass, and replacements
-    stripped (at arity 1 the only mapping is the identity)."""
-    flipped: set[str] = set()
-    done: list[Node] = []  # results of finished subtrees awaiting their parent
-    # (node, polarity, False) enters a node, (node, polarity, True) builds it
-    todo: list[tuple] = [(root, True, False)]
-    while todo:
-        n, pos, leaving = todo.pop()
+def _pnf(t: _Table) -> Node:
+    """Negations pushed onto colors, and replacements stripped (at arity 1
+    the only mapping is the identity), over the compiled formula t:
+    children first, each entry's image under an even and under an odd
+    number of negations.  t must pass validate_formula, so every node is
+    known and every variable occurs positively."""
+    img: list[tuple[Node, Node]] = []  # per entry: (even image, odd image)
+    for n, ks in zip(t.node, t.kids):
         cls = type(n)
-        if leaving:
-            k = len(_KIDS[cls])
-            kids = done[len(done) - k:]
-            del done[len(done) - k:]
-            done.append(_rebuild(n, kids, cls if pos else _DUAL[cls]))
+        if cls is Neg:
+            img.append(img[ks[0]][::-1])
+        elif cls is Replace:
+            img.append(img[ks[0]])
         elif cls is TT or cls is FF:
-            done.append(TT() if (cls is TT) == pos else FF())
+            img.append((n, FF() if cls is TT else TT()))
         elif cls is Color:
-            done.append(n if pos else Neg(n))
+            img.append((n, Neg(n)))
         elif cls is Var:
-            # positivity of the input guarantees the occurrence comes out positive
-            if pos == (n.name in flipped):
-                raise FormulaError(f"variable {n.name} survives negatively")
-            done.append(n)
-        elif cls is Neg or cls is Replace:
-            todo.append((n.sub, pos != (cls is Neg), False))
-        elif cls in _DUAL:
-            if not pos and (cls is Mu or cls is Nu):
-                flipped.add(n.var)
-            todo.append((n, pos, True))
-            todo += [(getattr(n, f), pos, False) for f in reversed(_KIDS[cls])]
+            img.append((n, n))
         else:
-            raise FormulaError(f"unknown node {cls.__name__}")
-    return done[0]
+            img.append((_rebuild(n, [img[k][0] for k in ks]),
+                        _rebuild(n, [img[k][1] for k in ks], _DUAL[cls])))
+    return img[t.root][0]
 
 
 # ------------------------------------------------------------ translation
@@ -167,7 +156,7 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
         raise FormulaError("automaton translation needs an arity-1 formula")
     if free_vars(phi):
         raise FormulaError("automaton translation needs a closed formula")
-    t = Formula(1, _pnf(phi.root))._table
+    t = Formula(1, _pnf(phi._table))._table
     node, kids = t.node, t.kids
     c0 = sig.colors[0]
 
@@ -691,12 +680,12 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
     """Check a positional strategy on a claimed winning set: the set must
     be closed under opponent moves and the strategy, the player never
     gets stuck, and the restricted graph has no cycle whose maximal
-    priority favors the opponent."""
+    priority favors the opponent, read per component by _cycle_parity."""
     succ: list = [()] * len(game.labels)
     for v in win:
         if game.owner[v] == player:
             w = strat.get(v)
-            if w is None or w not in game.moves[v] or w not in win:
+            if w not in game.moves[v] or w not in win:
                 return False
             succ[v] = (w,)
         else:
@@ -704,32 +693,26 @@ def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) ->
                 return False
             succ[v] = game.moves[v]
 
-    # only positions on some cycle can lie on a losing one
-    cyclic = [c for c in _sccs(set(win), succ) if len(c) > 1 or c[0] in succ[c[0]]]
-    on_cycle = set().union(*cyclic)
-    bad = 1 - player % 2
-    bad_prios = sorted({game.priority[v] for v in on_cycle if game.priority[v] % 2 == bad})
-    for p in bad_prios:
-        sub = {v for v in on_cycle if game.priority[v] <= p}
-        for comp in _sccs(sub, succ):
-            if not any(game.priority[v] == p for v in comp):
-                continue
-            if len(comp) > 1 or comp[0] in succ[comp[0]]:
-                return False
+    # every cycle of the restricted graph lies in one of its components
+    for comp in _sccs(set(win), succ):
+        if (len(comp) > 1 or comp[0] in succ[comp[0]]) and \
+                _cycle_parity(comp, succ, game.priority) != player:
+            return False
     return True
 
 
 def _sccs(nodes, succ) -> list[list[int]]:
     """Tarjan's strongly connected components of the graph on nodes, a
     collection of ints below len(succ), whose successors are succ[v];
-    edges that leave nodes are left out.  Iterative, and each component
-    comes after every component it reaches."""
-    done = len(succ) + 1
-    low = [0] * len(succ)  # 0 before v is met, done once v's component is out
+    edges that leave nodes are left out.  Iterative, with its bookkeeping
+    sized to nodes, not to succ, as _cycle_parity runs it per component,
+    and each component comes after every component it reaches."""
+    low = dict.fromkeys(nodes, 0)  # 0 before v is met, done once v's component is out
+    done = len(low) + 1
     stack: list[int] = []
     out: list[list[int]] = []
     count = 0
-    for root in nodes:
+    for root in low:
         if low[root]:
             continue
         count += 1
@@ -740,7 +723,7 @@ def _sccs(nodes, succ) -> list[list[int]]:
         while work:
             v, met, height, it = work[-1]
             for w in it:
-                if w in nodes:
+                if w in low:
                     if not low[w]:
                         count += 1
                         low[w] = count

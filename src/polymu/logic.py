@@ -542,9 +542,7 @@ def check_d_rooted(phi: Formula, d: int) -> bool:
     every replacement copies component d into a single other one."""
     if phi.arity != d + 1:
         return False
-    t = phi._table
-    for e in sorted(range(len(t.node)), key=t.pre.__getitem__):  # pre-order
-        n = t.node[e]
+    for n in phi._table.node:
         if isinstance(n, (Color, Diamond, Box)) and n.comp >= d:
             return False
         if isinstance(n, Replace):  # the identity with d at one j < d

@@ -177,10 +177,10 @@ def is_rword(tree: FiniteTree) -> bool:
     return len(set(levels)) == max(tree._depth) + 1
 
 
-def check_luni(tree: FiniteTree, color: Optional[str] = None) -> Optional[int]:
-    """Least depth whose nodes all carry the color (default f), else None."""
-    if color is None:
-        color = "f" if "f" in tree.signature.colors else tree.signature.colors[0]
+def check_luni(tree: FiniteTree) -> Optional[int]:
+    """Least depth whose nodes all carry the color f (the first color
+    when the signature has no f), else None."""
+    color = "f" if "f" in tree.signature.colors else tree.signature.colors[0]
     depth = tree._depth
     lacking = ~tree._colors.get(color, 0) & ((1 << len(depth)) - 1)
     missed = {depth[p] for p in _set_bits(lacking)}

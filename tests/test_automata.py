@@ -3,7 +3,7 @@ import inspect
 import itertools
 import sys
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -40,7 +40,7 @@ from conftest import PATTERNS, SIG_AF, SIG_ABF, make_graph, make_loop3
 
 def pnf_text(text, sig, arity=1):
     phi = parse_formula(text, sig, arity)
-    return print_formula(Formula(phi.arity, _pnf(phi.root)))
+    return print_formula(Formula(phi.arity, _pnf(phi._table)))
 
 
 def test_pnf_shapes():
@@ -205,6 +205,86 @@ def test_strategy_checker_judges_cycles_only():
     assert not strategy_is_winning(g, FORALL, {0, 1, 2}, {0: 1, 1: 2})
     g = game([EXISTS], [1], [(0,)])
     assert not strategy_is_winning(g, EXISTS, {0}, {0: 0})
+
+
+def why_strategy_loses(g: ParityGame, player: int, win: set, strat: dict) -> str | None:
+    """Why strat does not win win for player, or None when it does: an
+    opponent move leaves win ("open"), the player is stuck ("stuck") or
+    its strategy is missing, not a move or leaves win ("move"), or some
+    position of priority p of the opponent's parity reaches itself through
+    positions of priority at most p ("cycle")."""
+    succ = {}
+    for v in sorted(win):
+        ms = g.moves[v]
+        if g.owner[v] != player:
+            if not set(ms) <= win:
+                return "open"
+            succ[v] = ms
+        elif not ms:
+            return "stuck"
+        elif strat.get(v) not in ms or strat[v] not in win:
+            return "move"
+        else:
+            succ[v] = (strat[v],)
+    for v in win:
+        p = g.priority[v]
+        if p % 2 == player:
+            continue
+        todo, seen = [v], set()
+        while todo:
+            for w in succ[todo.pop()]:
+                if w == v:
+                    return "cycle"
+                if g.priority[w] <= p and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return None
+
+
+def test_strategy_checker_against_reachability():
+    """Seeded games of at most 7 positions, with dead ends, and claims that
+    are the solver's answer, spoiled or not, or random sets and moves."""
+    why = Counter()
+    for k in range(3000):
+        rng = Xorshift.substream(61231, k)
+        n = rng.randint(1, 7)
+        owner = [rng.below(2) for _ in range(n)]
+        prio = [rng.below(5) for _ in range(n)]
+        moves = [tuple(sorted({w for w in range(n) if rng.chance(1, 3)})) for _ in range(n)]
+        g = game(owner, prio, moves)
+        player = rng.below(2)
+        if rng.chance(1, 2):
+            res = solve_parity(g)
+            win = {v for v in range(n) if res.winner[v] == player}
+            strat = dict(res.strategy[player])
+        else:
+            win = {v for v in range(n) if rng.chance(2, 3)}
+            strat = {v: rng.choice(moves[v]) for v in win if owner[v] == player and moves[v]}
+        if rng.chance(1, 4):
+            strat[rng.below(n)] = rng.below(n)  # perhaps no move, or one out of win
+        if rng.chance(1, 6):
+            win ^= {rng.below(n)}  # perhaps no longer closed
+        want = why_strategy_loses(g, player, win, strat)
+        got = strategy_is_winning(g, player, win, strat)
+        assert got == (want is None), (owner, prio, moves, player, win, strat)
+        why[want] += 1
+    assert min(why[w] for w in (None, "open", "stuck", "move", "cycle")) >= 100, why
+
+
+def test_sccs_bookkeeping_is_sized_to_its_nodes():
+    """strategy_is_winning runs _cycle_parity, and so _sccs, once per
+    component of the whole game, so a list over succ per call would make
+    it quadratic: on 2 of a million positions, _sccs's peak stays far
+    below the 8 MB of one such list."""
+    succ = [()] * 10**6
+    succ[0], succ[1] = (1,), (0,)
+    tracemalloc.start()
+    try:
+        assert _sccs({0, 1}, succ) == [[0, 1]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def brute_exists_wins(g: ParityGame) -> set | None:

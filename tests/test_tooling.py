@@ -1,7 +1,8 @@
 """The benchmark tracer's targets exist in the library, its sizers read
 what the library returns, the library never patches or reads the
 recursion limit and no module but the random generator recurses, a
-formula is compiled only in its cached property, the analyses and the
+formula is compiled only in its cached property and its node fields
+are read only in logic.py, the analyses and the
 derived-graph builders read a graph's edges only as the position pairs
 it stores, and their colors only as the position masks it stores, trees
 are read by position, not through per-node successor views, the
@@ -124,14 +125,34 @@ def test_formula_table_is_built_in_one_place():
     assert calls == [("logic.py", "_table", ["cached_property"])]
 
 
+def _name_uses(name, names, ctx=(ast.Load,)):
+    """Line of each use, in a module, of one of names as a variable or an
+    attribute in one of the contexts ctx (loads by default), and of each
+    import of one of them."""
+    tree = ast.parse((ROOT / "src" / "polymu" / name).read_text())
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ctx)
+            and (n.id if isinstance(n, ast.Name) else n.attr) in names
+            or isinstance(n, ast.alias) and n.name in names]
+
+
+def test_formula_fields_are_read_only_in_logic():
+    """_KIDS and _DATA, the child and payload field names of each node
+    class, are loaded or imported only in logic.py, where the parser, the
+    printer and the table compiler walk the AST; every other formula pass
+    reads the compiled _Table."""
+    paths = sorted((ROOT / "src" / "polymu").glob("*.py"))
+    assert [p.name for p in paths if _name_uses(p.name, ("_KIDS", "_DATA"))] == ["logic.py"]
+
+
 def _attr_readers(name, attrs=("edges",)):
-    """Name of the innermost function around each read of one of the
-    attributes attrs (by default .edges) in a module."""
+    """Name of the innermost function around each read (an ast.Load) of
+    one of the attributes attrs (by default .edges) in a module."""
     tree = ast.parse((ROOT / "src" / "polymu" / name).read_text())
     fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
     readers = []
     for n in ast.walk(tree):
-        if isinstance(n, ast.Attribute) and n.attr in attrs:
+        if isinstance(n, ast.Attribute) and n.attr in attrs and isinstance(n.ctx, ast.Load):
             around = [fn for fn in fns if fn.lineno <= n.lineno <= fn.end_lineno]
             readers.append(max(around, key=lambda fn: fn.lineno).name if around else None)
     return readers
@@ -185,14 +206,17 @@ def test_derived_graphs_are_built_from_position_pairs():
 
 def test_colors_are_read_as_position_masks():
     """A graph stores its colors once, as LabeledGraph._colors, one
-    position mask per color, and no module keeps a _labels copy.  The
-    analysis layers, product and every other library reader use the
-    masks: none calls or passes the per-node label() and has_color()
-    views, which cost a shift of a |V|-bit mask per call.  The writer and
-    equality read them through LabeledGraph._codes, like bisimulation."""
+    position mask per color, and no module keeps a _labels copy: no name
+    or attribute is called _labels, in any context, though longer names
+    such as _json_labels may contain it.  The analysis layers, product and
+    every other library reader use the masks: none calls or passes the
+    per-node label() and has_color() views, which cost a shift of a
+    |V|-bit mask per call.  The writer and equality read them through
+    LabeledGraph._codes, like bisimulation."""
     views = ("label", "has_color")
     paths = sorted((ROOT / "src" / "polymu").glob("*.py"))
-    assert [p.name for p in paths if "_labels" in p.read_text()] == []
+    anywhere = (ast.Load, ast.Store, ast.Del)
+    assert [p.name for p in paths if _name_uses(p.name, ("_labels",), anywhere)] == []
     readers = {p.name: _attr_readers(p.name, views) for p in paths}
     assert {name: found for name, found in readers.items() if found} == {}
 
@@ -312,9 +336,8 @@ def test_moves_are_read_through_the_graphs_helpers():
     _moves is read once by each builder of a derived graph (quotients,
     component views, pumps, suite 3's toggled copy), by the power
     conditions and by the move budget of acceptance_game.  In graphs.py
-    the constructors store it (__init__, _trusted), and the helpers, the
-    edges view, __repr__'s count, the tree shape check, from_graph and
-    product read it."""
+    the helpers, the edges view, __repr__'s count, the tree shape check,
+    from_graph and product read it; the constructors only store it."""
     readers = {}
     for path in sorted((ROOT / "src" / "polymu").glob("*.py")):
         found = _attr_readers(path.name, ("_moves",))
@@ -323,9 +346,9 @@ def test_moves_are_read_through_the_graphs_helpers():
     assert readers == {
         "automata.py": ["acceptance_game"],
         "bisim.py": ["_conditions", "_quotient_by", "component_view"],
-        "graphs.py": ["__init__", "__repr__", "_check_shape", "_pred_lists", "_pred_rows",
+        "graphs.py": ["__repr__", "_check_shape", "_pred_lists", "_pred_rows",
                       "_shift_targets", "_shifts", "_succ_lists", "_succ_rows",
-                      "_tagged_succ_lists", "_trusted", "edges", "from_graph", "product"],
+                      "_tagged_succ_lists", "edges", "from_graph", "product"],
         "pumping.py": ["pump"],
         "xcheck.py": ["_toggle_root_color"],
     }
