@@ -13,7 +13,7 @@ have a top priority of one parity takes one attractor, as an
 alternation-free formula always does, so those are solved in linear
 time; only a component whose cycles mix parities runs Zielonka's loop
 over opponent attractors, on its own positions, nested on an explicit
-stack, with no strategies.  That loop keeps no set of positions: its
+stack.  That loop keeps no set of positions: its
 regions, tops and won sides are position lists, a region's membership is
 one frame depth per position (v is in frame f's region when its depth is
 at least f; a finished frame's positions return to its parent's depth,
@@ -22,9 +22,9 @@ each attractor marks what it takes with a stamp of its own; the depth
 and stamp lists are allocated once per game and shared by its components.
 ``acceptance_game`` builds the same game
 explicitly, as a ``ParityGame``, and ``solve_parity``, Zielonka's
-algorithm with positional strategies for both players on the same kind
-of stack, solves it; the pair stays for strategies and as the oracle
-that xcheck suite 9 checks ``acceptance_winners`` against.
+algorithm over position sets on the same kind of stack, solves it for
+winners only; the pair stays as the oracle that xcheck suite 9 checks
+``acceptance_winners`` against.
 """
 from __future__ import annotations
 
@@ -254,12 +254,6 @@ class ParityGame:
         return f"ParityGame(positions={len(self.labels)}, initial={self.initial})"
 
 
-@dataclass(frozen=True)
-class GameResult:
-    winner: tuple[int, ...]
-    strategy: tuple[dict, dict]
-
-
 def _game_size(apt: Apt, g: LabeledGraph) -> int:
     """The number of positions of the acceptance game of apt on g,
     refused before anything is allocated when the signatures differ or
@@ -327,16 +321,16 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     )
 
 
-def solve_parity(game: ParityGame) -> GameResult:
-    """Exact solution with winner and positional strategy per position.
+def solve_parity(game: ParityGame) -> tuple[int, ...]:
+    """The winner of every position.
 
-    Zielonka's algorithm, looping over opponent attractors and nesting
-    over distinct priorities on an explicit stack.  Dead ends are routed
-    to a fresh losing sink for their owner, which makes the game total
-    for the attractor decomposition; the sinks are stripped from the
-    answer; a sink that no dead end leads to stays out of the game.
-    Positions are bucketed by priority once, so each loop turn finds the
-    top priority of its region by set intersection."""
+    Zielonka's algorithm on sets of positions, looping over opponent
+    attractors and nesting over distinct priorities on an explicit stack.
+    Dead ends are routed to a fresh losing sink for their owner, which
+    makes the game total for the attractor decomposition; the sinks are
+    stripped from the answer; a sink that no dead end leads to stays out
+    of the game.  Positions are bucketed by priority once, so each loop
+    turn finds the top priority of its region by set intersection."""
     n = len(game.labels)
     prio = tuple(game.priority) + (1, 0)
     owner = tuple(game.owner) + (EXISTS, FORALL)
@@ -347,24 +341,21 @@ def solve_parity(game: ParityGame) -> GameResult:
     for v, ms in enumerate(moves):
         for w in ms:
             preds[w].append(v)
-    positions = [*range(n), *sorted({sink[o][0] for m, o in zip(game.moves, game.owner) if not m})]
+    positions = [*range(n), *{sink[o][0] for m, o in zip(game.moves, game.owner) if not m}]
     by_prio = groupby(sorted(positions, key=prio.__getitem__), key=prio.__getitem__)
     buckets = {p: set(vs) for p, vs in by_prio}
     order = sorted(buckets, reverse=True)
 
-    def attractor(target: set, region: set, player: int, strat: dict) -> set:
-        """region minus player's attractor of target within it; strategy
-        moves of player's attracted positions go into strat."""
+    def attractor(target: set, region: set, player: int) -> set:
+        """region minus player's attractor of target within it."""
         rest = region - target
         count = {}  # opponent positions: moves into region not yet attracted
-        queue = sorted(target)
-        for v in queue:  # grows while iterated, so positions leave in FIFO order
+        queue = list(target)
+        for v in queue:  # grows while iterated
             for u in preds[v]:
                 if u not in rest:
                     continue
-                if owner[u] == player:
-                    strat[u] = v
-                else:
+                if owner[u] != player:
                     ms = moves[u]
                     if len(ms) > 1:  # with one move, its count drops from 1 to 0
                         c = (count.get(u) or len([w for w in ms if w in region])) - 1
@@ -375,9 +366,9 @@ def solve_parity(game: ParityGame) -> GameResult:
                 queue.append(u)
         return rest
 
-    # a frame solves region, whose priorities are at most order[k], into win and
-    # strat per player; its parent waits on the stack with the top's attractor
-    region, k, win, strat = set(positions), 0, [set(), set()], [{}, {}]
+    # a frame solves region, whose priorities are at most order[k], into win
+    # per player; its parent waits on the stack
+    region, k, win = set(positions), 0, [set(), set()]
     frames: list = []
     while True:
         if region:
@@ -385,40 +376,27 @@ def solve_parity(game: ParityGame) -> GameResult:
             while not top:
                 k += 1
                 top = buckets[order[k]] & region
-            s_attr: dict = {}
-            # a region all of top priority is its own attractor, with no strategy
+            # a region all of top priority is its own attractor
             if len(top) < len(region):
-                frames.append((region, k, win, strat, top, s_attr))
-                region = attractor(top, region, order[k] % 2, s_attr)
-                k, win, strat = k + 1, [set(), set()], [{}, {}]
+                frames.append((region, k, win))
+                region = attractor(top, region, order[k] % 2)
+                k, win = k + 1, [set(), set()]
                 continue
         elif not frames:
             break
         else:
-            sub_win, sub_strat = win, strat
-            region, k, win, strat, top, s_attr = frames.pop()
+            sub_win = win
+            region, k, win = frames.pop()
             opp = 1 - order[k] % 2
             if sub_win[opp]:
-                strat[opp].update(sub_strat[opp])
-                rest = attractor(sub_win[opp], region, opp, strat[opp])
+                rest = attractor(sub_win[opp], region, opp)
                 win[opp] |= region - rest
                 region = rest
                 continue
-            strat[1 - opp].update(sub_strat[1 - opp])
-        sigma = order[k] % 2
-        mine = strat[sigma]
-        # every position keeps a move inside its region, so a lone move is in it
-        for v in sorted(top):
-            if owner[v] == sigma:
-                ms = moves[v]
-                mine[v] = ms[0] if len(ms) == 1 else min([w for w in ms if w in region])
-        mine.update(s_attr)
-        win[sigma] |= region
+        win[order[k] % 2] |= region
         region = set()
 
-    winner = tuple([EXISTS if v in win[EXISTS] else FORALL for v in range(n)])
-    strategies = tuple({v: w for v, w in s.items() if v < n and w < n} for s in strat)
-    return GameResult(winner, strategies)
+    return tuple([EXISTS if v in win[EXISTS] else FORALL for v in range(n)])
 
 
 def acceptance_winners(apt: Apt, g: LabeledGraph) -> tuple[int, ...]:
@@ -674,31 +652,6 @@ def _zielonka(region: list, comp: list[int], prio: tuple[int, ...], owner: list,
     for player in (EXISTS, FORALL):
         for v in won[player]:
             winner[v] = player
-
-
-def strategy_is_winning(game: ParityGame, player: int, win: set, strat: dict) -> bool:
-    """Check a positional strategy on a claimed winning set: the set must
-    be closed under opponent moves and the strategy, the player never
-    gets stuck, and the restricted graph has no cycle whose maximal
-    priority favors the opponent, read per component by _cycle_parity."""
-    succ: list = [()] * len(game.labels)
-    for v in win:
-        if game.owner[v] == player:
-            w = strat.get(v)
-            if w not in game.moves[v] or w not in win:
-                return False
-            succ[v] = (w,)
-        else:
-            if any(w not in win for w in game.moves[v]):
-                return False
-            succ[v] = game.moves[v]
-
-    # every cycle of the restricted graph lies in one of its components
-    for comp in _sccs(set(win), succ):
-        if (len(comp) > 1 or comp[0] in succ[comp[0]]) and \
-                _cycle_parity(comp, succ, game.priority) != player:
-            return False
-    return True
 
 
 def _sccs(nodes, succ) -> list[list[int]]:

@@ -97,14 +97,12 @@ def _base_and_dim(
 ) -> tuple[Signature, int, Optional[Signature]]:
     """Base signature, dimension, and the lifted signature when the graph has one."""
     try:
-        base, d_sig = split_lifted(g.signature)
+        base, _ = split_lifted(g.signature)
     except GraphFormatError:
         if d is None:
             raise PolymuError(f"{what}: -d is required with a base-signature graph")
         return g.signature, d, None
-    if d is not None and d != d_sig:
-        raise PolymuError(f"{what}: graph has dimension {d_sig}, -d says {d}")
-    return base, d_sig, g.signature
+    return base, _lifted_dim(g, d, what), g.signature
 
 
 def _lifted_dim(g: LabeledGraph, d: Optional[int], what: str) -> int:

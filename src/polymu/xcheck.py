@@ -52,14 +52,17 @@ from .randgen import (
 )
 from .semantics import evaluate, models
 
+# the size budget of the random d-rooted and lifted formulas, and the
+# largest dimension d the suites draw
+_MAX_FORMULA_SIZE = 12
+_MAX_D = 2
+
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 7
     iterations: Optional[int] = None  # None: each check uses its default count
     max_nodes: int = 5
-    max_formula_size: int = 12
-    max_d: int = 2
     step_budget: int = 1_000_000
 
     def __post_init__(self):
@@ -67,7 +70,7 @@ class RunConfig:
             raise PolymuError("seed must be a 64-bit unsigned integer")
         if self.iterations is not None and self.iterations <= 0:
             raise PolymuError("iterations must be positive")
-        for cap in ("max_nodes", "max_formula_size", "max_d", "step_budget"):
+        for cap in ("max_nodes", "step_budget"):
             if getattr(self, cap) <= 0:
                 raise PolymuError(f"{cap} must be positive")
 
@@ -94,8 +97,8 @@ def _round_trip_corpus(cfg: RunConfig) -> Iterator[tuple[LabeledGraph, int, Form
         rng = _rng(cfg, 1, t)
         sig = rand_base_signature(rng)
         g = rand_graph(rng, sig, cfg.max_nodes)
-        d = rng.randint(1, cfg.max_d)
-        phi = rand_d_rooted_formula(rng, sig, d, cfg.max_formula_size)
+        d = rng.randint(1, _MAX_D)
+        phi = rand_d_rooted_formula(rng, sig, d, _MAX_FORMULA_SIZE)
         yield g, d, phi
 
 
@@ -116,11 +119,11 @@ def check_transform_inverses(cfg: RunConfig) -> tuple[bool, str]:
     for t in range(n):
         rng = _rng(cfg, 2, t)
         sig = rand_base_signature(rng)
-        d = rng.randint(1, cfg.max_d)
-        phi = rand_d_rooted_formula(rng, sig, d, cfg.max_formula_size)
+        d = rng.randint(1, _MAX_D)
+        phi = rand_d_rooted_formula(rng, sig, d, _MAX_FORMULA_SIZE)
         if print_formula(polyfy(monofy(phi, d), d)) != print_formula(phi):
             bad += 1
-        psi = rand_lifted_unary_formula(rng, sig, d, cfg.max_formula_size)
+        psi = rand_lifted_unary_formula(rng, sig, d, _MAX_FORMULA_SIZE)
         if print_formula(monofy(polyfy(psi, d), d)) != print_formula(psi):
             bad += 1
     return bad == 0, f"{2 * n - bad}/{2 * n} exact"
@@ -141,7 +144,7 @@ def check_power_detection(cfg: RunConfig) -> tuple[bool, str]:
     for t in range(n_rand):
         rng = _rng(cfg, 3, t)
         sig = rand_base_signature(rng)
-        d = rng.randint(1, cfg.max_d)
+        d = rng.randint(1, _MAX_D)
         g = rand_lifted_graph(rng, sig, d, max_nodes=9)
         a = detect_power(g, method="dbisim")
         b = detect_power(g, method="logic")
@@ -195,7 +198,7 @@ def check_bisim_formula(cfg: RunConfig) -> tuple[bool, str]:
     for t in range(n):
         rng = _rng(cfg, 5, t)
         sig = rand_base_signature(rng)
-        d = rng.randint(1, cfg.max_d)
+        d = rng.randint(1, _MAX_D)
         g = rand_lifted_graph(rng, sig, d, max_nodes=9)
         fam = largest_d_bisimulation(g)
         for i in range(d):
@@ -292,12 +295,12 @@ def check_apt_vs_evaluator(cfg: RunConfig) -> tuple[bool, str]:
         psi = rand_formula(rng, sig, 1, 10)
         b = models(g, psi, 1)
         sat += b
-        # Zielonka with strategies on the built game is the oracle for the
-        # winners-only solver on the product
+        # solve_parity, Zielonka on the built game, is the oracle for
+        # acceptance_winners on the product
         apt = formula_to_apt(psi, sig)
         game = acceptance_game(apt, g)
         winner = acceptance_winners(apt, g)
-        bad += winner != solve_parity(game).winner or (winner[game.initial] == EXISTS) != b
+        bad += winner != solve_parity(game) or (winner[game.initial] == EXISTS) != b
     return bad == 0, f"{n - bad}/{n} agree, {sat} satisfied"
 
 

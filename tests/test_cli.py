@@ -128,6 +128,14 @@ def test_mono_needs_dimension(capsys, ex1):
     assert code == 2 and "-d is required" in err
 
 
+@pytest.mark.parametrize("cmd", ["mono", "poly"])
+def test_mono_and_poly_refuse_a_dimension_the_graph_does_not_have(capsys, tmp_path, cmd):
+    graph = tmp_path / "power-ex1.json"
+    graph.write_text(run(capsys, "gen", "power-ex1")[1])
+    assert run(capsys, cmd, "--graph", str(graph), "-d", "3", "--formula", "f@0") == \
+        (2, "", f"error: {cmd}: graph has dimension 2, -d says 3\n")
+
+
 def test_bisim_and_quotient(capsys, ex1, tmp_path):
     code, out, _ = run(capsys, "bisim", "--graph", ex1, "--graph2", ex1)
     assert (code, out.strip()) == (0, "true")

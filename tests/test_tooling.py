@@ -10,8 +10,8 @@ trusted constructor is not exported, acceptance builds no game and keeps
 off the Zielonka solver that checks it, graphs hold no cached_property,
 the bitmask kernel (the lowest-set-bit walk, the repunit and the digit
 spread) is written once, in graphs.py, and so is the reading of a
-graph's moves into rows and lists, and every exported name has a reader
-in the library."""
+graph's moves into rows and lists, and every exported name and every
+public top-level function and class has a reader in the library."""
 import ast
 import importlib
 import importlib.util
@@ -364,12 +364,15 @@ def _bound_names(fn):
 
 
 def test_every_exported_name_has_a_library_reader():
-    """Each name in polymu.__all__ is read somewhere in src/polymu/
-    outside __init__.py: by the CLI, a suite or another library function,
-    its own module included.  A load counts only where it resolves to the
-    export: a name in the module that defines it, or one bound to it by
-    `from .module import name [as alias]`, and in either case not
-    shadowed by a parameter or an assignment of an enclosing function."""
+    """Each name in polymu.__all__, and each public top-level function and
+    class of a src/polymu/ module, exported or not, is read somewhere in
+    src/polymu/ outside __init__.py: by the CLI, a suite or another
+    library function, its own module included.  A load counts only where
+    it resolves to the name: a name in the module that defines it, or one
+    bound to it by `from .module import name [as alias]`, and in either
+    case not shadowed by a parameter or an assignment of an enclosing
+    function; a load inside the body of the top-level function or class
+    it names does not count."""
     import polymu
 
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "polymu").glob("*.py"))}
@@ -387,15 +390,22 @@ def test_every_exported_name_has_a_library_reader():
         return key
 
     read = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-    def walk(node, mod, local, bound):
+    def walk(node, mod, local, bound, inside=None):
+        """inside: the top-level function or class whose body node is in."""
         for child in ast.iter_child_nodes(node):
+            here = inside
+            if here is None and isinstance(child, defs):
+                here = (mod, child.name)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                walk(child, mod, local, bound | _bound_names(child))
+                walk(child, mod, local, bound | _bound_names(child), here)
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id not in bound:
-                read.add(local.get(child.id) or resolve((mod, child.id)))
-            walk(child, mod, local, bound)
+                key = local.get(child.id) or resolve((mod, child.id))
+                if key != here:
+                    read.add(key)
+            walk(child, mod, local, bound, here)
 
     for mod, tree in trees.items():
         if mod != "__init__":
@@ -405,3 +415,6 @@ def test_every_exported_name_has_a_library_reader():
             walk(tree, mod, local, frozenset())
     exports = {name: resolve(("__init__", name)) for name in polymu.__all__}
     assert sorted(name for name, key in exports.items() if key not in read) == []
+    public = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+              if isinstance(node, defs) and not node.name.startswith("_")}
+    assert sorted(public - read) == []
