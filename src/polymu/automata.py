@@ -169,7 +169,7 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
             return n.sub.color, False
         return t.bind.get(e, e)
 
-    def succ(q) -> list:
+    def next_states(q) -> list:
         # tt and ff run on the literals of the first color, a binder on its body twice
         if type(q) is tuple:
             return []
@@ -184,13 +184,13 @@ def formula_to_apt(phi: Formula, sig: Signature) -> Apt:
         q = todo.pop()
         if q not in state:
             state[q] = len(state)
-            todo += reversed(succ(q))
+            todo += reversed(next_states(q))
 
     names: list[str] = []
     delta: list[Trans] = []
     chars = 0
     for q in state:
-        to = [state[r] for r in succ(q)]
+        to = [state[r] for r in next_states(q)]
         if type(q) is tuple:
             n = Color(q[0], 0) if q[1] else Neg(Color(q[0], 0))
             delta.append(TransLit(*q))
@@ -295,8 +295,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
     labels: list = [None] * size
     owner: list = [EXISTS] * size
     moves: list = [()] * size
-    # per action, each node's successors as position bases, ordered by
-    # node id as succ() orders them
+    # per action, each node's successors as position bases, in edge order
     succ_bases: dict[str, list[list[int]]] = {}
     for q, t in enumerate(apt.delta):
         tail = f"{q})"
@@ -306,8 +305,7 @@ def acceptance_game(apt: Apt, g: LabeledGraph) -> ParityGame:
         elif isinstance(t, TransMod):
             outs = succ_bases.get(t.action)
             if outs is None:
-                outs = succ_bases[t.action] = [sorted(bs, key=lambda b: nodes[b // nq])
-                                               for bs in _succ_lists(g, t.action, nq)]
+                outs = succ_bases[t.action] = _succ_lists(g, t.action, nq)
             target = t.target
             owner[q::nq] = [EXISTS if t.existential else FORALL] * len(nodes)
             moves[q::nq] = [tuple([b + target for b in out]) for out in outs]

@@ -5,7 +5,7 @@ accepting condition, and as a finite tree when its edge relation is
 tree shaped.  Node ids are opaque strings.  Graphs are immutable after
 construction.  A graph stores its edges once, as LabeledGraph._moves:
 per action, (source position, target position) pairs over the node
-order.  Only this module knows that form: the analyses and succ() read
+order.  Only this module knows that form: the analyses and unfold read
 adjacency through its helpers, _succ_rows and _pred_rows (position
 masks), _succ_lists, _pred_lists and _tagged_succ_lists (position lists),
 and _shifts and _shift_targets (the differences w - u of the edges u -> w).
@@ -17,7 +17,7 @@ position too: FiniteTree._parent and _depth per position, and _order,
 a top-down walk order.  A graph's colors are stored once too, in
 LabeledGraph._colors: per color, a mask with bit p set when position p
 carries it.  Analyses read the masks, derived graphs shift, map or flip
-their bits, and label() and has_color() are views read off them.
+their bits, and label() is a view read off them.
 
 The d-fold product of graphs over a shared base signature is a graph
 over the lifted signature: action x@i moves component i along an
@@ -400,17 +400,16 @@ class LabeledGraph:
     edges: (src, action, dst) triples derived from _moves on first use,
     grouped by action.
     _colors: the stored colors, every signature color to its position
-    mask: bit p set when nodes[p] carries the color.  label() and
-    has_color() read it.
+    mask: bit p set when nodes[p] carries the color.  label() reads it.
 
     The constructor validates its input in a lean pass over whole lists
     and runs the per-item walk that names a fault only when that pass
     fails (see the module docstring); valid input never meets the walk.
 
-    The edges and succ() views are held in _edge_view and _succ_view,
-    which both constructors set to None and the accessors fill by plain
-    assignment: a functools.cached_property writing the instance __dict__
-    would slow every later attribute read on the graph.
+    The edges view is held in _edge_view, which both constructors set to
+    None and the accessor fills by plain assignment: a
+    functools.cached_property writing the instance __dict__ would slow
+    every later attribute read on the graph.
     """
 
     def __init__(
@@ -430,7 +429,7 @@ class LabeledGraph:
         if parts is None:
             parts = _walk_parts(signature, nodes, root, edges, labels)
         self.index, self._moves, self._colors = parts
-        self._edge_view = self._succ_view = None
+        self._edge_view = None
         self._check_shape()
 
     @classmethod
@@ -459,7 +458,7 @@ class LabeledGraph:
                 seen.add(v)
         g._moves = moves
         g._colors = colors
-        g._edge_view = g._succ_view = None
+        g._edge_view = None
         if shape is None:
             g._check_shape()
         else:
@@ -481,29 +480,9 @@ class LabeledGraph:
             )
         return view
 
-    @property
-    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """succ()'s view of _moves, built on first use: per (node id,
-        action) the successor ids sorted."""
-        view = self._succ_view
-        if view is None:
-            nodes = self.nodes
-            view = self._succ_view = {
-                (nodes[u], a): tuple(sorted([nodes[w] for w in ws]))
-                for a in self.signature.actions
-                for u, ws in enumerate(_succ_lists(self, a)) if ws
-            }
-        return view
-
-    def succ(self, v: str, a: str) -> tuple[str, ...]:
-        return self._succ.get((v, a), ())
-
     def label(self, v: str) -> frozenset[str]:
         p = self.index[v]
         return frozenset([c for c, mask in self._colors.items() if mask >> p & 1])
-
-    def has_color(self, v: str, c: str) -> bool:
-        return bool(self._colors.get(c, 0) >> self.index[v] & 1)
 
     def _codes(self) -> list[int]:
         """Per position, its colors as one int: bit k for signature color k."""
@@ -549,8 +528,9 @@ class FiniteTree(LabeledGraph):
     from the root; the root has none.  The shape is kept once, by node
     position: _parent holds (parent position, action) per position, None
     at the root; _depth holds each position's depth; _order lists the
-    positions top-down, root first, each after its parent.  parent(),
-    depth_of() and levels() are id views read off them.
+    positions top-down, root first, each after its parent.  Readers of
+    the shape index these lists by position; the tree has no id views
+    of it.
     """
 
     def _check_shape(self) -> None:
@@ -586,23 +566,6 @@ class FiniteTree(LabeledGraph):
         # g's parts were checked when g was built; only the tree shape is new
         return cls._trusted(g.signature, g.nodes, g.root, g._moves, g._colors)
 
-    def parent(self, v: str) -> tuple[str, str] | None:
-        """(parent node, action of the incoming edge), None for the root
-        and for an id not in the tree."""
-        p = self.index.get(v)
-        up = None if p is None else self._parent[p]
-        return None if up is None else (self.nodes[up[0]], up[1])
-
-    def depth_of(self, v: str) -> int:
-        return self._depth[self.index[v]]
-
-    def levels(self) -> list[list[str]]:
-        """Nodes grouped by depth, each level sorted."""
-        by_depth: list[list[str]] = [[] for _ in range(max(self._depth) + 1)]
-        for v, d in zip(self.nodes, self._depth):
-            by_depth[d].append(v)
-        return [sorted(level) for level in by_depth]
-
 
 def _check_root_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:
     """path as a list, after checking that it runs from the root down tree edges."""
@@ -614,9 +577,10 @@ def _check_root_path(tree: FiniteTree, path: Sequence[str]) -> list[str]:
             raise PolymuError(f"path node {v} is not in the tree")
     if path[0] != tree.root:
         raise PolymuError("not a root path: path must start at the root")
+    index = tree.index
     for u, v in zip(path, path[1:]):
-        parent = tree.parent(v)
-        if parent is None or parent[0] != u:
+        up = tree._parent[index[v]]
+        if up is None or up[0] != index[u]:
             raise PolymuError(f"not a root path: path breaks between {u} and {v}")
     return path
 
@@ -682,37 +646,44 @@ def unfold(g: LabeledGraph, depth: int) -> FiniteTree:
 
     A tree node stands for one path; its id is the traversed node ids
     and actions joined with "|".  Labels come from the path's endpoint.
+    Each level lists its paths by parent, then action, then the id of
+    the node they end at.
     """
     if depth < 0:
         raise GraphFormatError(f"depth: must be >= 0, got {depth}")
+    ids = g.nodes
+    # per action, each position's successor positions, sorted by node id
+    outs = [(a, [sorted(ws, key=ids.__getitem__) for ws in _succ_lists(g, a)])
+            for a in g.signature.actions]
+    r = g.index[g.root]
     nodes = [g.root]
     moves: dict[str, list[tuple[int, int]]] = {}
-    ends = [g.index[g.root]]  # per tree position, the path's endpoint position
+    ends = [r]  # per tree position, the path's endpoint position
     # the tree's shape: made level by level, so creation order is top-down
     parent: list[tuple[int, str] | None] = [None]
     depths = [0]
-    frontier = [(0, g.root, g.root)]  # (position, path id, endpoint)
+    frontier = [(0, g.root, r)]  # (position, path id, endpoint position)
     chars = len(g.root)
     for level in range(1, depth + 1):
         width = 0
         for _, pid, v in frontier:
-            for a in g.signature.actions:
-                ws = g.succ(v, a)
+            for a, out in outs:
+                ws = out[v]
                 width += len(ws)
-                chars += len(ws) * (len(pid) + len(a) + 2) + sum(map(len, ws))
+                chars += len(ws) * (len(pid) + len(a) + 2) + sum([len(ids[w]) for w in ws])
         if len(nodes) + width > _MAX_NODES:
             raise ResourceLimitError(f"unfold: more than {_MAX_NODES} nodes")
         if chars > _MAX_ID_CHARS:
             raise ResourceLimitError(f"unfold: more than {_MAX_ID_CHARS} id characters")
         nxt = []
         for p, pid, v in frontier:
-            for a in g.signature.actions:
-                for w in g.succ(v, a):
-                    cid = f"{pid}|{a}|{w}"
+            for a, out in outs:
+                for w in out[v]:
+                    cid = f"{pid}|{a}|{ids[w]}"
                     moves.setdefault(a, []).append((p, len(nodes)))
                     nxt.append((len(nodes), cid, w))
                     nodes.append(cid)
-                    ends.append(g.index[w])
+                    ends.append(w)
                     parent.append((p, a))
                     depths.append(level)
         frontier = nxt

@@ -12,9 +12,10 @@ whose steps are graphs._image and graphs._closure over the bit rows of
 graphs._succ_rows.
 Every positive verdict is replayed by an independent check before it is
 returned: iterated squaring of the step matrix, carrying only the
-root's row (plain one-letter), a subset replay of the word over succ()
-(plain two-letter), or, per component, a walk over paths with a
-progress counter, over graphs._tagged_succ_lists (lifted).
+root's row (plain one-letter), a replay of the word over position sets
+through graphs._succ_lists (plain two-letter), or, per component, a
+walk over paths with a progress counter, over graphs._tagged_succ_lists
+(lifted).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .graphs import (
     Signature,
     _closure,
     _image,
+    _succ_lists,
     _succ_rows,
     _tagged_succ_lists,
     split_lifted,
@@ -180,10 +182,11 @@ def two_letter_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> 
     word, last, exhausted = _least_word(g, g.signature, 1, len_cap)
     if word is None:
         return NonUnivVerdict(False, None, exhausted)
-    replay = frozenset({g.root})
+    out = {x: _succ_lists(g, x) for x in g.signature.actions}
+    replay = {g.index[g.root]}
     for x in word:
-        replay = frozenset(w for v in replay for w in g.succ(v, x))
-    if not _replayed(g, replay, last[0]):
+        replay = {w for v in replay for w in out[x][v]}
+    if not _replayed(g, frozenset(g.nodes[v] for v in replay), last[0]):
         raise CrossCheckError(f"witness {''.join(word)} fails the replay")
     return NonUnivVerdict(True, "".join(word))
 
@@ -192,12 +195,12 @@ def two_letter_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> 
 
 
 def one_lifted_non_universal(g: LabeledGraph, d: int,
-                             step_budget: Optional[int] = None) -> NonUnivVerdict:
+                             len_cap: Optional[int] = None) -> NonUnivVerdict:
     """Least n such that every component's level-n subset avoids its own
     accepting color; synchronized iteration over the subset tuple with
-    cycle detection."""
+    cycle detection, complete when len_cap is unset."""
     base = _lifted_base(g, d, 1, "one_lifted_non_universal")
-    word, _, exhausted = _least_word(g, base, d, step_budget)
+    word, _, exhausted = _least_word(g, base, d, len_cap)
     if word is None:
         return NonUnivVerdict(False, None, exhausted)
     n = len(word)

@@ -63,16 +63,14 @@ class RunConfig:
     seed: int = 7
     iterations: Optional[int] = None  # None: each check uses its default count
     max_nodes: int = 5
-    step_budget: int = 1_000_000
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
             raise PolymuError("seed must be a 64-bit unsigned integer")
         if self.iterations is not None and self.iterations <= 0:
             raise PolymuError("iterations must be positive")
-        for cap in ("max_nodes", "step_budget"):
-            if getattr(self, cap) <= 0:
-                raise PolymuError(f"{cap} must be positive")
+        if self.max_nodes <= 0:
+            raise PolymuError("max_nodes must be positive")
 
     def count(self, default: int) -> int:
         """Sample count for a random corpus; iterations overrides the default."""
@@ -241,7 +239,7 @@ def check_one_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
         member += base.member
         for d in (1, 2):
             pg = power(g, d)
-            lifted = one_lifted_non_universal(pg, d, step_budget=cfg.step_budget)
+            lifted = one_lifted_non_universal(pg, d)
             if lifted.member != base.member or lifted.witness != base.witness:
                 bad += 1
     balanced = min(member, total - member) * 10 >= total

@@ -40,9 +40,39 @@ def make_graph(sig, nodes, root, edges, labels=None):
     return LabeledGraph(sig, nodes, root, edges, labels or {})
 
 
+def successors(g):
+    """Reference adjacency read off g.edges: per (node id, action), the
+    target ids sorted."""
+    out = {}
+    for u, a, w in g.edges:
+        out.setdefault((u, a), []).append(w)
+    return {key: tuple(sorted(ws)) for key, ws in out.items()}
+
+
+def succ(g, v, a):
+    """The a-successors of node v, as ids sorted, read off g.edges."""
+    return successors(g).get((v, a), ())
+
+
+def depth(tree, v):
+    """Number of edges from the root of tree down to v."""
+    return len(root_path(tree, v)) - 1
+
+
+def levels(tree):
+    """Node ids grouped by depth, root first, each level sorted."""
+    out = []
+    for v in sorted(tree.nodes):
+        k = depth(tree, v)
+        out += [[] for _ in range(k + 1 - len(out))]
+        out[k].append(v)
+    return out
+
+
 def root_path(tree, v):
-    """Node sequence from the root of tree to v, inclusive, walked up by parent()."""
-    path = [v]
-    while (up := tree.parent(path[-1])) is not None:
+    """Node sequence from the root of tree to v, inclusive, walked up
+    FiniteTree._parent by position."""
+    path = [tree.index[v]]
+    while (up := tree._parent[path[-1]]) is not None:
         path.append(up[0])
-    return tuple(reversed(path))
+    return tuple(tree.nodes[p] for p in reversed(path))

@@ -39,7 +39,7 @@ from polymu.graphs import (
 )
 from polymu.randgen import Xorshift, rand_graph, rand_lifted_graph
 
-from conftest import SIG_AF, SIG_ABF, make_loop3, root_path
+from conftest import SIG_AF, SIG_ABF, depth, levels, make_loop3, root_path, succ, successors
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,8 +223,7 @@ def test_graph_validation_errors():
 
 
 def test_adjacency(loop3):
-    assert loop3.succ("0", "a") == ("1",)
-    assert loop3.succ("2", "a") == ("1",)
+    assert successors(loop3) == {("0", "a"): ("1",), ("1", "a"): ("2",), ("2", "a"): ("1",)}
     assert loop3.label("1") == frozenset({"f"})
     assert loop3.label("0") == frozenset()
 
@@ -241,9 +240,9 @@ def test_power_counts(loop3):
     assert p.label("(1,0)") == frozenset({"f@0"})
     assert p.label("(0,1)") == frozenset({"f@1"})
     assert p.label("(1,1)") == frozenset({"f@0", "f@1"})
-    assert p.succ("(0,0)", "a@0") == ("(1,0)",)
-    assert p.succ("(2,1)", "rst@0") == ("(0,1)",)
-    assert p.succ("(2,1)", "rst@1") == ("(2,0)",)
+    assert succ(p, "(0,0)", "a@0") == ("(1,0)",)
+    assert succ(p, "(2,1)", "rst@0") == ("(0,1)",)
+    assert succ(p, "(2,1)", "rst@1") == ("(2,0)",)
     assert _index_ok(p)
 
 
@@ -291,7 +290,7 @@ def test_product_mixed_factors():
     assert len(p.nodes) == 3
     assert p.root == "(0,x)"
     assert p.label("(1,x)") == frozenset({"f@0", "f@1"})
-    assert p.succ("(0,x)", "a@1") == ("(0,x)",)
+    assert succ(p, "(0,x)", "a@1") == ("(0,x)",)
     assert _index_ok(p)
     with pytest.raises(GraphFormatError, match="signature"):
         product([g1, LabeledGraph(SIG_ABF, ["0"], "0", [], {})])
@@ -305,9 +304,9 @@ def test_unfold_shape(loop3):
     t = unfold(loop3, 3)
     # deterministic graph: a single path 0,1,2,1
     assert len(t.nodes) == 4
-    leaves = [v for v in t.nodes if not t.succ(v, "a")]
+    leaves = [v for v in t.nodes if not succ(t, v, "a")]
     assert len(leaves) == 1
-    assert t.depth_of(leaves[0]) == 3
+    assert depth(t, leaves[0]) == 3
     assert t.label(leaves[0]) == frozenset({"f"})
     assert _index_ok(t)
     with pytest.raises(GraphFormatError, match="depth"):
@@ -324,8 +323,40 @@ def test_unfold_branching():
     )
     t = unfold(g, 2)
     # level sizes: 1, 3, then only the a-self-loop branch continues
-    assert [len(lv) for lv in t.levels()] == [1, 3, 3]
+    assert [len(lv) for lv in levels(t)] == [1, 3, 3]
     assert isinstance(t, FiniteTree)
+
+
+def _ref_unfold_ids(g, n):
+    """unfold's node ids by a walk over g.edges: level by level, each path
+    extended by every action in signature order, then by the successors
+    in id order."""
+    adjacency = successors(g)
+    ids = [g.root]
+    frontier = [(g.root, g.root)]  # (path id, endpoint)
+    for _ in range(n):
+        frontier = [(f"{pid}|{a}|{w}", w) for pid, v in frontier
+                    for a in g.signature.actions for w in adjacency.get((v, a), ())]
+        ids += [pid for pid, _ in frontier]
+    return tuple(ids)
+
+
+def test_unfold_lists_successors_in_id_order():
+    """unfold's node order follows node ids, not the order edges were
+    given in: the graphs are renamed to awkward ids, so the two differ."""
+    apart = 0
+    for k in range(60):
+        rng = Xorshift.substream(40963, k)
+        g = rand_graph(rng, SIG_ABF, 8, min_nodes=3)
+        names = ODD_IDS[k % len(ODD_IDS):] + ODD_IDS[:k % len(ODD_IDS)]
+        g = _renamed(g, names[:len(g.nodes)], rng.choice(g.nodes))
+        in_edge_order = [(u, a) + tuple(w for v, b, w in g.edges if (v, b) == (u, a))
+                         for u in g.nodes for a in g.signature.actions]
+        apart += in_edge_order != [(u, a) + succ(g, u, a)
+                                   for u in g.nodes for a in g.signature.actions]
+        for n in range(4):
+            assert unfold(g, n).nodes == _ref_unfold_ids(g, n), (k, n)
+    assert apart >= 30
 
 
 @pytest.mark.parametrize("build", [
@@ -364,9 +395,9 @@ def test_tree_paths():
         {},
     )
     assert root_path(t, "y") == ("r", "x", "y")
-    assert t.parent("y") == ("x", "b")
-    assert t.parent("r") is None
-    assert t.levels() == [["r"], ["x", "z"], ["y"]]
+    assert t._parent[t.index["y"]] == (t.index["x"], "b")
+    assert t._parent[t.index["r"]] is None
+    assert levels(t) == [["r"], ["x", "z"], ["y"]]
     assert _index_ok(t)
 
 
@@ -435,7 +466,7 @@ def test_product_label_and_edge_semantics_brute():
             if name == "rst":
                 assert t[i] == g.root
             else:
-                assert t[i] in g.succ(s[i], name)
+                assert t[i] in succ(g, s[i], name)
         for t in itertools.product(g.nodes, repeat=d):
             v = "(" + ",".join(t) + ")"
             want = {f"{c}@{i}" for i in range(d) for c in g.label(t[i])}
@@ -462,11 +493,12 @@ def ref_product(graphs):
         ids[t]: [f"{c}@{i}" for i in range(d) for c in graphs[i].label(t[i])]
         for t in tuples
     }
+    adjacency = [successors(g) for g in graphs]
     edges = []
     for t in tuples:
         for i in range(d):
             for a in sig.actions:
-                for u in graphs[i].succ(t[i], a):
+                for u in adjacency[i].get((t[i], a), ()):
                     t2 = t[:i] + (u,) + t[i + 1 :]
                     edges.append((ids[t], f"{a}@{i}", ids[t2]))
             t_rst = t[:i] + (graphs[i].root,) + t[i + 1 :]
@@ -494,8 +526,6 @@ def _assert_same_graph(got, want):
     assert (got.nodes, got.root) == (want.nodes, want.root)
     assert sorted(got.edges) == sorted(want.edges)
     assert got.index == want.index
-    assert got._succ == want._succ
-    assert all(list(ws) == sorted(ws) for ws in got._succ.values())
     assert [got.label(v) for v in got.nodes] == [want.label(v) for v in want.nodes]
     assert write_graph(got) == write_graph(want)
 
@@ -619,8 +649,8 @@ def test_derived_graphs_equal_their_validated_rebuild():
         view = component_view(p, k % 2)
         t = unfold(g, 3)
         derived = [view, quotient(view), quotient(g), t]
-        deepest = max(t.nodes, key=t.depth_of)
-        if t.depth_of(deepest) >= 2:
+        deepest = max(t.nodes, key=lambda v: depth(t, v))
+        if depth(t, deepest) >= 2:
             path = root_path(t, deepest)
             derived.append(pump(t, path, 1, len(path) - 1, k % 4))
         for h in derived:
@@ -648,15 +678,12 @@ def _drawn_labels(rng, g):
 
 def _assert_masks(g, want):
     """g's color masks hold exactly the brute-force labels want (node id to
-    colors), and its label() and has_color() views agree with them."""
+    colors), and its label() view agrees with them."""
     assert set(g._colors) == set(g.signature.colors)
     for c in g.signature.colors:
         assert g._colors[c] == sum(1 << k for k, v in enumerate(g.nodes) if c in want[v]), c
     for v in g.nodes:
         assert g.label(v) == want[v], v
-        assert [g.has_color(v, c) for c in g.signature.colors] == [
-            c in want[v] for c in g.signature.colors
-        ]
 
 
 def test_constructor_fills_one_mask_per_color():
@@ -664,7 +691,7 @@ def test_constructor_fills_one_mask_per_color():
     g = LabeledGraph(sig, ["0", "1", "2"], "0", [], {"1": ["g", "f", "g"], "2": []})
     assert g._colors == {"f": 0b010, "g": 0b010}
     _assert_masks(g, {"0": set(), "1": {"f", "g"}, "2": set()})
-    assert not g.has_color("1", "h")
+    assert "h" not in g.label("1")
     with pytest.raises(GraphFormatError) as err:
         LabeledGraph(sig, ["0", "1"], "0", [], {"1": ["f", "zz", "f"]})
     assert str(err.value) == "labels['1']: unknown color 'zz'"
@@ -711,8 +738,8 @@ def test_derived_graph_masks_match_brute_force_labels():
         t = unfold(g, 3)
         at_end = {v: want[v.rsplit("|", 1)[-1]] for v in t.nodes}
         _assert_masks(t, at_end)
-        deepest = max(t.nodes, key=t.depth_of)
-        if t.depth_of(deepest) >= 2:
+        deepest = max(t.nodes, key=lambda v: depth(t, v))
+        if depth(t, deepest) >= 2:
             path = root_path(t, deepest)
             out = pump(t, path, 1, len(path) - 1, k % 4)
             copied = [re.fullmatch(r"\((.*),\d+\)", v) for v in out.nodes]
@@ -720,39 +747,6 @@ def test_derived_graph_masks_match_brute_force_labels():
                                 for v, m in zip(out.nodes, copied)})
             pumped += 1
     assert pumped > 40
-
-
-def _eager_succ(g):
-    """Successors grouped per (node, action) and sorted, straight from the edges."""
-    succ = {}
-    for src, a, dst in g.edges:
-        succ.setdefault((src, a), []).append(dst)
-    return {k: tuple(sorted(v)) for k, v in succ.items()}
-
-
-def test_adjacency_is_grouped_on_first_use(loop3):
-    from polymu.queries import one_letter_non_universal, one_lifted_non_universal
-
-    p = power(loop3, 2)
-    assert one_lifted_non_universal(p, 2).witness == one_letter_non_universal(loop3).witness
-    assert p._succ_view is None
-    assert p.succ("(0,0)", "a@0") == ("(1,0)",)
-    assert p._succ == _eager_succ(p)
-    # a tree's shape check reads positions and groups no adjacency
-    assert unfold(loop3, 3)._succ_view is None
-
-    checked = 0
-    for k in range(60):
-        rng = Xorshift.substream(40962, k)
-        g = rand_graph(rng, SIG_ABF, 6)
-        for h in (g, read_graph(write_graph(g)), power(g, 1 + k % 2), unfold(g, 2)):
-            want = _eager_succ(h)
-            assert h._succ == want
-            for v in h.nodes:
-                for a in h.signature.actions:
-                    assert h.succ(v, a) == want.get((v, a), ())
-            checked += 1
-    assert checked == 240
 
 
 def test_analyses_leave_the_edge_view_unbuilt(loop3):
@@ -789,7 +783,7 @@ def test_derived_graphs_skip_the_validating_constructor(monkeypatch, loop3):
     p = power(loop3, 2)
     quotient(component_view(p, 1))
     t = unfold(loop3, 4)
-    pump(t, root_path(t, max(t.nodes, key=t.depth_of)), 1, 3, 2)
+    pump(t, root_path(t, max(t.nodes, key=lambda v: depth(t, v))), 1, 3, 2)
     read_tree(write_graph(t))  # the JSON boundary validates once, as a LabeledGraph
     assert calls == ["LabeledGraph"]
 

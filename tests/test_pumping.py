@@ -20,7 +20,7 @@ from polymu.randgen import Xorshift, rand_graph
 from polymu.semantics import models
 from polymu.xcheck import _rand_decorated_chain
 
-from conftest import SIG_AF, SIG_ABF, root_path
+from conftest import SIG_AF, SIG_ABF, depth, levels, root_path, succ
 
 
 def a_chain(n):
@@ -124,8 +124,8 @@ def test_partition_matches_root_path_prefixes():
     for k in range(40):
         rng = Xorshift.substream(60713, k)
         t = unfold(rand_graph(rng, SIG_ABF, 4, min_nodes=2), rng.randint(2, 4))
-        deepest = max(t.depth_of(v) for v in t.nodes)
-        cases += [(t, root_path(t, v)) for v in t.nodes if t.depth_of(v) == deepest][:3]
+        deepest = max(depth(t, v) for v in t.nodes)
+        cases += [(t, root_path(t, v)) for v in t.nodes if depth(t, v) == deepest][:3]
         cases.append((_rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 8),
                       [f"s{m}" for m in range(8)]))
     pairs = 0
@@ -148,7 +148,7 @@ def test_deep_chain_keeps_linear_state():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert t.depth_of(nodes[-1]) == n - 1
+    assert depth(t, nodes[-1]) == n - 1
     assert root_path(t, nodes[-1]) == tuple(nodes)
     assert tuple(map(len, zones(t, nodes, 1000, 3000))) == (1000, 2000, 5000)
     assert len(pump(t, nodes, 1000, 3000, 0).nodes) == n - 2000
@@ -165,7 +165,7 @@ def test_pump_chain_counts():
     out2 = pump(t, path, 1, 3, 2)
     assert len(out2.nodes) == 8
     # still a single a-chain
-    assert all(len(out2.succ(v, "a")) <= 1 for v in out2.nodes)
+    assert all(len(succ(out2, v, "a")) <= 1 for v in out2.nodes)
     for k in range(5):
         out = pump(t, path, 1, 3, k)
         assert len(out.nodes) == 1 + 3 + 2 * k
@@ -243,7 +243,7 @@ def test_gen_rword_example():
     t = gen_rword_tree(word, 2, 2)
     assert len(t.nodes) == 7
     assert t.signature == DEFAULT_WORD_SIG
-    lv = t.levels()
+    lv = levels(t)
     assert [len(l) for l in lv] == [1, 2, 4]
     assert all(t.label(v) == frozenset({"f"}) for v in lv[2])
     assert all(t.label(v) == frozenset() for l in lv[:2] for v in l)
@@ -400,8 +400,8 @@ def tree_corpus():
         for t in (unfold(rand_graph(rng, SIG_ABF, 4, min_nodes=2), rng.randint(1, 3)),
                   gen_rword_tree(word, rng.randint(1, 2), rng.randint(1, 3))):
             trees.append(t)
-            deepest = max(t.nodes, key=t.depth_of)
-            if t.depth_of(deepest) >= 2:
+            deepest = max(t.nodes, key=lambda v: depth(t, v))
+            if depth(t, deepest) >= 2:
                 trees.append(pump(t, root_path(t, deepest), 1, 2, rng.randint(0, 2)))
         trees.append(_rand_decorated_chain(rng, Signature(("a",), ("f", "g")), 5))
     return trees
@@ -457,7 +457,7 @@ def test_builders_hand_over_the_shape_the_check_finds():
         rng = Xorshift.substream(60719, k)
         t = unfold(rand_graph(rng, SIG_ABF, 5, min_nodes=2, edge_den=2), rng.randint(1, 4))
         trees = [t]
-        path = root_path(t, max(t.nodes, key=t.depth_of))
+        path = root_path(t, max(t.nodes, key=lambda v: depth(t, v)))
         if len(path) >= 3:
             j = rng.randint(2, len(path) - 1)
             i = rng.randint(1, j - 1)

@@ -18,7 +18,7 @@ from polymu.randgen import (
     rand_lifted_unary_formula,
 )
 
-from conftest import SIG_AF
+from conftest import SIG_AF, succ
 
 
 def test_stream_is_pinned():
@@ -80,7 +80,7 @@ def test_rand_lifted_graph_reachable_without_resets():
         while todo:
             v = todo.pop()
             for a in nonreset:
-                for w in g.succ(v, a):
+                for w in succ(g, v, a):
                     if w not in seen:
                         seen.add(w)
                         todo.append(w)

@@ -4,14 +4,15 @@ recursion limit and no module but the random generator recurses, a
 formula is compiled only in its cached property and its node fields
 are read only in logic.py, the analyses and the
 derived-graph builders read a graph's edges only as the position pairs
-it stores, and their colors only as the position masks it stores, trees
-are read by position, not through per-node successor views, the
-trusted constructor is not exported, acceptance builds no game and keeps
-off the Zielonka solver that checks it, graphs hold no cached_property,
+it stores, and their colors only as the position masks it stores, a
+graph has no per-node successor view and a tree no id views of its
+shape, the trusted constructor is not exported, acceptance builds no
+game and keeps off the Zielonka solver that checks it, graphs hold no cached_property,
 the bitmask kernel (the lowest-set-bit walk, the repunit and the digit
 spread) is written once, in graphs.py, and so is the reading of a
-graph's moves into rows and lists, and every exported name and every
-public top-level function and class has a reader in the library."""
+graph's moves into rows and lists, and every exported name, every
+public top-level function and class, and every public method of a
+public class has a reader in the library."""
 import ast
 import importlib
 import importlib.util
@@ -162,7 +163,7 @@ def test_evaluator_sees_edges_only_grouped_by_action():
     """A graph stores its edges once, as LabeledGraph._moves, and the
     analysis layers and derived-graph builders reach them only there.  In
     graphs.py only the writer, equality and hashing read the derived
-    .edges view; the succ() view is derived from _moves as well."""
+    .edges view."""
     readers = {name: _attr_readers(name) for name in
                ("semantics.py", "bisim.py", "queries.py", "automata.py", "pumping.py")}
     assert readers == {"semantics.py": [], "bisim.py": [], "queries.py": [],
@@ -171,17 +172,20 @@ def test_evaluator_sees_edges_only_grouped_by_action():
 
 
 def test_tree_shape_is_read_by_position():
-    """Pumping and FiniteTree's methods read a tree's shape from
-    FiniteTree._parent, _depth and _order, never through the per-node
-    children() or succ() views."""
-    views = ("children", "succ")
+    """A tree keeps its shape only by position, in FiniteTree._parent,
+    _depth and _order, which its readers index: FiniteTree has no id
+    views of it (parent(), depth_of(), levels(), children()), and no
+    graph has a per-node succ() or has_color() view, so no library module
+    reads one."""
+    from polymu.graphs import FiniteTree
+
+    views = ("parent", "depth_of", "levels", "children", "succ", "has_color")
     tree = ast.parse((ROOT / "src" / "polymu" / "graphs.py").read_text())
     cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "FiniteTree")
-    methods = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
-    assert {"_check_shape", "parent", "depth_of", "levels"} <= methods
-    allowed = []
-    assert _attr_readers("pumping.py", views) == allowed
-    assert [r for r in _attr_readers("graphs.py", views) if r in methods] == allowed
+    assert {f.name for f in cls.body if isinstance(f, ast.FunctionDef)} == {"_check_shape", "from_graph"}
+    assert [v for v in views if hasattr(FiniteTree, v)] == []
+    paths = sorted((ROOT / "src" / "polymu").glob("*.py"))
+    assert {p.name: found for p in paths if (found := _attr_readers(p.name, views))} == {}
 
 
 def test_derived_graphs_are_built_from_position_pairs():
@@ -210,10 +214,10 @@ def test_colors_are_read_as_position_masks():
     or attribute is called _labels, in any context, though longer names
     such as _json_labels may contain it.  The analysis layers, product and
     every other library reader use the masks: none calls or passes the
-    per-node label() and has_color() views, which cost a shift of a
-    |V|-bit mask per call.  The writer and equality read them through
-    LabeledGraph._codes, like bisimulation."""
-    views = ("label", "has_color")
+    per-node label() view, which costs a shift of a |V|-bit mask per
+    call.  The writer and equality read them through LabeledGraph._codes,
+    like bisimulation."""
+    views = ("label",)
     paths = sorted((ROOT / "src" / "polymu").glob("*.py"))
     anywhere = (ast.Load, ast.Store, ast.Del)
     assert [p.name for p in paths if _name_uses(p.name, ("_labels",), anywhere)] == []
@@ -372,7 +376,13 @@ def test_every_exported_name_has_a_library_reader():
     bound to it by `from .module import name [as alias]`, and in either
     case not shadowed by a parameter or an assignment of an enclosing
     function; a load inside the body of the top-level function or class
-    it names does not count."""
+    it names does not count.
+
+    Each public method and property of a public class, dunders aside, is
+    read as an attribute of that name somewhere in src/polymu/ outside
+    its own body.  LabeledGraph.label is the one exemption: the library
+    reads colors as masks, but perfbench's reference, corpus and
+    pair-deletion sizer read label()."""
     import polymu
 
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "polymu").glob("*.py"))}
@@ -418,3 +428,13 @@ def test_every_exported_name_has_a_library_reader():
     public = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
               if isinstance(node, defs) and not node.name.startswith("_")}
     assert sorted(public - read) == []
+
+    loads = [(mod, n.attr, n.lineno) for mod, tree in trees.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    unread = [f"{cls.name}.{fn.name}" for mod, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not fn.name.startswith("_")
+              and not any(attr == fn.name and not (m == mod and fn.lineno <= line <= fn.end_lineno)
+                          for m, attr, line in loads)]
+    assert unread == ["LabeledGraph.label"]

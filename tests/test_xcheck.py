@@ -10,6 +10,8 @@ from polymu.xcheck import (
     run_check,
 )
 
+from conftest import levels
+
 
 def test_runconfig_validation():
     RunConfig(seed=0)
@@ -22,8 +24,6 @@ def test_runconfig_validation():
         RunConfig(iterations=0)
     with pytest.raises(PolymuError):
         RunConfig(max_nodes=0)
-    with pytest.raises(PolymuError):
-        RunConfig(step_budget=-5)
 
 
 def test_count_override():
@@ -112,11 +112,10 @@ def test_word_tree_suite_catches_one_recolored_node(monkeypatch):
         # all f elsewhere: the formula and check_luni still agree, so only
         # the r-word shape check can see it
         tree = real(word, branching, depth)
-        if tree.has_color(tree.root, "f") or check_luni(tree) is None:
+        if "f" in tree.label(tree.root) or check_luni(tree) is None:
             return tree
-        levels = tree.levels()
-        for level in levels[1:]:
-            if len(level) > 1 and not tree.has_color(level[0], "f"):
+        for level in levels(tree)[1:]:
+            if len(level) > 1 and "f" not in tree.label(level[0]):
                 break
         else:
             return tree
