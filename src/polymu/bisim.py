@@ -283,7 +283,7 @@ def detect_power(g: LabeledGraph, d: int | None = None, method: str = "both") ->
     if method in ("dbisim", "both"):
         answers["dbisim"] = all(power_conditions(g).values())
     if method in ("logic", "both"):
-        answers["logic"] = models(g, gen_is_power_formula(base, d_sig), 2)
+        answers["logic"] = models(g, gen_is_power_formula(base, d_sig))
     if method == "both" and answers["dbisim"] != answers["logic"]:
         raise CrossCheckError(
             f"detect_power: dbisim={answers['dbisim']} logic={answers['logic']}"
@@ -295,9 +295,9 @@ def power_formula_verdicts(g: LabeledGraph) -> dict[str, bool]:
     """Root-pair truth of the persistence, reset and power formulas."""
     base, d = split_lifted(g.signature)
     return {
-        "persistent": models(g, gen_per_formula(base, d), 2),
-        "reset": models(g, gen_rst_formula(base, d), 2),
-        "power_rooted": models(g, gen_pow_formula(base, d), 2),
+        "persistent": models(g, gen_per_formula(base, d)),
+        "reset": models(g, gen_rst_formula(base, d)),
+        "power_rooted": models(g, gen_pow_formula(base, d)),
     }
 
 

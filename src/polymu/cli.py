@@ -151,7 +151,7 @@ _RWORD_WORD = (((), "a"), ((), "b"), (("f",), "a"))
 def _cmd_mc(args) -> int:
     g = _load_graph(args.graph)
     phi = parse_formula(_formula_text(args.formula), g.signature, args.arity)
-    print("true" if models(g, phi, args.arity) else "false")
+    print("true" if models(g, phi) else "false")
     return 0
 
 
@@ -234,8 +234,8 @@ def _cmd_nonuniv1(args) -> int:
 
 def _cmd_nonuniv1_lifted(args) -> int:
     g = _load_graph(args.graph)
-    d = _lifted_dim(g, args.d, "nonuniv1-lifted")
-    print(one_lifted_non_universal(g, d).to_json())
+    _lifted_dim(g, args.d, "nonuniv1-lifted")
+    print(one_lifted_non_universal(g).to_json())
     return 0
 
 
@@ -246,8 +246,8 @@ def _cmd_nonuniv2(args) -> int:
 
 def _cmd_nonuniv2_lifted(args) -> int:
     g = _load_graph(args.graph)
-    d = _lifted_dim(g, args.d, "nonuniv2-lifted")
-    print(two_lifted_non_universal(g, d).to_json())
+    _lifted_dim(g, args.d, "nonuniv2-lifted")
+    print(two_lifted_non_universal(g).to_json())
     return 0
 
 

@@ -556,6 +556,8 @@ def monofy(phi: Formula, d: int) -> Formula:
     """Arity-1 image of a d-rooted arity-(d+1) formula over the lifted
     signature: atoms and modalities pick up @i suffixes, replacements
     of component j by component d become <rst@j> steps."""
+    if d < 1:
+        raise FormulaError(f"d: must be >= 1, got {d}")
     if not check_d_rooted(phi, d):
         raise FormulaError(f"formula is not {d}-rooted")
 
@@ -576,6 +578,8 @@ def polyfy(psi: Formula, d: int) -> Formula:
     """Inverse of monofy.  Defined on arity-1 formulas over a lifted
     signature whose shape monofy can produce; in particular [rst@j]
     and replacement nodes are rejected."""
+    if d < 1:
+        raise FormulaError(f"d: must be >= 1, got {d}")
     if psi.arity != 1:
         raise FormulaError(f"polyfy needs an arity-1 formula, got arity {psi.arity}")
 

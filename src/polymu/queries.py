@@ -4,8 +4,9 @@ A graph over a single action a and color f is an NFA whose accepting
 states carry f; the query asks for a word length n such that no a^n run
 from the root accepts.  The two-letter variant asks for a word over two
 actions.  The lifted variants pose the same questions per component on
-a graph over a lifted signature, counting only that component's actions
-since its last reset; one shared witness must work for all components.
+a graph over a lifted signature, whose d components they read off it,
+counting only that component's actions since its last reset; one shared
+witness must work for all components.
 
 All four queries are one breadth-first subset search, _least_word,
 whose steps are graphs._image and graphs._closure over the bit rows of
@@ -64,15 +65,14 @@ def _require_plain(g: LabeledGraph, n_actions: int, what: str) -> None:
         )
 
 
-def _lifted_base(g: LabeledGraph, d: int, n_actions: int, what: str) -> Signature:
-    base, d2 = split_lifted(g.signature)
-    if d2 != d:
-        raise GraphFormatError(f"{what}: graph has dimension {d2}, not {d}")
+def _lifted_base(g: LabeledGraph, n_actions: int, what: str) -> tuple[Signature, int]:
+    """The base signature and dimension d of g's lifted signature."""
+    base, d = split_lifted(g.signature)
     if len(base.actions) != n_actions or len(base.colors) != 1:
         raise GraphFormatError(
             f"{what} needs a lifted signature over {n_actions} action(s) and one color"
         )
-    return base
+    return base, d
 
 
 def _least_word(g: LabeledGraph, base: Signature, d: int, cap: Optional[int]):
@@ -194,30 +194,30 @@ def two_letter_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> 
 # ------------------------------------------------------------ lifted queries
 
 
-def one_lifted_non_universal(g: LabeledGraph, d: int,
-                             len_cap: Optional[int] = None) -> NonUnivVerdict:
+def one_lifted_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> NonUnivVerdict:
     """Least n such that every component's level-n subset avoids its own
-    accepting color; synchronized iteration over the subset tuple with
-    cycle detection, complete when len_cap is unset."""
-    base = _lifted_base(g, d, 1, "one_lifted_non_universal")
+    accepting color, over the d components of g's lifted signature;
+    synchronized iteration over the subset tuple with cycle detection,
+    complete when len_cap is unset."""
+    base, d = _lifted_base(g, 1, "one_lifted_non_universal")
     word, _, exhausted = _least_word(g, base, d, len_cap)
     if word is None:
         return NonUnivVerdict(False, None, exhausted)
     n = len(word)
-    if not verify_one_lifted_witness(g, d, n):
+    if not verify_one_lifted_witness(g, n):
         raise CrossCheckError(f"lifted level {n} fails the path replay")
     return NonUnivVerdict(True, n)
 
 
-def two_lifted_non_universal(g: LabeledGraph, d: int,
-                             len_cap: Optional[int] = None) -> NonUnivVerdict:
+def two_lifted_non_universal(g: LabeledGraph, len_cap: Optional[int] = None) -> NonUnivVerdict:
     """Shortest word (lexicographically least among those) under which
-    every component's subset avoids its accepting color."""
-    base = _lifted_base(g, d, 2, "two_lifted_non_universal")
+    the subset of every component of g's lifted signature avoids its
+    accepting color."""
+    base, d = _lifted_base(g, 2, "two_lifted_non_universal")
     word, _, exhausted = _least_word(g, base, d, len_cap)
     if word is None:
         return NonUnivVerdict(False, None, exhausted)
-    if not verify_two_lifted_witness(g, d, word):
+    if not verify_two_lifted_witness(g, word):
         raise CrossCheckError(f"witness {''.join(word)} fails the path replay")
     return NonUnivVerdict(True, "".join(word))
 
@@ -261,19 +261,21 @@ def _replay(g: LabeledGraph, d: int, f: str, letters: tuple[str, ...]) -> bool:
     return True
 
 
-def verify_one_lifted_witness(g: LabeledGraph, d: int, n: int) -> bool:
-    """Path check of a level witness: the word witness a^n, where
-    a count of n + 1 marks a component whose count ran past n."""
-    base = _lifted_base(g, d, 1, "verify_one_lifted_witness")
+def verify_one_lifted_witness(g: LabeledGraph, n: int) -> bool:
+    """Path check of a level witness on every component of g's lifted
+    signature: the word witness a^n, where a count of n + 1 marks a
+    component whose count ran past n."""
+    base, d = _lifted_base(g, 1, "verify_one_lifted_witness")
     if n < 0:
         raise PolymuError("n must be >= 0")
     return _replay(g, d, base.colors[0], base.actions * n)
 
 
-def verify_two_lifted_witness(g: LabeledGraph, d: int, word: Sequence[str]) -> bool:
-    """Path check of a word witness, given as a sequence of base
-    action names (a string reads as its single-character names)."""
-    base = _lifted_base(g, d, 2, "verify_two_lifted_witness")
+def verify_two_lifted_witness(g: LabeledGraph, word: Sequence[str]) -> bool:
+    """Path check of a word witness on every component of g's lifted
+    signature, given as a sequence of base action names (a string reads
+    as its single-character names)."""
+    base, d = _lifted_base(g, 2, "verify_two_lifted_witness")
     letters = tuple(word)
     for x in letters:
         if x not in base.actions:

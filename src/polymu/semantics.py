@@ -7,7 +7,7 @@ stands for the tuple t, the order of itertools.product.  Connectives
 are single int operations, colors are digit masks (the graph's color
 mask spread over one component by graphs._spread), and the bitsets are
 decoded into node-name tuples only on the way out.  A bitset is n**d
-bits wide, so evaluation refuses to start when that exceeds tuple_cap.
+bits wide, so evaluation refuses to start when that exceeds TUPLE_CAP.
 
 The formula runs as its table (logic._Table, compiled once per Formula),
 entries in order, children first.  Fixpoints are computed by iteration:
@@ -44,9 +44,7 @@ holds only the number of shifts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping
 
 from .errors import FormulaError, PolymuError, ResourceLimitError
 from .graphs import (
@@ -78,7 +76,8 @@ from .logic import (
     validate_formula,
 )
 
-DEFAULT_TUPLE_CAP = 2**20
+# the most tuples an evaluation may range over, read at each call
+TUPLE_CAP = 2**20
 # the most nodes on which arity-1 tables hold predecessor masks: they take
 # up to n * n bits, 2 MB per action at this bound
 _MASK_NODES = 4096
@@ -94,64 +93,27 @@ def _shift_groups(g: LabeledGraph, a: str, unit: int, sk: int) -> list[tuple[int
     return [(_spread(unit, sk, ws), sh * sk) for sh, ws in _shift_targets(g, a).items()]
 
 
-@dataclass(frozen=True)
-class TupleSet:
-    """A set of same-arity node tuples."""
-
-    arity: int
-    tuples: frozenset[tuple[str, ...]]
-
-    def __contains__(self, t) -> bool:
-        return tuple(t) in self.tuples
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def sorted(self) -> list[tuple[str, ...]]:
-        return sorted(self.tuples)
-
-
-def _evaluate_bits(
-    g: LabeledGraph,
-    phi: Formula,
-    d: int | None,
-    env: Mapping[str, TupleSet] | None,
-    tuple_cap: int,
-) -> int:
-    """Denotation of phi over g as a bitset; see the module docstring."""
+def _evaluate_bits(g: LabeledGraph, phi: Formula) -> int:
+    """Denotation of the closed formula phi over g as a bitset; see the
+    module docstring."""
     validate_formula(phi, g.signature)
-    if d is not None and d != phi.arity:
-        raise FormulaError(f"formula has arity {phi.arity}, expected {d}")
     arity, t = phi.arity, phi._table
-    env = dict(env or {})
-    missing = t.free[t.root] - set(env)
+    missing = t.free[t.root]
     if missing:
         raise FormulaError(f"unbound variables: {', '.join(sorted(missing))}")
 
     n = len(g.nodes)
     size = n**arity
-    if size > tuple_cap:
+    if size > TUPLE_CAP:
         raise ResourceLimitError(
-            f"tuple space {n}^{arity} exceeds the cap of {tuple_cap}"
+            f"tuple space {n}^{arity} exceeds the cap of {TUPLE_CAP}"
         )
-    idx = g.index
     full = (1 << size) - 1
     max_rounds = size + 1
     # stride[k] is the bit distance between tuples differing by one in component k
     stride = [n ** (arity - 1 - k) for k in range(arity)]
     # unit[k]: the tuples whose component k is 0
     unit = [_digit_zero(size, n, sk) for sk in stride]
-
-    base_env: dict[str, int] = {}
-    for name, ts in env.items():
-        if ts.arity != arity:
-            raise FormulaError(f"environment entry {name!r} has arity {ts.arity}, expected {arity}")
-        members = []
-        for tup in ts.tuples:
-            if len(tup) != arity or any(v not in idx for v in tup):
-                raise FormulaError(f"environment entry {name!r} contains a bad tuple {tup!r}")
-            members.append(sum(idx[v] * s for v, s in zip(tup, stride)))
-        base_env[name] = _to_bits(members, size)
 
     # (action, comp) -> [sparse form, number of distinct shifts, (mask, shift)
     # groups or None until the first dense call]; the sparse form is one
@@ -237,8 +199,7 @@ def _evaluate_bits(
             continue
         op = type(nodes[e])
         if op is Var:
-            b = bind.get(e)
-            res = base_env[nodes[e].name] if b is None else cur[b]
+            res = cur[bind[e]]
         elif op is And:
             a, b = kids[e]
             res = vals[a] & vals[b]
@@ -281,34 +242,21 @@ def _evaluate_bits(
     return vals[t.root]
 
 
-def evaluate(
-    g: LabeledGraph,
-    phi: Formula,
-    d: int | None = None,
-    env: Mapping[str, TupleSet] | None = None,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-) -> TupleSet:
-    """Denotation of phi over g as a TupleSet of arity phi.arity.
-
-    env supplies denotations for free variables.  d, when given, must
-    match the formula arity.
-    """
-    bits = _evaluate_bits(g, phi, d, env, tuple_cap)
+def evaluate(g: LabeledGraph, phi: Formula) -> frozenset[tuple[str, ...]]:
+    """Denotation of the closed formula phi over g: the phi.arity-tuples
+    of node ids that satisfy it."""
+    bits = _evaluate_bits(g, phi)
     names = g.nodes
     n = len(names)
     strides = [n ** (phi.arity - 1 - k) for k in range(phi.arity)]
-    return TupleSet(
-        phi.arity,
-        frozenset(tuple(names[i // s % n] for s in strides) for i in _set_bits(bits)),
-    )
+    return frozenset(tuple(names[i // s % n] for s in strides) for i in _set_bits(bits))
 
 
-def models(g: LabeledGraph, phi: Formula, d: int | None = None,
-           tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
+def models(g: LabeledGraph, phi: Formula) -> bool:
     """Does the arity-fold root tuple of g satisfy phi?  phi must be closed."""
     if free_vars(phi):
         raise FormulaError("models needs a closed formula")
-    bits = _evaluate_bits(g, phi, d, None, tuple_cap)
+    bits = _evaluate_bits(g, phi)
     n = len(g.nodes)
     r = g.index[g.root]
     root_bit = sum(r * n**k for k in range(phi.arity))

@@ -104,8 +104,8 @@ def check_power_round_trip(cfg: RunConfig) -> tuple[bool, str]:
     total = agree = sat = 0
     for g, d, phi in _round_trip_corpus(cfg):
         total += 1
-        left = models(g, phi, d + 1)
-        right = models(power(g, d), monofy(phi, d), 1)
+        left = models(g, phi)
+        right = models(power(g, d), monofy(phi, d))
         agree += left == right
         sat += left
     return agree == total, f"{agree}/{total} agree, {sat} satisfied"
@@ -201,7 +201,7 @@ def check_bisim_formula(cfg: RunConfig) -> tuple[bool, str]:
         fam = largest_d_bisimulation(g)
         for i in range(d):
             for j in range(d):
-                denot = set(evaluate(g, gen_bisim_formula(i, j, sig, d), 2).sorted())
+                denot = evaluate(g, gen_bisim_formula(i, j, sig, d))
                 bad += denot != set(fam.rel(i, j))
     return bad == 0, f"{n} graphs, {bad} relation mismatches"
 
@@ -239,7 +239,7 @@ def check_one_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
         member += base.member
         for d in (1, 2):
             pg = power(g, d)
-            lifted = one_lifted_non_universal(pg, d)
+            lifted = one_lifted_non_universal(pg)
             if lifted.member != base.member or lifted.witness != base.witness:
                 bad += 1
     balanced = min(member, total - member) * 10 >= total
@@ -262,7 +262,7 @@ def check_two_letter_lift(cfg: RunConfig) -> tuple[bool, str]:
         member += base.member
         for d in (1, 2):
             pg = power(g, d)
-            lifted = two_lifted_non_universal(pg, d)
+            lifted = two_lifted_non_universal(pg)
             if lifted.member != base.member or lifted.witness != base.witness:
                 bad += 1
     return bad == 0, f"{n} automata ({member} non-universal), {bad} lift mismatches"
@@ -291,7 +291,7 @@ def check_apt_vs_evaluator(cfg: RunConfig) -> tuple[bool, str]:
         sig = rand_base_signature(rng)
         g = rand_graph(rng, sig, cfg.max_nodes)
         psi = rand_formula(rng, sig, 1, 10)
-        b = models(g, psi, 1)
+        b = models(g, psi)
         sat += b
         # solve_parity, Zielonka on the built game, is the oracle for
         # acceptance_winners on the product
@@ -377,16 +377,16 @@ def check_word_trees(cfg: RunConfig) -> tuple[bool, str]:
         ]
         tree = gen_rword_tree(word, rng.randint(1, 3), rng.randint(0, len(word)))
         # a tree that is not an r-word tree counts against the generator
-        agree = models(tree, phi, 1) == (check_luni(tree) is not None)
+        agree = models(tree, phi) == (check_luni(tree) is not None)
         bad += not (agree and is_rword(tree))
     return bad == 0, f"{n - bad}/{n} agree"
 
 
 def check_bisim_invariance(cfg: RunConfig) -> tuple[bool, str]:
     total = bad = 0
-    for g, d, phi in _round_trip_corpus(cfg):
+    for g, _, phi in _round_trip_corpus(cfg):
         total += 1
-        bad += models(g, phi, d + 1) != models(quotient(g), phi, d + 1)
+        bad += models(g, phi) != models(quotient(g), phi)
     return bad == 0, f"{total - bad}/{total} agree"
 
 

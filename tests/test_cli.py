@@ -136,6 +136,12 @@ def test_mono_and_poly_refuse_a_dimension_the_graph_does_not_have(capsys, tmp_pa
         (2, "", f"error: {cmd}: graph has dimension 2, -d says 3\n")
 
 
+@pytest.mark.parametrize("cmd", ["mono", "poly"])
+def test_mono_and_poly_refuse_a_dimension_below_one(capsys, ex1, cmd):
+    assert run(capsys, cmd, "--graph", ex1, "-d", "0", "--formula", "tt") == \
+        (2, "", "error: d: must be >= 1, got 0\n")
+
+
 def test_bisim_and_quotient(capsys, ex1, tmp_path):
     code, out, _ = run(capsys, "bisim", "--graph", ex1, "--graph2", ex1)
     assert (code, out.strip()) == (0, "true")

@@ -754,7 +754,7 @@ def test_analyses_leave_the_edge_view_unbuilt(loop3):
     from polymu.queries import one_lifted_non_universal
 
     p = power(loop3, 2)
-    one_lifted_non_universal(p, 2)
+    one_lifted_non_universal(p)
     assert detect_power(p, 2, "both")
     fs = factors(p)
     assert p._edge_view is None

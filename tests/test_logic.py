@@ -381,7 +381,7 @@ def test_each_formula_compiles_once(monkeypatch):
     assert check_d_rooted(phi, 1)
     assert monofy(phi, 1) == monofy(phi, 1)
     g = LabeledGraph(SIG, ["0", "1"], "0", [("0", "a", "1"), ("1", "a", "1")], {"1": ["f"]})
-    assert models(g, phi, 2) == (("0", "0") in evaluate(g, phi))
+    assert models(g, phi) == (("0", "0") in evaluate(g, phi))
     assert compiled == [phi]
     compiled.clear()
     psi = parse_formula("mu X. f | <a>X", SIG, 1)
@@ -530,6 +530,15 @@ def test_polyfy_rejects_outside_fragment():
         polyfy(parse_formula("%{0}[rst@0]f@0", lsig, 1), 1)
     with pytest.raises(FormulaError, match="no arity-2 counterpart"):
         polyfy(parse_formula("[rst@0]%{0}f@0", lsig, 1), 1)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_monofy_and_polyfy_refuse_a_dimension_below_one(d):
+    lsig = lift_signature(SIG, 1)
+    with pytest.raises(FormulaError, match=f"^d: must be >= 1, got {d}$"):
+        monofy(parse_formula("tt", SIG, 1), d)
+    with pytest.raises(FormulaError, match=f"^d: must be >= 1, got {d}$"):
+        polyfy(parse_formula("f@0", lsig, 1), d)
 
 
 def test_monofy_polyfy_round_trip_on_lifted_side():

@@ -179,14 +179,12 @@ def test_signature_validation():
     with pytest.raises(GraphFormatError, match="two_letter_non_universal"):
         two_letter_non_universal(g1)
     with pytest.raises(GraphFormatError):
-        one_lifted_non_universal(g1, 1)
-    with pytest.raises(GraphFormatError, match="dimension"):
-        one_lifted_non_universal(power(g1, 2), 1)
+        one_lifted_non_universal(g1)
     with pytest.raises(GraphFormatError, match="2 action"):
-        two_lifted_non_universal(power(g1, 2), 2)
+        two_lifted_non_universal(power(g1, 2))
     two_col = make_graph(Signature(("a",), ("f", "g")), ["0"], "0", [], {})
     with pytest.raises(GraphFormatError, match="one color"):
-        one_lifted_non_universal(power(two_col, 2), 2)
+        one_lifted_non_universal(power(two_col, 2))
 
 
 # ------------------------------------------------------------ lifted queries
@@ -194,17 +192,17 @@ def test_signature_validation():
 
 def test_one_lifted_pins():
     reject_loop = nfa1(["0"], "0", [("0", "a", "0")], [])
-    assert one_lifted_non_universal(power(reject_loop, 2), 2) == NonUnivVerdict(True, 0)
-    assert one_lifted_non_universal(power(make_loop3(), 2), 2) == NonUnivVerdict(True, 0)
+    assert one_lifted_non_universal(power(reject_loop, 2)) == NonUnivVerdict(True, 0)
+    assert one_lifted_non_universal(power(make_loop3(), 2)) == NonUnivVerdict(True, 0)
     accept_loop = nfa1(["0"], "0", [("0", "a", "0")], ["0"])
-    assert one_lifted_non_universal(power(accept_loop, 2), 2) == NonUnivVerdict(False, None)
+    assert one_lifted_non_universal(power(accept_loop, 2)) == NonUnivVerdict(False, None)
 
 
 def test_one_lifted_len_cap():
     g = nfa1(["0", "1"], "0", [("0", "a", "1"), ("1", "a", "1")], ["0"])
     lifted = power(g, 2)
-    assert one_lifted_non_universal(lifted, 2) == NonUnivVerdict(True, 1)
-    assert one_lifted_non_universal(lifted, 2, len_cap=0) == NonUnivVerdict(False, None, True)
+    assert one_lifted_non_universal(lifted) == NonUnivVerdict(True, 1)
+    assert one_lifted_non_universal(lifted, len_cap=0) == NonUnivVerdict(False, None, True)
 
 
 def test_one_lifted_agrees_with_base_on_powers():
@@ -214,20 +212,20 @@ def test_one_lifted_agrees_with_base_on_powers():
         g = rand_graph(rng, SIG_AF, 4, color_num=1, color_den=2)
         base = one_letter_non_universal(g)
         for d in (1, 2):
-            lifted = one_lifted_non_universal(power(g, d), d)
+            lifted = one_lifted_non_universal(power(g, d))
             assert lifted.member == base.member, (k, d)
             if base.member:
                 assert lifted.witness == base.witness, (k, d)
-                assert verify_one_lifted_witness(power(g, d), d, base.witness)
+                assert verify_one_lifted_witness(power(g, d), base.witness)
         members += base.member
     assert 0 < members < 40
 
 
 def test_two_lifted_pins():
     accept_loop = nfa2(["0"], "0", [("0", "a", "0"), ("0", "b", "0")], ["0"])
-    assert two_lifted_non_universal(power(accept_loop, 2), 2) == NonUnivVerdict(False, None)
+    assert two_lifted_non_universal(power(accept_loop, 2)) == NonUnivVerdict(False, None)
     reject_loop = nfa2(["0"], "0", [("0", "a", "0"), ("0", "b", "0")], [])
-    assert two_lifted_non_universal(power(reject_loop, 2), 2) == NonUnivVerdict(True, "")
+    assert two_lifted_non_universal(power(reject_loop, 2)) == NonUnivVerdict(True, "")
 
 
 def test_two_lifted_agrees_with_base_on_powers():
@@ -237,11 +235,11 @@ def test_two_lifted_agrees_with_base_on_powers():
         g = rand_graph(rng, SIG_ABF, 3, color_num=1, color_den=2)
         base = two_letter_non_universal(g)
         for d in (1, 2):
-            lifted = two_lifted_non_universal(power(g, d), d)
+            lifted = two_lifted_non_universal(power(g, d))
             assert lifted.member == base.member, (k, d)
             if base.member:
                 assert lifted.witness == base.witness, (k, d)
-                assert verify_two_lifted_witness(power(g, d), d, base.witness)
+                assert verify_two_lifted_witness(power(g, d), base.witness)
         members += base.member
     assert 0 < members < 30
 
@@ -425,9 +423,9 @@ def test_lifted_queries_match_the_replaced_searches():
         for k, d, g in lifted_corpus(base, 51700 + one, 120):
             for cap in (None, 0, 1, 2, 3):
                 if one:
-                    got = one_lifted_non_universal(g, d, len_cap=cap)
+                    got = one_lifted_non_universal(g, len_cap=cap)
                 else:
-                    got = two_lifted_non_universal(g, d, len_cap=cap)
+                    got = two_lifted_non_universal(g, len_cap=cap)
                 assert got == ref_lifted(g, d, cap, one), (base, k, cap)
                 kinds[one, got.member, got.exhausted_bound, got.witness in (0, "")] += 1
     for one in (True, False):
@@ -458,13 +456,13 @@ def test_witness_replays_match_the_replaced_replays():
         for k, d, g in lifted_corpus(base, 53900 + one, 60):
             if one:
                 for n in range(6):
-                    got = verify_one_lifted_witness(g, d, n)
+                    got = verify_one_lifted_witness(g, n)
                     assert got == ref_verify(g, d, ("a",) * n, True), (k, n)
                     verdicts[one, got] += 1
             else:
                 for ln in range(4):
                     for word in itertools.product(("a", "b"), repeat=ln):
-                        got = verify_two_lifted_witness(g, d, word)
+                        got = verify_two_lifted_witness(g, word)
                         assert got == ref_verify(g, d, word, False), (k, word)
                         verdicts[one, got] += 1
     assert all(verdicts[one, ok] > 0 for one in (True, False) for ok in (True, False))
@@ -473,15 +471,15 @@ def test_witness_replays_match_the_replaced_replays():
 def test_replays_reject_malformed_witnesses():
     accept = nfa1(["0"], "0", [], ["0"])
     with pytest.raises(PolymuError, match="n must be >= 0"):
-        verify_one_lifted_witness(power(accept, 2), 2, -1)
+        verify_one_lifted_witness(power(accept, 2), -1)
     go_stop = make_graph(Signature(("go", "stop"), ("f",)), ["0"], "0",
                          [("0", "go", "0"), ("0", "stop", "0")], {"0": ["f"]})
     p = power(go_stop, 2)
     with pytest.raises(PolymuError, match="'s' is not an action"):
-        verify_two_lifted_witness(p, 2, "stop")
+        verify_two_lifted_witness(p, "stop")
     # a sequence of action names is the witness form; f holds everywhere
-    assert not verify_two_lifted_witness(p, 2, ("go", "stop"))
-    assert not verify_two_lifted_witness(p, 2, ["stop"])
+    assert not verify_two_lifted_witness(p, ("go", "stop"))
+    assert not verify_two_lifted_witness(p, ["stop"])
 
 
 def joint_replay(g, d, f, letters):
@@ -531,7 +529,7 @@ def test_replay_per_component_matches_the_joint_walk():
         for d in (1, 2):
             pg = power(g, d)
             for m in {max(n - 1, 0), n, n + 1}:
-                got = verify_one_lifted_witness(pg, d, m)
+                got = verify_one_lifted_witness(pg, m)
                 assert got == joint_replay(pg, d, "f", ("a",) * m), (k, d, m)
                 verdicts[got] += 1
     for base, one in ((SIG_AF, True), (SIG_ABF, False)):
@@ -540,7 +538,7 @@ def test_replay_per_component_matches_the_joint_walk():
                 [w for ln in range(4) for w in itertools.product(("a", "b"), repeat=ln)]
             verify = verify_one_lifted_witness if one else verify_two_lifted_witness
             for word in words:
-                got = verify(g, d, len(word) if one else word)
+                got = verify(g, len(word) if one else word)
                 assert got == joint_replay(g, d, "f", word), (k, word)
                 verdicts[got] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
@@ -557,6 +555,6 @@ def test_lifted_replay_of_the_five_prime_graph():
         edges.append(("r", "a", cycle[1]))
         edges += [(v, "a", cycle[(k + 1) % p]) for k, v in enumerate(cycle)]
     pg = power(nfa1(nodes, "r", edges, accepting), 2)
-    assert one_lifted_non_universal(pg, 2) == NonUnivVerdict(True, 2310)
-    assert not verify_one_lifted_witness(pg, 2, 2309)
-    assert not verify_one_lifted_witness(pg, 2, 2311)
+    assert one_lifted_non_universal(pg) == NonUnivVerdict(True, 2310)
+    assert not verify_one_lifted_witness(pg, 2309)
+    assert not verify_one_lifted_witness(pg, 2311)

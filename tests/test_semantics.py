@@ -1,4 +1,4 @@
-"""Evaluator: denotations, fixpoints, environments, caps."""
+"""Evaluator: denotations, fixpoints, caps."""
 import dataclasses
 import itertools
 
@@ -12,17 +12,18 @@ from polymu.logic import (
     parse_formula, print_formula,
 )
 from polymu.randgen import Xorshift, rand_formula, rand_graph
-from polymu.semantics import TupleSet, evaluate, models
+from polymu import semantics
+from polymu.semantics import evaluate, models
 
 from conftest import PATTERNS, SIG_AF, make_loop3, succ, successors
 
 
-def ev(g, text, arity, env=None, **kw):
-    return evaluate(g, parse_formula(text, g.signature, arity), arity, env, **kw)
+def ev(g, text, arity):
+    return evaluate(g, parse_formula(text, g.signature, arity))
 
 
-def tset(g, text, arity, env=None):
-    return set(ev(g, text, arity, env).tuples)
+def tset(g, text, arity):
+    return set(ev(g, text, arity))
 
 
 def test_atoms_and_modalities(loop3):
@@ -75,42 +76,31 @@ def test_replace_general():
     assert a == b
 
 
-def test_environment(loop3):
-    env = {"Y": TupleSet(1, frozenset({("0",)}))}
-    assert tset(loop3, "Y | f", 1, env) == {("0",), ("1",)}
-    with pytest.raises(FormulaError, match="unbound"):
-        ev(loop3, "Y | f", 1)
-    with pytest.raises(FormulaError, match="arity"):
-        ev(loop3, "Y", 1, {"Y": TupleSet(2, frozenset())})
-    with pytest.raises(FormulaError, match="bad tuple"):
-        ev(loop3, "Y", 1, {"Y": TupleSet(1, frozenset({("9",)}))})
-
-
 def test_models(loop3):
     phi = parse_formula("mu X. f | <a>X", SIG_AF, 1)
-    assert models(loop3, phi, 1)
-    assert models(loop3, parse_formula("mu X. f@0 | <a@0>X", SIG_AF, 2), 2)
-    assert not models(loop3, parse_formula("f@0 | f@1", SIG_AF, 2), 2)
+    assert models(loop3, phi)
+    assert models(loop3, parse_formula("mu X. f@0 | <a@0>X", SIG_AF, 2))
+    assert not models(loop3, parse_formula("f@0 | f@1", SIG_AF, 2))
     with pytest.raises(FormulaError, match="closed"):
-        models(loop3, parse_formula("Y", SIG_AF, 1), 1)
-    with pytest.raises(FormulaError, match="arity"):
-        models(loop3, phi, 2)
+        models(loop3, parse_formula("Y", SIG_AF, 1))
 
 
-def test_tuple_cap(loop3):
+def test_tuple_cap(loop3, monkeypatch):
+    monkeypatch.setattr(semantics, "TUPLE_CAP", 8)
     with pytest.raises(ResourceLimitError, match="cap"):
-        ev(loop3, "tt", 2, tuple_cap=8)
-    assert len(ev(loop3, "tt", 2, tuple_cap=9)) == 9
+        ev(loop3, "tt", 2)
+    monkeypatch.setattr(semantics, "TUPLE_CAP", 9)
+    assert len(ev(loop3, "tt", 2)) == 9
 
 
 def test_on_power_graph(loop3):
     p = power(loop3, 2)
     # f@0 reachable by moving component 0 only
     phi = parse_formula("mu X. f@0@0 | <a@0@0>X", p.signature, 1)
-    assert models(p, phi, 1)
+    assert models(p, phi)
     # resets jump back to the root's component value
     psi = parse_formula("<a@0@0><a@0@0><rst@0@0>~f@0@0", p.signature, 1)
-    assert models(p, psi, 1)
+    assert models(p, psi)
 
 
 def test_nested_fixpoint_rounds(loop3):
@@ -194,21 +184,15 @@ def test_models_error_order(loop3):
 
 
 def test_free_and_bound_variable_of_one_name():
-    # 0 -> 1 -> 1 and 2 -> 3: only 0 and 1 start an infinite a-path, so
-    # mu X. <a>X is empty and nu X. <a>X is {0, 1}; the free X is {1, 2}
-    g = LabeledGraph(SIG_AF, ["0", "1", "2", "3"], "0",
-                     [("0", "a", "1"), ("1", "a", "1"), ("2", "a", "3")], {})
-    env = {"X": TupleSet(1, frozenset({("1",), ("2",)}))}
-    for text, want in [
-        ("X & mu X. <a>X", set()),
-        ("(mu X. <a>X) & X", set()),
-        ("X | mu X. <a>X", {"1", "2"}),
-        ("X & nu X. <a>X", {"1"}),
-        ("(nu X. <a>X) | X", {"0", "1", "2"}),
-    ]:
+    # a binder of X does not capture an X outside its body, so each
+    # formula stays open, and the evaluator refuses it
+    g = LabeledGraph(SIG_AF, ["0", "1"], "0", [("0", "a", "1")], {})
+    for text in ["X & mu X. <a>X", "(mu X. <a>X) & X", "X | mu X. <a>X",
+                 "X & nu X. <a>X", "(nu X. <a>X) | X"]:
         phi = parse_formula(text, SIG_AF, 1)
         assert free_vars(phi) == frozenset({"X"}), text
-        assert {v for (v,) in evaluate(g, phi, 1, env).tuples} == want, text
+        with pytest.raises(FormulaError, match="^unbound variables: X$"):
+            evaluate(g, phi)
     # the table's size counts AST nodes, not its entries
     phi = parse_formula("X & X & mu X. <a>X", SIG_AF, 1)
     assert phi._table.size == 7
@@ -245,7 +229,7 @@ def test_pre_image_tables_follow_the_arity_of_each_evaluation():
                 assert tset(g, text, arity) == tset(fresh, text, arity) == want, (arity, text)
 
 
-def brute_force(g, root, arity, env=None):
+def brute_force(g, root, arity):
     """Denotation of the AST root by the definitions alone: node-name
     tuple sets, and each fixpoint iterated from scratch at every use."""
     space = set(itertools.product(g.nodes, repeat=arity))
@@ -283,7 +267,7 @@ def brute_force(g, root, arity, env=None):
                 return x
             x = y
 
-    return ev(root, dict(env or {}))
+    return ev(root, {})
 
 
 def renamed(n, prefix):
@@ -337,7 +321,7 @@ def test_renamed_closed_copies_agree_with_brute_force():
                  rng.below(leaves): Or(renamed(psi("Xu", "Xv"), "R"), renamed(psi("Xv", "Xu"), "S"))}
         phi = Formula(arity, plugged(context, holes)[0])
         want = brute_force(g, phi.root, arity)
-        assert set(evaluate(g, phi).tuples) == want, (k, print_formula(phi))
+        assert evaluate(g, phi) == want, (k, print_formula(phi))
         twinned += bool(phi._table.twin)
     assert twinned >= 100, twinned
 
@@ -346,8 +330,6 @@ def test_twin_binders_are_not_run(monkeypatch):
     """Renamed copies of a closed subformula cost no sparse pre-image beyond
     the first copy's: their binders' slices and their other entries are
     never run."""
-    from polymu import semantics
-
     # at arity 1 on a small graph every sparse pre-image is one call of
     # graphs._image, which the evaluator imports under that name
     calls = []
@@ -389,8 +371,6 @@ def test_arity_one_agrees_with_acceptance_winners_at_every_node(monkeypatch):
     mask bound: sparse random graphs, where most pre-images OR predecessor
     masks; a chain, whose single shift sends them to the dense groups; and
     a chorded ring past the bound, which keeps the per-node offsets."""
-    from polymu import semantics
-
     built = {"masks": 0, "groups": 0, "sparse": 0}
 
     def counting(key, real):
@@ -429,7 +409,7 @@ def test_arity_one_agrees_with_acceptance_winners_at_every_node(monkeypatch):
             nq = len(apt.states)
             want = {(v,) for i, v in enumerate(g.nodes) if winner[i * nq + apt.initial] == EXISTS}
             built.update(dict.fromkeys(built, 0))
-            got = set(evaluate(g, phi, 1).tuples)
+            got = evaluate(g, phi)
             assert got == want, (k, text)
             probes[(k, text)] = dict(built)
             verdicts.add((g is ring, 0 < len(got) < len(g.nodes)))
